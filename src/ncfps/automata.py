@@ -75,10 +75,10 @@ class LinearRepresentation:
         for x, m in mu.items():
             if not alphabet.is_letter(x):
                 raise ValueError(f"letter {x!r} is not in alphabet {alphabet.name}")
-            m = tuple(tuple(ring.coerce(c) for c in row) for row in m)
+            m = tuple(tuple(map(ring.coerce, row)) for row in m)
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError(f"matrix for {x!r} is not {n}x{n}")
-            if any(c != ring.zero for row in m for c in row):
+            if any(c for row in m for c in row):
                 clean[x] = m
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "ring", ring)
@@ -368,24 +368,22 @@ def rep_stuffle(r1, r2):
 def _left_reduce(rep):
     ring = rep.ring
     basis = EchelonBasis(ring, rep.dim)
-    if any(c != ring.zero for c in rep.nu):
-        basis.insert(rep.nu)
+    basis.insert(rep.nu)
     letters = rep.active_letters
+    images = {x: [] for x in letters}  # images[x][i] = originals[i] . mu(x)
     i = 0
-    while i < len(basis.originals):
+    while i < basis.rank:
         v = basis.originals[i]
         for x in letters:
-            basis.insert(vec_mat(ring, v, rep.mu[x]))
+            w = vec_mat(ring, v, rep.mu[x])
+            images[x].append(w)
+            basis.insert(w)
         i += 1
-    m = basis.rank
-    if m == 0:
+    if basis.rank == 0:
         return rep_zero(rep.alphabet, ring)
-    rows = basis.originals
-    mu = {}
-    for x in letters:
-        mu[x] = tuple(basis.coordinates(vec_mat(ring, v, rep.mu[x])) for v in rows)
+    mu = {x: tuple(basis.coordinates(w) for w in ws) for x, ws in images.items()}
     nu = basis.coordinates(rep.nu)
-    eta = tuple(dot(ring, v, rep.eta) for v in rows)
+    eta = tuple(dot(ring, v, rep.eta) for v in basis.originals)
     return LinearRepresentation(rep.alphabet, ring, nu, mu, eta)
 
 
@@ -399,32 +397,30 @@ def minimize(rep):
 
 
 def equal(r1, r2):
-    """Decide equality of the represented series over a field."""
+    """Decide equality of the represented series over a field.
+
+    Span test of the difference d = r1 - r2 (Schützenberger reduction; the
+    polynomial-time equivalence test of Tzeng, SIAM J. Comput. 21, 1992):
+    the series are equal exactly when every reachable row vector
+    nu.mu(w) of d is orthogonal to d's final vector.  The reachable span is
+    grown breadth-first, one letter at a time, in an echelon basis; it has
+    dimension at most n = n1 + n2, so the test makes at most n*|letters|
+    vector-matrix products and costs O(|letters| n^3) field operations.  It
+    stops at the first vector whose pairing with the final vector is nonzero.
+    """
     r1, r2 = r1.embed_field(), r2.embed_field()
     _check_pair(r1, r2)
-    r1, r2 = minimize(r1), minimize(r2)
-    ring = r1.ring
-    window = r1.dim + r2.dim
-    letters = sorted(set(r1.mu) | set(r2.mu), key=r1.alphabet.rank)
-
-    def walk(depth, v1, v2):
-        c1 = dot(ring, v1, r1.eta) if r1.dim else ring.zero
-        c2 = dot(ring, v2, r2.eta) if r2.dim else ring.zero
-        if c1 != c2:
+    d = rep_sum(r1, r2.scale(-1))
+    ring = d.ring
+    mats = [d.mu[x] for x in d.active_letters]
+    basis = EchelonBasis(ring, d.dim)
+    frontier = [d.nu]  # extended while it is walked: a breadth-first queue
+    for v in frontier:
+        if dot(ring, v, d.eta):
             return False
-        if depth == window:
-            return True
-        for x in letters:
-            w1 = vec_mat(ring, v1, r1.matrix(x)) if r1.dim else v1
-            w2 = vec_mat(ring, v2, r2.matrix(x)) if r2.dim else v2
-            live1 = any(c != ring.zero for c in w1)
-            live2 = any(c != ring.zero for c in w2)
-            if live1 or live2:
-                if not walk(depth + 1, w1, w2):
-                    return False
-        return True
-
-    return walk(0, r1.nu, r2.nu)
+        if basis.insert(v) is not None:
+            frontier.extend(vec_mat(ring, v, m) for m in mats)
+    return True
 
 
 # ---------------------------------------------------------------------------

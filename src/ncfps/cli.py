@@ -154,17 +154,8 @@ def _cmd_check_identity(args):
     na = parse_expression(args.first)
     nb = parse_expression(args.second)
     alphabet = infer_alphabet(("add", na, nb))
-    if getattr(ring, "field", None) is not None:
-        holds = equal(to_representation(na, alphabet, ring), to_representation(nb, alphabet, ring))
-        print("identity holds (exact)" if holds else "identity fails (exact)")
-    else:
-        # No embedding into a field: fall back to comparing bounded expansions.
-        bound = args.max_length
-        sa = to_series(na, alphabet, ring, bound)
-        sb = to_series(nb, alphabet, ring, bound)
-        holds = (sa - sb).poly.terms == {}
-        verdict = "holds" if holds else "fails"
-        print(f"identity {verdict} up to grade {bound}")
+    holds = equal(to_representation(na, alphabet, ring), to_representation(nb, alphabet, ring))
+    print("identity holds (exact)" if holds else "identity fails (exact)")
     return 0 if holds else 1
 
 
@@ -280,7 +271,7 @@ def build_parser():
     p.add_argument("first", help="left expression")
     p.add_argument("second", help="right expression")
     _add_ring(p)
-    _add_bound(p, 8, "grade bound when no exact decision is available")
+    _add_bound(p, 8, "ignored; accepted for interface stability, the decision is exact")
     p.set_defaults(handler=_cmd_check_identity)
 
     p = cmds.add_parser("chen", help="evaluate iterated integrals of all short words")

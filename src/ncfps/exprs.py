@@ -26,7 +26,6 @@ letter.  ``x0*x1`` is a syntax error: concatenation is always spelled ``.``.
 import re
 
 from .automata import (
-    LinearRepresentation,
     rep_conc,
     rep_polynomial,
     rep_shuffle,
@@ -276,11 +275,6 @@ def to_series(node, alphabet, ring, bound):
     return a.stuffle(b)
 
 
-def _scale_rep(rep, c):
-    nu = tuple(rep.ring.coerce(c) * v for v in rep.nu)
-    return LinearRepresentation(rep.alphabet, rep.ring, nu, rep.mu, rep.eta)
-
-
 def to_representation(node, alphabet, ring):
     """Compile a parsed expression to a linear representation."""
     if node[0] == "num":
@@ -289,10 +283,10 @@ def to_representation(node, alphabet, ring):
     if node[0] == "word":
         return rep_word(alphabet, ring, (node[1],))
     if node[0] == "neg":
-        return _scale_rep(to_representation(node[1], alphabet, ring), -1)
+        return to_representation(node[1], alphabet, ring).scale(-1)
     if node[0] == "scale":
         c = _coefficient(ring, node[1], node[2])
-        return _scale_rep(to_representation(node[3], alphabet, ring), c)
+        return to_representation(node[3], alphabet, ring).scale(c)
     if node[0] == "star":
         return rep_star(to_representation(node[1], alphabet, ring))
     a = to_representation(node[1], alphabet, ring)
@@ -300,7 +294,7 @@ def to_representation(node, alphabet, ring):
     if node[0] == "add":
         return rep_sum(a, b)
     if node[0] == "sub":
-        return rep_sum(a, _scale_rep(b, -1))
+        return rep_sum(a, b.scale(-1))
     if node[0] == "cat":
         return rep_conc(a, b)
     if node[0] == "shuffle":

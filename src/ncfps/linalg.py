@@ -4,9 +4,12 @@ Matrices are tuples of tuples (rows); vectors are tuples.  Everything is
 parameterized by a ring descriptor; inversion and echelon construction
 require a field (``ring.is_field``).
 
-The incremental :class:`EchelonBasis` also remembers how each stored row
-decomposes over the *original* inserted vectors, which is what the automaton
-minimization needs to rewrite transition matrices in the new coordinates.
+The incremental :class:`EchelonBasis` keeps its rows in reduced row echelon
+form and also keeps the *original* inserted vectors.  Coordinates over the
+originals, which the automaton minimization needs to rewrite transition
+matrices in the new basis, come from one inverse of the originals' block on
+the pivot columns.  Zero tests use truthiness: every ring element defines
+``__bool__``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ def transpose(a):
 
 
 def mat_add(ring, a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    # zero entries short-cut: x + 0 is x, 0 + y is y
+    return tuple(tuple(x + y if x and y else x or y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(ring, a, b):
@@ -64,19 +68,7 @@ def mat_scale(ring, c, a):
 def mat_mul(ring, a, b):
     if not a or not b:
         return ()
-    bt = transpose(b)
-    z = ring.zero
-    out = []
-    for ra in a:
-        row = []
-        for cb in bt:
-            acc = z
-            for x, y in zip(ra, cb):
-                if x != z and y != z:
-                    acc = acc + x * y
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(vec_mat(ring, ra, b) for ra in a)
 
 
 def mat_vec(ring, a, v):
@@ -85,32 +77,46 @@ def mat_vec(ring, a, v):
     for r in a:
         acc = z
         for x, y in zip(r, v):
-            if x != z and y != z:
+            if x and y:
                 acc = acc + x * y
         out.append(acc)
     return tuple(out)
 
 
 def vec_mat(ring, v, a):
-    return mat_vec(ring, transpose(a), v)
+    """Row vector times matrix: the combination sum_i v_i a[i] of the rows."""
+    z = ring.zero
+    out = None
+    for c, row in zip(v, a):
+        if c:
+            if out is None:
+                out = [c * y if y else z for y in row]
+            else:
+                out = [acc + c * y if y else acc for acc, y in zip(out, row)]
+    if out is None:
+        return tuple(z for _ in range(len(a[0]) if a else 0))
+    return tuple(out)
 
 
 def dot(ring, u, v):
     acc = ring.zero
     for x, y in zip(u, v):
-        acc = acc + x * y
+        if x and y:
+            acc = acc + x * y
     return acc
 
 
 def kron(ring, a, b):
     if not a or not b:
         return ()
+    z = ring.zero
+    zrow = (z,) * len(b[0])
     out = []
     for ra in a:
         for rb in b:
             row = []
             for x in ra:
-                row.extend(x * y for y in rb)
+                row.extend((x * y if y else z for y in rb) if x else zrow)
             out.append(tuple(row))
     return tuple(out)
 
@@ -144,90 +150,67 @@ class EchelonBasis:
 
     ``insert(v)`` returns None when v was already in the span, else the new
     row index.  ``coordinates(v)`` expresses v over the inserted originals.
+    Pivots are taken among the first ``pivot_width`` columns (default: all);
+    a vector whose reduction vanishes there counts as already in the span.
     """
 
-    def __init__(self, ring, width):
+    def __init__(self, ring, width, pivot_width=None):
         if not ring.is_field:
             raise ValueError("echelon construction needs a field")
         self.ring = ring
         self.width = width
-        self.rows = []  # reduced rows, pivot entry 1
+        self.pivot_width = width if pivot_width is None else pivot_width
+        self.rows = []  # reduced row echelon form, pivot entry 1
         self.pivots = []  # pivot column per row
-        self.combos = []  # rows[i] = sum combos[i][j] * originals[j]
         self.originals = []
+        self._pivot_inverse = None  # inverse of the originals' pivot block
 
     @property
     def rank(self):
         return len(self.rows)
 
     def _reduce(self, v):
-        ring = self.ring
+        # rows are zero on each other's pivots, so each coefficient is the
+        # entry of the input at that pivot
         v = list(v)
-        coeffs = [ring.zero] * len(self.rows)
-        for i, (row, p) in enumerate(zip(self.rows, self.pivots)):
+        for row, p in zip(self.rows, self.pivots):
             c = v[p]
-            if c != ring.zero:
-                coeffs[i] = c
-                for j in range(self.width):
-                    if row[j] != ring.zero:
-                        v[j] = v[j] - c * row[j]
-        return v, coeffs
+            if c:
+                v = [a - c * b if b else a for a, b in zip(v, row)]
+        return v
 
     def coordinates(self, v):
         """Coefficients over the inserted originals, or None if outside the span."""
-        ring = self.ring
-        v, coeffs = self._reduce(v)
-        if any(c != ring.zero for c in v):
+        if any(self._reduce(v)):
             return None
-        out = [ring.zero] * len(self.originals)
-        for c, combo in zip(coeffs, self.combos):
-            if c != ring.zero:
-                for j, t in enumerate(combo):
-                    if t != ring.zero:
-                        out[j] = out[j] + c * t
-        return tuple(out)
+        if self._pivot_inverse is None:
+            block = tuple(tuple(o[p] for p in self.pivots) for o in self.originals)
+            self._pivot_inverse = invert_matrix(self.ring, block)
+        return vec_mat(self.ring, tuple(v[p] for p in self.pivots), self._pivot_inverse)
 
     def contains(self, v):
-        v, _ = self._reduce(v)
-        return all(c == self.ring.zero for c in v)
+        return not any(self._reduce(v))
 
     def insert(self, v):
-        ring = self.ring
-        original = tuple(v)
-        red, coeffs = self._reduce(v)
-        nonzero = [j for j in range(self.width) if red[j] != ring.zero]
+        v = tuple(v)
+        return self._insert_reduced(self._reduce(v), v)
+
+    def _insert_reduced(self, red, original):
+        nonzero = [j for j in range(self.pivot_width) if red[j]]
         if not nonzero:
             return None
         pivot = min(nonzero, key=lambda j: (_complexity(red[j]), j))
-        inv = ring.invert(red[pivot])
-        red = [inv * c for c in red]
-        combo = [ring.zero] * len(self.originals) + [inv]
-        for c, old in zip(coeffs, self.combos):
-            if c != ring.zero:
-                s = inv * c
-                for j, t in enumerate(old):
-                    if t != ring.zero:
-                        combo[j] = combo[j] - s * t
-        self.originals.append(original)
+        inv = self.ring.invert(red[pivot])
+        red = [inv * c if c else c for c in red]
         # back-eliminate the new pivot from stored rows
         for i, row in enumerate(self.rows):
             c = row[pivot]
-            if c != ring.zero:
-                self.rows[i] = [a - c * b for a, b in zip(row, red)]
-                old = self.combos[i]
-                merged = list(old) + [ring.zero] * (len(combo) - len(old))
-                for j, t in enumerate(combo):
-                    if t != ring.zero:
-                        merged[j] = merged[j] - c * t
-                self.combos[i] = merged
-        for i in range(len(self.combos)):
-            if len(self.combos[i]) < len(self.originals):
-                self.combos[i] = list(self.combos[i]) + [ring.zero] * (
-                    len(self.originals) - len(self.combos[i])
-                )
+            if c:
+                self.rows[i] = [a - c * b if b else a for a, b in zip(row, red)]
         self.rows.append(red)
         self.pivots.append(pivot)
-        self.combos.append(combo)
+        self.originals.append(original)
+        self._pivot_inverse = None
         return len(self.rows) - 1
 
 
@@ -242,7 +225,7 @@ def invert_matrix(ring, a):
         best = None
         for r in range(col, n):
             c = aug[r][col]
-            if c != ring.zero:
+            if c:
                 key = _complexity(c)
                 if best is None or key < best:
                     best, pivot = key, r
@@ -254,33 +237,28 @@ def invert_matrix(ring, a):
         for r in range(n):
             if r != col:
                 c = aug[r][col]
-                if c != ring.zero:
+                if c:
                     aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
 
 
 def left_kernel(ring, a):
-    """Basis of row vectors v with v.a = 0, over a field."""
+    """Basis of row vectors v with v.a = 0, over a field.
+
+    Row reduction of ``[a | I]`` with pivots only in the ``a`` block: a row
+    of ``a`` that reduces to zero there yields the kernel vector with entry 1
+    at its own index and support on the earlier independent rows.
+    """
     m = len(a)
     if m == 0:
         return ()
     n = len(a[0])
-    # reduce the rows of a, tracking the combination that produced each row
-    basis = EchelonBasis(ring, n)
-    inserted = []  # indices in a of the rows the basis kept
+    z, one = ring.zero, ring.one
+    basis = EchelonBasis(ring, n + m, pivot_width=n)
     kernel = []
     for i, row in enumerate(a):
-        red, coeffs = basis._reduce(row)
-        if all(c == ring.zero for c in red):
-            v = [ring.zero] * m
-            v[i] = ring.one
-            for c, combo in zip(coeffs, basis.combos):
-                if c != ring.zero:
-                    for j, t in enumerate(combo):
-                        if t != ring.zero:
-                            v[inserted[j]] = v[inserted[j]] - c * t
-            kernel.append(tuple(v))
-        else:
-            basis.insert(row)
-            inserted.append(i)
+        aug = tuple(row) + tuple(one if j == i else z for j in range(m))
+        red = basis._reduce(aug)
+        if basis._insert_reduced(red, aug) is None:
+            kernel.append(tuple(red[n:]))
     return tuple(kernel)

@@ -311,7 +311,7 @@ class RatFun:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = Poly.const(num.var, Fraction(1))
-        else:
+        elif den.coeffs != (1,):  # a polynomial is already in lowest terms
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = num // g

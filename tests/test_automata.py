@@ -2,9 +2,12 @@
 minimization, equality, splitting, rational forms, and classification."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncfps.automata import (
     LinearRepresentation,
@@ -30,8 +33,8 @@ from ncfps.automata import (
     sweedler_split,
     triangular_star_factorization_check,
 )
-from ncfps.linalg import EchelonBasis, vec_mat
-from ncfps.rings import QQ, QT, QZ
+from ncfps.linalg import EchelonBasis, left_kernel, vec_mat
+from ncfps.rings import QQ, QT, QZ, Poly
 from ncfps.series import NCPolynomial, TruncatedSeries, parse_series_text
 from ncfps.words import Alphabet
 
@@ -248,6 +251,24 @@ def test_equal_walk_identity():
     )
     rhs = rep_star(rep_word(X2, QQ, ("x0", "x0", "x1", "x1"), -4))
     assert equal(lhs, rhs)
+
+
+def test_equal_similar_pair_of_dimension_5_is_fast():
+    # a word walk to depth n1 + n2 visits about 3^10 words here (over 20 s);
+    # the span test needs at most 10 * 3 vector-matrix products
+    rng = random.Random(55)
+    al = Alphabet.x(3)
+    r1 = rand_rep(rng, al, al.letters, 5)
+    # unit lower triangular, hence invertible
+    t = tuple(
+        tuple(Fraction(1) if i == j else Fraction(rng.randint(-2, 2) if i > j else 0) for j in range(5))
+        for i in range(5)
+    )
+    r2 = r1.conjugate(t)
+    t0 = time.perf_counter()
+    assert equal(r1, r2)
+    assert time.perf_counter() - t0 < 1.0
+    assert not equal(r1, r2.scale(2))
 
 
 def test_equal_over_polynomial_ring_embeds():
@@ -542,3 +563,161 @@ def test_embed_field():
     e = r.embed_field()
     assert e.ring == QT.field()
     assert e.coeff(("x0", "x1")) == e.ring.coerce(QT.gen())
+
+
+# ---------------------------------------------------------------------------
+# property tests: equality and the linear algebra kernels against definitions
+
+
+def _plain_vec_mat(v, a):
+    return tuple(sum((v[i] * a[i][j] for i in range(len(a))), 0 * v[0]) for j in range(len(a[0])))
+
+
+def _plain_mat_mul(a, b):
+    return tuple(_plain_vec_mat(row, b) for row in a)
+
+
+def _brute_equal(r1, r2):
+    """Compare coefficients on every word shorter than n1 + n2, which decides
+    equality because the difference has dimension n1 + n2."""
+    letters = sorted(set(r1.mu) | set(r2.mu), key=r1.alphabet.rank)
+    layer = [(r1.nu, r2.nu)]
+    for _ in range(r1.dim + r2.dim):
+        for v1, v2 in layer:
+            c1 = sum((a * b for a, b in zip(v1, r1.eta)), r1.ring.zero)
+            c2 = sum((a * b for a, b in zip(v2, r2.eta)), r2.ring.zero)
+            if c1 != c2:
+                return False
+        layer = [
+            (_plain_vec_mat(v1, r1.matrix(x)), _plain_vec_mat(v2, r2.matrix(x)))
+            for v1, v2 in layer
+            for x in letters
+        ]
+    return True
+
+
+def _ring_entries(ring):
+    ints = st.integers(-2, 2)
+    if ring == QQ:
+        return ints.map(Fraction)
+    return st.tuples(ints, ints).map(lambda ab: Poly("t", ab))
+
+
+@st.composite
+def _similar_pairs(draw, ring):
+    """(r1, r2) with r2 = r1, optionally with one entry perturbed, after an
+    exact change of basis.  The change of basis is a product of elementary
+    matrices with integer entries, so its inverse is exact in any ring and
+    conjugation keeps the degree in t of the entries low.  A "chain" r1 has
+    superdiagonal letter matrices, so it lives on the words of length n - 1
+    and a perturbation on the chain shows on those words only.  Over Q[t] a
+    pair of dimension 4 uses at most 2 letters: the brute force on the 3^7
+    words of a 3-letter pair takes about 15 s there."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 2 if ring == QT and n == 4 else 3))
+    alphabet = Alphabet.x(k)
+    entry = _ring_entries(ring)
+    one, zero = ring.one, ring.zero
+    if draw(st.booleans()):
+        nu = [one] + [zero] * (n - 1)
+        eta = [zero] * (n - 1) + [one]
+        mu = {}
+        for x in alphabet.letters:
+            mu[x] = [[zero] * n for _ in range(n)]
+            for i in range(n - 1):
+                mu[x][i][i + 1] = ring.coerce(draw(entry))
+    else:
+        vec = st.lists(entry, min_size=n, max_size=n)
+        nu, eta = draw(vec), draw(vec)
+        mu = {x: draw(st.lists(vec, min_size=n, max_size=n)) for x in alphabet.letters}
+    r1 = LinearRepresentation(alphabet, ring, nu, mu, eta)
+    if draw(st.booleans()):
+        nu, eta = list(nu), list(eta)
+        mu = {x: [list(r) for r in m] for x, m in mu.items()}
+        where = draw(st.sampled_from(["nu", "eta"] + list(alphabet.letters)))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if where == "nu":
+            nu[i] = nu[i] + one
+        elif where == "eta":
+            eta[i] = eta[i] + one
+        else:
+            mu[where][i][j] = mu[where][i][j] + one
+    t = tinv = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = ring.coerce(draw(st.integers(-2, 2)))
+        e = [[one if a == b else zero for b in range(n)] for a in range(n)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        t, tinv = _plain_mat_mul(e, t), _plain_mat_mul(tinv, e_inv)
+    nu2 = _plain_vec_mat(nu, tinv)
+    mu2 = {x: _plain_mat_mul(_plain_mat_mul(t, m), tinv) for x, m in mu.items()}
+    eta2 = [sum((t[i][j] * eta[j] for j in range(n)), zero) for i in range(n)]
+    return r1, LinearRepresentation(alphabet, ring, nu2, mu2, eta2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_similar_pairs(QQ))
+def test_equal_matches_brute_force_over_q(pair):
+    r1, r2 = pair
+    assert equal(r1, r2) == _brute_equal(r1, r2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_similar_pairs(QT))
+def test_equal_matches_brute_force_over_qt(pair):
+    r1, r2 = pair
+    assert equal(r1, r2) == _brute_equal(r1, r2)
+
+
+_small = st.integers(-3, 3).map(Fraction)
+
+
+@st.composite
+def _matrices(draw, min_rows=1):
+    """Matrices over Q of 1-5 columns, with rows drawn as combinations of a
+    few seed rows so that dependent rows are common."""
+    m = draw(st.integers(min_rows, 5))
+    n = draw(st.integers(1, 5))
+    seeds = draw(st.lists(st.lists(_small, min_size=n, max_size=n), min_size=1, max_size=4))
+    rows = []
+    for _ in range(m):
+        coeffs = draw(st.lists(_small, min_size=len(seeds), max_size=len(seeds)))
+        rows.append(tuple(sum((c * s[j] for c, s in zip(coeffs, seeds)), Fraction(0)) for j in range(n)))
+    return tuple(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_vec_mat_matches_definition(data):
+    a = data.draw(_matrices())
+    v = tuple(data.draw(st.lists(_small, min_size=len(a), max_size=len(a))))
+    assert vec_mat(QQ, v, a) == _plain_vec_mat(v, a)
+
+
+def _rank(a):
+    rows = [list(r) for r in a]
+    rank = 0
+    for col in range(len(a[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_left_kernel_annihilates_and_has_full_size(a):
+    kernel = left_kernel(QQ, a)
+    assert len(kernel) == len(a) - _rank(a)
+    for k in kernel:
+        assert all(c == 0 for c in _plain_vec_mat(k, a))
+        # entry 1 at the index of its own row, support only on earlier rows
+        last = max(i for i, c in enumerate(k) if c != 0)
+        assert k[last] == 1

@@ -1,0 +1,54 @@
+"""Byte-for-byte CLI output of the commands whose bytes depend on the
+automaton kernels: minimization bases, derived ODEs and classification.
+
+The expected outputs live in ``tests/golden/cli_<name>.txt``.  To rewrite
+them after an intended output change, run this file as a script::
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from ncfps.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "minimize_star_x0x1": ["minimize", "(x0.x1)*"],
+    "minimize_star_shuffle": ["minimize", "(x0.x1)* shuffle x0*"],
+    "minimize_qt_star_product": ["minimize", "(t*x0.x1)* shuffle (x0 + t^2*x1)*", "--ring", "Q[t]"],
+    "derive_ode_star_x0x1": ["derive-ode", "(x0.x1)*", "--inputs", "x0=1/z,x1=1/(1-z)"],
+    "derive_ode_shuffle": ["derive-ode", "x0* shuffle (2*x1)*", "--inputs", "x0=1/(z+1),x1=1/(1-z)"],
+    "derive_ode_order2": ["derive-ode", "x0* shuffle (x1.x1)*", "--inputs", "x0=1/(z+1),x1=1/(1-z)"],
+    "classify_exchangeable": ["classify", "(x0 + x1)*"],
+    "classify_nilpotent": ["classify", "x0.x1"],
+    "classify_solvable": ["classify", "x0* . x1 . (-1*x0)*"],
+    "classify_general": ["classify", "(x0.x1)*"],
+}
+
+
+def cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    code, out = cli_stdout(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"cli_{name}.txt").read_text()
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        code, out = cli_stdout(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / f"cli_{name}.txt").write_text(out)
