@@ -399,27 +399,28 @@ def minimize(rep):
 def equal(r1, r2):
     """Decide equality of the represented series over a field.
 
-    Span test of the difference d = r1 - r2 (Schützenberger reduction; the
+    Span test of the difference r1 - r2 (Schützenberger reduction; the
     polynomial-time equivalence test of Tzeng, SIAM J. Comput. 21, 1992):
-    the series are equal exactly when every reachable row vector
-    nu.mu(w) of d is orthogonal to d's final vector.  The reachable span is
-    grown breadth-first, one letter at a time, in an echelon basis; it has
-    dimension at most n = n1 + n2, so the test makes at most n*|letters|
-    vector-matrix products and costs O(|letters| n^3) field operations.  It
-    stops at the first vector whose pairing with the final vector is nonzero.
+    the series are equal exactly when every reachable pair of row vectors
+    (nu1.mu1(w), nu2.mu2(w)) gives the same value against the two final
+    vectors.  The pairs are walked breadth-first, one letter at a time, and
+    their concatenations grow an echelon basis, whose dimension is at most
+    n = n1 + n2; so the test makes at most n*|letters| vector-matrix products
+    on each side and costs O(|letters| n^3) field operations.  It stops at
+    the first pair whose two values differ.
     """
     r1, r2 = r1.embed_field(), r2.embed_field()
     _check_pair(r1, r2)
-    d = rep_sum(r1, r2.scale(-1))
-    ring = d.ring
-    mats = [d.mu[x] for x in d.active_letters]
-    basis = EchelonBasis(ring, d.dim)
-    frontier = [d.nu]  # extended while it is walked: a breadth-first queue
-    for v in frontier:
-        if dot(ring, v, d.eta):
+    ring = r1.ring
+    letters = sorted(set(r1.mu) | set(r2.mu), key=r1.alphabet.rank)
+    mats = [(r1.matrix(x), r2.matrix(x)) for x in letters]
+    basis = EchelonBasis(ring, r1.dim + r2.dim)
+    frontier = [(r1.nu, r2.nu)]  # extended while it is walked: a breadth-first queue
+    for v1, v2 in frontier:
+        if dot(ring, v1, r1.eta) - dot(ring, v2, r2.eta):
             return False
-        if basis.insert(v) is not None:
-            frontier.extend(vec_mat(ring, v, m) for m in mats)
+        if basis.insert(v1 + v2) is not None:
+            frontier.extend((vec_mat(ring, v1, m1), vec_mat(ring, v2, m2)) for m1, m2 in mats)
     return True
 
 
@@ -612,21 +613,20 @@ def _bracket(ring, a, b):
     return mat_sub(ring, mat_mul(ring, a, b), mat_mul(ring, b, a))
 
 
-def _span_closure(ring, n, generators, brackets_with=None):
-    """Echelon span of generators, optionally bracket-saturated."""
+def _span_closure(ring, n, generators):
+    """Echelon span of generators, saturated under brackets."""
     basis = EchelonBasis(ring, n * n)
     members = []
     for g in generators:
         if basis.insert(_flatten(g)) is not None:
             members.append(g)
-    if brackets_with is None:
-        i = 0
-        while i < len(members):
-            for j in range(len(members)):
-                b = _bracket(ring, members[i], members[j])
-                if basis.insert(_flatten(b)) is not None:
-                    members.append(b)
-            i += 1
+    i = 0
+    while i < len(members):
+        for j in range(len(members)):
+            b = _bracket(ring, members[i], members[j])
+            if basis.insert(_flatten(b)) is not None:
+                members.append(b)
+        i += 1
     return members
 
 

@@ -249,17 +249,12 @@ def basis_Sigma(w):
 # diagonal factorization check
 
 
-def _truncate_left(t, bound):
-    g = t.alphabet.word_grade
-    return TensorPoly(t.alphabet, t.ring, {k: c for k, c in t.terms.items() if g(k[0]) <= bound})
-
-
 def _tensor_exp(t, bound, left_kernel):
     one = TensorPoly(t.alphabet, t.ring, {((), ()): QQ.one})
     acc = one
     term = one
     for k in range(1, bound + 1):
-        term = _truncate_left(term.mul(t, left_kernel, conc_words), bound).scale(Fraction(1, k))
+        term = term.mul(t, left_kernel, conc_words, bound).scale(Fraction(1, k))
         if not term.terms:
             break
         acc = acc + term
@@ -302,7 +297,7 @@ def msr_check(alphabet, bound, table=None):
     product = TensorPoly(alphabet, QQ, {((), ()): QQ.one})
     for l in sorted(lyndon_words(alphabet, bound), key=alphabet.ranks, reverse=True):
         factor = _tensor_exp(TensorPoly.of(duals[l], brackets[l]), bound, left_kernel)
-        product = _truncate_left(product.mul(factor, left_kernel, conc_words), bound)
+        product = product.mul(factor, left_kernel, conc_words, bound)
     ok_prod = compare(product, "product_ok", report)
 
     return ok_sum and ok_prod, report

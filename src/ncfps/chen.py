@@ -665,15 +665,13 @@ def iterated_integral(word, inputs, path, tol=1e-10):
 # structural diagnostics
 
 
-def friedrichs_check(ev, tol=None):
+def friedrichs_check(ev):
     """Worst multiplicativity defect |<S,u sh v> - <S,u><S,v>|.
 
     The defect of the exact evaluation vanishes identically; the returned
     maximum over all pairs with |u| + |v| <= bound measures the numerical
-    quality of the evaluation.  `tol` is accepted so drivers can thread a
-    target through to their reports; it does not affect the computation.
+    quality of the evaluation.
     """
-    del tol
     vals = ev.values
     words = sorted(vals, key=len)
     worst = 0.0
@@ -696,7 +694,7 @@ def friedrichs_check(ev, tol=None):
     return worst
 
 
-def primitive_log_check(ev, tol=None):
+def primitive_log_check(ev):
     """Worst primitivity defect of the logarithm of the evaluation.
 
     The concatenation log of a group-like series is primitive for the
@@ -704,7 +702,6 @@ def primitive_log_check(ev, tol=None):
     coefficient of the reduced coproduct of any homogeneous component of the
     log.  Needs the complete evaluation to length >= 2.
     """
-    del tol
     if ev.bound < 2:
         raise ValueError("the primitivity check needs coefficients to length at least 2")
     if ev.excluded:

@@ -107,6 +107,43 @@ def conc_words(u, v):
 
 
 # ---------------------------------------------------------------------------
+# shared by the polynomial and tensor classes
+
+
+def _built(cls, alphabet, ring, terms):
+    """Instance over words and ring elements that arithmetic on valid operands
+    produced: drops zero coefficients, skips word validation and coercion."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "alphabet", alphabet)
+    object.__setattr__(obj, "ring", ring)
+    object.__setattr__(obj, "terms", {k: c for k, c in terms.items() if c})
+    return obj
+
+
+def _by_grade(terms, grade):
+    """Items of a term dict bucketed by grade, in ascending grade order."""
+    buckets = {}
+    for k, c in terms.items():
+        buckets.setdefault(grade(k), []).append((k, c))
+    return sorted(buckets.items())
+
+
+def _bucket_pairs(left, right, grade, bound):
+    """(left items, right items) for every pair of grade buckets whose grades
+    sum to at most the bound; one pair of all items when there is no bound."""
+    if bound is None:
+        return [(left.items(), right.items())]
+    rb = _by_grade(right, grade)
+    out = []
+    for i, a in _by_grade(left, grade):
+        for j, b in rb:
+            if i + j > bound:
+                break
+            out.append((a, b))
+    return out
+
+
+# ---------------------------------------------------------------------------
 
 
 class NCPolynomial:
@@ -173,6 +210,9 @@ class NCPolynomial:
             raise ValueError("operands live over different alphabets or rings")
         return other
 
+    def _built(self, terms):
+        return _built(NCPolynomial, self.alphabet, self.ring, terms)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)) or type(other).__name__ in ("Poly", "RatFun"):
             other = NCPolynomial(self.alphabet, self.ring, {(): other})
@@ -180,12 +220,12 @@ class NCPolynomial:
         out = dict(self.terms)
         for w, c in o.terms.items():
             out[w] = out.get(w, self.ring.zero) + c
-        return NCPolynomial(self.alphabet, self.ring, out)
+        return self._built(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPolynomial(self.alphabet, self.ring, {w: -c for w, c in self.terms.items()})
+        return self._built({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, NCPolynomial):
@@ -197,28 +237,22 @@ class NCPolynomial:
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return NCPolynomial(self.alphabet, self.ring, {w: c * cw for w, cw in self.terms.items()})
+        return self._built({w: c * cw for w, cw in self.terms.items()})
 
     def _word_product(self, other, kernel, bound=None):
         o = self._check_compatible(other)
         out = {}
-        left = list(self.terms.items())
-        right = list(o.terms.items())
-        if bound is not None:
-            # all three word products are grade-additive, so pairs beyond the
-            # bound cannot contribute below it
-            g = self.alphabet.word_grade
-            lg = [g(u) for u, _ in left]
-            rg = [g(v) for v, _ in right]
-        for i, (u, cu) in enumerate(left):
-            for j, (v, cv) in enumerate(right):
-                if bound is not None and lg[i] + rg[j] > bound:
-                    continue
-                c = cu * cv
-                for w, m in kernel(u, v):
-                    prev = out.get(w)
-                    out[w] = c * m if prev is None else prev + c * m
-        return NCPolynomial(self.alphabet, self.ring, out)
+        # all three word products are grade-additive, so only grade buckets
+        # whose grades sum to at most the bound can contribute below it
+        for left, right in _bucket_pairs(self.terms, o.terms, self.alphabet.word_grade, bound):
+            for u, cu in left:
+                for v, cv in right:
+                    c = cu * cv
+                    for w, m in kernel(u, v):
+                        inc = c if m == 1 else c * m
+                        prev = out.get(w)
+                        out[w] = inc if prev is None else prev + inc
+        return self._built(out)
 
     def __mul__(self, other):
         """Concatenation product, or scalar scaling."""
@@ -240,15 +274,11 @@ class NCPolynomial:
 
     def truncate(self, bound):
         g = self.alphabet.word_grade
-        return NCPolynomial(
-            self.alphabet, self.ring, {w: c for w, c in self.terms.items() if g(w) <= bound}
-        )
+        return self._built({w: c for w, c in self.terms.items() if g(w) <= bound})
 
     def homogeneous_component(self, grade):
         g = self.alphabet.word_grade
-        return NCPolynomial(
-            self.alphabet, self.ring, {w: c for w, c in self.terms.items() if g(w) == grade}
-        )
+        return self._built({w: c for w, c in self.terms.items() if g(w) == grade})
 
     def pair(self, other):
         """Coefficient pairing: sum over words of the product of coefficients."""
@@ -265,11 +295,7 @@ class NCPolynomial:
         """Series with coefficient of w equal to this one's coefficient of u.w."""
         u = tuple(u)
         n = len(u)
-        return NCPolynomial(
-            self.alphabet,
-            self.ring,
-            {w[n:]: c for w, c in self.terms.items() if w[:n] == u},
-        )
+        return self._built({w[n:]: c for w, c in self.terms.items() if w[:n] == u})
 
     def right_quotient(self, u):
         """Series with coefficient of w equal to this one's coefficient of w.u."""
@@ -277,11 +303,7 @@ class NCPolynomial:
         n = len(u)
         if n == 0:
             return self
-        return NCPolynomial(
-            self.alphabet,
-            self.ring,
-            {w[:-n]: c for w, c in self.terms.items() if w[-n:] == u},
-        )
+        return self._built({w[:-n]: c for w, c in self.terms.items() if w[-n:] == u})
 
     def map_ring(self, ring, f=None):
         conv = f if f is not None else ring.coerce
@@ -336,7 +358,10 @@ class TensorPoly:
         for u, cu in p.terms.items():
             for v, cv in q.terms.items():
                 terms[(u, v)] = cu * cv
-        return cls(p.alphabet, p.ring, terms)
+        return _built(cls, p.alphabet, p.ring, terms)
+
+    def _built(self, terms):
+        return _built(TensorPoly, self.alphabet, self.ring, terms)
 
     def coeff(self, u, v):
         return self.terms.get((tuple(u), tuple(v)), self.ring.zero)
@@ -345,34 +370,45 @@ class TensorPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, self.ring.zero) + c
-        return TensorPoly(self.alphabet, self.ring, out)
+        return self._built(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, self.ring.zero) - c
-        return TensorPoly(self.alphabet, self.ring, out)
+        return self._built(out)
 
     def __neg__(self):
-        return TensorPoly(self.alphabet, self.ring, {k: -c for k, c in self.terms.items()})
+        return self._built({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return TensorPoly(self.alphabet, self.ring, {k: c * cw for k, cw in self.terms.items()})
+        return self._built({k: c * cw for k, cw in self.terms.items()})
 
-    def mul(self, other, left_kernel=conc_words, right_kernel=conc_words):
-        """Componentwise product; each side may use its own word product."""
+    def mul(self, other, left_kernel=conc_words, right_kernel=conc_words, bound=None):
+        """Componentwise product; each side may use its own word product.
+
+        With a bound, only pairs of terms whose left words' grades sum to at
+        most the bound are formed.  The result is then the full product less
+        every term whose left word lies above the bound, provided the left
+        kernel is grade-additive: each word it returns has the grade of its
+        two arguments together, as concatenation, the shuffle and the
+        quasi-shuffle do.
+        """
+        g = self.alphabet.word_grade
         out = {}
-        for (u1, v1), c1 in self.terms.items():
-            for (u2, v2), c2 in other.terms.items():
-                c = c1 * c2
-                for wu, mu in left_kernel(u1, u2):
-                    for wv, mv in right_kernel(v1, v2):
-                        key = (wu, wv)
-                        prev = out.get(key)
-                        inc = c * (mu * mv)
-                        out[key] = inc if prev is None else prev + inc
-        return TensorPoly(self.alphabet, self.ring, out)
+        for left, right in _bucket_pairs(self.terms, other.terms, lambda k: g(k[0]), bound):
+            for (u1, v1), c1 in left:
+                for (u2, v2), c2 in right:
+                    c = c1 * c2
+                    for wu, mu in left_kernel(u1, u2):
+                        for wv, mv in right_kernel(v1, v2):
+                            key = (wu, wv)
+                            m = mu * mv
+                            inc = c if m == 1 else c * m
+                            prev = out.get(key)
+                            out[key] = inc if prev is None else prev + inc
+        return self._built(out)
 
     def pair(self, p, q):
         """Pair against p (x) q: sum of coeff * p[u] * q[v]."""
@@ -389,11 +425,7 @@ class TensorPoly:
 
     def truncate(self, bound):
         g = self.alphabet.word_grade
-        return TensorPoly(
-            self.alphabet,
-            self.ring,
-            {k: c for k, c in self.terms.items() if g(k[0]) + g(k[1]) <= bound},
-        )
+        return self._built({k: c for k, c in self.terms.items() if g(k[0]) + g(k[1]) <= bound})
 
     def __eq__(self, other):
         if not isinstance(other, TensorPoly):
@@ -457,7 +489,7 @@ def _coproduct(p, word_kernel):
             prev = out.get(key)
             inc = c * m
             out[key] = inc if prev is None else prev + inc
-    return TensorPoly(p.alphabet, p.ring, out)
+    return _built(TensorPoly, p.alphabet, p.ring, out)
 
 
 def deconcat(p):
@@ -553,13 +585,6 @@ class TruncatedSeries:
             raise ValueError("quasi-shuffle is defined on the graded Y alphabet")
         return TruncatedSeries(self.poly._word_product(o, stuffle_words, b), b)
 
-    def _components(self):
-        comps = {}
-        g = self.alphabet.word_grade
-        for w, c in self.poly.terms.items():
-            comps.setdefault(g(w), {})[w] = c
-        return comps
-
     def star(self):
         """Concatenation star: the unique T with T = 1 + self * T.
 
@@ -568,29 +593,28 @@ class TruncatedSeries:
         ring = self.ring
         a = self.poly.constant_term()
         inv = ring.invert(ring.one - a)  # raises when not a unit
-        comps = self._components()
-        comps.pop(0, None)
+        comps = [(i, si) for i, si in _by_grade(self.poly.terms, self.alphabet.word_grade) if i]
         out = {(): inv}
         t_by_grade = {0: {(): inv}}
         for g in range(1, self.bound + 1):
             acc = {}
-            for i, si in comps.items():
+            for i, si in comps:
                 if i > g:
-                    continue
+                    break
                 tj = t_by_grade.get(g - i)
                 if not tj:
                     continue
-                for u, cu in si.items():
+                for u, cu in si:
                     for v, cv in tj.items():
                         w = u + v
                         prev = acc.get(w)
                         inc = cu * cv
                         acc[w] = inc if prev is None else prev + inc
-            comp = {w: inv * c for w, c in acc.items() if c != ring.zero}
+            comp = {w: inv * c for w, c in acc.items() if c}
             if comp:
                 t_by_grade[g] = comp
                 out.update(comp)
-        return TruncatedSeries(NCPolynomial(self.alphabet, ring, out), self.bound)
+        return TruncatedSeries(self.poly._built(out), self.bound)
 
     def exp(self):
         """Concatenation exponential; requires zero constant term."""

@@ -271,6 +271,16 @@ def test_equal_similar_pair_of_dimension_5_is_fast():
     assert not equal(r1, r2.scale(2))
 
 
+def test_equal_walks_both_operands_past_a_closed_first_span():
+    # the reachable span of the zero-series side closes after one vector,
+    # the word x0.x0.x1 on the other side shows only at depth 3
+    zero_series = LinearRepresentation(X2, QQ, (1,), {"x0": ((1,),)}, (0,))
+    word = rep_word(X2, QQ, ("x0", "x0", "x1"))
+    assert not equal(zero_series, word)
+    assert not equal(word, zero_series)
+    assert equal(zero_series, rep_zero(X2, QQ))
+
+
 def test_equal_over_polynomial_ring_embeds():
     t = QT.gen()
     r1 = rep_word(X2, QT, ("x0",), t * t)

@@ -6,6 +6,7 @@ all quasi-shuffle products of k nonempty words and concatenate, weighted by
 agreement is a genuine cross-check.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,13 @@ class TestDiagonalFactorization:
     def test_quasi_shuffle_side(self):
         ok, report = msr_check(Y, 4)
         assert ok, report
+
+    def test_shuffle_side_at_grade_6_is_fast(self):
+        # forming every tensor pair and truncating afterwards took about 13 s
+        t0 = time.perf_counter()
+        ok, report = msr_check(X2, 6)
+        assert ok, report
+        assert time.perf_counter() - t0 < 2.0
 
     def test_corrupted_table_detected(self):
         t = BasisTable(X2, 3)

@@ -9,12 +9,15 @@ Oracles:
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncfps.rings import QQ, QT, ring_named
+from ncfps.rings import QQ, QT, Poly, ring_named
 from ncfps.series import (
     NCPolynomial,
     TensorPoly,
@@ -396,3 +399,111 @@ class TestTextForm:
         for bad in ["", "x0 x1", "2**x0", "*x0", "x0 +", "(t²)*x0", "x0,x1"]:
             with pytest.raises(ValueError):
                 qp(bad)
+
+
+# ---------------------------------------------------------------------------
+# bounded products: the grade-bucketed loops against the unbounded product
+
+X3 = Alphabet.x(3)
+_ALPHABETS = {"X2": (X2, 4), "X3": (X3, 3), "Y": (Y, 4)}
+
+
+def _coeffs(ring):
+    ints = st.integers(-2, 2)
+    if ring == QQ:
+        return ints.map(Fraction)
+    return st.tuples(ints, ints).map(lambda ab: Poly("t", ab))
+
+
+@st.composite
+def _poly(draw, alphabet, ring, max_grade):
+    words = st.sampled_from(alphabet.words_up_to(max_grade))
+    terms = draw(st.dictionaries(words, _coeffs(ring), max_size=6))
+    return NCPolynomial(alphabet, ring, terms)
+
+
+@st.composite
+def _poly_pairs(draw):
+    """(p, q) over one of X2, X3, Y and one of Q, Q[t]; q shares a term with
+    p, negated, half the time, so sums can cancel."""
+    alphabet, max_grade = _ALPHABETS[draw(st.sampled_from(sorted(_ALPHABETS)))]
+    ring = draw(st.sampled_from([QQ, QT]))
+    p = draw(_poly(alphabet, ring, max_grade))
+    q = draw(_poly(alphabet, ring, max_grade))
+    if p.terms and draw(st.booleans()):
+        w = draw(st.sampled_from(sorted(p.terms, key=alphabet.word_key)))
+        q = q + NCPolynomial(alphabet, ring, {w: -p.terms[w]})
+    return p, q
+
+
+def _kernels(alphabet):
+    out = [conc_words, shuffle_words]
+    if alphabet.kind == "Y":
+        out.append(stuffle_words)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly_pairs(), st.integers(0, 7))
+def test_bounded_word_product_is_truncated_product(pair, bound):
+    p, q = pair
+    for kernel in _kernels(p.alphabet):
+        assert p._word_product(q, kernel, bound) == p._word_product(q, kernel).truncate(bound)
+
+
+@st.composite
+def _tensor(draw, alphabet, ring, max_grade):
+    words = st.sampled_from(alphabet.words_up_to(max_grade))
+    terms = draw(st.dictionaries(st.tuples(words, words), _coeffs(ring), max_size=5))
+    return TensorPoly(alphabet, ring, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 6))
+def test_bounded_tensor_product_drops_left_grades_above_bound(data, bound):
+    alphabet, max_grade = _ALPHABETS[data.draw(st.sampled_from(sorted(_ALPHABETS)))]
+    ring = data.draw(st.sampled_from([QQ, QT]))
+    a = data.draw(_tensor(alphabet, ring, max_grade - 1))
+    b = data.draw(_tensor(alphabet, ring, max_grade - 1))
+    g = alphabet.word_grade
+    for kernel in _kernels(alphabet):
+        full = a.mul(b, kernel, conc_words)
+        kept = TensorPoly(alphabet, ring, {k: c for k, c in full.terms.items() if g(k[0]) <= bound})
+        assert a.mul(b, kernel, conc_words, bound) == kept
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly_pairs(), st.integers(0, 7))
+def test_arithmetic_results_pass_the_public_constructor(pair, bound):
+    p, q = pair
+    results = [p + q, p - q, -p, p.scale(3), p.truncate(bound), p.scale(0)]
+    results += [p._word_product(q, kernel, b) for kernel in _kernels(p.alphabet) for b in (None, bound)]
+    for r in results:
+        for w, c in r.terms.items():
+            p.alphabet.validate_word(w)
+            assert c
+            assert r.ring.coerce(c) == c and type(c) is type(r.ring.zero)
+        assert NCPolynomial(r.alphabet, r.ring, dict(r.terms)) == r
+    assert (p - p).is_zero()
+
+
+def test_public_constructor_validates_words_and_coefficients():
+    with pytest.raises(ValueError):
+        NCPolynomial(X2, QQ, {("x2",): 1})
+    with pytest.raises(ValueError):
+        NCPolynomial(Y, QQ, {("x0",): 1})
+    with pytest.raises(TypeError):
+        NCPolynomial(X2, QQ, {("x0",): QT.gen()})
+    with pytest.raises(TypeError):
+        NCPolynomial(X2, QT, {("x0",): Poly("s", (0, 1))})
+    assert NCPolynomial(X2, QQ, {("x0",): 0, ("x1",): 2}).terms == {("x1",): Fraction(2)}
+
+
+def test_log_of_exp_at_bound_10_is_fast():
+    # pairing every term of one factor with every term of the other and
+    # discarding the pairs above the bound took about 3.7 s here
+    x = NCPolynomial(X2, QQ, {("x0",): 1, ("x1",): 1})
+    s = TruncatedSeries(x, 10).exp()
+    t0 = time.perf_counter()
+    assert s.log() == TruncatedSeries(x, 10)
+    assert time.perf_counter() - t0 < 2.0
