@@ -16,7 +16,11 @@ word length, reusing every suffix.  The a-posteriori error of a coefficient is
 the change under one global mesh refinement, and refinement repeats until the
 worst estimate clears the requested tolerance.
 
-A segment may start at an endpooint where some control blows up, as long as the
+The flow evaluator sums a rational series without truncation: it integrates
+the linear state equation of a representation by Gauss collocation on the
+same panels, bisecting a panel until one step and two half steps agree.
+
+A segment may start at an endpoint where some control blows up, as long as the
 integrands stay integrable; the mesh is then graded geometrically toward that
 endpoint.  Words whose innermost integral diverges there are excluded from bulk
 evaluation and raise when requested individually.  Interior singularities and a
@@ -28,10 +32,9 @@ import re
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .diffring import q_l, specialize
-from .linalg import left_kernel
+from .linalg import left_kernel, vec_mat
 from .rings import QQ, QZ, Poly, RatFun, poly_gcd, poly_text
 from .series import NCPolynomial, TensorPoly, TruncatedSeries, shuffle_words, unshuffle
 from .words import Alphabet, parse_word, word_text
@@ -87,13 +90,6 @@ RR = FloatRing()
 
 # ---------------------------------------------------------------------------
 # the control catalog
-
-
-def _poly_vals(p, z):
-    out = np.zeros_like(z)
-    for c in reversed(p.coeffs):
-        out = out * z + float(c)
-    return out
 
 
 _INV_Z = QZ.parse("1/z")
@@ -197,27 +193,7 @@ class InputFunction:
     # -- pointwise evaluation
 
     def evaluate(self, z):
-        k = self.kind
-        if k == "const":
-            return float(self.value)
-        if k == "inv_z":
-            return 1.0 / z
-        if k == "inv_1mz":
-            return 1.0 / (1.0 - z)
-        if k == "exp":
-            return math.exp(z)
-        if k == "pow":
-            return z ** float(self.value)
-        return self._rat_eval(z)
-
-    def _rat_eval(self, z):
-        num = 0.0
-        for c in reversed(self.value.num.coeffs):
-            num = num * z + float(c)
-        den = 0.0
-        for c in reversed(self.value.den.coeffs):
-            den = den * z + float(c)
-        return num / den
+        return float(self.eval_array(np.float64(z)))
 
     def eval_array(self, z):
         k = self.kind
@@ -231,7 +207,7 @@ class InputFunction:
             return np.exp(z)
         if k == "pow":
             return z ** float(self.value)
-        return _poly_vals(self.value.num, z) / _poly_vals(self.value.den, z)
+        return self.value(z)
 
     # -- analytic structure
 
@@ -280,10 +256,10 @@ class InputFunction:
                     vals.append(abs(e) ** a if e > 0 else abs(e ** a))
             return max(vals), True
         zs = np.linspace(lo, hi, 513)
-        den = _poly_vals(self.value.den, zs)
+        den = self.value.den(zs)
         if np.any(den == 0.0):
             return math.inf, True
-        return float(np.max(np.abs(_poly_vals(self.value.num, zs) / den))), False
+        return float(np.max(np.abs(self.value.num(zs) / den))), False
 
     def validate_on(self, path):
         """Check the control against a segment.
@@ -324,7 +300,7 @@ class InputFunction:
 
     def _scan_denominator(self, path, known):
         zs = np.linspace(path.lo, path.hi, 513)
-        dv = _poly_vals(self.value.den, zs)
+        dv = self.value.den(zs)
         scale = max(1.0, float(np.max(np.abs(dv))))
         knownf = [float(r) for r in known]
         flips = np.nonzero((np.sign(dv[:-1]) * np.sign(dv[1:]) < 0) | (np.abs(dv[:-1]) < 1e-12 * scale))[0]
@@ -802,12 +778,11 @@ def pair_series(ev, rep):
     prefixes = {(): nu}
 
     def prefix(w):
-        v = prefixes.get(w)
-        if v is None:
-            m = mats.get(w[-1])
-            v = prefix(w[:-1]) @ m if m is not None else None
-            prefixes[w] = v
-        return v
+        # None stands for a zero row: some letter of w has no matrix
+        if w not in prefixes:
+            head, m = prefix(w[:-1]), mats.get(w[-1])
+            prefixes[w] = None if head is None or m is None else head @ m
+        return prefixes[w]
 
     value = 0.0
     for w, c in ev.values.items():
@@ -838,28 +813,70 @@ def pair_series(ev, rep):
     return PairingResult(value, tail, certified)
 
 
+# The flow evaluator bisects a panel at most down to 2^-43 of the segment and
+# at most 512 times in all, so that a control it cannot resolve (a pole the
+# validation misses, fast growth or oscillation) fails in bounded time.  A step
+# rounds to about 1e-14 * (1 + h |B|) of the state's size, so steps that agree
+# to that have converged.
+_MIN_PANEL = 2.0**-43
+_MAX_BISECTIONS = 512
+_ROUNDING = 1e-14
+
+
+def _collocation_step(q, lo, hi, path, funcs):
+    """State at parameter hi from the state q at lo, by Gauss collocation.
+
+    The stage values Q_j at the panel's quadrature nodes t_j solve
+    Q = 1 (x) q + h (_CUM (x) B_j) Q with B_j = (dz/dt) A(z(t_j)); the step
+    q + h sum_j w_j B_j Q_j is the 16-stage Gauss-Legendre method, of order 32.
+    Returns the new state and h max_j |B_j|, which scales its rounding error.
+    """
+    h = (hi - lo) / 2.0
+    dz = path.z1 - path.z0
+    z = path.z0 + dz * ((lo + hi) / 2.0 + h * _NODES)
+    b = sum(f.eval_array(z)[:, None, None] * m for f, m in funcs) * dz
+    n = q.size
+    blocks = (h * _CUM)[:, None, :, None] * b.transpose(1, 0, 2)[None]
+    stages = np.linalg.solve(np.eye(_PANEL * n) - blocks.reshape(_PANEL * n, _PANEL * n), np.tile(q, _PANEL))
+    step = h * np.einsum("j,jab,jb->a", _WEIGHTS, b, stages.reshape(_PANEL, n))
+    return q + step, h * np.max(np.sum(np.abs(b), axis=2))
+
+
 def _ode_state(rep, inputs, path, tol):
+    """Flow state at z1, panel by panel over the parameter interval [0, 1].
+
+    Starting from the initial quadrature mesh, a panel is accepted when one
+    collocation step and two half steps agree to its share tol * width of the
+    tolerance, relative to the size of the state, or to the step's rounding
+    level; otherwise it is bisected.
+    An accepted panel keeps the two half steps.
+    """
     clean, _, singular_start = _prepare_inputs(inputs, path)
     if singular_start:
         raise ValueError("the flow evaluator needs controls regular on the closed segment")
-    mats = {x: np.array([[float(c) for c in row] for row in rep.mu[x]]) for x in clean if x in rep.mu}
-    eta = np.array([float(c) for c in rep.eta])
-    if not mats:
-        return clean, eta
-
-    funcs = [(clean[x], m) for x, m in mats.items()]
-
-    def rhs(z, q):
-        acc = np.zeros_like(q)
-        for f, m in funcs:
-            acc += f.evaluate(z) * (m @ q)
-        return acc
-
-    rtol = max(tol, 1e-13)
-    sol = solve_ivp(rhs, (path.z0, path.z1), eta, method="DOP853", rtol=rtol, atol=rtol / 10.0)
-    if not sol.success:
-        raise RuntimeError(f"flow integration failed: {sol.message}")
-    return clean, sol.y[:, -1]
+    funcs = [(clean[x], np.array([[float(c) for c in row] for row in rep.mu[x]])) for x in clean if x in rep.mu]
+    q = np.array([float(c) for c in rep.eta])
+    if not funcs:
+        return q
+    breaks = _initial_mesh(False).breaks
+    pending = list(zip(breaks[:-1], breaks[1:]))[::-1]  # a stack, leftmost panel on top
+    bisections = 0
+    while pending:
+        lo, hi = pending.pop()
+        mid = (lo + hi) / 2.0
+        whole, norm = _collocation_step(q, lo, hi, path, funcs)
+        left, _ = _collocation_step(q, lo, mid, path, funcs)
+        halves, _ = _collocation_step(left, mid, hi, path, funcs)
+        share = max(tol * (hi - lo), _ROUNDING * (1.0 + norm))
+        if np.max(np.abs(halves - whole)) <= share * max(1.0, np.max(np.abs(halves))):
+            q = halves
+            continue
+        bisections += 1
+        if hi - lo <= _MIN_PANEL or bisections > _MAX_BISECTIONS:
+            where = path.z0 + (path.z1 - path.z0) * lo
+            raise RuntimeError(f"flow integration does not converge near z = {where:.6g}")
+        pending += [(mid, hi), (lo, mid)]
+    return q
 
 
 def pair_ode(rep, inputs, path, tol=1e-10):
@@ -867,14 +884,18 @@ def pair_ode(rep, inputs, path, tol=1e-10):
 
     The state q obeys dq/dz = (sum_x u_x(z) mu(x)) q from q(z0) = eta, and the
     value is nu . q(z1); this is the same pairing as `pair_series` without a
-    truncation error, at the cost of a Runge-Kutta tolerance.
+    truncation error.  The flow is integrated by 16-node Gauss collocation on
+    the quadrature panels of `chen_series`, starting from its initial mesh: a
+    panel is accepted when one step and two half steps agree to the panel's
+    share of `tol`, relative to the size of the state, or to rounding, and is
+    bisected otherwise.  A panel that cannot be accepted raises RuntimeError.
     """
     if rep.ring != QQ:
         raise ValueError("the pairing needs a representation with rational coefficients")
     path = SegmentPath.of(path)
     if rep.dim == 0:
         return 0.0
-    _, q = _ode_state(rep, inputs, path, tol)
+    q = _ode_state(rep, inputs, path, tol)
     nu = np.array([float(c) for c in rep.nu])
     return float(nu @ q)
 
@@ -915,14 +936,9 @@ def _multiplier_prefix(rep, w, word_cache):
         vec = None
     else:
         prev = _multiplier_prefix(rep, w[:-1], word_cache)
-        vec = _row_times_matrix(prev, rep.mu[w[-1]]) if prev is not None else None
+        vec = vec_mat(QZ, prev, rep.mu[w[-1]]) if prev is not None else None
     word_cache[w] = vec
     return vec
-
-
-def _row_times_matrix(vec, m):
-    n = len(vec)
-    return tuple(sum((vec[i] * QZ.coerce(m[i][j]) for i in range(n)), QZ.zero) for j in range(n))
 
 
 def _multiplier_rows(rep, inputs, count):
@@ -944,7 +960,7 @@ def pair_ode_derivatives(rep, inputs, path, orders, tol=1e-10):
     path = SegmentPath.of(path)
     if rep.dim == 0:
         return [0.0] * (orders + 1)
-    _, q = _ode_state(rep, inputs, path, tol)
+    q = _ode_state(rep, inputs, path, tol)
     rows = _multiplier_rows(rep, inputs, orders + 1)
     z = path.z1
     out = []
@@ -968,15 +984,9 @@ def _normalize_ode(kernel_vector):
         if not p.is_zero():
             g = p if g is None else poly_gcd(g, p)
     polys = [p // g for p in polys]
-    num = 0
-    d = 1
-    for p in polys:
-        for c in p.coeffs:
-            num = math.gcd(num, abs(c.numerator))
-            d = d * c.denominator // math.gcd(d, c.denominator)
-    if num:
-        scale = Fraction(d, num)
-        polys = [p * scale for p in polys]
+    # the content of all coefficients together makes them setwise coprime integers
+    scale = 1 / Poly("z", [c for p in polys for c in p.coeffs]).content()
+    polys = [p * scale for p in polys]
     if polys[-1].leading() < 0:
         polys = [p * Fraction(-1) for p in polys]
     return polys

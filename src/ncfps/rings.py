@@ -19,7 +19,6 @@ __all__ = [
     "Poly",
     "RatFun",
     "poly_gcd",
-    "parse_poly_text",
     "poly_text",
     "RationalRing",
     "PolynomialRing",
@@ -494,75 +493,6 @@ def poly_text(p):
         else:
             pieces.append(("+" if c > 0 else "-") + body)
     return "".join(pieces)
-
-
-_TOKEN = re.compile(r"\s*(?:(?P<rat>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z])|(?P<op>[\^*+\-]))")
-
-
-def _tokenize_poly(s):
-    toks = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m:
-            if s[pos:].strip():
-                raise ValueError(f"bad polynomial text near {s[pos:]!r}")
-            break
-        if m.group("rat"):
-            toks.append(("rat", Fraction(m.group("rat").replace(" ", ""))))
-        elif m.group("name"):
-            toks.append(("name", m.group("name")))
-        else:
-            toks.append(("op", m.group("op")))
-        pos = m.end()
-    return toks
-
-
-def parse_poly_text(s, var):
-    """Parse the compact polynomial form, e.g. "z^2-1" or "3/2*t^3+t-5"."""
-    toks = _tokenize_poly(s)
-    if not toks:
-        raise ValueError("empty polynomial text")
-    i = 0
-    result = Poly(var, ())
-    sign = 1
-    if toks[0] == ("op", "-"):
-        sign = -1
-        i = 1
-    elif toks[0] == ("op", "+"):
-        i = 1
-    while i < len(toks):
-        coeff = Fraction(1)
-        have_coeff = False
-        if toks[i][0] == "rat":
-            coeff = toks[i][1]
-            have_coeff = True
-            i += 1
-            if i < len(toks) and toks[i] == ("op", "*"):
-                i += 1
-        deg = 0
-        if i < len(toks) and toks[i][0] == "name":
-            if toks[i][1] != var:
-                raise ValueError(f"unexpected variable {toks[i][1]!r}, ring uses {var!r}")
-            deg = 1
-            i += 1
-            if i < len(toks) and toks[i] == ("op", "^"):
-                i += 1
-                if i >= len(toks) or toks[i][0] != "rat" or toks[i][1].denominator != 1:
-                    raise ValueError("bad exponent")
-                deg = int(toks[i][1])
-                i += 1
-        elif not have_coeff:
-            raise ValueError(f"bad polynomial term near token {toks[i]!r}")
-        term = [Fraction(0)] * deg + [sign * coeff]
-        result = result + Poly(var, term)
-        if i == len(toks):
-            break
-        if toks[i][0] != "op" or toks[i][1] not in "+-":
-            raise ValueError(f"expected + or - at token {toks[i]!r}")
-        sign = 1 if toks[i][1] == "+" else -1
-        i += 1
-    return result
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")

@@ -3,10 +3,15 @@ independent oracles, group-likeness diagnostics, representation pairing, and
 exact scalar differential equations."""
 
 import math
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncfps.automata import LinearRepresentation, minimize, rep_star, rep_word
 from ncfps.chen import (
@@ -24,6 +29,7 @@ from ncfps.chen import (
     primitive_log_check,
     scalar_ode_text,
 )
+from ncfps.exprs import representation_of
 from ncfps.rings import QQ, QT, QZ, Poly
 from ncfps.words import Alphabet
 
@@ -363,6 +369,68 @@ def test_pair_certification_flags():
     res2 = pair_series(ev2, rep)
     assert math.isfinite(res2.tail) and not res2.certified
     assert abs(res2.value - math.exp(4.0 / 3.0)) < 1e-5
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, ncfps.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_pair_ode_near_a_far_end_pole():
+    # the panels next to the pole are bisected; the rest of the mesh is not
+    rep = star_rep(X2, ("x1",))
+    value = pair_ode(rep, {"x1": "1/(1-z)"}, SegmentPath(0, "9999/10000"))
+    assert abs(value - 10000.0) < 1e-10 * 10000.0
+    rep = star_rep(X2, ("x0", "x1"))
+    value = pair_ode(rep, POLYLOG, SegmentPath("1/10", "9999/10000"))
+    assert abs(value - 2.8547433900) < 1e-8
+
+
+def test_pair_ode_with_large_cancelling_entries():
+    # the two letters' contributions cancel, so the pairing is exactly 1; each
+    # step rounds at 1e-16 * h|mu(x)| and must not be bisected below that
+    rep = minimize(representation_of("(1000000*x0.x1 - 1000000*x1.x0)*"))
+    assert abs(pair_ode(rep, {"x0": "1", "x1": "1"}, SegmentPath(0, 1)) - 1.0) < 1e-6
+
+
+def test_pair_ode_fails_fast_on_a_missed_double_pole():
+    # 1/(z^2-2)^2 has a double pole at sqrt(2) that the sampled denominator
+    # scan does not see; the flow must not converge there, and must say so
+    rep = star_rep(X2, ("x0", "x1"))
+    inputs = {"x0": "1/(z^4-4*z^2+4)", "x1": "1"}
+    start = time.perf_counter()
+    with pytest.raises((RuntimeError, ValueError)):
+        pair_ode(rep, inputs, SegmentPath(1, 2))
+    assert time.perf_counter() - start < 2.0
+
+
+_CATALOG = ("1", "1/(1-z)", "exp")
+_ENTRY = st.sampled_from((Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)))
+
+
+@st.composite
+def _pairing_cases(draw):
+    n = draw(st.integers(1, 3))
+
+    def vector():
+        return tuple(draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+
+    mu = {x: tuple(vector() for _ in range(n)) for x in ("x0", "x1")}
+    rep = LinearRepresentation(X2, QQ, vector(), mu, vector())
+    inputs = {x: draw(st.sampled_from(_CATALOG)) for x in ("x0", "x1")}
+    z0 = Fraction(draw(st.integers(0, 8)), 20)
+    z1 = z0 + Fraction(draw(st.integers(1, 5)), 20)
+    if draw(st.booleans()):
+        z0, z1 = z1, z0
+    return rep, inputs, SegmentPath(z0, z1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_pairing_cases())
+def test_pair_ode_agrees_with_the_series_within_its_tail(case):
+    rep, inputs, path = case
+    res = pair_series(chen_series(inputs, path, 10), rep)
+    assert abs(pair_ode(rep, inputs, path) - res.value) <= res.tail + 1e-9
 
 
 # ---------------------------------------------------------------------------
