@@ -23,10 +23,13 @@ from .linalg import (
     block_diag,
     dot,
     identity,
+    invert_matrix,
     kron,
     mat,
     mat_add,
+    mat_mul,
     mat_sub,
+    mat_vec,
     transpose,
     vec_mat,
     zeros,
@@ -161,8 +164,6 @@ class LinearRepresentation:
 
     def conjugate(self, t):
         """Similarity transform by an invertible matrix; the series is unchanged."""
-        from .linalg import invert_matrix, mat_mul, mat_vec
-
         ring = self.ring
         t = mat(t)
         tinv = invert_matrix(ring, t)
@@ -457,8 +458,6 @@ def is_character(rep):
 def _char_poly(ring, m):
     """Coefficients (a_0, ..., a_n) of det(lambda I - M), a_n = 1, computed
     division-free in lambda by the trace recursion (valid in characteristic 0)."""
-    from .linalg import mat_mul
-
     n = len(m)
     a = [ring.zero] * (n + 1)
     a[n] = ring.one
@@ -577,7 +576,6 @@ def is_rationally_exchangeable(rep):
     """Membership in the closure class generated by one-letter rationals,
     decided by pairwise commutation of the minimal letter matrices."""
     m = minimize(rep.embed_field())
-    from .linalg import mat_mul
 
     mats = [m.mu[x] for x in m.active_letters]
     for i in range(len(mats)):
@@ -608,7 +606,6 @@ def _flatten(m):
 
 
 def _bracket(ring, a, b):
-    from .linalg import mat_mul
 
     return mat_sub(ring, mat_mul(ring, a, b), mat_mul(ring, b, a))
 
@@ -651,22 +648,14 @@ def _bracket_span(ring, n, left, right):
     return out
 
 
-def _lower_central_vanishes(lie):
-    # each term is an ideal contained in the previous one, so the dimension
-    # is strictly decreasing until the series stabilizes
+def _series_vanishes(lie, lower_central):
+    # the lower central series brackets each term with the whole algebra, the
+    # derived series with the term itself; each term is an ideal contained in
+    # the previous one, so the dimension is strictly decreasing until the
+    # series stabilizes
     layer = lie.basis
     while layer:
-        nxt = _bracket_span(lie.ring, lie.n, lie.basis, layer)
-        if len(nxt) >= len(layer):
-            return False
-        layer = nxt
-    return True
-
-
-def _derived_vanishes(lie):
-    layer = lie.basis
-    while layer:
-        nxt = _bracket_span(lie.ring, lie.n, layer, layer)
+        nxt = _bracket_span(lie.ring, lie.n, lie.basis if lower_central else layer, layer)
         if len(nxt) >= len(layer):
             return False
         layer = nxt
@@ -680,9 +669,9 @@ def classify(rep):
     if is_rationally_exchangeable(m):
         return "exchangeable"
     lie = lie_closure(m)
-    if _lower_central_vanishes(lie):
+    if _series_vanishes(lie, lower_central=True):
         return "nilpotent"
-    if _derived_vanishes(lie):
+    if _series_vanishes(lie, lower_central=False):
         return "solvable"
     return "general"
 

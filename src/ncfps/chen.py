@@ -35,57 +35,9 @@ import numpy as np
 
 from .diffring import q_l, specialize
 from .linalg import left_kernel, vec_mat
-from .rings import QQ, QZ, Poly, RatFun, poly_gcd, poly_text
+from .rings import QQ, QZ, RR, Poly, RatFun, poly_gcd, poly_text
 from .series import NCPolynomial, TensorPoly, TruncatedSeries, shuffle_words, unshuffle
 from .words import Alphabet, parse_word, word_text
-
-
-# ---------------------------------------------------------------------------
-# double-precision coefficient ring, for numeric series manipulation
-
-
-class FloatRing:
-    """Double-precision stand-in for the exact coefficient descriptors."""
-
-    name = "R"
-    is_field = True
-
-    zero = 0.0
-    one = 1.0
-
-    def coerce(self, x):
-        if isinstance(x, (float, int, Fraction)):
-            return float(x)
-        raise TypeError(f"cannot coerce {x!r} into R")
-
-    def parse(self, s):
-        return float(s)
-
-    def format(self, x):
-        return repr(x)
-
-    def invert(self, x):
-        if x == 0.0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1.0 / x
-
-    def field(self):
-        return self
-
-    def embed(self, x):
-        return x
-
-    def __eq__(self, other):
-        return isinstance(other, FloatRing)
-
-    def __hash__(self):
-        return hash("R")
-
-    def __repr__(self):
-        return "FloatRing()"
-
-
-RR = FloatRing()
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +53,12 @@ class InputFunction:
     """One scalar control attached to a letter.
 
     The catalog covers constants, 1/z, 1/(1-z), exp(z), real powers of z, and
-    arbitrary rational functions of z.  Each kind knows its singular points,
-    its vanishing order at a rational abscissa, and a sup bound on a segment;
-    the bound is exact for the monotone catalog forms and a sampled estimate
-    for general rational inputs.  Kinds that admit one also expose an exact
-    rational-function view, which the symbolic pipeline requires.
+    arbitrary rational functions of z.  Every kind but exp(z) and fractional
+    powers exposes an exact rational-function view, which the symbolic
+    pipeline requires and which locates the poles exactly, irrational ones
+    included.  Each kind knows its vanishing order at a rational abscissa and
+    a sup bound on a segment; the bound is exact for the monotone catalog
+    forms and a sampled estimate for general rational inputs.
     """
 
     __slots__ = ("kind", "value", "ratfun")
@@ -214,20 +167,11 @@ class InputFunction:
     def vanishing_order_at(self, p):
         """Exponent of the leading behavior c*(z-p)^q near a rational point."""
         p = Fraction(p)
-        k = self.kind
-        if k == "const":
-            return math.inf if self.value == 0 else 0
-        if k == "inv_z":
-            return -1 if p == 0 else 0
-        if k == "inv_1mz":
-            return -1 if p == 1 else 0
-        if k == "exp":
-            return 0
-        if k == "pow":
-            return float(self.value) if p == 0 else 0
-        if self.value.is_zero():
+        if self.ratfun is None:
+            return float(self.value) if self.kind == "pow" and p == 0 else 0
+        if self.ratfun.is_zero():
             return math.inf
-        return self.value.vanishing_order_at(p)
+        return self.ratfun.vanishing_order_at(p)
 
     def sup_on(self, lo, hi):
         """(bound on sup |u| over [lo, hi], whether the bound is exact)."""
@@ -264,50 +208,28 @@ class InputFunction:
     def validate_on(self, path):
         """Check the control against a segment.
 
-        Returns "regular" or "singular_start"; raises for an interior
-        singularity, a singular far endpoint, a domain violation, or a
-        denominator root that the exact arithmetic cannot locate.
+        Returns "regular" or "singular_start"; raises for a pole inside the
+        path or at its far endpoint, and for a fractional power on a segment
+        reaching below 0.  Poles are the roots of the exact denominator:
+        endpoints are tested by exact evaluation and the interior by a Sturm
+        count, so no pole escapes, rational or not.
         """
-        lo, hi = path.lo_exact, path.hi_exact
-        k = self.kind
-        singular = ()
-        status = "regular"
-        if k == "inv_z":
-            singular = (Fraction(0),)
-        elif k == "inv_1mz":
-            singular = (Fraction(1),)
-        elif k == "pow":
-            a = self.value
-            fractional = isinstance(a, float) or a.denominator != 1
-            if fractional and lo < 0:
-                raise ValueError("fractional powers need a nonnegative segment")
-            if a < 0:
-                singular = (Fraction(0),)
-            elif fractional and path.z0_exact == 0:
-                # continuous but not smooth at the start; grade the mesh
-                status = "singular_start"
-        elif k == "rational":
-            singular = tuple(self.value.den.rational_roots())
-            self._scan_denominator(path, singular)
-        for s in singular:
-            if lo < s < hi:
-                raise ValueError(f"input singular at {s}, inside the path")
-            if s == path.z1_exact:
-                raise ValueError(f"input singular at the far endpoint {s}")
-            if s == path.z0_exact:
-                status = "singular_start"
-        return status
-
-    def _scan_denominator(self, path, known):
-        zs = np.linspace(path.lo, path.hi, 513)
-        dv = self.value.den(zs)
-        scale = max(1.0, float(np.max(np.abs(dv))))
-        knownf = [float(r) for r in known]
-        flips = np.nonzero((np.sign(dv[:-1]) * np.sign(dv[1:]) < 0) | (np.abs(dv[:-1]) < 1e-12 * scale))[0]
-        for i in flips:
-            z = zs[i]
-            if all(abs(z - r) > 1e-6 * (1.0 + abs(z)) for r in knownf):
-                raise ValueError("denominator vanishes at a non-rational point on the path")
+        if self.ratfun is None:
+            if self.kind == "pow":
+                if path.lo_exact < 0:
+                    raise ValueError("fractional powers need a nonnegative segment")
+                if path.z0_exact == 0:
+                    # a pole, or continuous but not smooth; grade the mesh
+                    return "singular_start"
+                if self.value < 0 and path.z1_exact == 0:
+                    raise ValueError("input singular at the far endpoint 0")
+            return "regular"
+        den = self.ratfun.den
+        if den.count_real_roots(path.lo_exact, path.hi_exact):
+            raise ValueError(f"input singular between {path.lo_exact} and {path.hi_exact}, inside the path")
+        if den(path.z1_exact) == 0:
+            raise ValueError(f"input singular at the far endpoint {path.z1_exact}")
+        return "singular_start" if den(path.z0_exact) == 0 else "regular"
 
     def __repr__(self):
         if self.kind in ("const", "pow"):

@@ -368,9 +368,8 @@ def specialize(p, assignment):
 def _rational_pole_profile(f, where):
     """Poles of a rational function as {point: order}; error when the
     denominator has a non-rational root."""
-    den = f.den
-    roots = den.rational_roots() if den.degree > 0 else {}
-    if sum(roots.values()) != den.degree:
+    roots = f.den.rational_roots()
+    if sum(roots.values()) != f.den.degree:
         raise ValueError(f"input for {where} has a pole at a non-rational point")
     return roots
 

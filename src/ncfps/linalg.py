@@ -21,7 +21,6 @@ __all__ = [
     "transpose",
     "mat_add",
     "mat_sub",
-    "mat_scale",
     "mat_mul",
     "mat_vec",
     "vec_mat",
@@ -59,10 +58,6 @@ def mat_add(ring, a, b):
 
 def mat_sub(ring, a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(ring, c, a):
-    return tuple(tuple(c * x for x in r) for r in a)
 
 
 def mat_mul(ring, a, b):

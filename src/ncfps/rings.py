@@ -3,7 +3,8 @@
 Coefficients live in one of three domains: the rationals Q, univariate
 polynomials Q[v], or univariate rational functions Q(v).  Ring descriptor
 objects bundle coercion, parsing and formatting so the series and automata
-layers can treat scalars uniformly.
+layers can treat scalars uniformly.  A double-precision descriptor serves
+the numeric series of the quadrature layer.
 
 Rational functions are kept reduced (coprime numerator/denominator, monic
 denominator), which makes equality a plain structural comparison.
@@ -23,9 +24,11 @@ __all__ = [
     "RationalRing",
     "PolynomialRing",
     "RationalFunctionRing",
+    "FloatRing",
     "QQ",
     "QT",
     "QZ",
+    "RR",
     "ring_named",
 ]
 
@@ -179,12 +182,14 @@ class Poly:
         return Poly(self.var, tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
     def __call__(self, x):
-        acc = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        for c in reversed(self.coeffs):
-            if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)):
+            acc = Fraction(0)
+            for c in reversed(self.coeffs):
                 acc = acc * x + c
-            else:
-                acc = acc * x + float(c)
+            return acc
+        acc = 0 * x
+        for c in reversed(self.coeffs):
+            acc = acc * x + float(c)
         return acc
 
     def shifted(self, a):
@@ -226,32 +231,59 @@ class Poly:
             p = q
         return mult
 
-    def rational_roots(self):
-        """All rational roots with multiplicities, by the rational root theorem."""
+    def _sturm_chain(self):
+        """Sturm chain of the squarefree part p // gcd(p, p'), each remainder
+        divided by its content; the first entry is the squarefree part."""
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
+        chain = [self // poly_gcd(self, self.derivative())]
+        chain.append(chain[0].derivative())
+        while not chain[-1].is_zero():
+            r = chain[-2] % chain[-1]
+            chain.append(r * (-1 / r.content()) if r else r)
+        return chain[:-1]
+
+    def count_real_roots(self, lo, hi):
+        """Number of distinct real roots in the open interval (lo, hi).
+
+        Sturm's theorem: the squarefree part has V(lo) - V(hi) roots in
+        (lo, hi], where V counts the sign changes along its Sturm chain.
+        """
+        lo, hi = _frac(lo), _frac(hi)
+        if lo >= hi:
+            return 0
+        chain = self._sturm_chain()
+        return _sign_changes(chain, lo) - _sign_changes(chain, hi) - (chain[0](hi) == 0)
+
+    def rational_roots(self):
+        """All rational roots with multiplicities.
+
+        Each real root of the squarefree part q lies within the Cauchy bound
+        and is isolated by bisection on the Sturm chain of q until its interval
+        is narrower than 1/(2 L^2), where L is the leading coefficient of q
+        made primitive over Z.  A rational root has a denominator dividing L,
+        so it is the fraction of denominator at most L nearest the midpoint,
+        and one exact evaluation decides it.
+        """
+        chain = self._sturm_chain()
+        q = chain[0]
+        lead = int(abs(q.leading() / q.content()))
+        width = Fraction(1, 2 * lead * lead)
+        bound = 1 + max(abs(c / q.leading()) for c in q.coeffs)
         roots = {}
-        p = self
-        m0 = p.root_multiplicity(Fraction(0))
-        if m0:
-            roots[Fraction(0)] = m0
-            p = p // Poly(self.var, (Fraction(0), Fraction(1))) ** m0
-        if p.degree < 1:
-            return roots
-        scale = 1
-        for c in p.coeffs:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        ints = [c * scale for c in p.coeffs]
-        a0 = int(ints[0])
-        an = int(ints[-1])
-        for num in _divisors(abs(a0)):
-            for den in _divisors(abs(an)):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if cand in roots:
-                        continue
-                    m = p.root_multiplicity(cand)
-                    if m:
-                        roots[cand] = m
+        stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
+        while stack:
+            a, b, va, vb = stack.pop()
+            if va == vb:
+                continue
+            m = (a + b) / 2
+            if va - vb == 1 and b - a < width:
+                r = m.limit_denominator(lead)
+                if q(r) == 0:
+                    roots[r] = self.root_multiplicity(r)
+                continue
+            vm = _sign_changes(chain, m)
+            stack += [(m, b, vm, vb), (a, m, va, vm)]
         return roots
 
     def __bool__(self):
@@ -273,18 +305,9 @@ class Poly:
         return f"Poly({poly_text(self)!r})"
 
 
-def _divisors(n):
-    if n == 0:
-        return []
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _sign_changes(chain, x):
+    signs = [v > 0 for v in (p(x) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def poly_gcd(a, b):
@@ -772,9 +795,51 @@ class RationalFunctionRing:
         return f"RationalFunctionRing({self.var!r})"
 
 
+class FloatRing:
+    """Double-precision stand-in for the exact coefficient descriptors."""
+
+    name = "R"
+    is_field = True
+
+    zero = 0.0
+    one = 1.0
+
+    def coerce(self, x):
+        if isinstance(x, (float, int, Fraction)):
+            return float(x)
+        raise TypeError(f"cannot coerce {x!r} into R")
+
+    def parse(self, s):
+        return float(s)
+
+    def format(self, x):
+        return repr(x)
+
+    def invert(self, x):
+        if x == 0.0:
+            raise ZeroDivisionError("inverse of zero")
+        return 1.0 / x
+
+    def field(self):
+        return self
+
+    def embed(self, x):
+        return x
+
+    def __eq__(self, other):
+        return isinstance(other, FloatRing)
+
+    def __hash__(self):
+        return hash("R")
+
+    def __repr__(self):
+        return "FloatRing()"
+
+
 QQ = RationalRing()
 QT = PolynomialRing("t")
 QZ = RationalFunctionRing("z")
+RR = FloatRing()
 
 _RINGS = {
     "Q": QQ,

@@ -183,10 +183,6 @@ class NCPolynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_proper(self):
-        """No constant term."""
-        return () not in self.terms
-
     def constant_term(self):
         return self.coeff(())
 
@@ -197,11 +193,6 @@ class NCPolynomial:
         if not self.terms:
             return 0
         return max(self.alphabet.word_grade(w) for w in self.terms)
-
-    def min_grade(self):
-        if not self.terms:
-            return 0
-        return min(self.alphabet.word_grade(w) for w in self.terms)
 
     def _check_compatible(self, other):
         if not isinstance(other, NCPolynomial):
@@ -526,10 +517,6 @@ class TruncatedSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
-
-    @classmethod
-    def of(cls, poly, bound):
-        return cls(poly, bound)
 
     @property
     def alphabet(self):

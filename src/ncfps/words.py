@@ -112,11 +112,6 @@ class Alphabet:
         """Sort key: grade first, then lex by letter order."""
         return (self.word_grade(word), self.ranks(word))
 
-    def letters_of_grade(self, g):
-        if self.kind == "X":
-            return list(self.letters) if g == 1 else []
-        return [f"y{g}"] if g >= 1 else []
-
     def letters_up_to(self, g):
         """All letters of grade <= g, in ascending order."""
         if self.kind == "X":

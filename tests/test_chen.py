@@ -118,9 +118,12 @@ def test_singularity_placement_is_rejected():
     # singular far endpoint
     with pytest.raises(ValueError):
         chen_series({"x1": "1/(1-z)"}, SegmentPath(0, 1), 2)
-    # pole at an irrational abscissa cannot be located exactly
+    # pole at an irrational abscissa
     with pytest.raises(ValueError):
         chen_series({"x0": "1/(z^2-2)"}, SegmentPath(1, 2), 2)
+    # a double pole at sqrt(2) gives the denominator no sign change
+    with pytest.raises(ValueError, match="inside the path"):
+        chen_series({"x0": "1/(z^4-4*z^2+4)"}, SegmentPath(1, 2), 2)
     # fractional powers need a nonnegative segment
     with pytest.raises(ValueError):
         chen_series({"x0": InputFunction.power(0.5)}, SegmentPath(-1, 1), 2)
@@ -394,12 +397,12 @@ def test_pair_ode_with_large_cancelling_entries():
 
 
 def test_pair_ode_fails_fast_on_a_missed_double_pole():
-    # 1/(z^2-2)^2 has a double pole at sqrt(2) that the sampled denominator
-    # scan does not see; the flow must not converge there, and must say so
+    # 1/(z^2-2)^2 has a double pole at sqrt(2), where the denominator does
+    # not change sign; the Sturm count refuses it before any integration
     rep = star_rep(X2, ("x0", "x1"))
     inputs = {"x0": "1/(z^4-4*z^2+4)", "x1": "1"}
     start = time.perf_counter()
-    with pytest.raises((RuntimeError, ValueError)):
+    with pytest.raises(ValueError, match="inside the path"):
         pair_ode(rep, inputs, SegmentPath(1, 2))
     assert time.perf_counter() - start < 2.0
 

@@ -5,6 +5,7 @@ import io
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,21 @@ class TestCliAnalytic:
         assert abs(float(rows["x0"]) - 0.5) < 1e-12
         assert abs(float(rows["x0.x0"]) - 0.125) < 1e-12
         assert abs(float(rows["x0.x0.x0"]) - 1 / 48) < 1e-12
+
+    def test_chen_far_pole_is_fast(self):
+        start = time.perf_counter()
+        pole = "x0=1/(z-100000000000000000000000000003)"
+        code, out, _ = run_cli("chen", "--inputs", pole, "--z0", "0", "--z", "1", "--max-length", "2")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        rows = dict(line.split("\t") for line in out.splitlines())
+        assert set(rows) == {"1", "x0", "x0.x0"}
+        assert all(abs(float(v)) < 1e-20 for w, v in rows.items() if w != "1")
+
+    def test_chen_double_pole_is_singular(self):
+        code, out, err = run_cli("chen", "--inputs", "x0=1/(z^4-4*z^2+4)", "--z0", "1", "--z", "2")
+        assert (code, out) == (2, "")
+        assert "inside the path" in err
 
     def test_chen_divergent_rows_are_labeled(self):
         code, out, _ = run_cli(

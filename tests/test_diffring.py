@@ -1,6 +1,7 @@
 """Differential input symbols, the word-multiplier recursion, rational
 specialization, and the exactness-based independence test."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,13 @@ def test_independence_base_q_distinct_functions():
 def test_independence_irrational_pole_rejected():
     with pytest.raises(ValueError):
         independence_criterion({"x0": "1/(z^2-2)"}, "Q(z)")
+
+
+def test_independence_huge_rational_poles_are_fast():
+    # the poles +-10^12 are found without factoring 10^24
+    start = time.perf_counter()
+    assert independence_criterion({"x0": "1/(z^2-1000000000000000000000000)"}, "Q(z)")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_independence_shifted_poles():

@@ -1,9 +1,13 @@
 """Exact scalar layer: polynomials, rational functions, ring descriptors."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncfps.rings import (
     QQ,
@@ -99,9 +103,80 @@ class TestPoly:
         for r, m in roots.items():
             assert p.root_multiplicity(r) == m
 
+    def test_rational_roots_of_huge_roots_are_fast(self):
+        # no coefficient is factored: the roots are isolated by bisection
+        start = time.perf_counter()
+        assert zpoly(-(10**24), 0, 1).rational_roots() == {Fraction(10**12): 1, Fraction(-(10**12)): 1}
+        assert zpoly(-(10**29 + 3), 1).rational_roots() == {Fraction(10**29 + 3): 1}
+        assert time.perf_counter() - start < 0.1
+
+    def test_count_real_roots_is_distinct_and_open(self):
+        p = zpoly(-1, 1) ** 2 * zpoly(-2, 0, 1)  # (z-1)^2 (z^2-2)
+        assert p.count_real_roots(-2, 2) == 3
+        assert p.count_real_roots(1, 2) == 1
+        assert p.count_real_roots(-1, 1) == 0
+        assert p.count_real_roots(2, -2) == 0
+        assert zpoly(5).count_real_roots(-10, 10) == 0
+        with pytest.raises(ValueError):
+            zpoly().count_real_roots(0, 1)
+
     def test_mixed_variable_rejected(self):
         with pytest.raises(ValueError):
             Poly("z", (1, 1)) + Poly("t", (1, 1))
+
+
+def _non_square(n):
+    return math.isqrt(n) ** 2 != n
+
+
+@st.composite
+def _polys_with_known_roots(draw):
+    """(c * prod (q_i z - p_i)^m_i * (z^2 + k) [* (z^2 - n)], {p_i/q_i: m_i}, n or None)."""
+    factors = draw(
+        st.lists(
+            st.tuples(st.integers(-30, 30), st.integers(1, 12), st.integers(1, 3)),
+            max_size=3,
+            unique_by=lambda f: Fraction(f[0], f[1]),
+        )
+    )
+    c = draw(st.fractions(-20, 20, max_denominator=9).filter(bool))
+    k = draw(st.fractions(0, 50, max_denominator=9).filter(bool))
+    n = draw(st.none() | st.integers(2, 60).filter(_non_square))
+    p = zpoly(k, 0, 1) * c
+    for num, den, m in factors:
+        p = p * zpoly(-num, den) ** m
+    if n is not None:
+        p = p * zpoly(-n, 0, 1)
+    return p, {Fraction(num, den): m for num, den, m in factors}, n
+
+
+def _known_count(roots, n, lo, hi):
+    count = sum(lo < r < hi for r in roots)
+    if n is not None:
+        # lo < +sqrt(n) < hi and lo < -sqrt(n) < hi, decided on squares
+        count += (lo < 0 or lo * lo < n) and (hi > 0 and hi * hi > n)
+        count += (lo < 0 and lo * lo > n) and (hi >= 0 or hi * hi < n)
+    return count
+
+
+_ENDPOINT = st.fractions(-40, 40, max_denominator=12)
+
+
+class TestRealRoots:
+    @settings(max_examples=150, deadline=None)
+    @given(_polys_with_known_roots())
+    def test_rational_roots_are_exactly_the_linear_factors(self, case):
+        p, roots, _ = case
+        assert p.rational_roots() == roots
+
+    @settings(max_examples=150, deadline=None)
+    @given(_polys_with_known_roots(), st.data())
+    def test_count_real_roots_matches_the_known_roots(self, case, data):
+        p, roots, n = case
+        # endpoints often sit on a root, where the open interval excludes it
+        endpoint = st.sampled_from(sorted(roots)) | _ENDPOINT if roots else _ENDPOINT
+        lo, hi = data.draw(endpoint), data.draw(endpoint)
+        assert p.count_real_roots(lo, hi) == _known_count(roots, n, lo, hi)
 
 
 class TestPolyText:
