@@ -71,25 +71,39 @@ from .automata import (
     sweedler_split,
 )
 from .diffring import q_l, q_l_explicit, specialize, independence_criterion, parse_input_assignment
-from .chen import (
-    InputFunction,
-    SegmentPath,
-    ChenEvaluation,
-    chen_series,
-    iterated_integral,
-    friedrichs_check,
-    primitive_log_check,
-    flow_compose,
-    PairingResult,
-    pair_series,
-    pair_ode,
-    pair_ode_derivatives,
-    derive_scalar_ode,
-    scalar_ode_text,
-)
 from .exprs import parse_expression, series_of, representation_of, ExprSyntaxError
 
 __version__ = "0.1.0"
+
+# `chen` is the only module that needs numpy, so it loads on first use of one
+# of its names (PEP 562) and the algebra and the CLI start without numpy.
+_CHEN_NAMES = {
+    "InputFunction",
+    "SegmentPath",
+    "ChenEvaluation",
+    "chen_series",
+    "iterated_integral",
+    "friedrichs_check",
+    "primitive_log_check",
+    "flow_compose",
+    "PairingResult",
+    "pair_series",
+    "pair_ode",
+    "pair_ode_derivatives",
+    "derive_scalar_ode",
+    "scalar_ode_text",
+}
+
+
+def __getattr__(name):
+    if name in _CHEN_NAMES:
+        from . import chen
+
+        value = getattr(chen, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Alphabet",

@@ -12,9 +12,14 @@ The quadrature engine shares one composite Gauss-Legendre mesh across all
 words.  On each panel the running integrand is projected on the Legendre basis
 of its node values, which makes the panel antiderivative available at the
 quadrature nodes themselves; the whole triangular family is then filled in by
-word length, reusing every suffix.  The a-posteriori error of a coefficient is
-the change under one global mesh refinement, and refinement repeats until the
-worst estimate clears the requested tolerance.
+word length, one batched sweep per length.  The words of one length are the
+rows of one array, each the product of its first letter's control and its
+suffix's node values, and a block of rows is integrated by two matrix products
+(quadrature weights and panel antiderivative).  Memory holds the node values
+of two consecutive lengths, in blocks of a fixed number of rows, never those
+of the whole family.  The a-posteriori error of a coefficient is the change
+under one global mesh refinement, and refinement repeats until the worst
+estimate clears the requested tolerance.
 
 The flow evaluator sums a rational series without truncation: it integrates
 the linear state equation of a representation by Gauss collocation on the
@@ -363,8 +368,20 @@ def _initial_mesh(singular_start):
     return _Mesh(np.linspace(0.0, 1.0, 9))
 
 
-def _mesh_values(mesh, path, inputs, chain, p=1):
-    """Coefficients of a suffix-closed, length-sorted family on one mesh.
+_BLOCK = 256  # rows per gather; bounds the temporaries of one level
+
+
+def _mesh_values(mesh, path, controls, levels, p=1):
+    """Coefficients of a family of words on one mesh, one word length at a time.
+
+    `levels[k]` describes the words of length k + 1 as a pair of index arrays
+    (first, suffix): row i is the letter `controls[first[i]]` followed by row
+    `suffix[i]` of the previous length (the empty word for length 1).  The
+    rows of one length are integrated together, in blocks of `_BLOCK` rows:
+    one gather of their integrands, one matmul with the quadrature weights and
+    one with the panel antiderivative.  Only the previous length's node values
+    are kept, and none for the longest words.  Returns the coefficients of all
+    rows, length by length, as one array.
 
     `p` reparametrizes the segment as z(s) = z0 + (z1 - z0) s^p; with p large
     enough every integrable integrand vanishes at a singular start, restoring
@@ -377,28 +394,37 @@ def _mesh_values(mesh, path, inputs, chain, p=1):
     else:
         zs = path.z0 + dz * mesh.t**p
         jac = dz * p * mesh.t ** (p - 1)
-    needed = {w[0] for w in chain}
-    u = {x: inputs[x].eval_array(zs) * jac for x in needed}
-    vals = {(): np.ones_like(mesh.t)}
-    out = {(): 1.0}
-    for w in chain:
-        g = u[w[0]] * vals[w[1:]]
-        per_panel = (g @ _WEIGHTS) * mesh.half
-        running = np.cumsum(per_panel)
-        vals[w] = (running - per_panel)[:, None] + mesh.half[:, None] * (g @ _CUM.T)
-        out[w] = float(running[-1])
-    return out
+    u = np.zeros((len(controls),) + mesh.t.shape)
+    for i in {int(i) for first, _ in levels for i in np.unique(first)}:
+        u[i] = controls[i].eval_array(zs) * jac
+    prev = np.ones((1,) + mesh.t.shape)
+    out = []
+    for k, (first, suffix) in enumerate(levels):
+        coeffs = np.empty(first.size)
+        nodes = np.empty((first.size,) + mesh.t.shape) if k + 1 < len(levels) else None
+        for lo in range(0, first.size, _BLOCK):
+            hi = lo + _BLOCK
+            g = u[first[lo:hi]] * prev[suffix[lo:hi]]
+            per_panel = (g @ _WEIGHTS) * mesh.half
+            running = np.cumsum(per_panel, axis=1)
+            coeffs[lo:hi] = running[:, -1]
+            if nodes is not None:
+                nodes[lo:hi] = (running - per_panel)[..., None] + mesh.half[:, None] * (g @ _CUM.T)
+        out.append(coeffs)
+        prev = nodes
+    return np.concatenate(out) if out else np.zeros(0)
 
 
-def _adaptive_values(path, inputs, chain, tol, singular_start, p=1):
+def _adaptive_values(path, controls, levels, tol, singular_start, p=1):
+    """(values, error estimates) of the family, refining the whole mesh."""
     mesh = _initial_mesh(singular_start)
-    prev = _mesh_values(mesh, path, inputs, chain, p)
+    prev = _mesh_values(mesh, path, controls, levels, p)
     worst = 0.0
     for _ in range(4):
         mesh = mesh.refined()
-        cur = _mesh_values(mesh, path, inputs, chain, p)
-        err = {w: abs(cur[w] - prev[w]) for w in chain}
-        worst = max(err.values(), default=0.0)
+        cur = _mesh_values(mesh, path, controls, levels, p)
+        err = np.abs(cur - prev)
+        worst = float(err.max()) if err.size else 0.0
         if worst <= tol:
             return cur, err
         prev = cur
@@ -406,26 +432,46 @@ def _adaptive_values(path, inputs, chain, tol, singular_start, p=1):
 
 
 # ---------------------------------------------------------------------------
-# integrability at a singular start
+# word levels, and integrability at a singular start
 
 
-def _exponent_profile(word, orders):
-    """(integrable, smallest stage exponent) from the order recursion.
+def _word_levels(letters, orders, prepend):
+    """Words grown one letter at a time on the left, with their integrability.
 
-    Walking the word from its innermost integral, each stage multiplies the
-    accumulated antiderivative (leading exponent acc) by the control (leading
-    exponent orders[x]) and integrates; an exponent of exactly -1 diverges
-    logarithmically and is rejected.
+    `prepend[k]` lists the indices of the letters put in front of every kept
+    word of length k to make the words of length k + 1; lex-ordered letters
+    over lex-ordered suffixes keep each length in lex order.  A word's outer
+    stage multiplies the antiderivative of its suffix (leading exponent
+    acc = suffix stage + 1) by its first control (leading exponent
+    orders[i]) and integrates; a stage exponent of -1 or less diverges, which
+    excludes the word and every word built on it.
+
+    Returns the kept words, their (first, suffix) index arrays per length for
+    `_mesh_values`, the excluded words and the smallest kept stage exponent.
     """
-    acc = 0.0
+    words, levels, excluded = [], [], []
+    kept, stages, dropped = [()], [-1.0], []
     emin = math.inf
-    for x in reversed(word):
-        e = orders[x] + acc
-        if not e > -1.0 + 1e-12:
-            return False, emin
-        emin = min(emin, e)
-        acc = e + 1.0
-    return True, emin
+    for row_letters in prepend:
+        rows, row_stages, first, suffix, lost = [], [], [], [], []
+        for i in row_letters:
+            x = (letters[i],)
+            lost += [x + s for s in dropped]
+            for j, s in enumerate(kept):
+                e = orders[i] + (stages[j] + 1.0)
+                if e > -1.0 + 1e-12:
+                    rows.append(x + s)
+                    row_stages.append(e)
+                    first.append(i)
+                    suffix.append(j)
+                else:
+                    lost.append(x + s)
+        emin = min(emin, min(row_stages, default=math.inf))
+        words += rows
+        excluded += lost
+        levels.append((np.array(first, dtype=np.intp), np.array(suffix, dtype=np.intp)))
+        kept, stages, dropped = rows, row_stages, lost
+    return words, levels, excluded, emin
 
 
 def _power_param(orders, emin):
@@ -435,7 +481,7 @@ def _power_param(orders, emin):
     endpoint, so the graded mesh alone suffices.  Fractional orders get the
     power substitution lifting the smallest stage exponent to at least 2.
     """
-    finite = [o for o in orders.values() if o != math.inf]
+    finite = [o for o in orders if o != math.inf]
     if all(float(o).is_integer() for o in finite):
         return 1
     if not math.isfinite(emin):
@@ -503,42 +549,31 @@ class ChenEvaluation:
 def chen_series(inputs, path, bound, tol=1e-10):
     """Evaluate all words of length <= bound over the given controls.
 
-    The triangular family is integrated in order of word length, each word
-    reusing its immediate suffix, so the whole evaluation costs one quadrature
-    sweep per word.  At a singular start endpoint, words with divergent
-    innermost integrals are excluded rather than regularized.
+    The triangular family is integrated in order of word length: the words of
+    one length are the rows of one array, each gathered from its first
+    letter's control and its suffix's row of the previous length, so a whole
+    length costs one gather and two matmuls per block of rows and memory holds
+    only two lengths' node values.  At a singular start endpoint, words with
+    divergent innermost integrals are excluded rather than regularized.
     """
     path = SegmentPath.of(path)
     if bound < 0:
         raise ValueError("the length bound must be nonnegative")
     clean, alphabet, singular_start = _prepare_inputs(inputs, path)
-    words = sorted(alphabet.words_up_to(bound, include_empty=False), key=lambda w: (len(w), alphabet.word_key(w)))
-    excluded = set()
-    p = 1
-    if singular_start:
-        orders = {x: f.vanishing_order_at(path.z0_exact) for x, f in clean.items()}
-        emin = math.inf
-        kept = []
-        for w in words:
-            ok, e = _exponent_profile(w, orders)
-            if ok:
-                kept.append(w)
-                emin = min(emin, e)
-            else:
-                excluded.add(w)
-        words = kept
-        p = _power_param(orders, emin)
-    out, err = _adaptive_values(path, clean, words, tol, singular_start, p)
+    controls = [clean[x] for x in alphabet.letters]
+    orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
+    words, levels, excluded, emin = _word_levels(alphabet.letters, orders, [range(len(controls))] * bound)
+    p = _power_param(orders, emin) if singular_start else 1
+    vals, errs = _adaptive_values(path, controls, levels, tol, singular_start, p)
     values = {(): 1.0}
+    values.update(zip(words, vals.tolist()))
     errors = {(): 0.0}
-    for w in words:
-        values[w] = out[w]
-        errors[w] = err[w]
+    errors.update(zip(words, errs.tolist()))
     return ChenEvaluation(alphabet, clean, path, bound, values, errors, excluded)
 
 
 def iterated_integral(word, inputs, path, tol=1e-10):
-    """One iterated integral, by integrating the suffix chain of the word."""
+    """One iterated integral, as the family of its suffixes: one row per length."""
     if isinstance(word, str):
         word = parse_word(word)
     word = tuple(word)
@@ -547,16 +582,15 @@ def iterated_integral(word, inputs, path, tol=1e-10):
     alphabet.validate_word(word)
     if not word:
         return 1.0
-    p = 1
-    if singular_start:
-        orders = {x: f.vanishing_order_at(path.z0_exact) for x, f in clean.items()}
-        ok, emin = _exponent_profile(word, orders)
-        if not ok:
-            raise ValueError(f"{word_text(word)} is not integrable at the path endpoint")
-        p = _power_param(orders, emin)
-    chain = [word[i:] for i in range(len(word) - 1, -1, -1)]
-    out, _ = _adaptive_values(path, clean, chain, tol, singular_start, p)
-    return out[word]
+    controls = [clean[x] for x in alphabet.letters]
+    orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
+    prepend = [[alphabet.letters.index(x)] for x in reversed(word)]
+    words, levels, _, emin = _word_levels(alphabet.letters, orders, prepend)
+    if len(words) < len(word):
+        raise ValueError(f"{word_text(word)} is not integrable at the path endpoint")
+    p = _power_param(orders, emin) if singular_start else 1
+    vals, _ = _adaptive_values(path, controls, levels, tol, singular_start, p)
+    return float(vals[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +667,7 @@ def flow_compose(second, first):
         raise ValueError("the second leg must start where the first ends")
     bound = min(first.bound, second.bound)
     out = {}
-    for w in sorted(first.alphabet.words_up_to(bound), key=lambda w: (len(w), first.alphabet.word_key(w))):
+    for w in first.alphabet.words_up_to(bound):
         acc = 0.0
         ok = True
         for i in range(len(w) + 1):

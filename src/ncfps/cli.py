@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .automata import LinearRepresentation, classify, equal, minimize
 from .bases import basis_table, basis_table_lines
-from .chen import InputFunction, chen_series, derive_scalar_ode, pair_ode, pair_series, scalar_ode_text
 from .exprs import infer_alphabet, parse_expression, to_representation, to_series
 from .rings import ring_named
 from .series import series_text
@@ -46,6 +45,8 @@ def _split_outside_parens(text):
 
 def _parse_inputs(spec):
     """Parse ``x0=1/z,x1=1/(1-z)`` into a letter -> InputFunction map."""
+    from .chen import InputFunction
+
     inputs = {}
     for part in _split_outside_parens(spec):
         part = part.strip()
@@ -160,17 +161,20 @@ def _cmd_check_identity(args):
 
 
 def _cmd_chen(args):
+    from .chen import chen_series
+
     inputs = _parse_inputs(args.inputs)
     path = (_exact_number(args.z0), _exact_number(args.z))
     ev = chen_series(inputs, path, args.max_length, args.tol)
-    words = sorted(ev.alphabet.words_up_to(args.max_length), key=lambda w: (len(w), ev.alphabet.word_key(w)))
-    for w in words:
+    for w in ev.alphabet.words_up_to(args.max_length):
         text = "divergent" if w in ev.excluded else repr(ev.values[w])
         print(f"{word_text(w)}\t{text}")
     return 0
 
 
 def _cmd_pair(args):
+    from .chen import chen_series, pair_ode, pair_series
+
     rep = _reduced(_load_representation(args))
     inputs = _parse_inputs(args.inputs)
     missing = sorted(set(rep.active_letters) - set(inputs))
@@ -190,6 +194,8 @@ def _cmd_pair(args):
 
 
 def _cmd_derive_ode(args):
+    from .chen import derive_scalar_ode, scalar_ode_text
+
     rep = _reduced(_load_representation(args))
     coeffs = derive_scalar_ode(rep, _parse_inputs(args.inputs), args.max_order)
     print(scalar_ode_text(coeffs))

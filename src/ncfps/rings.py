@@ -46,10 +46,11 @@ class Poly:
 
     Immutable once built; trailing zero coefficients are stripped so the
     tuple of coefficients is a canonical form (the zero polynomial has an
-    empty tuple).
+    empty tuple).  Their float images are made on the first float evaluation
+    and kept.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "coeffs", "_floats")
 
     def __init__(self, var, coeffs):
         cs = [_frac(c) for c in coeffs]
@@ -187,9 +188,14 @@ class Poly:
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
+        try:
+            floats = self._floats
+        except AttributeError:
+            floats = tuple(float(c) for c in reversed(self.coeffs))
+            object.__setattr__(self, "_floats", floats)
         acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in floats:
+            acc = acc * x + c
         return acc
 
     def shifted(self, a):

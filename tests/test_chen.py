@@ -15,9 +15,17 @@ from hypothesis import strategies as st
 
 from ncfps.automata import LinearRepresentation, minimize, rep_star, rep_word
 from ncfps.chen import (
+    _BLOCK,
+    _CUM,
+    _WEIGHTS,
     ChenEvaluation,
     InputFunction,
     SegmentPath,
+    _initial_mesh,
+    _mesh_values,
+    _power_param,
+    _prepare_inputs,
+    _word_levels,
     chen_series,
     derive_scalar_ode,
     flow_compose,
@@ -227,6 +235,102 @@ def test_orientation_reversal():
 
 
 # ---------------------------------------------------------------------------
+# the level-batched kernel against the per-word loop it replaced
+
+
+def _per_word_values(mesh, path, inputs, chain, p):
+    """The former `_mesh_values`: one quadrature sweep per word, each word
+    reusing the node values of its suffix (`chain` is length-sorted and
+    suffix-closed)."""
+    dz = path.z1 - path.z0
+    if p == 1:
+        zs = path.z0 + dz * mesh.t
+        jac = dz
+    else:
+        zs = path.z0 + dz * mesh.t**p
+        jac = dz * p * mesh.t ** (p - 1)
+    u = {x: inputs[x].eval_array(zs) * jac for x in {w[0] for w in chain}}
+    vals = {(): np.ones_like(mesh.t)}
+    out = {}
+    for w in chain:
+        g = u[w[0]] * vals[w[1:]]
+        per_panel = (g @ _WEIGHTS) * mesh.half
+        running = np.cumsum(per_panel)
+        vals[w] = (running - per_panel)[:, None] + mesh.half[:, None] * (g @ _CUM.T)
+        out[w] = float(running[-1])
+    return out
+
+
+def _integrable(word, orders):
+    # the former per-word walk: each stage's exponent must stay above -1
+    acc = 0.0
+    for x in reversed(word):
+        e = orders[x] + acc
+        if not e > -1.0 + 1e-12:
+            return False
+        acc = e + 1.0
+    return True
+
+
+def _assert_kernel_matches_per_word_loop(inputs, path, bound):
+    clean, alphabet, singular_start = _prepare_inputs(inputs, path)
+    controls = [clean[x] for x in alphabet.letters]
+    orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
+    prepend = [range(len(controls))] * bound
+    words, levels, excluded, emin = _word_levels(alphabet.letters, orders, prepend)
+    by_letter = dict(zip(alphabet.letters, orders))
+    chain = [w for w in alphabet.words_up_to(bound, include_empty=False) if _integrable(w, by_letter)]
+    assert words == chain
+    assert set(excluded) == set(alphabet.words_up_to(bound, include_empty=False)) - set(chain)
+    p = _power_param(orders, emin) if singular_start else 1
+    coarse = _initial_mesh(singular_start)
+    fine = coarse.refined()
+    new_coarse = _mesh_values(coarse, path, controls, levels, p)
+    new_fine = _mesh_values(fine, path, controls, levels, p)
+    old_coarse = _per_word_values(coarse, path, clean, chain, p)
+    old_fine = _per_word_values(fine, path, clean, chain, p)
+    for i, w in enumerate(chain):
+        scale = max(abs(old_coarse[w]), abs(old_fine[w]))
+        assert abs(new_fine[i] - old_fine[w]) <= 4 * np.spacing(scale)
+        err = abs(old_fine[w] - old_coarse[w])
+        assert abs(abs(new_fine[i] - new_coarse[i]) - err) <= 8 * np.spacing(scale)
+
+
+_REGULAR_AT_0 = ("0", "1", "-3/2", "1/(1-z)", "exp", "1/(z+1)", "1/(z+3)")
+_SINGULAR_AT_0 = ("1/z", "pow(z, -1/2)", "pow(z, 1/3)", "pow(z, -2/3)")
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(1, 3))
+    inputs = {f"x{i}": draw(st.sampled_from(_REGULAR_AT_0 + _SINGULAR_AT_0)) for i in range(n)}
+    if draw(st.booleans()):
+        # a singular start: 0, with at least one control singular there
+        inputs[f"x{draw(st.integers(0, n - 1))}"] = draw(st.sampled_from(_SINGULAR_AT_0))
+        z0 = Fraction(0)
+    else:
+        z0 = Fraction(draw(st.integers(0, 8)), 20)
+    z1 = z0 + Fraction(draw(st.integers(1, 10)), 20)
+    if z0 > 0 and draw(st.booleans()):
+        z0, z1 = z1, z0
+    return inputs, SegmentPath(z0, z1), draw(st.integers(1, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kernel_cases())
+def test_level_kernel_matches_the_per_word_loop(case):
+    # regular and singular starts (the start 0 makes 1/z and the powers
+    # singular; the fractional powers switch on the substitution p > 1)
+    _assert_kernel_matches_per_word_loop(*case)
+
+
+def test_level_kernel_matches_across_a_block_boundary():
+    # the 1024 words of length 10 span four blocks of rows
+    assert 2**10 > _BLOCK
+    _assert_kernel_matches_per_word_loop(POLYLOG, SegmentPath("1/5", "1/2"), 10)
+
+
+# ---------------------------------------------------------------------------
 # group-likeness diagnostics
 
 
@@ -376,6 +480,17 @@ def test_pair_certification_flags():
 
 def test_cli_import_leaves_scipy_out():
     code = "import sys, ncfps.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_cli_import_leaves_numpy_and_chen_out():
+    # only the chen, pair and derive-ode handlers load the quadrature module
+    code = (
+        "import sys, ncfps.cli\n"
+        "assert 'numpy' not in sys.modules and 'ncfps.chen' not in sys.modules\n"
+        "from ncfps import chen_series\n"
+        "assert abs(chen_series({'x0': 1}, (0, 1), 1).coeff(('x0',)) - 1.0) < 1e-12"
+    )
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 

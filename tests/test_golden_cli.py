@@ -1,5 +1,7 @@
 """Byte-for-byte CLI output of the commands whose bytes depend on the
-automaton kernels: minimization bases, derived ODEs and classification.
+automaton kernels (minimization bases, derived ODEs and classification) or on
+the quadrature (`chen` and `pair` print `repr` floats, so any change in the
+order of floating-point operations shows here).
 
 The expected outputs live in ``tests/golden/cli_<name>.txt``.  To rewrite
 them after an intended output change, run this file as a script::
@@ -29,6 +31,8 @@ CASES = {
     "classify_nilpotent": ["classify", "x0.x1"],
     "classify_solvable": ["classify", "x0* . x1 . (-1*x0)*"],
     "classify_general": ["classify", "(x0.x1)*"],
+    "chen_polylog_from0": ["chen", "--inputs", "x0=1/z,x1=1/(1-z)", "--z0", "0", "--z", "1/2", "--max-length", "4"],
+    "pair_star_x0x1": ["pair", "(x0.x1)*", "--inputs", "x0=1/z,x1=1/(1-z)", "--z0", "1/10", "--z", "1/2"],
 }
 
 
