@@ -35,11 +35,11 @@ singular far endpoint are rejected outright: no regularization is attempted.
 import math
 import re
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
-from .diffring import q_l, specialize
-from .linalg import left_kernel, vec_mat
+from .linalg import EchelonBasis, vec_mat
 from .rings import QQ, QZ, RR, Poly, RatFun, poly_gcd, poly_text
 from .series import NCPolynomial, TensorPoly, TruncatedSeries, shuffle_words, unshuffle
 from .words import Alphabet, parse_word, word_text
@@ -870,46 +870,28 @@ def _exact_controls(inputs):
     return clean
 
 
-def _multiplier_row(rep, alphabet, assignment, l, word_cache):
-    """nu . (extension of mu to the specialized l-th derivation multiplier)."""
-    p = specialize(q_l(alphabet, l), assignment)
+def _derivative_rows(rep, inputs):
+    """Rows r_l with d^l (nu . q) = r_l . q for the state equation q' = A q.
+
+    A = sum_x u_x mu(x) over the letters that have both a control and a
+    matrix; r_0 = nu and r_l = r_{l-1}' + r_{l-1} A.  The generator yields
+    one row per order, without end.
+    """
+    terms = [(f.ratfun, rep.mu[x]) for x, f in _exact_controls(inputs).items() if x in rep.mu]
     n = rep.dim
-    row = [QZ.zero] * n
-    for w, c in p.terms.items():
-        vec = _multiplier_prefix(rep, w, word_cache)
-        if vec is None:
-            continue
-        row = [row[j] + c * vec[j] for j in range(n)]
-    return tuple(row)
-
-
-def _multiplier_prefix(rep, w, word_cache):
-    if w in word_cache:
-        return word_cache[w]
-    if not w:
-        vec = tuple(QZ.coerce(c) for c in rep.nu)
-    elif w[-1] not in rep.mu:
-        vec = None
-    else:
-        prev = _multiplier_prefix(rep, w[:-1], word_cache)
-        vec = vec_mat(QZ, prev, rep.mu[w[-1]]) if prev is not None else None
-    word_cache[w] = vec
-    return vec
-
-
-def _multiplier_rows(rep, inputs, count):
-    clean = _exact_controls(inputs)
-    alphabet = Alphabet.from_letters(sorted(clean))
-    assignment = {x: f.ratfun for x, f in clean.items()}
-    word_cache = {}
-    return [_multiplier_row(rep, alphabet, assignment, l, word_cache) for l in range(count)]
+    a = [[sum((u * m[i][j] for u, m in terms if m[i][j]), QZ.zero) for j in range(n)] for i in range(n)]
+    row = tuple(QZ.coerce(c) for c in rep.nu)
+    while True:
+        yield row
+        row = tuple(c.derivative() + d for c, d in zip(row, vec_mat(QZ, row, a)))
 
 
 def pair_ode_derivatives(rep, inputs, path, orders, tol=1e-10):
     """Endpoint derivatives d^l y for l = 0..orders, via the state flow.
 
-    The l-th derivative of the pairing equals the specialized l-th multiplier
-    row applied to the flow state, so one integration yields all orders.
+    The l-th derivative of y = nu . q is r_l . q, with r_0 = nu and
+    r_l = r_{l-1}' + r_{l-1} A(z) for A = sum_x u_x mu(x), so one
+    integration of the state yields all orders.
     """
     if rep.ring != QQ:
         raise ValueError("the pairing needs a representation with rational coefficients")
@@ -917,10 +899,9 @@ def pair_ode_derivatives(rep, inputs, path, orders, tol=1e-10):
     if rep.dim == 0:
         return [0.0] * (orders + 1)
     q = _ode_state(rep, inputs, path, tol)
-    rows = _multiplier_rows(rep, inputs, orders + 1)
     z = path.z1
     out = []
-    for row in rows:
+    for row in islice(_derivative_rows(rep, inputs), orders + 1):
         out.append(float(sum(float(f(Fraction(z))) * qi for f, qi in zip(row, q))))
     return out
 
@@ -948,36 +929,28 @@ def _normalize_ode(kernel_vector):
     return polys
 
 
-def derive_scalar_ode(rep, inputs, n_max=None):
+def derive_scalar_ode(rep, inputs):
     """Least-order scalar linear ODE satisfied by the pairing.
 
-    Returns polynomial coefficients a_0..a_N with sum a_l(z) d^l y = 0, found
-    as the first linear dependence among the specialized multiplier rows over
-    Q(z); N never exceeds the representation dimension.  The coefficient list
-    is normalized: denominators cleared, common polynomial factor removed,
-    integer coefficients made setwise coprime, and the leading coefficient of
-    the top-order term positive.
+    Returns polynomial coefficients a_0..a_N with sum a_l(z) d^l y = 0.  The
+    rows r_0 = nu, r_l = r_{l-1}' + r_{l-1} A(z) with A = sum_x u_x mu(x)
+    satisfy d^l y = r_l . q, so the ODE is the first linear dependence among
+    them over Q(z): each row goes into one echelon basis, and the first row
+    already in the span gives the coefficients.  N never exceeds the
+    representation dimension.  The coefficient list is normalized:
+    denominators cleared, common polynomial factor removed, integer
+    coefficients made setwise coprime, and the leading coefficient of the
+    top-order term positive.
     """
     if rep.ring != QQ:
         raise ValueError("the representation must have rational coefficients")
     n = rep.dim
     if n == 0:
         return [Poly.const("z", Fraction(1))]
-    if n_max is None:
-        n_max = n
-    if n_max < n:
-        raise ValueError("the order cap must be at least the representation dimension")
-    clean = _exact_controls(inputs)
-    alphabet = Alphabet.from_letters(sorted(clean))
-    assignment = {x: f.ratfun for x, f in clean.items()}
-    word_cache = {}
-    rows = []
-    for l in range(n_max + 1):
-        rows.append(_multiplier_row(rep, alphabet, assignment, l, word_cache))
-        kernel = left_kernel(QZ, tuple(rows))
-        if kernel:
-            return _normalize_ode(kernel[0])
-    raise RuntimeError("no dependence found below the order cap")
+    basis = EchelonBasis(QZ, n)
+    for row in _derivative_rows(rep, inputs):
+        if basis.insert(row) is None:
+            return _normalize_ode(basis.coordinates(row) + (QZ.coerce(-1),))
 
 
 _ATOM_RE = re.compile(r"-?(\d+(/\d+)?|z(\^\d+)?|\d+(/\d+)?\*z(\^\d+)?)\Z")

@@ -197,7 +197,7 @@ def _cmd_derive_ode(args):
     from .chen import derive_scalar_ode, scalar_ode_text
 
     rep = _reduced(_load_representation(args))
-    coeffs = derive_scalar_ode(rep, _parse_inputs(args.inputs), args.max_order)
+    coeffs = derive_scalar_ode(rep, _parse_inputs(args.inputs))
     print(scalar_ode_text(coeffs))
     return 0
 
@@ -294,7 +294,9 @@ def build_parser():
     p = cmds.add_parser("derive-ode", help="derive the scalar linear ODE satisfied by a pairing")
     _add_expr(p, nargs_opt=True)
     p.add_argument("--inputs", required=True, help="comma list letter=function with rational functions only")
-    p.add_argument("--max-order", type=int, default=None, metavar="N", help="largest derivative order to try")
+    p.add_argument(
+        "--max-order", type=int, default=None, metavar="N", help="ignored; the order never exceeds the reduced dimension"
+    )
     p.set_defaults(handler=_cmd_derive_ode)
 
     return parser

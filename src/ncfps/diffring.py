@@ -8,6 +8,11 @@ word-multiplier recursion: W_0 = 1 and W_l = W_{l-1} M + d(W_{l-1}) with
 M = sum_x u_x x.  Symbols specialize to exact rational functions of z,
 and a residue test decides whether a family of rational inputs admits a
 nonzero rational linear combination that is an exact derivative.
+
+The multipliers q_l are the paper's formal recursion, with one term per word
+of length at most l.  Scalar ODE derivation does not go through them: it
+steps the rows r_l = r_{l-1}' + r_{l-1} A(z) of the state equation instead
+(`ncfps.chen`), and the tests check that nu . mu(specialize(q_l)) equals r_l.
 """
 
 from __future__ import annotations
@@ -245,22 +250,13 @@ def input_form(alphabet):
     return NCPolynomial(alphabet, DIFF, terms)
 
 
-_QL_CACHE = {}
-
-
 def q_l(alphabet, l):
     """Word multipliers: q_0 = 1, q_l = q_{l-1} . input_form + derive(q_{l-1})."""
     if l < 0:
         raise ValueError("the multiplier index must be nonnegative")
-    key = (alphabet, l)
-    val = _QL_CACHE.get(key)
-    if val is None:
-        if l == 0:
-            val = NCPolynomial.one(alphabet, DIFF)
-        else:
-            prev = q_l(alphabet, l - 1)
-            val = prev * input_form(alphabet) + derive(prev)
-        _QL_CACHE[key] = val
+    val = NCPolynomial.one(alphabet, DIFF)
+    for _ in range(l):
+        val = val * input_form(alphabet) + derive(val)
     return val
 
 
@@ -332,21 +328,13 @@ def _normalize_assignment(assignment):
     return out
 
 
-_DERIV_CACHE = {}
-
-
 def _input_derivative(asg, letter, r):
     try:
-        base = asg[letter]
+        val = asg[letter]
     except KeyError:
         raise ValueError(f"missing assignment for input symbol u_{letter}") from None
-    key = (base, r)
-    val = _DERIV_CACHE.get(key)
-    if val is None:
-        val = base
-        for _ in range(r):
-            val = val.derivative()
-        _DERIV_CACHE[key] = val
+    for _ in range(r):
+        val = val.derivative()
     return val
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "kron",
     "block_diag",
     "invert_matrix",
-    "left_kernel",
     "EchelonBasis",
 ]
 
@@ -145,16 +144,13 @@ class EchelonBasis:
 
     ``insert(v)`` returns None when v was already in the span, else the new
     row index.  ``coordinates(v)`` expresses v over the inserted originals.
-    Pivots are taken among the first ``pivot_width`` columns (default: all);
-    a vector whose reduction vanishes there counts as already in the span.
     """
 
-    def __init__(self, ring, width, pivot_width=None):
+    def __init__(self, ring, width):
         if not ring.is_field:
             raise ValueError("echelon construction needs a field")
         self.ring = ring
         self.width = width
-        self.pivot_width = width if pivot_width is None else pivot_width
         self.rows = []  # reduced row echelon form, pivot entry 1
         self.pivots = []  # pivot column per row
         self.originals = []
@@ -188,10 +184,8 @@ class EchelonBasis:
 
     def insert(self, v):
         v = tuple(v)
-        return self._insert_reduced(self._reduce(v), v)
-
-    def _insert_reduced(self, red, original):
-        nonzero = [j for j in range(self.pivot_width) if red[j]]
+        red = self._reduce(v)
+        nonzero = [j for j, c in enumerate(red) if c]
         if not nonzero:
             return None
         pivot = min(nonzero, key=lambda j: (_complexity(red[j]), j))
@@ -204,7 +198,7 @@ class EchelonBasis:
                 self.rows[i] = [a - c * b if b else a for a, b in zip(row, red)]
         self.rows.append(red)
         self.pivots.append(pivot)
-        self.originals.append(original)
+        self.originals.append(v)
         self._pivot_inverse = None
         return len(self.rows) - 1
 
@@ -235,25 +229,3 @@ def invert_matrix(ring, a):
                 if c:
                     aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def left_kernel(ring, a):
-    """Basis of row vectors v with v.a = 0, over a field.
-
-    Row reduction of ``[a | I]`` with pivots only in the ``a`` block: a row
-    of ``a`` that reduces to zero there yields the kernel vector with entry 1
-    at its own index and support on the earlier independent rows.
-    """
-    m = len(a)
-    if m == 0:
-        return ()
-    n = len(a[0])
-    z, one = ring.zero, ring.one
-    basis = EchelonBasis(ring, n + m, pivot_width=n)
-    kernel = []
-    for i, row in enumerate(a):
-        aug = tuple(row) + tuple(one if j == i else z for j in range(m))
-        red = basis._reduce(aug)
-        if basis._insert_reduced(red, aug) is None:
-            kernel.append(tuple(red[n:]))
-    return tuple(kernel)

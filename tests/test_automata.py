@@ -33,7 +33,7 @@ from ncfps.automata import (
     sweedler_split,
     triangular_star_factorization_check,
 )
-from ncfps.linalg import EchelonBasis, left_kernel, vec_mat
+from ncfps.linalg import EchelonBasis, vec_mat
 from ncfps.rings import QQ, QT, QZ, Poly
 from ncfps.series import NCPolynomial, TruncatedSeries, parse_series_text
 from ncfps.words import Alphabet
@@ -722,12 +722,24 @@ def _rank(a):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_matrices())
-def test_left_kernel_annihilates_and_has_full_size(a):
-    kernel = left_kernel(QQ, a)
-    assert len(kernel) == len(a) - _rank(a)
-    for k in kernel:
-        assert all(c == 0 for c in _plain_vec_mat(k, a))
-        # entry 1 at the index of its own row, support only on earlier rows
-        last = max(i for i, c in enumerate(k) if c != 0)
-        assert k[last] == 1
+@given(st.data())
+def test_echelon_coordinates_reproduce_combinations(data):
+    a = data.draw(_matrices())
+    n = len(a[0])
+    basis = EchelonBasis(QQ, n)
+    for row in a:
+        basis.insert(row)
+    rank = _rank(a)
+    assert basis.rank == rank
+    coeffs = data.draw(st.lists(_small, min_size=len(a), max_size=len(a)))
+    v = _plain_vec_mat(coeffs, a)
+    coords = basis.coordinates(v)
+    assert coords is not None and len(coords) == rank
+    if rank:
+        assert _plain_vec_mat(coords, basis.originals) == v
+    else:
+        assert not any(v)
+    for j in range(n):
+        e = tuple(Fraction(int(i == j)) for i in range(n))
+        if _rank(a + (e,)) > rank:
+            assert basis.coordinates(e) is None

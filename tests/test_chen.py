@@ -21,6 +21,7 @@ from ncfps.chen import (
     ChenEvaluation,
     InputFunction,
     SegmentPath,
+    _derivative_rows,
     _initial_mesh,
     _mesh_values,
     _power_param,
@@ -37,7 +38,9 @@ from ncfps.chen import (
     primitive_log_check,
     scalar_ode_text,
 )
+from ncfps.diffring import q_l, specialize
 from ncfps.exprs import representation_of
+from ncfps.linalg import vec_mat
 from ncfps.rings import QQ, QT, QZ, Poly
 from ncfps.words import Alphabet
 
@@ -613,11 +616,61 @@ def test_scalar_ode_preconditions():
     rep = star_rep(X1, ("x0",))
     with pytest.raises(ValueError):
         derive_scalar_ode(rep, {"x0": InputFunction.exp()})
-    with pytest.raises(ValueError):
-        derive_scalar_ode(rep, {"x0": "1/z"}, n_max=0)
     over_t = LinearRepresentation(X1, QT, ((1,)), {}, ((1,)))
     with pytest.raises(ValueError):
         derive_scalar_ode(over_t, {"x0": "1/z"})
+
+
+def _word_sum_row(rep, inputs, l):
+    """The l-th row as the paper's formal multiplier: the sum over the words w
+    of specialize(q_l)[w] . nu mu(w), skipping words with a letter outside mu."""
+    assignment = {x: InputFunction.of(f).ratfun for x, f in inputs.items()}
+    p = specialize(q_l(Alphabet.from_letters(sorted(inputs)), l), assignment)
+    row = [QZ.zero] * rep.dim
+    for w, c in p.terms.items():
+        if any(x not in rep.mu for x in w):
+            continue
+        vec = tuple(QZ.coerce(v) for v in rep.nu)
+        for x in w:
+            vec = vec_mat(QZ, vec, rep.mu[x])
+        row = [a + c * b for a, b in zip(row, vec)]
+    return tuple(row)
+
+
+_RATIONAL = ("1/z", "1/(1-z)", "1/(z+1)", "(z+2)/(z^2+3)")
+
+
+@st.composite
+def _row_cases(draw):
+    n = draw(st.integers(1, 3))
+
+    def vector():
+        return tuple(draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+
+    # a letter may lack a matrix or a control: only the letters with both count
+    letters = draw(st.sampled_from((("x0",), ("x1",), ("x0", "x1"))))
+    mu = {x: tuple(vector() for _ in range(n)) for x in letters}
+    rep = LinearRepresentation(X2, QQ, vector(), mu, vector())
+    controlled = draw(st.sampled_from((("x0",), ("x1",), ("x0", "x1"))))
+    return rep, {x: draw(st.sampled_from(_RATIONAL)) for x in controlled}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_row_cases())
+def test_derivative_rows_match_the_word_sum(case):
+    rep, inputs = case
+    rows = _derivative_rows(rep, inputs)
+    for l in range(5):
+        assert next(rows) == _word_sum_row(rep, inputs, l)
+
+
+def test_derive_ode_dimension_6_is_fast():
+    rep = minimize(representation_of("(x0.x1)* shuffle (x0.x0.x1)*"))
+    assert rep.dim == 6
+    start = time.perf_counter()
+    coeffs = derive_scalar_ode(rep, POLYLOG)
+    assert time.perf_counter() - start < 1.0
+    assert len(coeffs) - 1 == 6 and coeffs[-1].degree == 11
 
 
 def test_scalar_ode_text_shapes():

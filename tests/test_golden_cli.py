@@ -27,6 +27,7 @@ CASES = {
     "derive_ode_star_x0x1": ["derive-ode", "(x0.x1)*", "--inputs", "x0=1/z,x1=1/(1-z)"],
     "derive_ode_shuffle": ["derive-ode", "x0* shuffle (2*x1)*", "--inputs", "x0=1/(z+1),x1=1/(1-z)"],
     "derive_ode_order2": ["derive-ode", "x0* shuffle (x1.x1)*", "--inputs", "x0=1/(z+1),x1=1/(1-z)"],
+    "derive_ode_dim6": ["derive-ode", "(x0.x1)* shuffle (x0.x0.x1)*", "--inputs", "x0=1/z,x1=1/(1-z)"],
     "classify_exchangeable": ["classify", "(x0 + x1)*"],
     "classify_nilpotent": ["classify", "x0.x1"],
     "classify_solvable": ["classify", "x0* . x1 . (-1*x0)*"],
