@@ -548,9 +548,8 @@ def is_syntactically_exchangeable(series, bound=None):
     alphabet = poly.alphabet
     if alphabet.kind == "X":
         active = sorted({c for w in poly.terms for c in w}, key=alphabet.rank)
-        words = _x_words_up_to(active, bound)
-    else:
-        words = alphabet.words_up_to(bound)
+        alphabet = Alphabet.from_letters(active)
+    words = alphabet.words_up_to(bound)
     classes = {}
     for w in words:
         key = _multidegree(alphabet, w)
@@ -561,15 +560,6 @@ def is_syntactically_exchangeable(series, bound=None):
         else:
             classes[key] = c
     return True
-
-
-def _x_words_up_to(letters, bound):
-    out = [()]
-    layer = [()]
-    for _ in range(bound):
-        layer = [w + (x,) for w in layer for x in letters]
-        out.extend(layer)
-    return out
 
 
 def is_rationally_exchangeable(rep):

@@ -40,7 +40,7 @@ from itertools import islice
 import numpy as np
 
 from .linalg import EchelonBasis, vec_mat
-from .rings import QQ, QZ, RR, Poly, RatFun, poly_gcd, poly_text
+from .rings import QQ, QZ, RR, Poly, RatFun, poly_gcd, poly_lcm, poly_text
 from .series import NCPolynomial, TensorPoly, TruncatedSeries, shuffle_words, unshuffle
 from .words import Alphabet, parse_word, word_text
 
@@ -906,15 +906,10 @@ def pair_ode_derivatives(rep, inputs, path, orders, tol=1e-10):
     return out
 
 
-def _poly_lcm(a, b):
-    g = poly_gcd(a, b)
-    return (a * b) // g
-
-
 def _normalize_ode(kernel_vector):
     den = Poly.const("z", Fraction(1))
     for f in kernel_vector:
-        den = _poly_lcm(den, f.den)
+        den = poly_lcm(den, f.den)
     polys = [(f * RatFun(den)).num for f in kernel_vector]
     g = None
     for p in polys:

@@ -5,9 +5,13 @@ derivatives.  DiffPolynomial is the commutative Q-algebra they generate,
 with the derivation extended by the Leibniz rule.  Noncommutative
 polynomials over the alphabet with these coefficients support the
 word-multiplier recursion: W_0 = 1 and W_l = W_{l-1} M + d(W_{l-1}) with
-M = sum_x u_x x.  Symbols specialize to exact rational functions of z,
-and a residue test decides whether a family of rational inputs admits a
-nonzero rational linear combination that is an exact derivative.
+M = sum_x u_x x.  Symbols specialize to exact rational functions of z.
+
+`independence_criterion` decides whether a family of rational inputs admits
+a nonzero rational linear combination that is an exact derivative in Q(z).
+Over the common denominator D the numerators of such derivatives form a
+Q-subspace with an explicit spanning set (Horowitz-Ostrogradsky), so the
+decision is one echelon span test over Q and needs no roots of D.
 
 The multipliers q_l are the paper's formal recursion, with one term per word
 of length at most l.  Scalar ODE derivation does not go through them: it
@@ -21,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .linalg import EchelonBasis
-from .rings import QQ, QZ, ring_named
+from .rings import QQ, QZ, Poly, RatFun, poly_gcd, poly_lcm, ring_named
 from .series import NCPolynomial
 
 __all__ = [
@@ -276,7 +280,6 @@ def q_l_explicit(alphabet, l):
         raise ValueError("the multiplier index must be nonnegative")
     if l > 4:
         raise ValueError("closed form checked only up to l = 4; use q_l")
-    letters = alphabet.letters
     terms = {}
     for k in range(l + 1):
         rest = l - k
@@ -284,7 +287,7 @@ def q_l_explicit(alphabet, l):
             if rest == 0:
                 terms[()] = terms.get((), DIFF.zero) + DIFF.one
             continue
-        for word in _words_of_length(letters, k):
+        for word in alphabet.words_of_grade(k):
             for r in _compositions_with_zeros(rest, k):
                 coeff = 1
                 suffix = 0
@@ -296,13 +299,6 @@ def q_l_explicit(alphabet, l):
                 )
                 terms[word] = terms.get(word, DIFF.zero) + mono
     return NCPolynomial(alphabet, DIFF, terms)
-
-
-def _words_of_length(letters, k):
-    out = [()]
-    for _ in range(k):
-        out = [w + (x,) for w in out for x in letters]
-    return out
 
 
 def _compositions_with_zeros(total, parts):
@@ -353,64 +349,50 @@ def specialize(p, assignment):
 # independence of rational inputs
 
 
-def _rational_pole_profile(f, where):
-    """Poles of a rational function as {point: order}; error when the
-    denominator has a non-rational root."""
-    roots = f.den.rational_roots()
-    if sum(roots.values()) != f.den.degree:
-        raise ValueError(f"input for {where} has a pole at a non-rational point")
-    return roots
-
-
 def independence_criterion(inputs, base):
     """Whether no nonzero rational-coefficient combination of the inputs is
     trivial for integration purposes.
 
-    Over the constant base field the test is plain linear independence over
-    Q.  Over the rational-function base the combination must never be an
-    exact derivative; a reduced rational function is exact precisely when
-    all of its residues vanish, so the letterwise residue matrix must have
-    zero kernel.
+    Over the constant base field Q this is plain linear independence over Q.
+    Over the rational-function base Q(z) (or its alias Q(t)) no nonzero
+    combination may be an exact derivative in Q(z).  With all inputs over
+    their lcm denominator D, the exact derivatives whose denominator divides
+    D have numerators spanned over Q by (z^j/E)' D for j < deg E, where
+    E = gcd(D, D'), and by the z^k D: a derivative g' over D has g = P/E plus
+    a polynomial (Horowitz 1971; Bronstein, Symbolic Integration I, 2.2).
+    Both bases are one span test: the family is independent exactly when
+    each input's numerator adds a new row to the echelon basis of these
+    generators (none over Q), so no root of D is ever located.
     """
     if isinstance(base, str):
         base = ring_named(base)
-    letters = sorted(inputs)
+    if base.name not in ("Q", "Q(z)", "Q(t)"):
+        raise ValueError(f"unsupported base field {base.name!r}")
     funs = []
-    for x in letters:
+    for x in sorted(inputs):
         val = inputs[x]
         if isinstance(val, str):
             val = QZ.parse(val)
         funs.append(QZ.coerce(val))
-    if not letters:
+    if not funs:
         return True
-    if base.name == "Q":
-        # common denominator, then rank of the numerator coefficient vectors
-        den = funs[0].den
-        for f in funs[1:]:
-            den = den * f.den
-        numerators = [f.num * (den // f.den) for f in funs]
-        width = max(n.degree for n in numerators) + 1
-        basis = EchelonBasis(QQ, width)
-        for n in numerators:
-            vec = tuple(n.coeffs) + (Fraction(0),) * (width - len(n.coeffs))
-            if basis.insert(vec) is None:
-                return False
-        return True
-    if base.name in ("Q(z)", "Q(t)"):
-        poles = set()
-        for x, f in zip(letters, funs):
-            if not f.is_zero():
-                poles.update(_rational_pole_profile(f, x))
-        poles = sorted(poles)
-        if not poles:
-            return False
-        basis = EchelonBasis(QQ, len(poles))
-        for f in funs:
-            col = tuple(f.residue_at(p) for p in poles)
-            if basis.insert(col) is None:
-                return False
-        return True
-    raise ValueError(f"unsupported base field {base.name!r}")
+    den = funs[0].den
+    for f in funs[1:]:
+        den = poly_lcm(den, f.den)
+    numerators = [f.num * (den // f.den) for f in funs]
+    exact = []
+    if base.name != "Q":
+        e = poly_gcd(den, den.derivative())
+        z = Poly.gen(den.var)
+        exact = [(RatFun(z**j, e).derivative() * den).num for j in range(e.degree)]
+        top = max(n.degree for n in numerators)
+        exact += [z**k * den for k in range(top - den.degree + 1)]
+    width = max(p.degree for p in exact + numerators) + 1
+    rows = [p.coeffs + (Fraction(0),) * (width - len(p.coeffs)) for p in exact + numerators]
+    basis = EchelonBasis(QQ, width)
+    for row in rows[: len(exact)]:
+        basis.insert(row)
+    return all(basis.insert(row) is not None for row in rows[len(exact) :])
 
 
 def parse_input_assignment(text):

@@ -20,6 +20,7 @@ __all__ = [
     "Poly",
     "RatFun",
     "poly_gcd",
+    "poly_lcm",
     "poly_text",
     "RationalRing",
     "PolynomialRing",
@@ -261,37 +262,6 @@ class Poly:
         chain = self._sturm_chain()
         return _sign_changes(chain, lo) - _sign_changes(chain, hi) - (chain[0](hi) == 0)
 
-    def rational_roots(self):
-        """All rational roots with multiplicities.
-
-        Each real root of the squarefree part q lies within the Cauchy bound
-        and is isolated by bisection on the Sturm chain of q until its interval
-        is narrower than 1/(2 L^2), where L is the leading coefficient of q
-        made primitive over Z.  A rational root has a denominator dividing L,
-        so it is the fraction of denominator at most L nearest the midpoint,
-        and one exact evaluation decides it.
-        """
-        chain = self._sturm_chain()
-        q = chain[0]
-        lead = int(abs(q.leading() / q.content()))
-        width = Fraction(1, 2 * lead * lead)
-        bound = 1 + max(abs(c / q.leading()) for c in q.coeffs)
-        roots = {}
-        stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
-        while stack:
-            a, b, va, vb = stack.pop()
-            if va == vb:
-                continue
-            m = (a + b) / 2
-            if va - vb == 1 and b - a < width:
-                r = m.limit_denominator(lead)
-                if q(r) == 0:
-                    roots[r] = self.root_multiplicity(r)
-                continue
-            vm = _sign_changes(chain, m)
-            stack += [(m, b, vm, vb), (a, m, va, vm)]
-        return roots
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -321,6 +291,11 @@ def poly_gcd(a, b):
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def poly_lcm(a, b):
+    """Least common multiple of two nonzero polynomials."""
+    return (a * b) // poly_gcd(a, b)
 
 
 class RatFun:
