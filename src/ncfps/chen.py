@@ -8,22 +8,20 @@ toolkit: pairing it against a linear representation sums the series of a
 rational generating function, and the same data feeds the group-likeness and
 primitivity diagnostics.
 
-The quadrature engine shares one composite Gauss-Legendre mesh across all
-words.  On each panel the running integrand is projected on the Legendre basis
-of its node values, which makes the panel antiderivative available at the
-quadrature nodes themselves; the whole triangular family is then filled in by
-word length, one batched sweep per length.  The words of one length are the
-rows of one array, each the product of its first letter's control and its
-suffix's node values, and a block of rows is integrated by two matrix products
-(quadrature weights and panel antiderivative).  Memory holds the node values
-of two consecutive lengths, in blocks of a fixed number of rows, never those
-of the whole family.  The a-posteriori error of a coefficient is the change
-under one global mesh refinement, and refinement repeats until the worst
-estimate clears the requested tolerance.
-
-The flow evaluator sums a rational series without truncation: it integrates
-the linear state equation of a representation by Gauss collocation on the
-same panels, bisecting a panel until one step and two half steps agree.
+One adaptive driver integrates two linear flows panel by panel, accepting a
+panel when one step and two half steps agree and bisecting it otherwise.  The
+truncated Chen series solves the universal equation dS = (sum_x u_x x) S, a
+nilpotent flow on the words up to the length bound; one step is forward
+substitution by word length from the previous panel's end values (Chen's
+identity applied in place).  Each running integrand is projected on the
+Legendre basis of its values at the panel's Gauss nodes, which gives the
+panel antiderivative at the nodes themselves.  The words of one length are
+the rows of one array, each the product of its first letter's control and its
+suffix's node values, integrated by two matrix products per block of rows;
+memory holds two consecutive lengths' node values on one panel.  A word's
+error estimate sums its step-doubling defects over the accepted panels.  The
+flow evaluator sums a rational series without truncation: its state equation
+is stepped by 16-stage Gauss collocation under the same driver.
 
 A segment may start at an endpoint where some control blows up, as long as the
 integrands stay integrable; the mesh is then graded geometrically toward that
@@ -35,6 +33,7 @@ singular far endpoint are rejected outright: no regularization is attempted.
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -316,7 +315,7 @@ class SegmentPath:
 
 
 # ---------------------------------------------------------------------------
-# the shared quadrature mesh
+# panel quadrature and the adaptive driver
 
 _PANEL = 16
 
@@ -341,94 +340,114 @@ def _gauss_tables():
 _NODES, _WEIGHTS, _CUM = _gauss_tables()
 
 
-class _Mesh:
-    """Composite Gauss-Legendre mesh on the unit parameter interval."""
-
-    __slots__ = ("breaks", "half", "t")
-
-    def __init__(self, breaks):
-        breaks = np.asarray(breaks, dtype=float)
-        a, b = breaks[:-1], breaks[1:]
-        self.breaks = breaks
-        self.half = (b - a) / 2.0
-        self.t = ((a + b) / 2.0)[:, None] + self.half[:, None] * _NODES[None, :]
-
-    def refined(self):
-        mid = (self.breaks[:-1] + self.breaks[1:]) / 2.0
-        out = np.empty(self.breaks.size + mid.size)
-        out[0::2] = self.breaks
-        out[1::2] = mid
-        return _Mesh(out)
-
-
 def _initial_mesh(singular_start):
+    """Panel breaks on the unit parameter interval, graded toward a singular start."""
     if singular_start:
-        pts = sorted({0.0, 1.0, 0.5, 0.625, 0.75, 0.875} | {4.0**-k for k in range(1, 9)})
-        return _Mesh(pts)
-    return _Mesh(np.linspace(0.0, 1.0, 9))
+        return np.array(sorted({0.0, 1.0, 0.5, 0.625, 0.75, 0.875} | {4.0**-k for k in range(1, 9)}))
+    return np.linspace(0.0, 1.0, 9)
 
 
-_BLOCK = 256  # rows per gather; bounds the temporaries of one level
+# rows per gather: bounds the temporaries of one level, and keeps each matrix
+# product small enough that BLAS runs it on the calling thread
+_BLOCK = 512
 
 
-def _mesh_values(mesh, path, controls, levels, p=1):
-    """Coefficients of a family of words on one mesh, one word length at a time.
+def _panel_values(q, lo, hi, path, controls, levels, p=1):
+    """Values of a family of words at parameter hi from their values q at lo.
 
-    `levels[k]` describes the words of length k + 1 as a pair of index arrays
-    (first, suffix): row i is the letter `controls[first[i]]` followed by row
-    `suffix[i]` of the previous length (the empty word for length 1).  The
-    rows of one length are integrated together, in blocks of `_BLOCK` rows:
-    one gather of their integrands, one matmul with the quadrature weights and
-    one with the panel antiderivative.  Only the previous length's node values
-    are kept, and none for the longest words.  Returns the coefficients of all
-    rows, length by length, as one array.
+    One step of the nilpotent flow dV_w = u_x V_s (w = x s) on the panel,
+    by word length.  `levels[k]` describes the words of length k + 1 as index
+    arrays (first, suffix): row i is the letter `controls[first[i]]` followed
+    by row `suffix[i]` of the previous length (the empty word, of value 1, for
+    length 1); `q` holds all rows, length by length.  The rows of one length
+    are integrated in blocks of `_BLOCK`: one gather of their integrands, one
+    matmul with the quadrature weights and one with the panel antiderivative,
+    each added to the row's start value.  `controls[i]` is a (letter,
+    control) pair, or None for a letter no row starts with.
 
     `p` reparametrizes the segment as z(s) = z0 + (z1 - z0) s^p; with p large
     enough every integrable integrand vanishes at a singular start, restoring
-    panelwise polynomial accuracy there.
+    panelwise polynomial accuracy there.  Returns the values at hi and
+    h max_j sum_x |u_x(t_j) dz/dt|, which scales their rounding error.
     """
+    half = (hi - lo) / 2.0
+    t = (lo + hi) / 2.0 + half * _NODES
     dz = path.z1 - path.z0
     if p == 1:
-        zs = path.z0 + dz * mesh.t
-        jac = dz
+        zs, jac = path.z0 + dz * t, dz
     else:
-        zs = path.z0 + dz * mesh.t**p
-        jac = dz * p * mesh.t ** (p - 1)
-    u = np.zeros((len(controls),) + mesh.t.shape)
-    for i in {int(i) for first, _ in levels for i in np.unique(first)}:
-        u[i] = controls[i].eval_array(zs) * jac
-    prev = np.ones((1,) + mesh.t.shape)
-    out = []
+        zs, jac = path.z0 + dz * t**p, dz * p * t ** (p - 1)
+    u = np.zeros((len(controls), _PANEL))
+    with np.errstate(all="ignore"):
+        for i, c in enumerate(controls):
+            if c is not None:
+                u[i] = c[1].eval_array(zs) * jac
+    if not np.isfinite(u).all():
+        i, j = np.argwhere(~np.isfinite(u))[0]
+        how = f"power substitution s^{p}" if p > 1 else "no power substitution"
+        raise ValueError(f"the integrand of {controls[i][0]} is not finite at z = {float(zs[j])!r} ({how})")
+    norm = np.max(np.sum(np.abs(u), axis=0))
+    u *= half
+    out = np.empty_like(q)
+    prev = np.ones((1, _PANEL))
+    start = 0
     for k, (first, suffix) in enumerate(levels):
-        coeffs = np.empty(first.size)
-        nodes = np.empty((first.size,) + mesh.t.shape) if k + 1 < len(levels) else None
-        for lo in range(0, first.size, _BLOCK):
-            hi = lo + _BLOCK
-            g = u[first[lo:hi]] * prev[suffix[lo:hi]]
-            per_panel = (g @ _WEIGHTS) * mesh.half
-            running = np.cumsum(per_panel, axis=1)
-            coeffs[lo:hi] = running[:, -1]
+        q_k, out_k = q[start : start + first.size], out[start : start + first.size]
+        nodes = np.empty((first.size, _PANEL)) if k + 1 < len(levels) else None
+        for r in range(0, first.size, _BLOCK):
+            rows = slice(r, r + _BLOCK)
+            g = np.take(prev, suffix[rows], axis=0)
+            g *= np.take(u, first[rows], axis=0)
+            np.add(q_k[rows], g @ _WEIGHTS, out=out_k[rows])
             if nodes is not None:
-                nodes[lo:hi] = (running - per_panel)[..., None] + mesh.half[:, None] * (g @ _CUM.T)
-        out.append(coeffs)
+                np.matmul(g, _CUM.T, out=nodes[rows])
+                nodes[rows] += q_k[rows, None]
         prev = nodes
-    return np.concatenate(out) if out else np.zeros(0)
+        start += first.size
+    return out, half * norm
 
 
-def _adaptive_values(path, controls, levels, tol, singular_start, p=1):
-    """(values, error estimates) of the family, refining the whole mesh."""
-    mesh = _initial_mesh(singular_start)
-    prev = _mesh_values(mesh, path, controls, levels, p)
-    worst = 0.0
-    for _ in range(4):
-        mesh = mesh.refined()
-        cur = _mesh_values(mesh, path, controls, levels, p)
-        err = np.abs(cur - prev)
-        worst = float(err.max()) if err.size else 0.0
-        if worst <= tol:
-            return cur, err
-        prev = cur
-    raise RuntimeError(f"quadrature error estimate {worst:.3e} exceeds the tolerance {tol:.3e}")
+# The driver bisects a panel at most down to 2^-43 of the parameter interval
+# and at most 512 times in all, so that an integrand it cannot resolve (a pole
+# next to the path, fast growth or oscillation) fails in bounded time.  A step
+# rounds to about 1e-14 * (1 + h |B|) of the state's size, so steps that agree
+# to that have converged.
+_MIN_PANEL = 2.0**-43
+_MAX_BISECTIONS = 512
+_ROUNDING = 1e-14
+
+
+def _adaptive(step, q, breaks, tol, path, p=1):
+    """State at parameter 1 from q at 0, and its error estimate.
+
+    `step(q, lo, hi)` returns the state at hi from q at lo and h |B|, the
+    scale of its rounding.  The panels start as the intervals between
+    `breaks`; a panel is accepted when one step and two half steps agree to
+    its share max(tol * width, rounding) of the tolerance, relative to the
+    size of the state, and is bisected otherwise.  An accepted panel keeps
+    the half steps and adds |halves - whole| to the error estimate.
+    """
+    pending = list(zip(breaks[:-1], breaks[1:]))[::-1]  # a stack, leftmost panel on top
+    err = np.zeros_like(q)
+    bisections = 0
+    while pending:
+        lo, hi = pending.pop()
+        mid = (lo + hi) / 2.0
+        whole, norm = step(q, lo, hi)
+        left, _ = step(q, lo, mid)
+        halves, _ = step(left, mid, hi)
+        defect = np.abs(halves - whole)
+        share = max(tol * (hi - lo), _ROUNDING * (1.0 + norm))
+        if np.max(defect) <= share * max(1.0, np.max(np.abs(halves))):
+            q = halves
+            err += defect
+            continue
+        bisections += 1
+        if hi - lo <= _MIN_PANEL or bisections > _MAX_BISECTIONS:
+            where = path.z0 + (path.z1 - path.z0) * lo**p
+            raise RuntimeError(f"flow integration does not converge near z = {where:.6g}")
+        pending += [(mid, hi), (lo, mid)]
+    return q, err
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +466,7 @@ def _word_levels(letters, orders, prepend):
     excludes the word and every word built on it.
 
     Returns the kept words, their (first, suffix) index arrays per length for
-    `_mesh_values`, the excluded words and the smallest kept stage exponent.
+    `_panel_values`, the excluded words and the smallest kept stage exponent.
     """
     words, levels, excluded = [], [], []
     kept, stages, dropped = [()], [-1.0], []
@@ -546,25 +565,43 @@ class ChenEvaluation:
         )
 
 
+def _evaluate(clean, alphabet, singular_start, path, prepend, tol):
+    """Kept words, their values and error estimates, and the excluded words.
+
+    The state of the adaptive driver is the vector of all kept words' values,
+    zero at the start; a panel step starts from the previous panel's end
+    values, which is Chen's identity applied in place.
+    """
+    controls = [clean[x] for x in alphabet.letters]
+    orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
+    words, levels, excluded, emin = _word_levels(alphabet.letters, orders, prepend)
+    if not words:
+        return words, np.zeros(0), np.zeros(0), excluded
+    p = _power_param(orders, emin) if singular_start else 1
+    used = {int(i) for first, _ in levels for i in np.unique(first)}
+    pairs = [(x, f) if i in used else None for i, (x, f) in enumerate(zip(alphabet.letters, controls))]
+    step = partial(_panel_values, path=path, controls=pairs, levels=levels, p=p)
+    vals, errs = _adaptive(step, np.zeros(len(words)), _initial_mesh(singular_start), tol, path, p)
+    return words, vals, errs, excluded
+
+
 def chen_series(inputs, path, bound, tol=1e-10):
     """Evaluate all words of length <= bound over the given controls.
 
-    The triangular family is integrated in order of word length: the words of
-    one length are the rows of one array, each gathered from its first
-    letter's control and its suffix's row of the previous length, so a whole
-    length costs one gather and two matmuls per block of rows and memory holds
-    only two lengths' node values.  At a singular start endpoint, words with
-    divergent innermost integrals are excluded rather than regularized.
+    The truncated series solves the universal flow dS = (sum_x u_x x) S, and
+    `_adaptive`, the driver `pair_ode` uses too, integrates it panel by
+    panel.  A step costs one gather and two matmuls per block of rows of one
+    word length, and memory holds two lengths' node values on one panel.  A
+    word's error estimate is the sum of its accepted panels' step-doubling
+    defects.  At a singular start endpoint, words with divergent innermost
+    integrals are excluded rather than regularized.
     """
     path = SegmentPath.of(path)
     if bound < 0:
         raise ValueError("the length bound must be nonnegative")
     clean, alphabet, singular_start = _prepare_inputs(inputs, path)
-    controls = [clean[x] for x in alphabet.letters]
-    orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
-    words, levels, excluded, emin = _word_levels(alphabet.letters, orders, [range(len(controls))] * bound)
-    p = _power_param(orders, emin) if singular_start else 1
-    vals, errs = _adaptive_values(path, controls, levels, tol, singular_start, p)
+    prepend = [range(len(alphabet.letters))] * bound
+    words, vals, errs, excluded = _evaluate(clean, alphabet, singular_start, path, prepend, tol)
     values = {(): 1.0}
     values.update(zip(words, vals.tolist()))
     errors = {(): 0.0}
@@ -582,14 +619,10 @@ def iterated_integral(word, inputs, path, tol=1e-10):
     alphabet.validate_word(word)
     if not word:
         return 1.0
-    controls = [clean[x] for x in alphabet.letters]
-    orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
     prepend = [[alphabet.letters.index(x)] for x in reversed(word)]
-    words, levels, _, emin = _word_levels(alphabet.letters, orders, prepend)
+    words, vals, _, _ = _evaluate(clean, alphabet, singular_start, path, prepend, tol)
     if len(words) < len(word):
         raise ValueError(f"{word_text(word)} is not integrable at the path endpoint")
-    p = _power_param(orders, emin) if singular_start else 1
-    vals, _ = _adaptive_values(path, controls, levels, tol, singular_start, p)
     return float(vals[-1])
 
 
@@ -769,16 +802,6 @@ def pair_series(ev, rep):
     return PairingResult(value, tail, certified)
 
 
-# The flow evaluator bisects a panel at most down to 2^-43 of the segment and
-# at most 512 times in all, so that a control it cannot resolve (a pole the
-# validation misses, fast growth or oscillation) fails in bounded time.  A step
-# rounds to about 1e-14 * (1 + h |B|) of the state's size, so steps that agree
-# to that have converged.
-_MIN_PANEL = 2.0**-43
-_MAX_BISECTIONS = 512
-_ROUNDING = 1e-14
-
-
 def _collocation_step(q, lo, hi, path, funcs):
     """State at parameter hi from the state q at lo, by Gauss collocation.
 
@@ -799,14 +822,7 @@ def _collocation_step(q, lo, hi, path, funcs):
 
 
 def _ode_state(rep, inputs, path, tol):
-    """Flow state at z1, panel by panel over the parameter interval [0, 1].
-
-    Starting from the initial quadrature mesh, a panel is accepted when one
-    collocation step and two half steps agree to its share tol * width of the
-    tolerance, relative to the size of the state, or to the step's rounding
-    level; otherwise it is bisected.
-    An accepted panel keeps the two half steps.
-    """
+    """Flow state at z1, by collocation steps under the adaptive driver."""
     clean, _, singular_start = _prepare_inputs(inputs, path)
     if singular_start:
         raise ValueError("the flow evaluator needs controls regular on the closed segment")
@@ -814,25 +830,7 @@ def _ode_state(rep, inputs, path, tol):
     q = np.array([float(c) for c in rep.eta])
     if not funcs:
         return q
-    breaks = _initial_mesh(False).breaks
-    pending = list(zip(breaks[:-1], breaks[1:]))[::-1]  # a stack, leftmost panel on top
-    bisections = 0
-    while pending:
-        lo, hi = pending.pop()
-        mid = (lo + hi) / 2.0
-        whole, norm = _collocation_step(q, lo, hi, path, funcs)
-        left, _ = _collocation_step(q, lo, mid, path, funcs)
-        halves, _ = _collocation_step(left, mid, hi, path, funcs)
-        share = max(tol * (hi - lo), _ROUNDING * (1.0 + norm))
-        if np.max(np.abs(halves - whole)) <= share * max(1.0, np.max(np.abs(halves))):
-            q = halves
-            continue
-        bisections += 1
-        if hi - lo <= _MIN_PANEL or bisections > _MAX_BISECTIONS:
-            where = path.z0 + (path.z1 - path.z0) * lo
-            raise RuntimeError(f"flow integration does not converge near z = {where:.6g}")
-        pending += [(mid, hi), (lo, mid)]
-    return q
+    return _adaptive(partial(_collocation_step, path=path, funcs=funcs), q, _initial_mesh(False), tol, path)[0]
 
 
 def pair_ode(rep, inputs, path, tol=1e-10):
@@ -840,11 +838,12 @@ def pair_ode(rep, inputs, path, tol=1e-10):
 
     The state q obeys dq/dz = (sum_x u_x(z) mu(x)) q from q(z0) = eta, and the
     value is nu . q(z1); this is the same pairing as `pair_series` without a
-    truncation error.  The flow is integrated by 16-node Gauss collocation on
-    the quadrature panels of `chen_series`, starting from its initial mesh: a
-    panel is accepted when one step and two half steps agree to the panel's
-    share of `tol`, relative to the size of the state, or to rounding, and is
-    bisected otherwise.  A panel that cannot be accepted raises RuntimeError.
+    truncation error.  The flow is integrated by 16-node Gauss collocation
+    under `_adaptive`, the driver `chen_series` uses too: from its initial
+    mesh, a panel is accepted when one step and two half steps agree to the
+    panel's share of `tol`, relative to the size of the state, or to
+    rounding, and is bisected otherwise.  A panel that cannot be accepted
+    raises RuntimeError.
     """
     if rep.ring != QQ:
         raise ValueError("the pairing needs a representation with rational coefficients")

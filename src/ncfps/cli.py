@@ -277,7 +277,6 @@ def build_parser():
     p.add_argument("first", help="left expression")
     p.add_argument("second", help="right expression")
     _add_ring(p)
-    _add_bound(p, 8, "ignored; accepted for interface stability, the decision is exact")
     p.set_defaults(handler=_cmd_check_identity)
 
     p = cmds.add_parser("chen", help="evaluate iterated integrals of all short words")
@@ -294,9 +293,6 @@ def build_parser():
     p = cmds.add_parser("derive-ode", help="derive the scalar linear ODE satisfied by a pairing")
     _add_expr(p, nargs_opt=True)
     p.add_argument("--inputs", required=True, help="comma list letter=function with rational functions only")
-    p.add_argument(
-        "--max-order", type=int, default=None, metavar="N", help="ignored; the order never exceeds the reduced dimension"
-    )
     p.set_defaults(handler=_cmd_derive_ode)
 
     return parser

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from ncfps.automata import LinearRepresentation, minimize, rep_star, rep_word
 from ncfps.chen import (
     _BLOCK,
     _CUM,
+    _NODES,
     _WEIGHTS,
     ChenEvaluation,
     InputFunction,
     SegmentPath,
     _derivative_rows,
     _initial_mesh,
-    _mesh_values,
+    _panel_values,
     _power_param,
     _prepare_inputs,
     _word_levels,
@@ -200,6 +202,9 @@ def test_polylogarithm_values():
     assert abs(iterated_integral("x0.x1", POLYLOG, path) - li2) < 1e-9
     assert abs(iterated_integral("x0.x0.x1", POLYLOG, path) - li3) < 1e-9
     assert abs(iterated_integral((), POLYLOG, path) - 1.0) == 0.0
+    ev = chen_series(POLYLOG, path, 3)
+    assert _covers(ev, ("x0", "x1"), _polylog(2, 0.5))
+    assert _covers(ev, ("x0", "x0", "x1"), _polylog(3, 0.5))
 
 
 def test_divergent_words_raise_or_are_excluded():
@@ -230,6 +235,84 @@ def test_series_matches_single_word_integrals():
     assert max(ev.errors.values()) <= tol
 
 
+EPS = 2.0**-52
+
+
+def _covers(ev, w, want):
+    v = ev.values[w]
+    return abs(v - want) <= ev.errors[w] + 64 * EPS * max(1.0, abs(v))
+
+
+def _letter_integral(kind, z0, z1):
+    # exact rationals in, so 1/(z+c) and 1/(1-z) lose nothing before the log
+    if kind == "1":
+        return float(z1 - z0)
+    if kind == "1/z":
+        return math.log(z1 / z0)
+    if kind == "1/(1-z)":
+        return math.log((1 - z0) / (1 - z1))
+    c = int(kind[len("1/(z+") : -1])
+    return math.log((z1 + c) / (z0 + c))
+
+
+def _polylog(n, z):
+    return math.fsum(float(z) ** k / k**n for k in range(1, 400))
+
+
+@st.composite
+def _closed_form_cases(draw):
+    bound = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        # polylogarithms from 0: x0^(n-1).x1 is Li_n and x1^n is (-log(1-z))^n/n!
+        return POLYLOG, SegmentPath(0, Fraction(draw(st.integers(2, 14)), 20)), bound
+    kinds = ("1", "1/z", "1/(1-z)", "1/(z+1)", "1/(z+2)", "1/(z+3)")
+    inputs = {f"x{i}": draw(st.sampled_from(kinds)) for i in range(draw(st.integers(1, 2)))}
+    lo = draw(st.integers(0, 12))
+    z0, z1 = Fraction(lo, 20), Fraction(lo + draw(st.integers(1, 14 - lo)), 20)
+    if z0 > 0 and draw(st.booleans()):
+        z0, z1 = z1, z0
+    return inputs, SegmentPath(z0, z1), bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closed_form_cases())
+def test_error_estimates_cover_closed_forms(case):
+    inputs, path, bound = case
+    ev = chen_series(inputs, path, bound)
+    z0, z1 = path.z0_exact, path.z1_exact
+    for x, kind in inputs.items():
+        if kind == "1/z" and z0 == 0:
+            continue
+        integral = _letter_integral(kind, z0, z1)
+        for n in range(1, bound + 1):
+            assert _covers(ev, (x,) * n, integral**n / math.factorial(n))
+    if inputs is POLYLOG:
+        for n in range(2, bound + 1):
+            assert _covers(ev, ("x0",) * (n - 1) + ("x1",), _polylog(n, z1))
+
+
+def test_near_pole_matches_closed_forms():
+    # the pole at 10001/10000 sits 1e-4 past the far endpoint: the panels
+    # next to it are bisected until the step-doubling defect clears
+    ev = chen_series({"x0": "1/(z-10001/10000)"}, SegmentPath(0, 1), 2)
+    # the control is evaluated with double coefficients, so its pole is the
+    # double a nearest 10001/10000, which moves the log by about 1e-13
+    a = 10001 / 10000
+    log = math.log(abs((1 - a) / a))
+    assert _covers(ev, ("x0",), log)
+    assert _covers(ev, ("x0", "x0"), log * log / 2)
+    # the estimates are the accepted panels' defects: rounding-sized, not zero
+    assert all(0.0 < ev.errors[w] <= 1e-10 * max(1.0, abs(ev.values[w])) for w in ev.values if w)
+
+
+def test_bound_14_is_fast():
+    chen_series(POLYLOG, SegmentPath("1/5", "1/2"), 3)
+    start = time.perf_counter()
+    ev = chen_series(POLYLOG, SegmentPath("1/5", "1/2"), 14)
+    assert time.perf_counter() - start < 1.0
+    assert len(ev.values) == 2**15 - 1
+
+
 def test_orientation_reversal():
     # reversing a one-letter path flips the sign of the first coefficient
     fwd = chen_series({"x0": 1}, SegmentPath(0, "1/2"), 1)
@@ -238,11 +321,19 @@ def test_orientation_reversal():
 
 
 # ---------------------------------------------------------------------------
-# the level-batched kernel against the per-word loop it replaced
+# the panel kernel against the per-word loop it replaced
+
+
+def _mesh(breaks):
+    """A composite mesh as the per-word loop reads it: panel half-widths and nodes."""
+    breaks = np.asarray(breaks, dtype=float)
+    a, b = breaks[:-1], breaks[1:]
+    half = (b - a) / 2.0
+    return SimpleNamespace(half=half, t=((a + b) / 2.0)[:, None] + half[:, None] * _NODES[None, :])
 
 
 def _per_word_values(mesh, path, inputs, chain, p):
-    """The former `_mesh_values`: one quadrature sweep per word, each word
+    """The former whole-mesh sweep: one quadrature sweep per word, each word
     reusing the node values of its suffix (`chain` is length-sorted and
     suffix-closed)."""
     dz = path.z1 - path.z0
@@ -286,17 +377,36 @@ def _assert_kernel_matches_per_word_loop(inputs, path, bound):
     assert words == chain
     assert set(excluded) == set(alphabet.words_up_to(bound, include_empty=False)) - set(chain)
     p = _power_param(orders, emin) if singular_start else 1
-    coarse = _initial_mesh(singular_start)
-    fine = coarse.refined()
-    new_coarse = _mesh_values(coarse, path, controls, levels, p)
-    new_fine = _mesh_values(fine, path, controls, levels, p)
-    old_coarse = _per_word_values(coarse, path, clean, chain, p)
-    old_fine = _per_word_values(fine, path, clean, chain, p)
+    pairs = list(zip(alphabet.letters, controls))
+    zero = np.zeros(len(chain))
+
+    def kernel(q, lo, hi):
+        return _panel_values(q, lo, hi, path, pairs, levels, p)[0]
+
+    # one step per panel of the initial mesh, each from the previous panel's
+    # end values, is the per-word loop on that mesh
+    breaks = _initial_mesh(singular_start)
+    q = zero
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        q = kernel(q, lo, hi)
+    # the first panel (the graded one at a singular start) as one step and as
+    # two half steps: their defect is the per-word loop's change under bisection
+    lo, hi = breaks[0], breaks[1]
+    mid = (lo + hi) / 2.0
+    whole = kernel(zero, lo, hi)
+    halves = kernel(kernel(zero, lo, mid), mid, hi)
+    chained = _per_word_values(_mesh(breaks), path, clean, chain, p)
+    one = _per_word_values(_mesh([lo, hi]), path, clean, chain, p)
+    two = _per_word_values(_mesh([lo, mid, hi]), path, clean, chain, p)
+    # a start value enters the node values as q + antiderivative instead of
+    # the loop's running sum minus the panel integral, so a word is compared
+    # at the scale of its largest suffix
     for i, w in enumerate(chain):
-        scale = max(abs(old_coarse[w]), abs(old_fine[w]))
-        assert abs(new_fine[i] - old_fine[w]) <= 4 * np.spacing(scale)
-        err = abs(old_fine[w] - old_coarse[w])
-        assert abs(abs(new_fine[i] - new_coarse[i]) - err) <= 8 * np.spacing(scale)
+        scale = max(abs(v[w[k:]]) for v in (chained, one, two) for k in range(len(w)))
+        assert abs(q[i] - chained[w]) <= 8 * np.spacing(scale)
+        assert abs(whole[i] - one[w]) <= 4 * np.spacing(scale)
+        assert abs(halves[i] - two[w]) <= 8 * np.spacing(scale)
+        assert abs(abs(halves[i] - whole[i]) - abs(two[w] - one[w])) <= 8 * np.spacing(scale)
 
 
 _REGULAR_AT_0 = ("0", "1", "-3/2", "1/(1-z)", "exp", "1/(z+1)", "1/(z+3)")
@@ -328,7 +438,7 @@ def test_level_kernel_matches_the_per_word_loop(case):
 
 
 def test_level_kernel_matches_across_a_block_boundary():
-    # the 1024 words of length 10 span four blocks of rows
+    # the 1024 words of length 10 span two blocks of rows
     assert 2**10 > _BLOCK
     _assert_kernel_matches_per_word_loop(POLYLOG, SegmentPath("1/5", "1/2"), 10)
 

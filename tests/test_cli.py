@@ -268,6 +268,31 @@ class TestCliAnalytic:
         assert set(rows) == {"1", "x0", "x0.x0"}
         assert all(abs(float(v)) < 1e-20 for w, v in rows.items() if w != "1")
 
+    def test_chen_and_pair_near_a_pole(self):
+        # the pole at 10001/10000 sits 1e-4 past the far endpoint
+        control = "x0=1/(z-10001/10000)"
+        code, out, _ = run_cli("chen", "--inputs", control, "--z0", "0", "--z", "1", "--max-length", "2")
+        assert code == 0
+        rows = dict(line.split("\t") for line in out.splitlines())
+        assert abs(float(rows["x0"]) + math.log(10001)) < 1e-12
+        code, out, _ = run_cli("pair", "x0*", "--inputs", control, "--z0", "0", "--z", "1")
+        assert code == 0
+        fields = dict(line.split(" ", 1) for line in out.splitlines())
+        assert abs(float(fields["value"]) - 1 / 10001) <= float(fields["tail"])
+        assert abs(float(fields["ode"]) - 1 / 10001) <= 1e-12 / 10001
+
+    def test_chen_non_finite_integrand_fails_at_once(self):
+        # s^64 underflows to 0 at the first node, where pow(z, -97/100) is
+        # infinite: one error line, no numpy warnings, no bisection
+        argv = ["chen", "--inputs", "x0=pow(z,-97/100)", "--z0", "0", "--z", "1/2", "--max-length", "2"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "ncfps.cli", *argv], capture_output=True, text=True)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "x0" in lines[0] and "z = 0.0" in lines[0] and "s^64" in lines[0]
+
     def test_chen_double_pole_is_singular(self):
         code, out, err = run_cli("chen", "--inputs", "x0=1/(z^4-4*z^2+4)", "--z0", "1", "--z", "2")
         assert (code, out) == (2, "")
