@@ -8,6 +8,11 @@ toolkit: pairing it against a linear representation sums the series of a
 rational generating function, and the same data feeds the group-likeness and
 primitivity diagnostics.
 
+A control is a rational function of z (constants, 1/z and 1/(1-z) among
+them), exp(z), or a fractional power z^a.  Rational controls keep their exact
+view in Q(z): it locates their poles by Sturm counts, feeds the symbolic
+pipeline, and bounds their sup exactly for the certified tail of a pairing.
+
 One adaptive driver integrates two linear flows panel by panel, accepting a
 panel when one step and two half steps agree and bisecting it otherwise.  The
 truncated Chen series solves the universal equation dS = (sum_x u_x x) S, a
@@ -21,7 +26,8 @@ suffix's node values, integrated by two matrix products per block of rows;
 memory holds two consecutive lengths' node values on one panel.  A word's
 error estimate sums its step-doubling defects over the accepted panels.  The
 flow evaluator sums a rational series without truncation: its state equation
-is stepped by 16-stage Gauss collocation under the same driver.
+is stepped by 16-stage Gauss collocation under the same driver.  A flow whose
+values overflow doubles raises, naming where.
 
 A segment may start at an endpoint where some control blows up, as long as the
 integrands stay integrable; the mesh is then graded geometrically toward that
@@ -45,78 +51,57 @@ from .words import Alphabet, parse_word, word_text
 
 
 # ---------------------------------------------------------------------------
-# the control catalog
+# controls
 
 
-_INV_Z = QZ.parse("1/z")
-_INV_1MZ = QZ.parse("1/(1-z)")
 _POW_RE = re.compile(r"pow\(\s*z\s*,\s*([^)]+)\)\Z")
 
 
 class InputFunction:
     """One scalar control attached to a letter.
 
-    The catalog covers constants, 1/z, 1/(1-z), exp(z), real powers of z, and
-    arbitrary rational functions of z.  Every kind but exp(z) and fractional
-    powers exposes an exact rational-function view, which the symbolic
+    Three kinds: `rational`, any rational function of z (constants, 1/z and
+    1/(1-z) among them); `exp`, exp(z); and `pow`, z^a for a non-integer real
+    a.  A rational control exposes its exact view `ratfun`, which the symbolic
     pipeline requires and which locates the poles exactly, irrational ones
     included.  Each kind knows its vanishing order at a rational abscissa and
-    a sup bound on a segment; the bound is exact for the monotone catalog
-    forms and a sampled estimate for general rational inputs.
+    an upper bound on its sup on a segment; a rational control's bound is
+    `RatFun.sup_bound`, exact, rounded up to a double.
     """
 
-    __slots__ = ("kind", "value", "ratfun")
+    __slots__ = ("kind", "value")
 
-    def __init__(self, kind, value, ratfun):
+    def __init__(self, kind, value=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "ratfun", ratfun)
 
     def __setattr__(self, name, value):
         raise AttributeError("InputFunction is immutable")
 
-    @classmethod
-    def const(cls, c):
-        c = Fraction(c)
-        return cls("const", c, RatFun.const("z", c))
-
-    @classmethod
-    def inv_z(cls):
-        return cls("inv_z", None, _INV_Z)
-
-    @classmethod
-    def inv_1mz(cls):
-        return cls("inv_1mz", None, _INV_1MZ)
+    @property
+    def ratfun(self):
+        """The exact view in Q(z), or None for exp(z) and fractional powers."""
+        return self.value if self.kind == "rational" else None
 
     @classmethod
     def exp(cls):
-        return cls("exp", None, None)
+        return cls("exp")
 
     @classmethod
     def power(cls, a):
+        """z^a; an integer exponent gives a rational control, built by the
+        Q(z) parser, which bounds the exponent."""
         if isinstance(a, float) and not math.isfinite(a):
             raise ValueError("power exponent must be finite")
-        if isinstance(a, int):
+        if not isinstance(a, float) or a.is_integer():
             a = Fraction(a)
-        exact = None
         if isinstance(a, Fraction) and a.denominator == 1:
-            k = int(a)
-            z = Poly.gen("z")
-            exact = RatFun(z**k) if k >= 0 else RatFun(Poly.const("z", Fraction(1)), z ** (-k))
-        return cls("pow", a, exact)
+            return cls.rational(f"z^{a}" if a >= 0 else f"1/z^{-a}")
+        return cls("pow", a)
 
     @classmethod
     def rational(cls, f):
-        if isinstance(f, str):
-            f = QZ.parse(f)
-        f = QZ.coerce(f)
-        if f.is_const():
-            return cls.const(f.const_value())
-        if f == _INV_Z:
-            return cls.inv_z()
-        if f == _INV_1MZ:
-            return cls.inv_1mz()
-        return cls("rational", f, f)
+        return cls("rational", QZ.parse(f) if isinstance(f, str) else QZ.coerce(f))
 
     @classmethod
     def from_text(cls, s):
@@ -131,7 +116,7 @@ class InputFunction:
             except ValueError:
                 a = float(body)
             return cls.power(a)
-        return cls.rational(QZ.parse(s))
+        return cls.rational(s)
 
     @classmethod
     def of(cls, obj):
@@ -139,12 +124,10 @@ class InputFunction:
             return obj
         if isinstance(obj, str):
             return cls.from_text(obj)
-        if isinstance(obj, (int, Fraction)):
-            return cls.const(obj)
-        if isinstance(obj, float):
-            return cls.const(Fraction(obj))
+        if isinstance(obj, (int, float, Fraction)):
+            return cls.rational(Fraction(obj))
         if isinstance(obj, (Poly, RatFun)):
-            return cls.rational(QZ.coerce(obj))
+            return cls.rational(obj)
         raise TypeError(f"cannot interpret {obj!r} as an input function")
 
     # -- pointwise evaluation
@@ -153,16 +136,9 @@ class InputFunction:
         return float(self.eval_array(np.float64(z)))
 
     def eval_array(self, z):
-        k = self.kind
-        if k == "const":
-            return np.full_like(z, float(self.value))
-        if k == "inv_z":
-            return 1.0 / z
-        if k == "inv_1mz":
-            return 1.0 / (1.0 - z)
-        if k == "exp":
+        if self.kind == "exp":
             return np.exp(z)
-        if k == "pow":
+        if self.kind == "pow":
             return z ** float(self.value)
         return self.value(z)
 
@@ -178,36 +154,18 @@ class InputFunction:
         return self.ratfun.vanishing_order_at(p)
 
     def sup_on(self, lo, hi):
-        """(bound on sup |u| over [lo, hi], whether the bound is exact)."""
-        k = self.kind
-        if k == "const":
-            return abs(float(self.value)), True
-        if k == "inv_z":
-            if lo <= 0.0 <= hi:
-                return math.inf, True
-            return 1.0 / min(abs(lo), abs(hi)), True
-        if k == "inv_1mz":
-            if lo <= 1.0 <= hi:
-                return math.inf, True
-            return 1.0 / min(abs(1.0 - lo), abs(1.0 - hi)), True
-        if k == "exp":
-            return math.exp(hi), True
-        if k == "pow":
+        """Upper bound on sup |u| over the rational segment [lo, hi]."""
+        if self.kind == "exp":
+            return math.exp(hi)
+        if self.kind == "pow":
             a = float(self.value)
-            vals = []
-            for e in (lo, hi):
-                if e == 0.0:
-                    if a < 0.0:
-                        return math.inf, True
-                    vals.append(1.0 if a == 0.0 else 0.0)
-                else:
-                    vals.append(abs(e) ** a if e > 0 else abs(e ** a))
-            return max(vals), True
-        zs = np.linspace(lo, hi, 513)
-        den = self.value.den(zs)
-        if np.any(den == 0.0):
-            return math.inf, True
-        return float(np.max(np.abs(self.value.num(zs) / den))), False
+            if lo == 0 and a < 0:
+                return math.inf
+            return max(abs(float(e)) ** a for e in (lo, hi))
+        s = self.value.sup_bound(lo, hi)  # exact: round it up to a double
+        if s == math.inf or Fraction(float(s)) >= s:
+            return float(s)
+        return math.nextafter(float(s), math.inf)
 
     def validate_on(self, path):
         """Check the control against a segment.
@@ -236,11 +194,10 @@ class InputFunction:
         return "singular_start" if den(path.z0_exact) == 0 else "regular"
 
     def __repr__(self):
-        if self.kind in ("const", "pow"):
-            return f"InputFunction({self.kind!r}, {self.value!r})"
-        if self.kind == "rational":
-            return f"InputFunction({self.kind!r}, {QZ.format(self.value)})"
-        return f"InputFunction({self.kind!r})"
+        if self.kind == "exp":
+            return "InputFunction('exp')"
+        body = QZ.format(self.value) if self.kind == "rational" else repr(self.value)
+        return f"InputFunction({self.kind!r}, {body})"
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +221,7 @@ class SegmentPath:
 
     Endpoints are kept both as doubles and as exact rationals; the exact
     values drive all singularity placement tests, so that a path touching a
-    catalog singularity is recognized reliably.
+    control's singularity is recognized reliably.
     """
 
     __slots__ = ("z0", "z1", "z0_exact", "z1_exact")
@@ -425,7 +382,8 @@ def _adaptive(step, q, breaks, tol, path, p=1):
     `breaks`; a panel is accepted when one step and two half steps agree to
     its share max(tol * width, rounding) of the tolerance, relative to the
     size of the state, and is bisected otherwise.  An accepted panel keeps
-    the half steps and adds |halves - whole| to the error estimate.
+    the half steps and adds |halves - whole| to the error estimate.  Half
+    steps whose values overflow doubles raise ValueError.
     """
     pending = list(zip(breaks[:-1], breaks[1:]))[::-1]  # a stack, leftmost panel on top
     err = np.zeros_like(q)
@@ -433,12 +391,17 @@ def _adaptive(step, q, breaks, tol, path, p=1):
     while pending:
         lo, hi = pending.pop()
         mid = (lo + hi) / 2.0
-        whole, norm = step(q, lo, hi)
-        left, _ = step(q, lo, mid)
-        halves, _ = step(left, mid, hi)
-        defect = np.abs(halves - whole)
-        share = max(tol * (hi - lo), _ROUNDING * (1.0 + norm))
-        if np.max(defect) <= share * max(1.0, np.max(np.abs(halves))):
+        with np.errstate(all="ignore"):
+            whole, norm = step(q, lo, hi)
+            left, _ = step(q, lo, mid)
+            halves, _ = step(left, mid, hi)
+            if not np.isfinite(halves).all():
+                where = path.z0 + (path.z1 - path.z0) * hi**p
+                raise ValueError(f"the flow values overflow doubles by z = {where:.6g}")
+            defect = np.abs(halves - whole)
+            share = max(tol * (hi - lo), _ROUNDING * (1.0 + norm))
+            accept = np.max(defect) <= share * max(1.0, np.max(np.abs(halves)))
+        if accept:
             q = halves
             err += defect
             continue
@@ -752,8 +715,9 @@ def pair_series(ev, rep):
     tail uses |coefficient of w| <= (sup|u| * |path|)^|w| / |w|! (simplex
     volume) and the multiplicative sup matrix norm, giving
     ||nu||_1 ||eta||_inf c^(L+1)/(L+1)! e^c with c = (#letters) * max||mu(x)||
-    * max sup|u_x| * |path|.  The bound is certified when every control's sup
-    is exact; sampled sup estimates and unbounded controls clear the flag.
+    * max sup|u_x| * |path|, where sup|u_x| is `InputFunction.sup_on`, an
+    exact bound rounded up for rational controls.  The bound is certified
+    exactly when it is finite; an unbounded control clears the flag.
     """
     if rep.ring != QQ:
         raise ValueError("the pairing needs a representation with rational coefficients")
@@ -781,25 +745,15 @@ def pair_series(ev, rep):
 
     mu_norm = max((_inf_norm(rep.mu[x]) for x in ev.inputs if x in rep.mu), default=0.0)
     k = float(np.sum(np.abs(nu))) * float(np.max(np.abs(eta)))
-    sup = 0.0
-    certified = True
-    for f in ev.inputs.values():
-        s, exact = f.sup_on(ev.path.lo, ev.path.hi)
-        certified = certified and exact
-        sup = max(sup, s)
-    c = len(ev.inputs) * mu_norm * sup * ev.path.length
-    if math.isfinite(c):
-        lead = c ** (ev.bound + 1) / math.factorial(ev.bound + 1)
+    tail = 0.0
+    if k > 0.0 and mu_norm > 0.0:
+        sup = max(f.sup_on(ev.path.lo_exact, ev.path.hi_exact) for f in ev.inputs.values())
+        c = len(ev.inputs) * mu_norm * sup * ev.path.length
         try:
-            tail = k * lead * math.exp(c)
+            tail = k * (c ** (ev.bound + 1) / math.factorial(ev.bound + 1)) * math.exp(c)
         except OverflowError:
             tail = math.inf
-    else:
-        tail = math.inf if k > 0.0 and mu_norm > 0.0 else 0.0
-        certified = False
-    if not math.isfinite(tail):
-        certified = False
-    return PairingResult(value, tail, certified)
+    return PairingResult(value, tail, math.isfinite(tail))
 
 
 def _collocation_step(q, lo, hi, path, funcs):

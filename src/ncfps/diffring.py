@@ -368,12 +368,8 @@ def independence_criterion(inputs, base):
         base = ring_named(base)
     if base.name not in ("Q", "Q(z)", "Q(t)"):
         raise ValueError(f"unsupported base field {base.name!r}")
-    funs = []
-    for x in sorted(inputs):
-        val = inputs[x]
-        if isinstance(val, str):
-            val = QZ.parse(val)
-        funs.append(QZ.coerce(val))
+    asg = _normalize_assignment(inputs)
+    funs = [asg[x] for x in sorted(asg)]
     if not funs:
         return True
     den = funs[0].den

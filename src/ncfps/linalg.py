@@ -179,9 +179,6 @@ class EchelonBasis:
             self._pivot_inverse = invert_matrix(self.ring, block)
         return vec_mat(self.ring, tuple(v[p] for p in self.pivots), self._pivot_inverse)
 
-    def contains(self, v):
-        return not any(self._reduce(v))
-
     def insert(self, v):
         v = tuple(v)
         red = self._reduce(v)

@@ -194,8 +194,11 @@ class Poly:
         except AttributeError:
             floats = tuple(float(c) for c in reversed(self.coeffs))
             object.__setattr__(self, "_floats", floats)
-        acc = 0 * x
-        for c in floats:
+        # Horner from the leading coefficient; 0 * x gives a constant the shape of x
+        if len(floats) < 2:
+            return 0 * x + floats[0] if floats else 0 * x
+        acc = floats[0] * x + floats[1]
+        for c in floats[2:]:
             acc = acc * x + c
         return acc
 
@@ -279,6 +282,10 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({poly_text(self)!r})"
+
+
+# relative slack of RatFun.sup_bound over the largest value it attains
+_SUP_SLACK = Fraction(1, 2**30)
 
 
 def _sign_changes(chain, x):
@@ -418,6 +425,44 @@ class RatFun:
     def __call__(self, x):
         return self.num(x) / self.den(x)
 
+    def sup_bound(self, lo, hi):
+        """Exact upper bound on sup |f| over [lo, hi]; math.inf for a pole there.
+
+        The sup is attained at an endpoint or at a root of
+        W = num' den - num den' in (lo, hi).  Sturm bisection isolates those
+        roots; on an isolating interval of midpoint m and radius r the Taylor
+        shifts at m give |f| <= sum |n_k| r^k / (|d_0| - sum_{k>=1} |d_k| r^k).
+        An interval is bisected until its enclosure is within _SUP_SLACK,
+        relative, of the largest |f| met at an endpoint or a midpoint.
+        """
+        lo, hi = _frac(lo), _frac(hi)
+        num, den = self.num, self.den
+        if den(lo) == 0 or den(hi) == 0 or den.count_real_roots(lo, hi):
+            return math.inf
+        attained = bound = max(abs(self(lo)), abs(self(hi)))
+        w = num.derivative() * den - num * den.derivative()
+        if w.degree < 1:
+            return bound
+        chain = w._sturm_chain()
+        # (a, b, V(a), V(b)): V(a) - V(b) roots of W in (a, b]
+        pending = [(lo, hi, _sign_changes(chain, lo), _sign_changes(chain, hi))]
+        while pending:
+            a, b, va, vb = pending.pop()
+            if va == vb:
+                continue
+            m, r = (a + b) / 2, (b - a) / 2
+            n, d = num.shifted(m).coeffs, den.shifted(m).coeffs
+            attained = max(attained, abs(n[0] / d[0]))
+            low = abs(d[0]) - sum(abs(c) * r**k for k, c in enumerate(d) if k)
+            if low > 0:
+                upper = sum(abs(c) * r**k for k, c in enumerate(n)) / low
+                if upper <= (1 + _SUP_SLACK) * attained:
+                    bound = max(bound, upper)
+                    continue
+            vm = _sign_changes(chain, m)
+            pending += [(a, m, va, vm), (m, b, vm, vb)]
+        return max(bound, attained)
+
     def vanishing_order_at(self, p):
         """Order of vanishing at the rational point p (negative for a pole)."""
         p = _frac(p)
@@ -525,11 +570,15 @@ def _tokenize_expr(s):
     return toks
 
 
+# dense polynomials of higher degree cost too much time and memory to build
+_MAX_EXPONENT = 1000
+
+
 def parse_ratfun_expr(s, var):
     """Full arithmetic grammar over Q(var): `1/z`, `1/(1-z)`, `(z^2-1)/(z)`.
 
-    Precedence: unary sign < +,- < *,/ < ^ with a nonnegative integer
-    exponent.  Every value is exact.
+    Precedence: unary sign < +,- < *,/ < ^ with an integer exponent from 0
+    to _MAX_EXPONENT.  Every value is exact.
     """
     toks = _tokenize_expr(s)
     if not toks:
@@ -566,8 +615,8 @@ def parse_ratfun_expr(s, var):
         if peek() == ("op", "^"):
             take()
             e = take()
-            if e is None or e[0] != "rat" or e[1].denominator != 1 or e[1] < 0:
-                raise ValueError("exponent must be a nonnegative integer")
+            if e is None or e[0] != "rat" or e[1].denominator != 1 or not 0 <= e[1] <= _MAX_EXPONENT:
+                raise ValueError(f"exponent must be an integer from 0 to {_MAX_EXPONENT}")
             out = RatFun.const(var, Fraction(1))
             for _ in range(int(e[1])):
                 out = out * base

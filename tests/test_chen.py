@@ -1,4 +1,4 @@
-"""Iterated-integral evaluation: the control catalog, quadrature fixtures with
+"""Iterated-integral evaluation: the controls, quadrature fixtures with
 independent oracles, group-likeness diagnostics, representation pairing, and
 exact scalar differential equations."""
 
@@ -57,13 +57,13 @@ def star_rep(alphabet, word):
 
 
 # ---------------------------------------------------------------------------
-# control catalog
+# controls
 
 
 def test_input_from_text_forms():
-    assert InputFunction.from_text("1/z").kind == "inv_z"
-    assert InputFunction.from_text("1/(1-z)").kind == "inv_1mz"
-    assert InputFunction.from_text("3/2").kind == "const"
+    for text in ("1/z", "1/(1-z)", "3/2", "pow(z, -2)", "pow(z, 3/1)"):
+        assert InputFunction.from_text(text).kind == "rational"
+    assert InputFunction.from_text("1/z").ratfun == QZ.parse("1/z")
     assert InputFunction.from_text("exp(z)").kind == "exp"
     assert InputFunction.from_text("exp").kind == "exp"
     p = InputFunction.from_text("pow(z, -1/2)")
@@ -74,17 +74,27 @@ def test_input_from_text_forms():
         InputFunction.from_text("1/(z-z)")
 
 
-def test_catalog_forms_are_recognized_from_rational_input():
-    # recognition only sharpens the sup bounds; the values agree either way
-    assert InputFunction.rational(QZ.parse("1/z")).kind == "inv_z"
-    assert InputFunction.rational(QZ.parse("2/(2-2*z)")).kind == "inv_1mz"
-    assert InputFunction.of(Fraction(2, 3)).kind == "const"
-    k = InputFunction.power(3)
-    assert k.ratfun == QZ.parse("z^3")
-    k = InputFunction.power(-2)
-    assert k.ratfun == QZ.parse("1/z^2")
-    assert InputFunction.power(0.5).ratfun is None
+def test_constants_and_integer_powers_are_rational():
+    assert InputFunction.rational(QZ.parse("2/(2-2*z)")).ratfun == QZ.parse("1/(1-z)")
+    for c in (Fraction(2, 3), 2, 0.5):
+        f = InputFunction.of(c)
+        assert f.kind == "rational" and f.ratfun == QZ.coerce(Fraction(c))
+    assert InputFunction.power(3).ratfun == QZ.parse("z^3")
+    assert InputFunction.power(-2).ratfun == QZ.parse("1/z^2")
+    assert InputFunction.power(2.0).ratfun == QZ.parse("z^2")
+    assert InputFunction.power(0).ratfun == QZ.one
+    p = InputFunction.power(0.5)
+    assert p.kind == "pow" and p.ratfun is None
     assert InputFunction.exp().ratfun is None
+    assert {InputFunction.of(x).kind for x in ("1/z", "exp", "pow(z, 1/3)")} == {"rational", "exp", "pow"}
+
+
+def test_rational_evaluation_matches_closed_forms_bitwise():
+    # the rational path gives the same doubles as the direct formulas
+    z = 0.05 + 0.9 * (np.polynomial.legendre.leggauss(16)[0] + 1.0) / 2.0
+    assert np.array_equal(InputFunction.from_text("1/z").eval_array(z), 1.0 / z)
+    assert np.array_equal(InputFunction.from_text("1/(1-z)").eval_array(z), 1.0 / (1.0 - z))
+    assert np.array_equal(InputFunction.from_text("3/7").eval_array(z), np.full_like(z, 3 / 7))
 
 
 def test_input_evaluation_matches_exact_view():
@@ -101,15 +111,23 @@ def test_input_evaluation_matches_exact_view():
 
 
 def test_sup_bounds_and_exactness():
-    assert InputFunction.inv_1mz().sup_on(0.0, 0.5) == (2.0, True)
-    assert InputFunction.inv_z().sup_on(1.0, 2.0) == (1.0, True)
-    assert InputFunction.inv_z().sup_on(0.0, 0.5) == (math.inf, True)
-    s, exact = InputFunction.exp().sup_on(0.0, 1.0)
-    assert exact and abs(s - math.e) < 1e-15
-    s, exact = InputFunction.power(0.5).sup_on(0.0, 4.0)
-    assert exact and s == 2.0
-    s, exact = InputFunction.rational(QZ.parse("z^2+1")).sup_on(0.0, 1.0)
-    assert not exact and abs(s - 2.0) < 1e-6
+    half = Fraction(1, 2)
+    assert InputFunction.from_text("1/(1-z)").sup_on(0, half) == 2.0
+    assert InputFunction.from_text("1/z").sup_on(1, 2) == 1.0
+    assert InputFunction.from_text("1/z").sup_on(0, half) == math.inf
+    assert InputFunction.from_text("1/z").sup_on(Fraction(1, 10), half) == 10.0
+    assert InputFunction.from_text("3/2").sup_on(0, 1) == 1.5
+    assert InputFunction.from_text("1/(1+z^2)").sup_on(0, half) == 1.0
+    assert abs(InputFunction.exp().sup_on(0, 1) - math.e) < 1e-15
+    assert InputFunction.power(0.5).sup_on(0, 4) == 2.0
+    assert InputFunction.power(-0.5).sup_on(0, 4) == math.inf
+    assert InputFunction.from_text("z^2+1").sup_on(0, 1) == 2.0
+    # the maximum 1/2 at the interior critical point z = 1
+    s = InputFunction.from_text("z/(1+z^2)").sup_on(0, 2)
+    assert 0.5 <= s <= 0.5 * (1 + 2.0**-29)
+    # 1/3 has no double: the bound is the double just above it
+    s = InputFunction.from_text("1/z").sup_on(3, 4)
+    assert Fraction(math.nextafter(s, 0.0)) < Fraction(1, 3) < Fraction(s)
 
 
 def test_path_keeps_exact_endpoints():
@@ -584,11 +602,17 @@ def test_pair_certification_flags():
     res = pair_series(ev, rep)
     assert res.tail == math.inf and not res.certified
     assert abs(res.value - math.exp(2.0 * math.sqrt(0.5))) < 1e-5
-    # sampled sup bound: finite tail but still no certificate
+    # rational controls with no closed-form sup: exact bound, certified
     ev2 = chen_series({"x0": "z^2+1"}, SegmentPath(0, 1), 10)
     res2 = pair_series(ev2, rep)
-    assert math.isfinite(res2.tail) and not res2.certified
+    assert math.isfinite(res2.tail) and res2.certified
     assert abs(res2.value - math.exp(4.0 / 3.0)) < 1e-5
+    path = SegmentPath(0, "1/2")
+    ev3 = chen_series({"x0": "1/(1+z^2)"}, path, 8)
+    res3 = pair_series(ev3, rep)
+    assert res3.certified
+    assert abs(res3.value - pair_ode(rep, {"x0": "1/(1+z^2)"}, path)) <= res3.tail
+    assert abs(res3.value - math.exp(math.atan(0.5))) <= res3.tail + 1e-12
 
 
 def test_cli_import_leaves_scipy_out():

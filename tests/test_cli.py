@@ -293,6 +293,16 @@ class TestCliAnalytic:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "x0" in lines[0] and "z = 0.0" in lines[0] and "s^64" in lines[0]
 
+    def test_chen_overflow_fails_with_one_message(self):
+        # x0.x0 = (e^z - 1)^2 / 2 exceeds the largest double near z = 355
+        argv = ["chen", "--inputs", "x0=exp", "--z0", "0", "--z", "1000", "--max-length", "2"]
+        proc = subprocess.run([sys.executable, "-m", "ncfps.cli", *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "overflow" in lines[0] and "z = " in lines[0]
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_chen_double_pole_is_singular(self):
         code, out, err = run_cli("chen", "--inputs", "x0=1/(z^4-4*z^2+4)", "--z0", "1", "--z", "2")
         assert (code, out) == (2, "")
@@ -331,6 +341,15 @@ class TestCliAnalytic:
         assert lines[2] == "certified yes"
         assert abs(value - 2.0) <= tail + 1e-6
         assert abs(float(lines[3].split()[1]) - 2.0) < 1e-6
+
+    def test_pair_certifies_a_rational_control(self):
+        # the sup of 1/(1+z^2) on [0, 1/2] is bounded exactly
+        code, out, _ = run_cli("pair", "x1*", "--inputs", "x1=1/(1+z^2)", "--z0", "0", "--z", "1/2")
+        assert code == 0
+        fields = dict(line.split(" ", 1) for line in out.splitlines())
+        assert fields["certified"] == "yes"
+        assert abs(float(fields["value"]) - float(fields["ode"])) <= float(fields["tail"])
+        assert abs(float(fields["ode"]) - math.exp(math.atan(0.5))) < 1e-12
 
     def test_pair_reports_uncovered_letters(self):
         code, _, err = run_cli(

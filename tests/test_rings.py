@@ -17,6 +17,7 @@ from ncfps.rings import (
     RatFun,
     poly_gcd,
     poly_text,
+    _SUP_SLACK,
     ring_named,
 )
 
@@ -151,6 +152,73 @@ class TestRealRoots:
         endpoint = st.sampled_from(sorted(roots)) | _ENDPOINT if roots else _ENDPOINT
         lo, hi = data.draw(endpoint), data.draw(endpoint)
         assert p.count_real_roots(lo, hi) == _known_count(roots, n, lo, hi)
+
+
+@st.composite
+def _rationals_with_known_critical_points(draw):
+    """(f, its critical points): c z/(z^2 + s^2); c (z - a)/((z - b)^2 + k)
+    with k = s^2 - (a - b)^2 > 0, whose critical points are a - s and a + s;
+    or the polynomial c (z - a)(z - b), whose critical point is (a + b)/2."""
+    c = draw(st.fractions(-9, 9, max_denominator=5).filter(bool))
+    s = draw(st.fractions(0, 8, max_denominator=6).filter(bool))
+    a = draw(st.fractions(-6, 6, max_denominator=4))
+    b = draw(st.fractions(-6, 6, max_denominator=4))
+    z = QZ.gen()
+    family = draw(st.sampled_from(("odd", "shifted", "polynomial")))
+    if family == "odd":
+        return c * z / (z * z + s * s), (-s, s)
+    if family == "polynomial":
+        return c * (z - a) * (z - b), ((a + b) / 2,)
+    s += abs(a - b)
+    return c * (z - a) / ((z - b) * (z - b) + s * s - (a - b) ** 2), (a - s, a + s)
+
+
+def _float_sample(lo, hi, n=257):
+    """Exact values of n doubles spread over [lo, hi]."""
+    xs = (float(lo) + (float(hi) - float(lo)) * j / (n - 1) for j in range(n))
+    return [min(max(Fraction(x), lo), hi) for x in xs]
+
+
+class TestSupBound:
+    def test_examples(self):
+        half = Fraction(1, 2)
+        assert QZ.parse("1/(1+z^2)").sup_bound(0, half) == 1
+        assert QZ.parse("1/z").sup_bound(Fraction(1, 10), half) == 10
+        assert QZ.parse("3/2").sup_bound(-1, 1) == Fraction(3, 2)
+        assert QZ.parse("0").sup_bound(-1, 1) == 0
+        assert Fraction(1, 2) <= QZ.parse("z/(1+z^2)").sup_bound(0, 2) <= Fraction(1, 2) * (1 + _SUP_SLACK)
+        assert QZ.parse("1/z").sup_bound(-1, 1) == math.inf
+        assert QZ.parse("1/(z-1)").sup_bound(0, 1) == math.inf
+        # a double pole at sqrt(2) with no sign change
+        assert QZ.parse("1/(z^4-4*z^2+4)").sup_bound(1, 2) == math.inf
+
+    @settings(max_examples=120, deadline=None)
+    @given(_rationals_with_known_critical_points(), _ENDPOINT, _ENDPOINT)
+    def test_bound_is_within_the_slack_of_the_sup(self, case, lo, hi):
+        f, critical = case
+        lo, hi = min(lo, hi), max(lo, hi)
+        bound = f.sup_bound(lo, hi)
+        true = max(abs(f(x)) for x in (lo, hi, *critical) if lo <= x <= hi)
+        assert true <= bound <= (1 + _SUP_SLACK) * true
+        assert all(abs(f(x)) <= bound for x in _float_sample(lo, hi))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.fractions(-5, 5, max_denominator=3), min_size=1, max_size=4),
+        st.lists(st.fractions(-5, 5, max_denominator=3), min_size=1, max_size=4),
+        _ENDPOINT,
+        _ENDPOINT,
+    )
+    def test_bound_covers_every_sample_or_meets_a_pole(self, num, den, lo, hi):
+        if not any(den):
+            return
+        f = RatFun(zpoly(*num), zpoly(*den))
+        lo, hi = min(lo, hi), max(lo, hi)
+        bound = f.sup_bound(lo, hi)
+        pole = f.den(lo) == 0 or f.den(hi) == 0 or f.den.count_real_roots(lo, hi) > 0
+        assert (bound == math.inf) == pole
+        if not pole:
+            assert all(abs(f(x)) <= bound for x in _float_sample(lo, hi))
 
 
 class TestPolyText:
