@@ -398,7 +398,7 @@ def minimize(rep):
 
 
 def equal(r1, r2):
-    """Decide equality of the represented series over a field.
+    """Decide equality of the represented series.
 
     Span test of the difference r1 - r2 (Schützenberger reduction; the
     polynomial-time equivalence test of Tzeng, SIAM J. Comput. 21, 1992):
@@ -407,10 +407,16 @@ def equal(r1, r2):
     vectors.  The pairs are walked breadth-first, one letter at a time, and
     their concatenations grow an echelon basis, whose dimension is at most
     n = n1 + n2; so the test makes at most n*|letters| vector-matrix products
-    on each side and costs O(|letters| n^3) field operations.  It stops at
+    on each side and costs O(|letters| n^3) ring operations.  It stops at
     the first pair whose two values differ.
+
+    Over Q[t] the basis eliminates fraction-free in Q[t] itself, which
+    decides the same span over Q(t) without a gcd per operation.  Two
+    representations over different rings are both embedded in their fraction
+    fields first, so that a Q[t] series compares with a Q(t) one.
     """
-    r1, r2 = r1.embed_field(), r2.embed_field()
+    if r1.ring != r2.ring:
+        r1, r2 = r1.embed_field(), r2.embed_field()
     _check_pair(r1, r2)
     ring = r1.ring
     letters = sorted(set(r1.mu) | set(r2.mu), key=r1.alphabet.rank)

@@ -40,12 +40,12 @@ import math
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
 from .linalg import EchelonBasis, vec_mat
-from .rings import QQ, QZ, RR, Poly, RatFun, poly_gcd, poly_lcm, poly_text
+from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, poly_lcm, poly_text
 from .series import NCPolynomial, TensorPoly, TruncatedSeries, shuffle_words, unshuffle
 from .words import Alphabet, parse_word, word_text
 
@@ -171,10 +171,11 @@ class InputFunction:
         """Check the control against a segment.
 
         Returns "regular" or "singular_start"; raises for a pole inside the
-        path or at its far endpoint, and for a fractional power on a segment
-        reaching below 0.  Poles are the roots of the exact denominator:
-        endpoints are tested by exact evaluation and the interior by a Sturm
-        count, so no pole escapes, rational or not.
+        path or at its far endpoint, for a fractional power on a segment
+        reaching below 0, and for a rational coefficient outside the double
+        range, which the quadrature could not evaluate.  Poles are the roots
+        of the exact denominator: endpoints are tested by exact evaluation and
+        the interior by a Sturm count, so no pole escapes, rational or not.
         """
         if self.ratfun is None:
             if self.kind == "pow":
@@ -187,6 +188,12 @@ class InputFunction:
                     raise ValueError("input singular at the far endpoint 0")
             return "regular"
         den = self.ratfun.den
+        for c in self.ratfun.num.coeffs + den.coeffs:
+            try:
+                float(c)
+            except OverflowError:
+                size = math.log10(abs(c.numerator)) - math.log10(c.denominator)
+                raise ValueError(f"input coefficient of about 1e{size:.0f} outside the double range") from None
         if den.count_real_roots(path.lo_exact, path.hi_exact):
             raise ValueError(f"input singular between {path.lo_exact} and {path.hi_exact}, inside the path")
         if den(path.z1_exact) == 0:
@@ -812,6 +819,8 @@ def pair_ode(rep, inputs, path, tol=1e-10):
 # ---------------------------------------------------------------------------
 # exact scalar differential equations
 
+_QZ_POLY = PolynomialRing("z")
+
 
 def _exact_controls(inputs):
     clean = {}
@@ -824,19 +833,28 @@ def _exact_controls(inputs):
 
 
 def _derivative_rows(rep, inputs):
-    """Rows r_l with d^l (nu . q) = r_l . q for the state equation q' = A q.
+    """Rows r_l = P_l / D^l with d^l (nu . q) = r_l . q for the state equation q' = A q.
 
     A = sum_x u_x mu(x) over the letters that have both a control and a
-    matrix; r_0 = nu and r_l = r_{l-1}' + r_{l-1} A.  The generator yields
-    one row per order, without end.
+    matrix, and D is the lcm of their control denominators, so that B = D A
+    is polynomial.  The recursion r_0 = nu, r_l = r_{l-1}' + r_{l-1} A (the
+    cyclic-vector step of Barkatou, AAECC 4, 1993) stays in Q[z] as
+    P_l = D P_{l-1}' - (l-1) D' P_{l-1} + P_{l-1} B.  The generator yields
+    the pairs (P_l, D^l), one per order, without end.
     """
     terms = [(f.ratfun, rep.mu[x]) for x, f in _exact_controls(inputs).items() if x in rep.mu]
+    d = _QZ_POLY.one
+    for u, _ in terms:
+        d = poly_lcm(d, u.den)
+    terms = [(u.num * (d // u.den), m) for u, m in terms]
     n = rep.dim
-    a = [[sum((u * m[i][j] for u, m in terms if m[i][j]), QZ.zero) for j in range(n)] for i in range(n)]
-    row = tuple(QZ.coerce(c) for c in rep.nu)
-    while True:
-        yield row
-        row = tuple(c.derivative() + d for c, d in zip(row, vec_mat(QZ, row, a)))
+    b = [[sum((p * m[i][j] for p, m in terms if m[i][j]), _QZ_POLY.zero) for j in range(n)] for i in range(n)]
+    dd = d.derivative()
+    row, scale = [_QZ_POLY.coerce(c) for c in rep.nu], _QZ_POLY.one
+    for l in count():
+        yield row, scale
+        row = [d * p.derivative() - l * dd * p + s for p, s in zip(row, vec_mat(_QZ_POLY, row, b))]
+        scale = scale * d
 
 
 def pair_ode_derivatives(rep, inputs, path, orders, tol=1e-10):
@@ -852,28 +870,18 @@ def pair_ode_derivatives(rep, inputs, path, orders, tol=1e-10):
     if rep.dim == 0:
         return [0.0] * (orders + 1)
     q = _ode_state(rep, inputs, path, tol)
-    z = path.z1
+    z = Fraction(path.z1)
     out = []
-    for row in islice(_derivative_rows(rep, inputs), orders + 1):
-        out.append(float(sum(float(f(Fraction(z))) * qi for f, qi in zip(row, q))))
+    for row, scale in islice(_derivative_rows(rep, inputs), orders + 1):
+        out.append(float(sum(float(p(z) / scale(z)) * qi for p, qi in zip(row, q))))
     return out
 
 
-def _normalize_ode(kernel_vector):
-    den = Poly.const("z", Fraction(1))
-    for f in kernel_vector:
-        den = poly_lcm(den, f.den)
-    polys = [(f * RatFun(den)).num for f in kernel_vector]
-    g = None
-    for p in polys:
-        if not p.is_zero():
-            g = p if g is None else poly_gcd(g, p)
-    polys = [p // g for p in polys]
-    # the content of all coefficients together makes them setwise coprime integers
-    scale = 1 / Poly("z", [c for p in polys for c in p.coeffs]).content()
-    polys = [p * scale for p in polys]
+def _normalize_ode(polys):
+    # the primitive part is unique up to sign: make the top-order leading coefficient positive
+    polys = _QZ_POLY.primitive(polys)
     if polys[-1].leading() < 0:
-        polys = [p * Fraction(-1) for p in polys]
+        polys = [-p for p in polys]
     return polys
 
 
@@ -883,22 +891,24 @@ def derive_scalar_ode(rep, inputs):
     Returns polynomial coefficients a_0..a_N with sum a_l(z) d^l y = 0.  The
     rows r_0 = nu, r_l = r_{l-1}' + r_{l-1} A(z) with A = sum_x u_x mu(x)
     satisfy d^l y = r_l . q, so the ODE is the first linear dependence among
-    them over Q(z): each row goes into one echelon basis, and the first row
-    already in the span gives the coefficients.  N never exceeds the
-    representation dimension.  The coefficient list is normalized:
-    denominators cleared, common polynomial factor removed, integer
-    coefficients made setwise coprime, and the leading coefficient of the
-    top-order term positive.
+    them over Q(z).  Each polynomial row P_l = D^l r_l goes into one
+    fraction-free echelon basis over Q[z], with D^l in an identity column l;
+    the first row that reduces to zero there carries the coefficients of the
+    dependence in those columns, so no inverse is formed.  N never exceeds
+    the representation dimension.  The coefficient list is normalized: common
+    polynomial factor removed, integer coefficients made setwise coprime, and
+    the leading coefficient of the top-order term positive.
     """
     if rep.ring != QQ:
         raise ValueError("the representation must have rational coefficients")
     n = rep.dim
-    if n == 0:
-        return [Poly.const("z", Fraction(1))]
-    basis = EchelonBasis(QZ, n)
-    for row in _derivative_rows(rep, inputs):
-        if basis.insert(row) is None:
-            return _normalize_ode(basis.coordinates(row) + (QZ.coerce(-1),))
+    basis = EchelonBasis(_QZ_POLY, n)
+    zero = _QZ_POLY.zero
+    for l, (row, scale) in enumerate(_derivative_rows(rep, inputs)):
+        v = basis.reduce(row + [scale if k == l else zero for k in range(n + 1)])
+        if not any(v[:n]):
+            return _normalize_ode(v[n : n + l + 1])
+        basis.insert(v)
 
 
 _ATOM_RE = re.compile(r"-?(\d+(/\d+)?|z(\^\d+)?|\d+(/\d+)?\*z(\^\d+)?)\Z")

@@ -1,15 +1,19 @@
 """Exact dense linear algebra over the coefficient rings.
 
 Matrices are tuples of tuples (rows); vectors are tuples.  Everything is
-parameterized by a ring descriptor; inversion and echelon construction
-require a field (``ring.is_field``).
+parameterized by a ring descriptor; inversion and coordinates require a field
+(``ring.is_field``).
 
-The incremental :class:`EchelonBasis` keeps its rows in reduced row echelon
+The incremental :class:`EchelonBasis` works over a field or over the
+integral domain Q[v].  Over a field it keeps its rows in reduced row echelon
 form and also keeps the *original* inserted vectors.  Coordinates over the
 originals, which the automaton minimization needs to rewrite transition
 matrices in the new basis, come from one inverse of the originals' block on
-the pivot columns.  Zero tests use truthiness: every ring element defines
-``__bool__``.
+the pivot columns.  Over Q[v] it eliminates fraction-free, by
+cross-multiplication (Bareiss, Math. Comp. 22, 1968): rows stay polynomial,
+and rank and span test are those over the fraction field Q(v), at one gcd
+per inserted row instead of one per ring operation.  Zero tests use
+truthiness: every ring element defines ``__bool__``.
 """
 
 from __future__ import annotations
@@ -140,18 +144,29 @@ def _complexity(x):
 
 
 class EchelonBasis:
-    """Growing row space over a field with coordinate tracking.
+    """Growing row space with coordinate tracking.
 
     ``insert(v)`` returns None when v was already in the span, else the new
     row index.  ``coordinates(v)`` expresses v over the inserted originals.
+
+    The ring decides the elimination.  Over a field the rows are in reduced
+    row echelon form with pivot entries 1.  Over Q[v] (``ring.is_field``
+    false) they are in echelon form in insertion order, each row zero on the
+    pivots of the rows before it: a vector is reduced by v <- a*v - v[p]*row
+    for each row's pivot entry a = row[p] where v[p] is nonzero, and an
+    inserted row is divided by its content (``ring.primitive``), one gcd per
+    row.
+
+    Vectors may be longer than ``width``.  The entries past it ride along
+    through every row operation but are never pivots, and the span test reads
+    only the first ``width`` entries; identity columns there record which
+    combination of the inserted vectors a reduced vector is.
     """
 
     def __init__(self, ring, width):
-        if not ring.is_field:
-            raise ValueError("echelon construction needs a field")
         self.ring = ring
         self.width = width
-        self.rows = []  # reduced row echelon form, pivot entry 1
+        self.rows = []  # over a field: reduced row echelon form, pivot entry 1
         self.pivots = []  # pivot column per row
         self.originals = []
         self._pivot_inverse = None  # inverse of the originals' pivot block
@@ -160,19 +175,28 @@ class EchelonBasis:
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, v):
-        # rows are zero on each other's pivots, so each coefficient is the
-        # entry of the input at that pivot
+    def reduce(self, v):
+        """v less its part in the row span: zero on every pivot column.
+
+        Over Q[v] the result is a nonzero polynomial multiple of that."""
         v = list(v)
+        field = self.ring.is_field
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
-            if c:
-                v = [a - c * b if b else a for a, b in zip(v, row)]
+            if not c:
+                continue
+            if field:
+                # rows are zero on each other's pivots, so each coefficient is
+                # the entry of the input at that pivot
+                v = [x - c * y if y else x for x, y in zip(v, row)]
+            else:
+                a = row[p]
+                v = [a * x - c * y if y else a * x for x, y in zip(v, row)]
         return v
 
     def coordinates(self, v):
         """Coefficients over the inserted originals, or None if outside the span."""
-        if any(self._reduce(v)):
+        if any(self.reduce(v)):
             return None
         if self._pivot_inverse is None:
             block = tuple(tuple(o[p] for p in self.pivots) for o in self.originals)
@@ -181,18 +205,21 @@ class EchelonBasis:
 
     def insert(self, v):
         v = tuple(v)
-        red = self._reduce(v)
-        nonzero = [j for j, c in enumerate(red) if c]
+        red = self.reduce(v)
+        nonzero = [j for j in range(self.width) if red[j]]
         if not nonzero:
             return None
         pivot = min(nonzero, key=lambda j: (_complexity(red[j]), j))
-        inv = self.ring.invert(red[pivot])
-        red = [inv * c if c else c for c in red]
-        # back-eliminate the new pivot from stored rows
-        for i, row in enumerate(self.rows):
-            c = row[pivot]
-            if c:
-                self.rows[i] = [a - c * b if b else a for a, b in zip(row, red)]
+        if self.ring.is_field:
+            inv = self.ring.invert(red[pivot])
+            red = [inv * c if c else c for c in red]
+            # back-eliminate the new pivot from stored rows
+            for i, row in enumerate(self.rows):
+                c = row[pivot]
+                if c:
+                    self.rows[i] = [a - c * b if b else a for a, b in zip(row, red)]
+        else:
+            red = self.ring.primitive(red)
         self.rows.append(red)
         self.pivots.append(pivot)
         self.originals.append(v)

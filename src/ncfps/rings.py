@@ -42,6 +42,12 @@ def _frac(x):
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _integral(coeffs):
+    """(d, integers n_k) with coeffs[k] = n_k / d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
 class Poly:
     """Dense univariate polynomial over Q, coefficients in ascending degree.
 
@@ -134,13 +140,17 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
             return Poly(self.var, ())
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(self.var, out)
+        # convolve the integer numerators over common denominators: one gcd
+        # per output coefficient instead of one per product
+        da, a = _integral(self.coeffs)
+        db, b = _integral(o.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        d = da * db
+        return Poly(self.var, [Fraction(c, d) for c in out])
 
     __rmul__ = __mul__
 
@@ -416,6 +426,15 @@ class RatFun:
     def inv(self):
         return 1 / self
 
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power of a rational function")
+        # powers of coprime polynomials stay coprime, and of a monic one monic
+        out = object.__new__(RatFun)
+        object.__setattr__(out, "num", self.num**n)
+        object.__setattr__(out, "den", self.den**n)
+        return out
+
     def derivative(self):
         return RatFun(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
@@ -578,12 +597,18 @@ def parse_ratfun_expr(s, var):
     """Full arithmetic grammar over Q(var): `1/z`, `1/(1-z)`, `(z^2-1)/(z)`.
 
     Precedence: unary sign < +,- < *,/ < ^ with an integer exponent from 0
-    to _MAX_EXPONENT.  Every value is exact.
+    to _MAX_EXPONENT.  Every value is exact.  No numerator or denominator
+    may exceed degree _MAX_EXPONENT, before any cancellation: each operation
+    checks the degrees of its result before it builds it.
     """
     toks = _tokenize_expr(s)
     if not toks:
         raise ValueError("empty expression")
     pos = [0]
+
+    def capped(num_degree, den_degree):
+        if max(num_degree, den_degree) > _MAX_EXPONENT:
+            raise ValueError(f"{s!r} builds a polynomial of degree above {_MAX_EXPONENT}")
 
     def peek():
         return toks[pos[0]] if pos[0] < len(toks) else None
@@ -617,10 +642,9 @@ def parse_ratfun_expr(s, var):
             e = take()
             if e is None or e[0] != "rat" or e[1].denominator != 1 or not 0 <= e[1] <= _MAX_EXPONENT:
                 raise ValueError(f"exponent must be an integer from 0 to {_MAX_EXPONENT}")
-            out = RatFun.const(var, Fraction(1))
-            for _ in range(int(e[1])):
-                out = out * base
-            return out
+            k = int(e[1])
+            capped(base.num.degree * k, base.den.degree * k)
+            return base**k
         return base
 
     def term():
@@ -629,10 +653,12 @@ def parse_ratfun_expr(s, var):
             op = take()[1]
             rhs = factor()
             if op == "*":
+                capped(v.num.degree + rhs.num.degree, v.den.degree + rhs.den.degree)
                 v = v * rhs
             else:
                 if rhs.is_zero():
                     raise ValueError("division by zero in expression")
+                capped(v.num.degree + rhs.den.degree, v.den.degree + rhs.num.degree)
                 v = v / rhs
         return v
 
@@ -647,6 +673,8 @@ def parse_ratfun_expr(s, var):
         while peek() in (("op", "+"), ("op", "-")):
             op = take()[1]
             rhs = term()
+            num_degree = max(v.num.degree + rhs.den.degree, rhs.num.degree + v.den.degree)
+            capped(num_degree, v.den.degree + rhs.den.degree)
             v = v + rhs if op == "+" else v - rhs
         return v
 
@@ -744,6 +772,24 @@ class PolynomialRing:
         if x.is_const():
             return str(x.const_value())
         return f"({poly_text(x)})"
+
+    def primitive(self, v):
+        """The entries of v divided by their gcd and by the content of all
+        their coefficients together: setwise coprime integer polynomials."""
+        g = None
+        for p in v:
+            if p:
+                g = p if g is None else poly_gcd(g, p)
+                if g.degree == 0:
+                    break
+        if g is None:
+            return list(v)
+        if g.degree > 0:
+            v = [p // g for p in v]
+        content = Poly(self.var, [c for p in v for c in p.coeffs]).content()
+        if content != 1:
+            v = [Poly(self.var, [c / content for c in p.coeffs]) for p in v]
+        return list(v)
 
     def invert(self, x):
         # units of Q[v] are the nonzero constants

@@ -676,8 +676,13 @@ def test_equal_matches_brute_force_over_q(pair):
 @settings(max_examples=20, deadline=None)
 @given(_similar_pairs(QT))
 def test_equal_matches_brute_force_over_qt(pair):
+    # the fraction-free verdict over Q[t] against the brute force, against
+    # the field path over Q(t), and with only one side embedded in Q(t)
     r1, r2 = pair
-    assert equal(r1, r2) == _brute_equal(r1, r2)
+    verdict = equal(r1, r2)
+    assert verdict == _brute_equal(r1, r2)
+    assert verdict == equal(r1.embed_field(), r2.embed_field())
+    assert verdict == equal(r1, r2.embed_field()) == equal(r1.embed_field(), r2)
 
 
 _small = st.integers(-3, 3).map(Fraction)
@@ -719,6 +724,43 @@ def _rank(a):
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+_small_t = st.tuples(st.integers(-3, 3), st.integers(-1, 1)).map(lambda ab: Poly("t", ab))
+
+
+@st.composite
+def _qt_matrices(draw):
+    """Matrices over Q[t] with rows drawn as combinations, with linear
+    polynomial coefficients, of a few seed rows of degree at most 2."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    entry = st.lists(st.integers(-2, 2), max_size=3).map(lambda cs: Poly("t", cs))
+    seeds = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+    rows = []
+    for _ in range(m):
+        coeffs = draw(st.lists(_small_t, min_size=len(seeds), max_size=len(seeds)))
+        rows.append(tuple(sum((c * s[j] for c, s in zip(coeffs, seeds)), QT.zero) for j in range(n)))
+    return tuple(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_echelon_domain_mode_matches_the_field_path(data):
+    # fraction-free over Q[t] against the reduced row echelon form over Q(t):
+    # the same rank after each row, and the same membership of other vectors
+    a = data.draw(_qt_matrices())
+    n = len(a[0])
+    field = QT.field()
+    domain_basis, field_basis = EchelonBasis(QT, n), EchelonBasis(field, n)
+    for row in a:
+        inserted = domain_basis.insert(row)
+        assert inserted == field_basis.insert(tuple(QT.embed(c) for c in row))
+        if inserted is not None:
+            assert QT.primitive(domain_basis.rows[-1]) == domain_basis.rows[-1]
+    extra = data.draw(st.lists(_small_t, min_size=n, max_size=n))
+    for v in [extra] + [tuple(QT.coerce(int(i == j)) for i in range(n)) for j in range(n)]:
+        assert any(domain_basis.reduce(v)) == any(field_basis.reduce(tuple(QT.embed(c) for c in v)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfps.automata import LinearRepresentation, minimize, rep_star, rep_word
+from ncfps.automata import LinearRepresentation, minimize, rep_star, rep_word, rep_zero
 from ncfps.chen import (
     _BLOCK,
     _CUM,
@@ -42,8 +42,8 @@ from ncfps.chen import (
 )
 from ncfps.diffring import q_l, specialize
 from ncfps.exprs import representation_of
-from ncfps.linalg import vec_mat
-from ncfps.rings import QQ, QT, QZ, Poly
+from ncfps.linalg import EchelonBasis, vec_mat
+from ncfps.rings import QQ, QT, QZ, Poly, RatFun, poly_gcd, poly_lcm
 from ncfps.words import Alphabet
 
 X1 = Alphabet.x(1)
@@ -744,6 +744,8 @@ def test_scalar_ode_order_never_exceeds_dimension():
         rep = star_rep(X2, word)
         coeffs = derive_scalar_ode(rep, inputs)
         assert len(coeffs) - 1 <= rep.dim
+    # the zero series of dimension 0 satisfies y = 0
+    assert derive_scalar_ode(rep_zero(X2, QQ), POLYLOG) == [Poly.const("z", Fraction(1))]
 
 
 def test_scalar_ode_preconditions():
@@ -795,7 +797,50 @@ def test_derivative_rows_match_the_word_sum(case):
     rep, inputs = case
     rows = _derivative_rows(rep, inputs)
     for l in range(5):
-        assert next(rows) == _word_sum_row(rep, inputs, l)
+        row, scale = next(rows)
+        assert tuple(RatFun(p, scale) for p in row) == _word_sum_row(rep, inputs, l)
+
+
+def _field_path_ode(rep, inputs):
+    """The derivation over the field Q(z): the word-sum rows go into one
+    echelon basis over Q(z), the first row in the span gives the kernel vector
+    by coordinates over the rows before it, and the vector is cleared of
+    denominators and made primitive with a positive top-order leading
+    coefficient."""
+    basis = EchelonBasis(QZ, rep.dim)
+    for l in range(rep.dim + 1):
+        row = _word_sum_row(rep, inputs, l)
+        if basis.insert(row) is None:
+            kernel = basis.coordinates(row) + (QZ.coerce(-1),)
+            break
+    den = Poly.const("z", Fraction(1))
+    for f in kernel:
+        den = poly_lcm(den, f.den)
+    polys = [(f * RatFun(den)).num for f in kernel]
+    g = None
+    for p in polys:
+        if not p.is_zero():
+            g = p if g is None else poly_gcd(g, p)
+    polys = [p // g for p in polys]
+    scale = 1 / Poly("z", [c for p in polys for c in p.coeffs]).content()
+    polys = [p * scale for p in polys]
+    return [-p for p in polys] if polys[-1].leading() < 0 else polys
+
+
+@settings(max_examples=30, deadline=None)
+@given(_row_cases())
+def test_derive_ode_matches_the_field_path(case):
+    rep, inputs = case
+    assert derive_scalar_ode(rep, inputs) == _field_path_ode(rep, inputs)
+
+
+def test_derive_ode_dimension_9_is_fast():
+    rep = minimize(representation_of("(x0.x1.x1)* shuffle (x0.x0.x1)*"))
+    assert rep.dim == 9
+    start = time.perf_counter()
+    coeffs = derive_scalar_ode(rep, POLYLOG)
+    assert time.perf_counter() - start < 2.0
+    assert len(coeffs) - 1 == 9 and coeffs[-1].degree == 23
 
 
 def test_derive_ode_dimension_6_is_fast():

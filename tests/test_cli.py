@@ -303,6 +303,29 @@ class TestCliAnalytic:
         assert "overflow" in lines[0] and "z = " in lines[0]
         assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chen", "--inputs", "x0=10^400", "--z0", "0", "--z", "1"], "input coefficient of about 1e400"),
+            (["pair", "x0*", "--inputs", "x0=-1/10^400+10^400*z", "--z0", "0", "--z", "1"], "outside the double range"),
+            (["chen", "--inputs", "x0=(z^1000)^1000", "--z0", "1/2", "--z", "1"], "degree above 1000"),
+            (["derive-ode", "x0*", "--inputs", "x0=z^600*z^600"], "degree above 1000"),
+        ],
+    )
+    def test_oversized_controls_fail_at_once(self, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv, *(["--max-length", "1"] if argv[0] == "chen" else []))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+    def test_derive_ode_power_control_is_fast(self):
+        start = time.perf_counter()
+        code, out, _ = run_cli("derive-ode", "x0*", "--inputs", "x0=(z+1)^1000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out.startswith("y' + (-z^1000-1000*z^999-")
+
     def test_chen_double_pole_is_singular(self):
         code, out, err = run_cli("chen", "--inputs", "x0=1/(z^4-4*z^2+4)", "--z0", "1", "--z", "2")
         assert (code, out) == (2, "")

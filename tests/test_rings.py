@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -291,6 +292,15 @@ class TestRatFun:
                     if g(x) != 0:
                         assert q(x) == f(x) / g(x)
 
+    def test_power_is_the_reduced_repeated_product(self):
+        rng = random.Random(37)
+        for _ in range(20):
+            f = RatFun(rand_poly(rng), zpoly(1, 1) * rand_poly(rng, max_deg=2) + zpoly(2))
+            acc = RatFun.const("z", Fraction(1))
+            for k in range(5):
+                assert f**k == acc  # structural: the power is reduced and monic below
+                acc = acc * f
+
     def test_derivative_quotient_rule(self):
         f = RatFun(zpoly(1), zpoly(-1, 1))  # 1/(z-1)
         df = f.derivative()
@@ -369,6 +379,37 @@ class TestRings:
         assert QZ.format(f) == "(z^2-1)/(z)"
         assert QZ.format(QZ.coerce(Fraction(1, 2))) == "1/2"
         assert QZ.format(QZ.parse("(z+1)")) == "(z+1)"
+
+    def test_parse_power_by_squaring_is_exact_and_fast(self):
+        start = time.perf_counter()
+        f = QZ.parse("(z+1)^1000")
+        assert time.perf_counter() - start < 1.0
+        # coprime powers are not reduced again: no gcd of two degree-1000 polynomials
+        g = QZ.parse("((z+1)/(z-2))^1000")
+        assert f.num.coeffs == tuple(Fraction(math.comb(1000, k)) for k in range(1001))
+        assert g.den == zpoly(-2, 1) ** 1000 and g.num == f.num
+
+    @pytest.mark.parametrize(
+        "text", ["(z^1000)^1000", "z^600*z^600", "1/z^600/z^600", "z^1000 + 1/z", "(1/(z+1)^2)^501", "(z^2+1)^501"]
+    )
+    def test_parse_caps_the_degree_of_every_intermediate_value(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="degree above 1000"):
+            QZ.parse(text)
+        assert time.perf_counter() - start < 0.5
+
+    def test_parse_keeps_degrees_at_the_cap(self):
+        assert QZ.parse("z^1000/(z^999+1)").num.degree == 1000
+        assert QZ.parse("(z^10)^100").num.degree == 1000
+
+    def test_primitive_divides_by_gcd_and_content(self):
+        ring = PolynomialRing("z")
+        a = zpoly(0, Fraction(2, 3)) * zpoly(1, 1)
+        b = zpoly(Fraction(4, 5)) * zpoly(1, 1)
+        assert ring.primitive([a, ring.zero, b]) == [zpoly(0, 5), ring.zero, zpoly(6)]
+        assert ring.primitive([ring.zero, ring.zero]) == [ring.zero, ring.zero]
+        assert ring.primitive([zpoly(-3, 6), zpoly(4)]) == [zpoly(-3, 6), zpoly(4)]
+        assert ring.primitive([zpoly(-3, 6)]) == [zpoly(1)]
 
     def test_field_promotion(self):
         assert QT.field().name == "Q(t)"
