@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .linalg import EchelonBasis
-from .rings import QQ, QZ, Poly, RatFun, poly_gcd, poly_lcm, ring_named
+from .rings import QQ, QZ, CoefficientRing, Poly, RatFun, poly_gcd, poly_lcm, ring_named
 from .series import NCPolynomial
 
 __all__ = [
@@ -193,7 +193,7 @@ def _as_diff(x):
     return None
 
 
-class DiffCoefficientRing:
+class DiffCoefficientRing(CoefficientRing):
     """Ring descriptor so noncommutative polynomials can carry symbolic
     input coefficients."""
 

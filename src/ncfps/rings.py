@@ -688,7 +688,22 @@ def parse_ratfun_expr(s, var):
 # ring descriptors
 
 
-class RationalRing:
+class CoefficientRing:
+    """Base of the ring descriptors.  Word products lift the coefficient dict
+    of each operand to (d, values over d), multiply and add the values, and
+    lower the result over the product of the d's.  By default both steps
+    leave coefficients as they are: Q[v] and Q(v) already multiply on
+    integer numerators inside :class:`Poly`, and floats take no gcd.  Q
+    overrides them."""
+
+    def lift(self, terms):
+        return 1, terms
+
+    def lower(self, terms, d):
+        return terms
+
+
+class RationalRing(CoefficientRing):
     """Q with exact Fraction values."""
 
     name = "Q"
@@ -717,6 +732,16 @@ class RationalRing:
     def format(self, x):
         return str(x)
 
+    def lift(self, terms):
+        """(d, integer numerators over d) of a dict of coefficients: sums and
+        products of numerators take no gcd until :meth:`lower`."""
+        d = math.lcm(*[c.denominator for c in terms.values()])
+        return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+
+    def lower(self, terms, d):
+        """The nonzero numerators of a dict as coefficients over d."""
+        return {k: Fraction(n, d) for k, n in terms.items() if n}
+
     def invert(self, x):
         return Fraction(1) / x
 
@@ -736,7 +761,7 @@ class RationalRing:
         return "RationalRing()"
 
 
-class PolynomialRing:
+class PolynomialRing(CoefficientRing):
     """Q[var]: univariate polynomials; not a field."""
 
     is_field = False
@@ -813,7 +838,7 @@ class PolynomialRing:
         return f"PolynomialRing({self.var!r})"
 
 
-class RationalFunctionRing:
+class RationalFunctionRing(CoefficientRing):
     """Q(var): univariate rational functions; a field."""
 
     is_field = True
@@ -871,7 +896,7 @@ class RationalFunctionRing:
         return f"RationalFunctionRing({self.var!r})"
 
 
-class FloatRing:
+class FloatRing(CoefficientRing):
     """Double-precision stand-in for the exact coefficient descriptors."""
 
     name = "R"

@@ -15,7 +15,14 @@ the coefficient pairing: ``deconcat`` is adjoint to concatenation,
 
 :class:`TruncatedSeries` tracks a grade bound alongside the coefficients and
 propagates it through arithmetic, which is what makes fixed-point
-constructions (star, exp, log) terminate.
+constructions (star, exp, log) terminate.  exp and log run Horner's rule,
+each product truncated at the grade the remaining steps still need.
+
+Products and coproducts go through the ring's ``lift``/``lower`` pair: over
+Q each operand becomes integer numerators over one common denominator, the
+kernel loop sums integer products, and each output coefficient becomes one
+``Fraction`` at the end, one gcd per coefficient instead of one per product
+and sum.  For Q[t], Q(z) and floats the pair leaves coefficients as they are.
 """
 
 from __future__ import annotations
@@ -232,10 +239,13 @@ class NCPolynomial:
 
     def _word_product(self, other, kernel, bound=None):
         o = self._check_compatible(other)
+        ring = self.ring
+        da, a = ring.lift(self.terms)
+        db, b = ring.lift(o.terms)
         out = {}
         # all three word products are grade-additive, so only grade buckets
         # whose grades sum to at most the bound can contribute below it
-        for left, right in _bucket_pairs(self.terms, o.terms, self.alphabet.word_grade, bound):
+        for left, right in _bucket_pairs(a, b, self.alphabet.word_grade, bound):
             for u, cu in left:
                 for v, cv in right:
                     c = cu * cv
@@ -243,7 +253,7 @@ class NCPolynomial:
                         inc = c if m == 1 else c * m
                         prev = out.get(w)
                         out[w] = inc if prev is None else prev + inc
-        return self._built(out)
+        return self._built(ring.lower(out, da * db))
 
     def __mul__(self, other):
         """Concatenation product, or scalar scaling."""
@@ -387,8 +397,11 @@ class TensorPoly:
         quasi-shuffle do.
         """
         g = self.alphabet.word_grade
+        ring = self.ring
+        da, a = ring.lift(self.terms)
+        db, b = ring.lift(other.terms)
         out = {}
-        for left, right in _bucket_pairs(self.terms, other.terms, lambda k: g(k[0]), bound):
+        for left, right in _bucket_pairs(a, b, lambda k: g(k[0]), bound):
             for (u1, v1), c1 in left:
                 for (u2, v2), c2 in right:
                     c = c1 * c2
@@ -399,7 +412,7 @@ class TensorPoly:
                             inc = c if m == 1 else c * m
                             prev = out.get(key)
                             out[key] = inc if prev is None else prev + inc
-        return self._built(out)
+        return self._built(ring.lower(out, da * db))
 
     def pair(self, p, q):
         """Pair against p (x) q: sum of coeff * p[u] * q[v]."""
@@ -436,51 +449,67 @@ class TensorPoly:
         return "TensorPoly(" + (" + ".join(bits) if bits else "0") + ")"
 
 
-@lru_cache(maxsize=None)
-def _deconcat_word(w):
+# Coproduct kernels of one word.  The recursive two keep the coproducts of
+# the suffixes they meet in `memo`, a dict that lives for one coproduct call,
+# so that the words of one polynomial share their suffixes and nothing
+# outlives the call.
+
+
+def _deconcat_word(w, memo=None):
+    """Every split of w into prefix (x) suffix; nothing to memoise."""
     return tuple(((w[:i], w[i:]), 1) for i in range(len(w) + 1))
 
 
-@lru_cache(maxsize=None)
-def _unshuffle_word(w):
+def _unshuffle_word(w, memo=None):
     """Sum over all splittings of w into a pair of complementary subwords."""
     if not w:
         return ((((), ()), 1),)
-    a, rest = w[0], w[1:]
-    out = {}
-    for (u, v), c in _unshuffle_word(rest):
-        k1 = ((a,) + u, v)
-        out[k1] = out.get(k1, 0) + c
-        k2 = (u, (a,) + v)
-        out[k2] = out.get(k2, 0) + c
-    return tuple(out.items())
+    memo = {} if memo is None else memo
+    got = memo.get(w)
+    if got is None:
+        a = w[0]
+        out = {}
+        for (u, v), c in _unshuffle_word(w[1:], memo):
+            k1 = ((a,) + u, v)
+            out[k1] = out.get(k1, 0) + c
+            k2 = (u, (a,) + v)
+            out[k2] = out.get(k2, 0) + c
+        got = memo[w] = tuple(out.items())
+    return got
 
 
-@lru_cache(maxsize=None)
-def _unstuffle_word(w):
+def _unstuffle_word(w, memo=None):
     """Product over letters of the factors yk -> yk(x)1 + 1(x)yk + sum yi(x)yj."""
     if not w:
         return ((((), ()), 1),)
-    k = int(w[0][1:])
-    factor = [(((w[0],), ()), 1), (((), (w[0],)), 1)]
-    for i in range(1, k):
-        factor.append((((f"y{i}",), (f"y{k - i}",)), 1))
-    out = {}
-    for (u1, v1), c1 in factor:
-        for (u2, v2), c2 in _unstuffle_word(w[1:]):
-            key = (u1 + u2, v1 + v2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return tuple(out.items())
+    memo = {} if memo is None else memo
+    got = memo.get(w)
+    if got is None:
+        k = int(w[0][1:])
+        factor = [(((w[0],), ()), 1), (((), (w[0],)), 1)]
+        for i in range(1, k):
+            factor.append((((f"y{i}",), (f"y{k - i}",)), 1))
+        tail = _unstuffle_word(w[1:], memo)
+        out = {}
+        for (u1, v1), c1 in factor:
+            for (u2, v2), c2 in tail:
+                key = (u1 + u2, v1 + v2)
+                out[key] = out.get(key, 0) + c1 * c2
+        got = memo[w] = tuple(out.items())
+    return got
 
 
 def _coproduct(p, word_kernel):
+    ring = p.ring
+    d, terms = ring.lift(p.terms)
+    memo = {}
     out = {}
-    for w, c in p.terms.items():
-        for key, m in word_kernel(w):
+    for w, c in terms.items():
+        for key, m in word_kernel(w, memo):
             prev = out.get(key)
             inc = c * m
             out[key] = inc if prev is None else prev + inc
-    return _built(TensorPoly, p.alphabet, p.ring, out)
+    return _built(TensorPoly, p.alphabet, ring, ring.lower(out, d))
 
 
 def deconcat(p):
@@ -604,28 +633,35 @@ class TruncatedSeries:
         return TruncatedSeries(self.poly._built(out), self.bound)
 
     def exp(self):
-        """Concatenation exponential; requires zero constant term."""
+        """Concatenation exponential; requires zero constant term.
+
+        Horner's rule on the n = bound terms: G_n = 1 and
+        G_(k-1) = 1 + (S/k).G_k, so exp(S) = G_0.  Since S has no constant
+        term, G_k is needed only to grade n - k, and each product is
+        truncated there.
+        """
         if self.poly.constant_term() != self.ring.zero:
             raise ValueError("exp needs a series with zero constant term")
-        one = NCPolynomial.one(self.alphabet, self.ring)
-        acc = TruncatedSeries(one, self.bound)
-        term = TruncatedSeries(one, self.bound)
-        for k in range(1, self.bound + 1):
-            term = (term * self).scale(Fraction(1, k))
-            acc = acc + term
-        return acc
+        s, n = self.poly, self.bound
+        g = NCPolynomial.one(self.alphabet, self.ring)
+        for k in range(n, 0, -1):
+            g = s.scale(Fraction(1, k))._word_product(g, conc_words, n - k + 1) + 1
+        return TruncatedSeries(g, n)
 
     def log(self):
-        """Concatenation logarithm; requires constant term one."""
+        """Concatenation logarithm; requires constant term one.
+
+        Horner's rule on log(1 + D) = sum of c_k D^k, c_k = (-1)^(k-1)/k:
+        H_n = c_n, H_k = c_k + D.H_(k+1) and log = D.H_1, with H_k truncated
+        at grade n - k.
+        """
         if self.poly.constant_term() != self.ring.one:
             raise ValueError("log needs a series with constant term one")
-        delta = self - NCPolynomial.one(self.alphabet, self.ring)
-        acc = TruncatedSeries(NCPolynomial.zero(self.alphabet, self.ring), self.bound)
-        term = TruncatedSeries(NCPolynomial.one(self.alphabet, self.ring), self.bound)
-        for k in range(1, self.bound + 1):
-            term = term * delta
-            acc = acc + term.scale(Fraction((-1) ** (k - 1), k))
-        return acc
+        d, n = self.poly - 1, self.bound
+        h = NCPolynomial.zero(self.alphabet, self.ring)
+        for k in range(n, 0, -1):
+            h = d._word_product(h, conc_words, n - k) + Fraction((-1) ** (k - 1), k)
+        return TruncatedSeries(d._word_product(h, conc_words, n), n)
 
     def left_quotient(self, u):
         u = tuple(u)

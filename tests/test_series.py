@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfps.rings import QQ, QT, Poly, ring_named
+from ncfps.rings import QQ, QT, RR, Poly, ring_named
 from ncfps.series import (
     NCPolynomial,
     TensorPoly,
@@ -507,3 +507,211 @@ def test_log_of_exp_at_bound_10_is_fast():
     t0 = time.perf_counter()
     assert s.log() == TruncatedSeries(x, 10)
     assert time.perf_counter() - t0 < 2.0
+
+
+# ---------------------------------------------------------------------------
+# exact products on integer numerators and exp/log by Horner's rule, against
+# Fraction-by-Fraction sums over the brute-force kernels and the power sums
+
+
+def _conc_oracle(u, v):
+    return {u + v: 1}
+
+
+_ORACLES = {conc_words: _conc_oracle, shuffle_words: oracle_shuffle, stuffle_words: oracle_stuffle}
+
+
+def brute_product(left, right, oracle, grade, ring, bound=None):
+    """Coefficient dict of a word product: c_u * c_v * m summed one term at a
+    time over the oracle's expansion of every pair of words."""
+    out = {}
+    for u, cu in left.items():
+        for v, cv in right.items():
+            for w, m in oracle(u, v).items():
+                if bound is None or grade(w) <= bound:
+                    out[w] = out.get(w, ring.zero) + cu * cv * m
+    return {w: c for w, c in out.items() if c}
+
+
+def power_sum_exp(p, bound):
+    """exp(S) as the sum of S^k / k! to the bound, S = p."""
+    ring, grade = p.ring, p.alphabet.word_grade
+    acc, term = {(): ring.one}, {(): ring.one}
+    for k in range(1, bound + 1):
+        term = {w: c * Fraction(1, k) for w, c in brute_product(term, p.terms, _conc_oracle, grade, ring, bound).items()}
+        for w, c in term.items():
+            acc[w] = acc.get(w, ring.zero) + c
+    return NCPolynomial(p.alphabet, ring, acc)
+
+
+def power_sum_log(p, bound):
+    """log(1 + D) as the sum of (-1)^(k-1) D^k / k to the bound, 1 + D = p."""
+    ring, grade = p.ring, p.alphabet.word_grade
+    d = {w: c for w, c in p.terms.items() if w}
+    acc, term = {}, {(): ring.one}
+    for k in range(1, bound + 1):
+        term = brute_product(term, d, _conc_oracle, grade, ring, bound)
+        for w, c in term.items():
+            acc[w] = acc.get(w, ring.zero) + c * Fraction((-1) ** (k - 1), k)
+    return NCPolynomial(p.alphabet, ring, acc)
+
+
+# denominators include distinct primes, so operands rarely share one
+_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7, 11, 13]))
+
+
+@st.composite
+def _proper_series(draw):
+    """(alphabet, ring, p): p has a few terms of grade 1 to 3 and no constant
+    term, over one of X2, X3, Y and one of Q, Q[t]."""
+    alphabet = draw(st.sampled_from([X2, X3, Y]))
+    ring = draw(st.sampled_from([QQ, QT]))
+    words = st.sampled_from(alphabet.words_up_to(3, include_empty=False))
+    terms = draw(st.dictionaries(words, _FRACTIONS if ring == QQ else _coeffs(ring), max_size=4))
+    return alphabet, ring, NCPolynomial(alphabet, ring, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_proper_series(), st.integers(0, 7))
+def test_horner_exp_and_log_match_the_power_sums(case, bound):
+    alphabet, ring, p = case
+    one = NCPolynomial.one(alphabet, ring)
+    e = TruncatedSeries(p, bound).exp()
+    assert e.bound == bound and e.poly == power_sum_exp(p.truncate(bound), bound)
+    lg = TruncatedSeries(one + p, bound).log()
+    assert lg.bound == bound and lg.poly == power_sum_log((one + p).truncate(bound), bound)
+
+
+def test_exp_and_log_at_bound_0():
+    p = qp("1/2*x0 - 3*x1.x0")
+    assert TruncatedSeries(p, 0).exp() == TruncatedSeries(NCPolynomial.one(X2, QQ), 0)
+    assert TruncatedSeries(p + 1, 0).log() == TruncatedSeries(NCPolynomial.zero(X2, QQ), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([X2, X3, Y]), st.dictionaries(st.integers(0, 11), st.floats(-2, 2), max_size=5), st.integers(1, 7))
+def test_float_log_matches_the_power_sum(alphabet, picks, bound):
+    # the float path of chen.primitive_log_check: rounding differs between
+    # Horner's rule and the power sum, so compare to 1e-12 of the largest
+    # coefficient
+    words = alphabet.words_up_to(3, include_empty=False)
+    terms = {words[i % len(words)]: c for i, c in picks.items()}
+    terms[()] = 1.0
+    p = NCPolynomial(alphabet, RR, terms)
+    got = TruncatedSeries(p, bound).log().poly
+    want = power_sum_log(p.truncate(bound), bound)
+    scale = max([1.0] + [abs(c) for c in want.terms.values()])
+    for w in set(got.terms) | set(want.terms):
+        assert abs(got.coeff(w) - want.coeff(w)) <= 1e-12 * scale
+
+
+@st.composite
+def _rational_pairs(draw):
+    """(p, q) over Q on one of X2, X3, Y, coefficients with small prime
+    denominators; either may be empty."""
+    alphabet, max_grade = _ALPHABETS[draw(st.sampled_from(sorted(_ALPHABETS)))]
+    words = st.sampled_from(alphabet.words_up_to(max_grade, include_empty=True))
+    p, q = (NCPolynomial(alphabet, QQ, draw(st.dictionaries(words, _FRACTIONS, max_size=5))) for _ in range(2))
+    return p, q
+
+
+def _assert_rational(r):
+    for c in r.terms.values():
+        assert type(c) is Fraction and c
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_pairs(), st.integers(0, 7))
+def test_products_over_q_match_the_fraction_sums(pair, bound):
+    p, q = pair
+    g = p.alphabet.word_grade
+    for kernel in _kernels(p.alphabet):
+        oracle = _ORACLES[kernel]
+        for b in (None, bound):
+            got = p._word_product(q, kernel, b)
+            _assert_rational(got)
+            assert got.terms == brute_product(p.terms, q.terms, oracle, g, QQ, b)
+
+
+def test_products_over_q_with_coprime_denominators_and_empty_operands():
+    p = qp("1/3*x0 + 2/5*x1.x0")
+    q = qp("1/7*x1 - 5/11*x0.x0")
+    zero = NCPolynomial.zero(X2, QQ)
+    assert p * q == qp("1/21*x0.x1 - 5/33*x0.x0.x0 + 2/35*x1.x0.x1 - 2/11*x1.x0.x0.x0")
+    assert (p * q).coeff(("x0", "x1")) == Fraction(1, 21)
+    for r in (p * zero, zero * p, p.shuffle(zero), zero.shuffle(zero)):
+        assert r.is_zero()
+    assert TensorPoly.of(p, q).mul(TensorPoly.zero(X2, QQ)) == TensorPoly.zero(X2, QQ)
+    # a product whose numerators cancel over the common denominator
+    assert (p * qp("1/2")).shuffle(qp("2")) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 6))
+def test_tensor_products_over_q_match_the_fraction_sums(data, bound):
+    alphabet, max_grade = _ALPHABETS[data.draw(st.sampled_from(sorted(_ALPHABETS)))]
+    words = st.sampled_from(alphabet.words_up_to(max_grade - 1, include_empty=True))
+    a, b = (
+        TensorPoly(alphabet, QQ, data.draw(st.dictionaries(st.tuples(words, words), _FRACTIONS, max_size=4)))
+        for _ in range(2)
+    )
+    g = alphabet.word_grade
+    for kernel in _kernels(alphabet):
+        for bd in (None, bound):
+            want = {}
+            for (u1, v1), c1 in a.terms.items():
+                for (u2, v2), c2 in b.terms.items():
+                    for wu, mu in _ORACLES[kernel](u1, u2).items():
+                        if bd is not None and g(wu) > bd:
+                            continue
+                        for wv, mv in _conc_oracle(v1, v2).items():
+                            want[(wu, wv)] = want.get((wu, wv), Fraction(0)) + c1 * c2 * mu * mv
+            got = a.mul(b, kernel, conc_words, bd)
+            assert got.terms == {k: c for k, c in want.items() if c}
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def _oracle_unshuffle(w):
+    out = {}
+    for r in range(len(w) + 1):
+        for pos in combinations(range(len(w)), r):
+            key = (tuple(w[i] for i in pos), tuple(w[i] for i in range(len(w)) if i not in pos))
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(X2.words_up_to(6)), _FRACTIONS, max_size=6))
+def test_unshuffle_over_q_matches_the_fraction_sum(terms):
+    p = NCPolynomial(X2, QQ, terms)
+    want = {}
+    for w, c in p.terms.items():
+        for key, m in _oracle_unshuffle(w).items():
+            want[key] = want.get(key, Fraction(0)) + c * m
+    got = unshuffle(p)
+    assert got.terms == {k: c for k, c in want.items() if c}
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_coproduct_kernels_keep_no_module_cache():
+    # their memos live for one coproduct call; the Eulerian projector calls
+    # the quasi-shuffle kernel on its own
+    from ncfps import series
+
+    for kernel in (series._deconcat_word, series._unshuffle_word, series._unstuffle_word):
+        assert not hasattr(kernel, "cache_info")
+    w = parse_word("y2.y1.y3")
+    assert dict(series._unstuffle_word(w)) == dict(series._unstuffle_word(w, {}))
+    assert unstuffle(NCPolynomial.word(Y, QQ, w)).terms == dict(series._unstuffle_word(w))
+
+
+def test_dense_round_trip_at_bound_10_is_fast():
+    # on a 2-CPU host with Python 3.11 the power sums over Fractions took
+    # about 0.5 s, Horner's rule on integer numerators under 0.1 s
+    rng = random.Random(23)
+    words = [("x0",), ("x1",)] + [(a, b) for a in ("x0", "x1") for b in ("x0", "x1")]
+    terms = {w: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for w in words}
+    s = TruncatedSeries(NCPolynomial(X2, QQ, terms), 10)
+    t0 = time.perf_counter()
+    assert s.exp().log() == s
+    assert time.perf_counter() - t0 < 0.25
