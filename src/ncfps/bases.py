@@ -29,6 +29,7 @@ from functools import lru_cache
 from .linalg import invert_matrix, transpose
 from .rings import QQ
 from .series import (
+    CACHE_SIZE,
     NCPolynomial,
     TensorPoly,
     _unstuffle_word,
@@ -62,7 +63,7 @@ __all__ = [
 _Y = Alphabet.y()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _pi1_word(w):
     """First Eulerian projector of a Y-type word, as a coefficient dict.
 
@@ -215,14 +216,19 @@ class BasisTable:
             )
 
 
+# at most this many tables are kept; the oldest goes first
+TABLES_SIZE = 32
 _TABLES = {}
 
 
 def basis_table(alphabet, bound):
     key = (alphabet, bound)
-    if key not in _TABLES:
-        _TABLES[key] = BasisTable(alphabet, bound)
-    return _TABLES[key]
+    table = _TABLES.get(key)
+    if table is None:
+        if len(_TABLES) >= TABLES_SIZE:
+            del _TABLES[next(iter(_TABLES))]
+        table = _TABLES[key] = BasisTable(alphabet, bound)
+    return table
 
 
 def basis_P(alphabet, w):

@@ -689,18 +689,33 @@ def parse_ratfun_expr(s, var):
 
 
 class CoefficientRing:
-    """Base of the ring descriptors.  Word products lift the coefficient dict
-    of each operand to (d, values over d), multiply and add the values, and
-    lower the result over the product of the d's.  By default both steps
-    leave coefficients as they are: Q[v] and Q(v) already multiply on
-    integer numerators inside :class:`Poly`, and floats take no gcd.  Q
-    overrides them."""
+    """Base of the ring descriptors.
+
+    The kernel loops of word products, coproducts, star, exp and log run on
+    a ring's lifted form and lower their sums once at the end.  ``lift``
+    turns a coefficient dict into (d, numerators over d); ``pack(nums,
+    width)`` makes the numerators values the loops multiply and add;
+    ``lower(values, d, width)`` turns sums of products of packed values back
+    into coefficients over d.  Q lifts to integer numerators.  Q[v] lifts to
+    integer coefficient lists, which ``pack`` turns into one Python int each
+    by Kronecker substitution; the caller picks the slot width from ``size``
+    so that no slot overflows.  ``integral`` marks the rings whose loops see
+    only ints, ``packs`` the one that needs a width.  By default all three
+    steps leave coefficients as they are: Q(v), floats and the symbolic
+    input ring run the loops on ring elements.
+    """
+
+    integral = False
+    packs = False
 
     def lift(self, terms):
         return 1, terms
 
-    def lower(self, terms, d):
-        return terms
+    def pack(self, nums, width):
+        return nums
+
+    def lower(self, values, d, width=None):
+        return values
 
 
 class RationalRing(CoefficientRing):
@@ -708,6 +723,7 @@ class RationalRing(CoefficientRing):
 
     name = "Q"
     is_field = True
+    integral = True
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -738,9 +754,9 @@ class RationalRing(CoefficientRing):
         d = math.lcm(*[c.denominator for c in terms.values()])
         return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
 
-    def lower(self, terms, d):
+    def lower(self, values, d, width=None):
         """The nonzero numerators of a dict as coefficients over d."""
-        return {k: Fraction(n, d) for k, n in terms.items() if n}
+        return {k: Fraction(n, d) for k, n in values.items() if n}
 
     def invert(self, x):
         return Fraction(1) / x
@@ -765,6 +781,8 @@ class PolynomialRing(CoefficientRing):
     """Q[var]: univariate polynomials; not a field."""
 
     is_field = False
+    integral = True
+    packs = True
 
     def __init__(self, var):
         self.var = var
@@ -797,6 +815,51 @@ class PolynomialRing(CoefficientRing):
         if x.is_const():
             return str(x.const_value())
         return f"({poly_text(x)})"
+
+    def lift(self, terms):
+        """(d, integer coefficient lists over d) of a dict of polynomials."""
+        d = math.lcm(*[c.denominator for p in terms.values() for c in p.coeffs])
+        return d, {k: [c.numerator * (d // c.denominator) for c in p.coeffs] for k, p in terms.items()}
+
+    @staticmethod
+    def size(nums):
+        """Sum of the absolute values of all integers in a dict of lists."""
+        return sum(abs(n) for num in nums.values() for n in num)
+
+    def pack(self, nums, width):
+        """Kronecker substitution v -> 2^width: each integer list n_0, n_1, ...
+        becomes the int sum of n_k 2^(k width), negative entries included."""
+        out = {}
+        for k, num in nums.items():
+            value = 0
+            for n in reversed(num):
+                value = (value << width) + n
+            out[k] = value
+        return out
+
+    def lower(self, values, d, width):
+        """The nonzero packed values of a dict as polynomials over d.
+
+        Packing is a ring map Z[v] -> Z, so a sum of products of packed lists
+        is the packed list of the same sum of products of polynomials.  Its
+        slots are read back as balanced residues, which is exact when every
+        integer coefficient lies strictly between -2^(width-1) and
+        2^(width-1).
+        """
+        full = 1 << width
+        mask, half = full - 1, full >> 1
+        out = {}
+        for k, value in values.items():
+            cs = []
+            while value:
+                r = value & mask
+                if r >= half:
+                    r -= full
+                cs.append(Fraction(r, d))
+                value = (value - r) >> width
+            if cs:
+                out[k] = Poly(self.var, cs)
+        return out
 
     def primitive(self, v):
         """The entries of v divided by their gcd and by the content of all

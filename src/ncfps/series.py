@@ -18,16 +18,22 @@ propagates it through arithmetic, which is what makes fixed-point
 constructions (star, exp, log) terminate.  exp and log run Horner's rule,
 each product truncated at the grade the remaining steps still need.
 
-Products and coproducts go through the ring's ``lift``/``lower`` pair: over
-Q each operand becomes integer numerators over one common denominator, the
-kernel loop sums integer products, and each output coefficient becomes one
-``Fraction`` at the end, one gcd per coefficient instead of one per product
-and sum.  For Q[t], Q(z) and floats the pair leaves coefficients as they are.
+Products, coproducts, star, exp and log run on the ring's lifted form (see
+:class:`ncfps.rings.CoefficientRing`) and lower once at the end.  Over Q
+each operand becomes integer numerators over one common denominator; over
+Q[t] each coefficient also becomes one int by Kronecker substitution, at a
+slot width bounded before the loop starts.  The kernel loops then multiply
+and add plain ints, and each output coefficient takes its gcds once, when it
+is lowered.  star, exp and log lift their operand once and keep the whole
+recursion on numerators.  For Q(z), floats and symbolic coefficients the
+same loops run on ring elements, adding in the order that float results
+have always been rounded in.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,10 +60,24 @@ __all__ = [
 # integer word-product kernels, alphabet-agnostic and cached
 #
 # Cached values are tuples of (word, multiplicity) pairs; callers must not
-# assume any particular order.
+# assume any particular order.  The caches are bounded so that a long-running
+# process meeting ever new words does not grow without limit.
+
+CACHE_SIZE = 2**16
+
+# one tuple per distinct word across the cached results: they repeat a few
+# thousand words tens of thousands of times
+_WORD_CACHE = {}
 
 
-@lru_cache(maxsize=None)
+def _shared(out):
+    """The items of a kernel's word-to-multiplicity dict, words shared."""
+    if len(_WORD_CACHE) + len(out) > CACHE_SIZE:
+        _WORD_CACHE.clear()
+    return tuple((_WORD_CACHE.setdefault(w, w), c) for w, c in out.items())
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def shuffle_words(u, v):
     """All interleavings of u and v with multiplicities."""
     if not u:
@@ -71,42 +91,34 @@ def shuffle_words(u, v):
     for w, c in shuffle_words(u, v[1:]):
         key = (v[0],) + w
         out[key] = out.get(key, 0) + c
-    return tuple(out.items())
+    return _shared(out)
 
 
-@lru_cache(maxsize=None)
-def _stuffle_idx(u, v):
+@lru_cache(maxsize=CACHE_SIZE)
+def stuffle_words(u, v):
+    """Quasi-shuffle of two Y-type words: interleavings plus letter merges.
+
+    Merged letters are interned, so the cached words share one string per
+    letter."""
+    for c in u + v:
+        if c[0] != "y":
+            raise ValueError(f"quasi-shuffle needs Y-type letters, got {c!r}")
     if not u:
         return ((v, 1),)
     if not v:
         return ((u, 1),)
     out = {}
-    for w, c in _stuffle_idx(u[1:], v):
+    for w, c in stuffle_words(u[1:], v):
         key = (u[0],) + w
         out[key] = out.get(key, 0) + c
-    for w, c in _stuffle_idx(u, v[1:]):
+    for w, c in stuffle_words(u, v[1:]):
         key = (v[0],) + w
         out[key] = out.get(key, 0) + c
-    for w, c in _stuffle_idx(u[1:], v[1:]):
-        key = (u[0] + v[0],) + w
+    merged = sys.intern(f"y{int(u[0][1:]) + int(v[0][1:])}")
+    for w, c in stuffle_words(u[1:], v[1:]):
+        key = (merged,) + w
         out[key] = out.get(key, 0) + c
-    return tuple(out.items())
-
-
-def _y_idx(word):
-    return tuple(int(c[1:]) for c in word)
-
-
-def _idx_y(idx):
-    return tuple(f"y{k}" for k in idx)
-
-
-def stuffle_words(u, v):
-    """Quasi-shuffle of two Y-type words: interleavings plus letter merges."""
-    for c in u + v:
-        if c[0] != "y":
-            raise ValueError(f"quasi-shuffle needs Y-type letters, got {c!r}")
-    return tuple((_idx_y(w), c) for w, c in _stuffle_idx(_y_idx(u), _y_idx(v)))
+    return _shared(out)
 
 
 def conc_words(u, v):
@@ -125,6 +137,43 @@ def _built(cls, alphabet, ring, terms):
     object.__setattr__(obj, "ring", ring)
     object.__setattr__(obj, "terms", {k: c for k, c in terms.items() if c})
     return obj
+
+
+def _lifted(ring, operands, grade):
+    """Lifted (d, values) of the term dicts that enter one kernel loop, and
+    the width to lower the loop's sums with (None unless the ring packs).
+
+    A kernel whose arguments have grades adding up to g sums multiplicities
+    of at most 3^g into any output: 1 for concatenation, a binomial for the
+    shuffle, a Delannoy number for the quasi-shuffle, at most 2^g for a
+    coproduct of one word, and the product of two such for a tensor.  So
+    no integer coefficient of a sum exceeds the product over the operands of
+    their size times 3^(their largest grade).
+    """
+    lifted = [ring.lift(terms) for terms in operands]
+    if not ring.packs:
+        return lifted, None
+    bound = 1
+    for _, nums in lifted:
+        bound *= ring.size(nums) * 3 ** max(map(grade, nums), default=0)
+    return _packed(ring, lifted, bound)
+
+
+def _packed(ring, lifted, bound):
+    """Lifted operands packed at the width that holds integers of absolute
+    value up to the bound, and that width."""
+    width = bound.bit_length() + 1
+    return [(d, ring.pack(nums, width)) for d, nums in lifted], width
+
+
+def _conc_into(out, left, right):
+    """Add the concatenation products of two lists of (word, value) items."""
+    for u, cu in left:
+        for v, cv in right:
+            w = u + v
+            c = cu * cv
+            prev = out.get(w)
+            out[w] = c if prev is None else prev + c
 
 
 def _by_grade(terms, grade):
@@ -240,8 +289,7 @@ class NCPolynomial:
     def _word_product(self, other, kernel, bound=None):
         o = self._check_compatible(other)
         ring = self.ring
-        da, a = ring.lift(self.terms)
-        db, b = ring.lift(o.terms)
+        ((da, a), (db, b)), width = _lifted(ring, (self.terms, o.terms), self.alphabet.word_grade)
         out = {}
         # all three word products are grade-additive, so only grade buckets
         # whose grades sum to at most the bound can contribute below it
@@ -253,7 +301,7 @@ class NCPolynomial:
                         inc = c if m == 1 else c * m
                         prev = out.get(w)
                         out[w] = inc if prev is None else prev + inc
-        return self._built(ring.lower(out, da * db))
+        return self._built(ring.lower(out, da * db, width))
 
     def __mul__(self, other):
         """Concatenation product, or scalar scaling."""
@@ -398,8 +446,7 @@ class TensorPoly:
         """
         g = self.alphabet.word_grade
         ring = self.ring
-        da, a = ring.lift(self.terms)
-        db, b = ring.lift(other.terms)
+        ((da, a), (db, b)), width = _lifted(ring, (self.terms, other.terms), lambda k: g(k[0]) + g(k[1]))
         out = {}
         for left, right in _bucket_pairs(a, b, lambda k: g(k[0]), bound):
             for (u1, v1), c1 in left:
@@ -412,7 +459,7 @@ class TensorPoly:
                             inc = c if m == 1 else c * m
                             prev = out.get(key)
                             out[key] = inc if prev is None else prev + inc
-        return self._built(ring.lower(out, da * db))
+        return self._built(ring.lower(out, da * db, width))
 
     def pair(self, p, q):
         """Pair against p (x) q: sum of coeff * p[u] * q[v]."""
@@ -501,7 +548,7 @@ def _unstuffle_word(w, memo=None):
 
 def _coproduct(p, word_kernel):
     ring = p.ring
-    d, terms = ring.lift(p.terms)
+    ((d, terms),), width = _lifted(ring, (p.terms,), p.alphabet.word_grade)
     memo = {}
     out = {}
     for w, c in terms.items():
@@ -509,7 +556,7 @@ def _coproduct(p, word_kernel):
             prev = out.get(key)
             inc = c * m
             out[key] = inc if prev is None else prev + inc
-    return _built(TensorPoly, p.alphabet, ring, ring.lower(out, d))
+    return _built(TensorPoly, p.alphabet, ring, ring.lower(out, d, width))
 
 
 def deconcat(p):
@@ -604,33 +651,40 @@ class TruncatedSeries:
     def star(self):
         """Concatenation star: the unique T with T = 1 + self * T.
 
-        Needs 1 - (constant term) invertible in the coefficient ring.
+        Needs 1 - (constant term) invertible in the coefficient ring.  With
+        inv that inverse and S the rest of the series, T_0 = inv and
+        T_g = inv.sum_i S_i.T_(g-i) grade by grade.  On numerators,
+        inv = n_inv/d_inv and S = n(S)/d_S: T_g = N_g/(d_inv^(g+1) d_S^g)
+        with N_0 = n_inv and N_g = n_inv.sum_i n(S_i).N_(g-i).q^(i-1),
+        q = d_inv d_S.
         """
-        ring = self.ring
-        a = self.poly.constant_term()
-        inv = ring.invert(ring.one - a)  # raises when not a unit
-        comps = [(i, si) for i, si in _by_grade(self.poly.terms, self.alphabet.word_grade) if i]
-        out = {(): inv}
-        t_by_grade = {0: {(): inv}}
-        for g in range(1, self.bound + 1):
+        ring, n = self.ring, self.bound
+        inv = ring.invert(ring.one - self.poly.constant_term())  # raises when not a unit
+        lifted = [ring.lift({(): inv}), ring.lift({w: c for w, c in self.poly.terms.items() if w})]
+        (di, ni), (ds, ns) = lifted
+        q, width = di * ds, None
+        if ring.packs:
+            # |N_g| <= v M^g with M = max(q, v s), by induction on g
+            v = ring.size(ni)
+            ((di, ni), (ds, ns)), width = _packed(ring, lifted, v * max(q, v * ring.size(ns)) ** n)
+        n_inv = ni[()]
+        comps = [
+            (i, [(u, c * q ** (i - 1)) for u, c in si] if i > 1 and q != 1 else si)
+            for i, si in _by_grade(ns, self.alphabet.word_grade)
+        ]
+        t_by_grade = {0: [((), n_inv)]}
+        out = ring.lower({(): n_inv}, di, width)
+        for g in range(1, n + 1):
             acc = {}
             for i, si in comps:
                 if i > g:
                     break
-                tj = t_by_grade.get(g - i)
-                if not tj:
-                    continue
-                for u, cu in si:
-                    for v, cv in tj.items():
-                        w = u + v
-                        prev = acc.get(w)
-                        inc = cu * cv
-                        acc[w] = inc if prev is None else prev + inc
-            comp = {w: inv * c for w, c in acc.items() if c}
+                _conc_into(acc, si, t_by_grade.get(g - i, ()))
+            comp = {w: n_inv * c for w, c in acc.items() if c}
             if comp:
-                t_by_grade[g] = comp
-                out.update(comp)
-        return TruncatedSeries(self.poly._built(out), self.bound)
+                t_by_grade[g] = list(comp.items())
+                out.update(ring.lower(comp, di ** (g + 1) * ds**g, width))
+        return TruncatedSeries(self.poly._built(out), n)
 
     def exp(self):
         """Concatenation exponential; requires zero constant term.
@@ -638,30 +692,49 @@ class TruncatedSeries:
         Horner's rule on the n = bound terms: G_n = 1 and
         G_(k-1) = 1 + (S/k).G_k, so exp(S) = G_0.  Since S has no constant
         term, G_k is needed only to grade n - k, and each product is
-        truncated there.
+        truncated there.  On integer numerators, S = n(S)/d and
+        G_k = N_k/D_k: D_(k-1) = k d D_k and N_(k-1) = D_(k-1) + n(S).N_k.
         """
-        if self.poly.constant_term() != self.ring.zero:
+        ring, n = self.ring, self.bound
+        if self.poly.constant_term() != ring.zero:
             raise ValueError("exp needs a series with zero constant term")
-        s, n = self.poly, self.bound
-        g = NCPolynomial.one(self.alphabet, self.ring)
-        for k in range(n, 0, -1):
-            g = s.scale(Fraction(1, k))._word_product(g, conc_words, n - k + 1) + 1
-        return TruncatedSeries(g, n)
+
+        def plan(d):
+            if not ring.integral:
+                steps = [(ring.one, ring.coerce(Fraction(1, k)), n - k + 1) for k in range(n, 0, -1)]
+                return [(ring.one, 1, 0)] + steps, 1
+            steps, dk = [(1, 1, 0)], 1
+            for k in range(n, 0, -1):
+                dk *= k * d
+                steps.append((dk, 1, n - k + 1))
+            return steps, dk
+
+        return TruncatedSeries(_horner(self.poly, plan), n)
 
     def log(self):
         """Concatenation logarithm; requires constant term one.
 
         Horner's rule on log(1 + D) = sum of c_k D^k, c_k = (-1)^(k-1)/k:
         H_n = c_n, H_k = c_k + D.H_(k+1) and log = D.H_1, with H_k truncated
-        at grade n - k.
+        at grade n - k.  On integer numerators, D = n(D)/d and H_k = M_k/E_k
+        with E_(n+1) = 1, M_(n+1) = 0: E_k = k d E_(k+1) and
+        M_k = (-1)^(k-1) d E_(k+1) + k n(D).M_(k+1).
         """
-        if self.poly.constant_term() != self.ring.one:
+        ring, n = self.ring, self.bound
+        if self.poly.constant_term() != ring.one:
             raise ValueError("log needs a series with constant term one")
-        d, n = self.poly - 1, self.bound
-        h = NCPolynomial.zero(self.alphabet, self.ring)
-        for k in range(n, 0, -1):
-            h = d._word_product(h, conc_words, n - k) + Fraction((-1) ** (k - 1), k)
-        return TruncatedSeries(d._word_product(h, conc_words, n), n)
+
+        def plan(d):
+            if not ring.integral:
+                steps = [(ring.coerce(Fraction((-1) ** (k - 1), k)), 1, n - k) for k in range(n, 0, -1)]
+                return steps + [(0, 1, n)], 1
+            steps, ek = [], 1
+            for k in range(n, 0, -1):
+                steps.append(((-1) ** (k - 1) * d * ek, k, n - k))
+                ek *= k * d
+            return steps + [(0, 1, n)], d * ek
+
+        return TruncatedSeries(_horner(self.poly, plan), n)
 
     def left_quotient(self, u):
         u = tuple(u)
@@ -684,6 +757,47 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({series_text(self.poly)!r}, bound={self.bound})"
+
+
+def _horner(poly, plan):
+    """Horner's rule on the lifted form of S, the terms of poly other than
+    its constant term; lowered once.
+
+    plan(d), for S = n(S)/d, gives steps (alpha, beta, top) and the
+    denominator of the result: x starts at 0, each step sets
+    x = alpha + (beta n(S)).x truncated at grade top, and the result is x
+    over that denominator.  Over Q and Q[t] the plan's scalars are integers;
+    over the other rings they are ring elements and the denominator is 1.
+    Packed values hold every x the steps reach, since
+    |x| <= |alpha| + |beta| |n(S)| |x_before| in the sum-of-absolute-
+    coefficients norm.  Each sum adds its products in ascending grade of the
+    factor from S, the order in which floats were always rounded.
+    """
+    ring, grade = poly.ring, poly.alphabet.word_grade
+    lifted = [ring.lift({w: c for w, c in poly.terms.items() if w})]
+    steps, denominator = plan(lifted[0][0])
+    width = None
+    if ring.packs:
+        size, b, most = ring.size(lifted[0][1]), 0, 0
+        for alpha, beta, _ in steps:
+            b = abs(alpha) + abs(beta) * size * b
+            most = max(most, b)
+        lifted, width = _packed(ring, lifted, most)
+    sb = _by_grade(lifted[0][1], grade)
+    x = {}  # grade -> {word: value}
+    for alpha, beta, top in steps:
+        out = {}
+        for i, si in sb:
+            if beta != 1:
+                si = [(u, beta * c) for u, c in si]
+            for j, xj in sorted(x.items()):
+                if i + j > top:
+                    break
+                _conc_into(out.setdefault(i + j, {}), si, xj.items())
+        x = {g: {w: c for w, c in og.items() if c} for g, og in out.items()}
+        if alpha:
+            x[0] = {(): alpha}
+    return poly._built(ring.lower({w: c for xg in x.values() for w, c in xg.items()}, denominator, width))
 
 
 # ---------------------------------------------------------------------------

@@ -240,3 +240,15 @@ class TestGoldenTables:
         golden = pathlib.Path(__file__).parent / "golden" / "bases_y_weight4.tsv"
         lines = basis_table_lines(basis_table(Y, 4))
         assert golden.read_text().splitlines() == lines
+
+
+def test_basis_tables_keep_at_most_the_bound(monkeypatch):
+    from ncfps import bases
+
+    monkeypatch.setattr(bases, "TABLES_SIZE", 2)
+    monkeypatch.setattr(bases, "_TABLES", {})
+    x1 = Alphabet.x(1)
+    tables = [bases.basis_table(x1, b) for b in (1, 2, 3)]
+    assert list(bases._TABLES) == [(x1, 2), (x1, 3)]
+    assert bases.basis_table(x1, 3) is tables[2]
+    assert bases.basis_table(x1, 1) is not tables[0]

@@ -5,7 +5,9 @@ Oracles:
 * shuffle by explicit position-subset interleaving;
 * quasi-shuffle by an independent recursion peeling LAST letters (the
   implementation peels first letters);
-* every coproduct checked as the adjoint of its product under the pairing.
+* every coproduct checked as the adjoint of its product under the pairing;
+* products over Q and Q[t] against sums of one ring product at a time, and
+  star against a star on ring elements (``oracle_star``).
 """
 
 import random
@@ -558,6 +560,8 @@ def power_sum_log(p, bound):
 
 # denominators include distinct primes, so operands rarely share one
 _FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7, 11, 13]))
+# Q[t] coefficients of both signs, of t-degree up to 3, with such denominators
+_QT = st.lists(_FRACTIONS, max_size=4).map(lambda cs: Poly("t", cs))
 
 
 @st.composite
@@ -567,7 +571,7 @@ def _proper_series(draw):
     alphabet = draw(st.sampled_from([X2, X3, Y]))
     ring = draw(st.sampled_from([QQ, QT]))
     words = st.sampled_from(alphabet.words_up_to(3, include_empty=False))
-    terms = draw(st.dictionaries(words, _FRACTIONS if ring == QQ else _coeffs(ring), max_size=4))
+    terms = draw(st.dictionaries(words, _FRACTIONS if ring == QQ else _QT, max_size=4))
     return alphabet, ring, NCPolynomial(alphabet, ring, terms)
 
 
@@ -603,6 +607,26 @@ def test_float_log_matches_the_power_sum(alphabet, picks, bound):
     scale = max([1.0] + [abs(c) for c in want.terms.values()])
     for w in set(got.terms) | set(want.terms):
         assert abs(got.coeff(w) - want.coeff(w)) <= 1e-12 * scale
+
+
+def test_float_exp_and_log_round_as_horner_on_ring_elements():
+    # chen.primitive_log_check prints a float log; its digits stay those of
+    # Horner's rule written with ring-element products.  Uniform floats, not
+    # hypothesis's simple ones, make the order of additions show.
+    rng = random.Random(5)
+    for alphabet in (X2, X3, Y):
+        words = alphabet.words_up_to(3, include_empty=False)
+        for _ in range(30):
+            s = NCPolynomial(alphabet, RR, {rng.choice(words): rng.uniform(-2, 2) for _ in range(rng.randint(0, 6))})
+            n = rng.randint(0, 7)
+            g = NCPolynomial.one(alphabet, RR)
+            for k in range(n, 0, -1):
+                g = s.scale(Fraction(1, k))._word_product(g, conc_words, n - k + 1) + 1
+            assert TruncatedSeries(s, n).exp().poly.terms == g.terms
+            h = NCPolynomial.zero(alphabet, RR)
+            for k in range(n, 0, -1):
+                h = s._word_product(h, conc_words, n - k) + Fraction((-1) ** (k - 1), k)
+            assert TruncatedSeries(s + 1, n).log().poly.terms == s._word_product(h, conc_words, n).terms
 
 
 @st.composite
@@ -715,3 +739,172 @@ def test_dense_round_trip_at_bound_10_is_fast():
     t0 = time.perf_counter()
     assert s.exp().log() == s
     assert time.perf_counter() - t0 < 0.25
+
+
+# ---------------------------------------------------------------------------
+# Q[t] on packed integers (Kronecker substitution) and star, exp and log on
+# numerators, against Poly-by-Poly sums and a star on ring elements
+
+
+def oracle_star(s):
+    """Star of a TruncatedSeries on ring elements: T_0 = inv and
+    T_g = inv.sum_i S_i.T_(g-i), one ring product and sum at a time."""
+    ring, grade = s.ring, s.alphabet.word_grade
+    inv = ring.invert(ring.one - s.poly.constant_term())
+    t = {0: {(): inv}}
+    for g in range(1, s.bound + 1):
+        acc = {}
+        for u, cu in s.poly.terms.items():
+            i = grade(u)
+            if u and i <= g:
+                for v, cv in t.get(g - i, {}).items():
+                    acc[u + v] = acc.get(u + v, ring.zero) + cu * cv
+        t[g] = {w: inv * c for w, c in acc.items() if c}
+    return NCPolynomial(s.alphabet, ring, {w: c for tg in t.values() for w, c in tg.items()})
+
+
+@st.composite
+def _qt_pairs(draw):
+    alphabet, max_grade = _ALPHABETS[draw(st.sampled_from(sorted(_ALPHABETS)))]
+    words = st.sampled_from(alphabet.words_up_to(max_grade, include_empty=True))
+    return tuple(NCPolynomial(alphabet, QT, draw(st.dictionaries(words, _QT, max_size=5))) for _ in range(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_qt_pairs(), st.integers(0, 7))
+def test_products_over_qt_match_the_poly_sums(pair, bound):
+    p, q = pair
+    g = p.alphabet.word_grade
+    for kernel in _kernels(p.alphabet):
+        for b in (None, bound):
+            got = p._word_product(q, kernel, b)
+            assert got.terms == brute_product(p.terms, q.terms, _ORACLES[kernel], g, QT, b)
+            assert all(type(c) is Poly and c for c in got.terms.values())
+
+
+def _coproduct_oracle(kind, alphabet, w):
+    if kind == "deconcat":
+        return {(w[:i], w[i:]): 1 for i in range(len(w) + 1)}
+    if kind == "unshuffle":
+        return _oracle_unshuffle(w)
+    # the adjoint of the quasi-shuffle: m(u (x) v) = coefficient of w in u * v
+    out = {}
+    for k in range(alphabet.word_grade(w) + 1):
+        for u in alphabet.words_of_grade(k):
+            for v in alphabet.words_of_grade(alphabet.word_grade(w) - k):
+                m = oracle_stuffle(u, v).get(w, 0)
+                if m:
+                    out[(u, v)] = m
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data(), st.integers(0, 6))
+def test_tensor_products_and_coproducts_over_qt_match_the_poly_sums(data, bound):
+    alphabet, max_grade = _ALPHABETS[data.draw(st.sampled_from(sorted(_ALPHABETS)))]
+    words = st.sampled_from(alphabet.words_up_to(max_grade - 1, include_empty=True))
+    pairs = st.dictionaries(st.tuples(words, words), _QT, max_size=4)
+    a, b = (TensorPoly(alphabet, QT, data.draw(pairs)) for _ in range(2))
+    g = alphabet.word_grade
+    for kernel in _kernels(alphabet):
+        for bd in (None, bound):
+            want = {}
+            for (u1, v1), c1 in a.terms.items():
+                for (u2, v2), c2 in b.terms.items():
+                    for wu, mu in _ORACLES[kernel](u1, u2).items():
+                        if bd is None or g(wu) <= bd:
+                            for wv, mv in _conc_oracle(v1, v2).items():
+                                want[(wu, wv)] = want.get((wu, wv), QT.zero) + c1 * c2 * mu * mv
+            assert a.mul(b, kernel, conc_words, bd).terms == {k: c for k, c in want.items() if c}
+    p = NCPolynomial(alphabet, QT, data.draw(st.dictionaries(words, _QT, max_size=5)))
+    kinds = {"deconcat": deconcat, "unshuffle": unshuffle}
+    if alphabet.kind == "Y":
+        kinds["unstuffle"] = unstuffle
+    for kind, coproduct in kinds.items():
+        want = {}
+        for w, c in p.terms.items():
+            for key, m in _coproduct_oracle(kind, alphabet, w).items():
+                want[key] = want.get(key, QT.zero) + c * m
+        assert coproduct(p).terms == {k: c for k, c in want.items() if c}
+
+
+def test_packed_width_covers_the_multiplicities():
+    # the coefficient of x0^12 is C(12, 6) (1 - t^2): slots sized by the
+    # operands' coefficients alone hold only |n| < 8
+    t = QT.gen()
+    for a, b in ((("x0",) * 6, ("x0",) * 6), (("y1",) * 6, ("y1",) * 6)):
+        alphabet = Y if a[0].startswith("y") else X2
+        p = NCPolynomial.word(alphabet, QT, a, 1 + t)
+        q = NCPolynomial.word(alphabet, QT, b, 1 - t)
+        kernel = stuffle_words if alphabet is Y else shuffle_words
+        got = p._word_product(q, kernel)
+        assert got.coeff(a + b) == 924 * (1 - t * t)
+        assert got.terms == brute_product(p.terms, q.terms, _ORACLES[kernel], alphabet.word_grade, QT)
+
+
+@st.composite
+def _star_case(draw):
+    """A truncated series over Q or Q[t] whose constant term a has 1 - a a
+    unit, at bounds 0 to 6."""
+    alphabet, max_grade = _ALPHABETS[draw(st.sampled_from(sorted(_ALPHABETS)))]
+    ring = draw(st.sampled_from([QQ, QT]))
+    coeffs = _FRACTIONS if ring == QQ else _QT
+    words = st.sampled_from(alphabet.words_up_to(max_grade, include_empty=False))
+    terms = draw(st.dictionaries(words, coeffs, max_size=4))
+    terms[()] = draw(_FRACTIONS.filter(lambda a: a != 1))
+    return TruncatedSeries(NCPolynomial(alphabet, ring, terms), draw(st.integers(0, 6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_star_case())
+def test_star_on_numerators_matches_the_star_on_ring_elements(s):
+    got = s.star()
+    assert got.bound == s.bound
+    assert got.poly == oracle_star(s)
+    assert all(type(c) is type(s.ring.zero) and c for c in got.poly.terms.values())
+
+
+def test_qt_products_and_exp_log_multiply_no_polys(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    t = QT.gen()
+    p = NCPolynomial(X2, QT, {("x0",): 1 + t, ("x1",): Fraction(1, 2) - 3 * t, ("x0", "x1"): 2})
+    q = NCPolynomial(X2, QT, {("x1",): 2 - t, ("x1", "x0"): Fraction(-1, 3)})
+    assert calls  # the operands were built with Poly products
+    calls.clear()
+    product = p.shuffle(q)
+    s = TruncatedSeries(p, 5)
+    back = s.exp().log()
+    assert not calls
+    assert product.coeff(("x0", "x1")) == (1 + t) * (2 - t)
+    assert back == s
+
+
+def test_every_module_cache_is_bounded(monkeypatch):
+    import importlib
+    import pkgutil
+
+    import ncfps
+    from ncfps import series
+
+    caches = []
+    for info in pkgutil.iter_modules(ncfps.__path__):
+        module = importlib.import_module(f"ncfps.{info.name}")
+        caches += [obj for obj in vars(module).values() if hasattr(obj, "cache_parameters")]
+    assert series.shuffle_words in caches and series.stuffle_words in caches
+    for cache in caches:
+        assert cache.cache_parameters()["maxsize"] is not None, cache
+    # the table of shared words starts over when it would outgrow the bound
+    monkeypatch.setattr(series, "CACHE_SIZE", 8)
+    shuffle_words.cache_clear()
+    for u, v in [(("x0", "x1"), ("x1", "x0")), (("x0",), ("x1", "x1", "x0"))]:
+        assert dict(shuffle_words(u, v)) == oracle_shuffle(u, v)
+        assert len(series._WORD_CACHE) <= 8
+    shuffle_words.cache_clear()
