@@ -367,25 +367,36 @@ def rep_stuffle(r1, r2):
 
 
 def _left_reduce(rep):
-    ring = rep.ring
-    basis = EchelonBasis(ring, rep.dim)
-    basis.insert(rep.nu)
+    # The reached vectors v_k = nu.mu(w), walked breadth-first, go into one
+    # echelon basis as [v_k | e_k]; an image w reduces as [w | 0] to
+    # [0 | -c] when w = sum_k c_k v_k, and otherwise becomes the next v_k.
+    ring, n = rep.ring, rep.dim
+    zero, one = ring.zero, ring.one
+    basis = EchelonBasis(ring, n)
+    reached = []
+
+    def coordinates(w):
+        red = basis.reduce(tuple(w) + (zero,) * n)
+        if not any(red[:n]):
+            return tuple(-c for c in red[n:])
+        k = len(reached)
+        red[n + k] = one
+        basis.insert(red)
+        reached.append(w)
+        return tuple(one if j == k else zero for j in range(n))
+
+    nu = coordinates(rep.nu)
     letters = rep.active_letters
-    images = {x: [] for x in letters}  # images[x][i] = originals[i] . mu(x)
-    i = 0
-    while i < basis.rank:
-        v = basis.originals[i]
+    mu = {x: [] for x in letters}
+    for v in reached:  # extended while it is walked: a breadth-first queue
         for x in letters:
-            w = vec_mat(ring, v, rep.mu[x])
-            images[x].append(w)
-            basis.insert(w)
-        i += 1
-    if basis.rank == 0:
+            mu[x].append(coordinates(vec_mat(ring, v, rep.mu[x])))
+    r = len(reached)
+    if r == 0:
         return rep_zero(rep.alphabet, ring)
-    mu = {x: tuple(basis.coordinates(w) for w in ws) for x, ws in images.items()}
-    nu = basis.coordinates(rep.nu)
-    eta = tuple(dot(ring, v, rep.eta) for v in basis.originals)
-    return LinearRepresentation(rep.alphabet, ring, nu, mu, eta)
+    mu = {x: tuple(c[:r] for c in cs) for x, cs in mu.items()}
+    eta = tuple(dot(ring, v, rep.eta) for v in reached)
+    return LinearRepresentation(rep.alphabet, ring, nu[:r], mu, eta)
 
 
 def minimize(rep):
@@ -568,17 +579,19 @@ def is_syntactically_exchangeable(series, bound=None):
     return True
 
 
-def is_rationally_exchangeable(rep):
-    """Membership in the closure class generated by one-letter rationals,
-    decided by pairwise commutation of the minimal letter matrices."""
-    m = minimize(rep.embed_field())
-
+def _letters_commute(m):
     mats = [m.mu[x] for x in m.active_letters]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if mat_mul(m.ring, mats[i], mats[j]) != mat_mul(m.ring, mats[j], mats[i]):
                 return False
     return True
+
+
+def is_rationally_exchangeable(rep):
+    """Membership in the closure class generated by one-letter rationals,
+    decided by pairwise commutation of the minimal letter matrices."""
+    return _letters_commute(minimize(rep.embed_field()))
 
 
 class MatrixLieAlgebra:
@@ -662,7 +675,7 @@ def classify(rep):
     """Coarse class of the series by the Lie algebra of its minimal letter
     matrices: 'exchangeable', 'nilpotent', 'solvable', or 'general'."""
     m = minimize(rep.embed_field())
-    if is_rationally_exchangeable(m):
+    if _letters_commute(m):
         return "exchangeable"
     lie = lie_closure(m)
     if _series_vanishes(lie, lower_central=True):

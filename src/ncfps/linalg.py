@@ -1,18 +1,19 @@
 """Exact dense linear algebra over the coefficient rings.
 
 Matrices are tuples of tuples (rows); vectors are tuples.  Everything is
-parameterized by a ring descriptor; inversion and coordinates require a field
+parameterized by a ring descriptor; inversion requires a field
 (``ring.is_field``).
 
-The incremental :class:`EchelonBasis` works over a field or over the
-integral domain Q[v].  Over a field it keeps its rows in reduced row echelon
-form and also keeps the *original* inserted vectors.  Coordinates over the
-originals, which the automaton minimization needs to rewrite transition
-matrices in the new basis, come from one inverse of the originals' block on
-the pivot columns.  Over Q[v] it eliminates fraction-free, by
-cross-multiplication (Bareiss, Math. Comp. 22, 1968): rows stay polynomial,
-and rank and span test are those over the fraction field Q(v), at one gcd
-per inserted row instead of one per ring operation.  Zero tests use
+The incremental :class:`EchelonBasis` is the one elimination routine.  It
+works over a field, in reduced row echelon form, or over the integral domain
+Q[v], fraction-free by cross-multiplication (Bareiss, Math. Comp. 22, 1968):
+rows stay polynomial, and rank and span test are those over the fraction
+field Q(v), at one gcd per inserted row instead of one per ring operation.
+It keeps no copy of the inserted vectors.  A caller that needs a vector as a
+combination of them appends identity columns past ``width``: a vector in the
+span reduces to zero on the first ``width`` entries, and the entries past
+them carry the combination.  Matrix inversion and the automaton
+minimization both read their results off such columns.  Zero tests use
 truthiness: every ring element defines ``__bool__``.
 """
 
@@ -144,10 +145,10 @@ def _complexity(x):
 
 
 class EchelonBasis:
-    """Growing row space with coordinate tracking.
+    """Growing row space.
 
     ``insert(v)`` returns None when v was already in the span, else the new
-    row index.  ``coordinates(v)`` expresses v over the inserted originals.
+    row index.  ``reduce(v)`` clears v on every pivot column.
 
     The ring decides the elimination.  Over a field the rows are in reduced
     row echelon form with pivot entries 1.  Over Q[v] (``ring.is_field``
@@ -159,8 +160,10 @@ class EchelonBasis:
 
     Vectors may be longer than ``width``.  The entries past it ride along
     through every row operation but are never pivots, and the span test reads
-    only the first ``width`` entries; identity columns there record which
-    combination of the inserted vectors a reduced vector is.
+    only the first ``width`` entries.  Identity columns there record which
+    combination of the inserted vectors a row is: insert [v_k | e_k] for each
+    vector, and over a field a vector [w | 0] in the span reduces to
+    [0 | -c] with w = sum_k c_k v_k.
     """
 
     def __init__(self, ring, width):
@@ -168,8 +171,6 @@ class EchelonBasis:
         self.width = width
         self.rows = []  # over a field: reduced row echelon form, pivot entry 1
         self.pivots = []  # pivot column per row
-        self.originals = []
-        self._pivot_inverse = None  # inverse of the originals' pivot block
 
     @property
     def rank(self):
@@ -194,17 +195,7 @@ class EchelonBasis:
                 v = [a * x - c * y if y else a * x for x, y in zip(v, row)]
         return v
 
-    def coordinates(self, v):
-        """Coefficients over the inserted originals, or None if outside the span."""
-        if any(self.reduce(v)):
-            return None
-        if self._pivot_inverse is None:
-            block = tuple(tuple(o[p] for p in self.pivots) for o in self.originals)
-            self._pivot_inverse = invert_matrix(self.ring, block)
-        return vec_mat(self.ring, tuple(v[p] for p in self.pivots), self._pivot_inverse)
-
     def insert(self, v):
-        v = tuple(v)
         red = self.reduce(v)
         nonzero = [j for j in range(self.width) if red[j]]
         if not nonzero:
@@ -222,34 +213,19 @@ class EchelonBasis:
             red = self.ring.primitive(red)
         self.rows.append(red)
         self.pivots.append(pivot)
-        self.originals.append(v)
-        self._pivot_inverse = None
         return len(self.rows) - 1
 
 
 def invert_matrix(ring, a):
-    """Inverse over a field; raises ValueError when singular."""
-    n = len(a)
+    """Inverse over a field; raises ValueError when singular.
+
+    The rows [a_i | e_i] go into one echelon basis.  In reduced row echelon
+    form the row with pivot column p is [e_p | row p of the inverse]."""
     if not ring.is_field:
         raise ValueError("matrix inversion needs a field")
-    aug = [list(row) + [ring.one if i == j else ring.zero for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = None
-        best = None
-        for r in range(col, n):
-            c = aug[r][col]
-            if c:
-                key = _complexity(c)
-                if best is None or key < best:
-                    best, pivot = key, r
-        if pivot is None:
+    n = len(a)
+    basis = EchelonBasis(ring, n)
+    for row, unit in zip(a, identity(ring, n)):
+        if basis.insert(tuple(row) + unit) is None:
             raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = ring.invert(aug[col][col])
-        aug[col] = [inv * x for x in aug[col]]
-        for r in range(n):
-            if r != col:
-                c = aug[r][col]
-                if c:
-                    aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple(row[n:]) for _, row in sorted(zip(basis.pivots, basis.rows)))

@@ -33,7 +33,7 @@ from ncfps.automata import (
     sweedler_split,
     triangular_star_factorization_check,
 )
-from ncfps.linalg import EchelonBasis, vec_mat
+from ncfps.linalg import EchelonBasis, dot, identity, invert_matrix, vec_mat
 from ncfps.rings import QQ, QT, QZ, Poly
 from ncfps.series import NCPolynomial, TruncatedSeries, parse_series_text
 from ncfps.words import Alphabet
@@ -614,7 +614,7 @@ def _ring_entries(ring):
 
 
 @st.composite
-def _similar_pairs(draw, ring):
+def _similar_pairs(draw, ring, max_dim=4):
     """(r1, r2) with r2 = r1, optionally with one entry perturbed, after an
     exact change of basis.  The change of basis is a product of elementary
     matrices with integer entries, so its inverse is exact in any ring and
@@ -623,7 +623,7 @@ def _similar_pairs(draw, ring):
     and a perturbation on the chain shows on those words only.  Over Q[t] a
     pair of dimension 4 uses at most 2 letters: the brute force on the 3^7
     words of a 3-letter pair takes about 15 s there."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_dim))
     k = draw(st.integers(1, 2 if ring == QT and n == 4 else 3))
     alphabet = Alphabet.x(k)
     entry = _ring_entries(ring)
@@ -685,6 +685,76 @@ def test_equal_matches_brute_force_over_qt(pair):
     assert verdict == equal(r1, r2.embed_field()) == equal(r1.embed_field(), r2)
 
 
+def _reference_left_reduce(rep):
+    """The left reduction with coordinates from one inverse: the reached
+    vectors' block on the pivot columns is inverted, and a vector in their
+    span is its pivot entries times that inverse."""
+    ring = rep.ring
+    basis = EchelonBasis(ring, rep.dim)
+    reached = []
+
+    def insert(v):
+        if basis.insert(v) is not None:
+            reached.append(v)
+
+    insert(rep.nu)
+    letters = rep.active_letters
+    images = {x: [] for x in letters}  # images[x][i] = reached[i] . mu(x)
+    for v in reached:
+        for x in letters:
+            w = vec_mat(ring, v, rep.mu[x])
+            images[x].append(w)
+            insert(w)
+    if not reached:
+        return rep_zero(rep.alphabet, ring)
+    inverse = invert_matrix(ring, tuple(tuple(v[p] for p in basis.pivots) for v in reached))
+
+    def coordinates(v):
+        assert not any(basis.reduce(v))
+        return vec_mat(ring, tuple(v[p] for p in basis.pivots), inverse)
+
+    mu = {x: tuple(coordinates(w) for w in ws) for x, ws in images.items()}
+    eta = tuple(dot(ring, v, rep.eta) for v in reached)
+    return LinearRepresentation(rep.alphabet, ring, coordinates(rep.nu), mu, eta)
+
+
+@st.composite
+def _minimize_cases(draw, ring, max_dim=4):
+    """A representation from a similar pair, or the difference of the pair:
+    the difference of an unperturbed pair minimizes to dimension 0."""
+    r1, r2 = draw(_similar_pairs(ring, max_dim))
+    rep = rep_sum(r1, r2.scale(-1)) if draw(st.booleans()) else r1
+    return rep.embed_field()
+
+
+def _check_minimize_against_reference(rep):
+    m = minimize(rep)
+    ref = _reference_left_reduce(_reference_left_reduce(rep).transpose()).transpose()
+    assert (m.dim, m.nu, m.mu, m.eta) == (ref.dim, ref.nu, ref.mu, ref.eta)
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(_minimize_cases(QQ))
+def test_minimize_matches_the_pivot_block_reference_over_q(rep):
+    _check_minimize_against_reference(rep)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_minimize_cases(QT, max_dim=2))
+def test_minimize_matches_the_pivot_block_reference_over_qt(rep):
+    # pairs of dimension 2 at most: a dense representation of dimension 3 or
+    # 4 over Q(t) can take seconds to minimize, nearly all of it in the gcds
+    # that normalize RatFun products
+    _check_minimize_against_reference(rep)
+
+
+def test_minimize_reference_cases_reach_dimension_zero():
+    for rep, dim in ((loop_star_rep(), 2), (rep_word(X2, QT, ("x0", "x1"), QT.gen()).embed_field(), 3)):
+        assert _check_minimize_against_reference(rep).dim == dim
+        assert _check_minimize_against_reference(rep_sum(rep, rep.scale(-1))).dim == 0
+
+
 _small = st.integers(-3, 3).map(Fraction)
 
 
@@ -708,6 +778,49 @@ def test_vec_mat_matches_definition(data):
     a = data.draw(_matrices())
     v = tuple(data.draw(st.lists(_small, min_size=len(a), max_size=len(a))))
     assert vec_mat(QQ, v, a) == _plain_vec_mat(v, a)
+
+
+@st.composite
+def _invertible_matrices(draw, field):
+    """P.L.U with L unit lower triangular, U upper triangular with nonzero
+    diagonal and P a row permutation, over Q or over Q(t)."""
+    n = draw(st.integers(1, 4))
+    entry = _ring_entries(QQ) if field == QQ else _ring_entries(QT).map(QT.embed)
+    nonzero = entry.filter(bool)
+    lower = [[field.one if i == j else draw(entry) if j < i else field.zero for j in range(n)] for i in range(n)]
+    upper = [[draw(nonzero) if i == j else draw(entry) if j > i else field.zero for j in range(n)] for i in range(n)]
+    a = _plain_mat_mul(lower, upper)
+    return tuple(a[i] for i in draw(st.permutations(range(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_invert_matrix_is_a_two_sided_inverse(data):
+    field = data.draw(st.sampled_from((QQ, QT.field())))
+    a = data.draw(_invertible_matrices(field))
+    inv = invert_matrix(field, a)
+    unit = identity(field, len(a))
+    assert _plain_mat_mul(a, inv) == unit and _plain_mat_mul(inv, a) == unit
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_invert_matrix_rejects_a_dependent_row(data):
+    field = data.draw(st.sampled_from((QQ, QT.field())))
+    a = [list(row) for row in data.draw(_invertible_matrices(field))]
+    n = len(a)
+    i = data.draw(st.integers(0, n - 1))
+    coeffs = [field.coerce(data.draw(st.integers(-2, 2))) for _ in range(n)]
+    a[i] = [sum((coeffs[k] * a[k][j] for k in range(n) if k != i), field.zero) for j in range(n)]
+    with pytest.raises(ValueError, match="singular matrix"):
+        invert_matrix(field, tuple(tuple(row) for row in a))
+
+
+def test_invert_matrix_needs_a_field_and_takes_the_empty_matrix():
+    with pytest.raises(ValueError, match="needs a field"):
+        invert_matrix(QT, ((QT.one,),))
+    assert invert_matrix(QQ, ()) == ()
+    assert invert_matrix(QT.field(), ()) == ()
 
 
 def _rank(a):
@@ -766,22 +879,21 @@ def test_echelon_domain_mode_matches_the_field_path(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_echelon_coordinates_reproduce_combinations(data):
+    # identity columns past the width: with [a_i | e_i] inserted, a vector
+    # [v | 0] in the span reduces to [0 | -c] with v = sum_i c_i a_i
     a = data.draw(_matrices())
-    n = len(a[0])
+    m, n = len(a), len(a[0])
     basis = EchelonBasis(QQ, n)
-    for row in a:
-        basis.insert(row)
+    for row, unit in zip(a, identity(QQ, m)):
+        basis.insert(row + unit)
     rank = _rank(a)
     assert basis.rank == rank
-    coeffs = data.draw(st.lists(_small, min_size=len(a), max_size=len(a)))
+    coeffs = data.draw(st.lists(_small, min_size=m, max_size=m))
     v = _plain_vec_mat(coeffs, a)
-    coords = basis.coordinates(v)
-    assert coords is not None and len(coords) == rank
-    if rank:
-        assert _plain_vec_mat(coords, basis.originals) == v
-    else:
-        assert not any(v)
+    red = basis.reduce(v + (Fraction(0),) * m)
+    assert not any(red[:n])
+    assert _plain_vec_mat([-c for c in red[n:]], a) == v
     for j in range(n):
         e = tuple(Fraction(int(i == j)) for i in range(n))
         if _rank(a + (e,)) > rank:
-            assert basis.coordinates(e) is None
+            assert any(basis.reduce(e + (Fraction(0),) * m)[:n])

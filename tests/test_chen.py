@@ -803,16 +803,19 @@ def test_derivative_rows_match_the_word_sum(case):
 
 def _field_path_ode(rep, inputs):
     """The derivation over the field Q(z): the word-sum rows go into one
-    echelon basis over Q(z), the first row in the span gives the kernel vector
-    by coordinates over the rows before it, and the vector is cleared of
-    denominators and made primitive with a positive top-order leading
-    coefficient."""
-    basis = EchelonBasis(QZ, rep.dim)
-    for l in range(rep.dim + 1):
-        row = _word_sum_row(rep, inputs, l)
-        if basis.insert(row) is None:
-            kernel = basis.coordinates(row) + (QZ.coerce(-1),)
+    echelon basis over Q(z), each with an identity column l past the row, so
+    the first row that reduces to zero carries the kernel vector in those
+    columns; the vector is cleared of denominators and made primitive with a
+    positive top-order leading coefficient."""
+    n = rep.dim
+    basis = EchelonBasis(QZ, n)
+    for l in range(n + 1):
+        unit = tuple(QZ.coerce(int(k == l)) for k in range(n + 1))
+        red = basis.reduce(_word_sum_row(rep, inputs, l) + unit)
+        if not any(red[:n]):
+            kernel = red[n : n + l + 1]
             break
+        basis.insert(red)
     den = Poly.const("z", Fraction(1))
     for f in kernel:
         den = poly_lcm(den, f.den)
