@@ -316,49 +316,38 @@ def rep_star(r):
     return LinearRepresentation(r.alphabet, ring, nu, mu, eta)
 
 
-def rep_shuffle(r1, r2):
-    """Shuffle product: Kronecker sum of the letter actions."""
+def _kronecker_sum(r1, r2):
+    """Letter matrices mu1(x)(x)I + I(x)mu2(x), and the product vectors."""
     _check_pair(r1, r2)
     ring = r1.ring
     i1, i2 = identity(ring, r1.dim), identity(ring, r2.dim)
-    letters = set(r1.mu) | set(r2.mu)
-    mu = {}
-    for x in letters:
-        mu[x] = mat_add(
-            ring, kron(ring, r1.matrix(x), i2), kron(ring, i1, r2.matrix(x))
-        )
+    mu = {x: kron(ring, m, i2) for x, m in r1.mu.items()}
+    for x, m in r2.mu.items():
+        right = kron(ring, i1, m)
+        mu[x] = mat_add(ring, mu[x], right) if x in mu else right
     nu = tuple(a * b for a in r1.nu for b in r2.nu)
     eta = tuple(a * b for a in r1.eta for b in r2.eta)
-    return LinearRepresentation(r1.alphabet, ring, nu, mu, eta)
+    return mu, nu, eta
+
+
+def rep_shuffle(r1, r2):
+    """Shuffle product: Kronecker sum of the letter actions."""
+    mu, nu, eta = _kronecker_sum(r1, r2)
+    return LinearRepresentation(r1.alphabet, r1.ring, nu, mu, eta)
 
 
 def rep_stuffle(r1, r2):
-    """Quasi-shuffle product over Y: Kronecker sum plus letter-merge couplings."""
-    _check_pair(r1, r2)
+    """Quasi-shuffle product over Y: the shuffle's Kronecker sum, plus the
+    letter merge mu1(yi)(x)mu2(yj) on y(i+j)."""
     if r1.alphabet.kind != "Y":
         raise ValueError("quasi-shuffle is defined on the graded Y alphabet")
+    mu, nu, eta = _kronecker_sum(r1, r2)
     ring = r1.ring
-    i1, i2 = identity(ring, r1.dim), identity(ring, r2.dim)
-    idx1 = {int(x[1:]): m for x, m in r1.mu.items()}
-    idx2 = {int(x[1:]): m for x, m in r2.mu.items()}
-    out = {}
-
-    def bump(k, m):
-        if k in out:
-            out[k] = mat_add(ring, out[k], m)
-        else:
-            out[k] = m
-
-    for k, m in idx1.items():
-        bump(k, kron(ring, m, i2))
-    for k, m in idx2.items():
-        bump(k, kron(ring, i1, m))
-    for i, m1 in idx1.items():
-        for j, m2 in idx2.items():
-            bump(i + j, kron(ring, m1, m2))
-    mu = {f"y{k}": m for k, m in out.items()}
-    nu = tuple(a * b for a in r1.nu for b in r2.nu)
-    eta = tuple(a * b for a in r1.eta for b in r2.eta)
+    for x1, m1 in r1.mu.items():
+        for x2, m2 in r2.mu.items():
+            x = f"y{int(x1[1:]) + int(x2[1:])}"
+            merge = kron(ring, m1, m2)
+            mu[x] = mat_add(ring, mu[x], merge) if x in mu else merge
     return LinearRepresentation(r1.alphabet, ring, nu, mu, eta)
 
 

@@ -16,9 +16,11 @@ family is obtained by solving the unitriangular duality system inside each
 grade-homogeneous component, ordering words lexicographically.
 
 The factorization check multiplies exponentials of paired basis elements
-over decreasing Lyndon words and compares against the diagonal sum; the
-tensor factors multiply with the mixed rule (shuffle or quasi-shuffle on the
-left slot, concatenation on the right).
+over the table's Lyndon words in decreasing order and compares against the
+diagonal sum; the tensor factors multiply with the mixed rule (shuffle or
+quasi-shuffle on the left slot, concatenation on the right).  The Lyndon
+words are listed by filtering the graded words, which the table enumerates
+anyway: over Y there are only 2^g - 1 nonempty words of weight <= g.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ class BasisTable:
             return self.S[w]
         if not w:
             val = NCPolynomial.one(self.alphabet, QQ)
-        elif self._is_lyndon(w):
+        elif is_lyndon(w, self.alphabet):
             if len(w) == 1:
                 val = NCPolynomial.word(self.alphabet, QQ, w)
             else:
@@ -198,9 +200,6 @@ class BasisTable:
             val = val.scale(Fraction(1, denom))
         self.S[w] = val
         return val
-
-    def _is_lyndon(self, w):
-        return is_lyndon(w, self.alphabet)
 
     def _solve_sigma_block(self, g):
         words = sorted(self.alphabet.words_of_grade(g), key=self.alphabet.ranks)
@@ -270,6 +269,9 @@ def _tensor_exp(t, bound, left_kernel):
 def msr_check(alphabet, bound, table=None):
     """Verify the two diagonal-series identities up to the grade bound.
 
+    The product runs over the table's Lyndon words of grade <= bound, in
+    decreasing order.
+
     Returns (ok, report); the report carries per-check flags and, on failure,
     the first offending tensor component and the largest coefficient gap.
     """
@@ -301,7 +303,8 @@ def msr_check(alphabet, bound, table=None):
     ok_sum = compare(pair_sum, "sum_ok", report)
 
     product = TensorPoly(alphabet, QQ, {((), ()): QQ.one})
-    for l in sorted(lyndon_words(alphabet, bound), key=alphabet.ranks, reverse=True):
+    lyndon = [l for l in table.lyndon if alphabet.word_grade(l) <= bound]
+    for l in reversed(lyndon):
         factor = _tensor_exp(TensorPoly.of(duals[l], brackets[l]), bound, left_kernel)
         product = product.mul(factor, left_kernel, conc_words, bound)
     ok_prod = compare(product, "product_ok", report)

@@ -304,9 +304,13 @@ def _sign_changes(chain, x):
 
 
 def poly_gcd(a, b):
-    """Monic gcd of two polynomials (1 if either is a nonzero constant)."""
-    while not b.is_zero():
-        a, b = b, a % b
+    """Monic gcd of two polynomials (1 if either is a nonzero constant).
+
+    Each remainder is divided by its content, as in `Poly._sturm_chain`, so
+    the coefficients stay small along the Euclidean sequence."""
+    while b:
+        r = a % b
+        a, b = b, r * (1 / r.content()) if r else r
     return a.monic()
 
 

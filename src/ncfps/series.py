@@ -496,10 +496,10 @@ class TensorPoly:
         return "TensorPoly(" + (" + ".join(bits) if bits else "0") + ")"
 
 
-# Coproduct kernels of one word.  The recursive two keep the coproducts of
-# the suffixes they meet in `memo`, a dict that lives for one coproduct call,
-# so that the words of one polynomial share their suffixes and nothing
-# outlives the call.
+# Coproduct kernels of one word.  The two letter-multiplicative ones keep
+# the coproducts of the suffixes they meet in `memo`, a dict that lives for
+# one coproduct call, so that the words of one polynomial share their
+# suffixes and nothing outlives the call.
 
 
 def _deconcat_word(w, memo=None):
@@ -507,43 +507,37 @@ def _deconcat_word(w, memo=None):
     return tuple(((w[:i], w[i:]), 1) for i in range(len(w) + 1))
 
 
-def _unshuffle_word(w, memo=None):
-    """Sum over all splittings of w into a pair of complementary subwords."""
+def _letter_coproduct(w, splits, memo=None):
+    """Product over the letters a of w of a(x)1 + 1(x)a + splits(a)."""
     if not w:
         return ((((), ()), 1),)
     memo = {} if memo is None else memo
     got = memo.get(w)
     if got is None:
         a = w[0]
+        tail = _letter_coproduct(w[1:], splits, memo)
         out = {}
-        for (u, v), c in _unshuffle_word(w[1:], memo):
-            k1 = ((a,) + u, v)
-            out[k1] = out.get(k1, 0) + c
-            k2 = (u, (a,) + v)
-            out[k2] = out.get(k2, 0) + c
+        for u1, v1 in (((a,), ()), ((), (a,))) + splits(a):
+            for (u2, v2), c in tail:
+                key = (u1 + u2, v1 + v2)
+                out[key] = out.get(key, 0) + c
         got = memo[w] = tuple(out.items())
     return got
+
+
+def _unshuffle_word(w, memo=None):
+    """Sum over all splittings of w into a pair of complementary subwords."""
+    return _letter_coproduct(w, lambda a: (), memo)
+
+
+def _y_splits(a):
+    k = int(a[1:])
+    return tuple(((f"y{i}",), (f"y{k - i}",)) for i in range(1, k))
 
 
 def _unstuffle_word(w, memo=None):
     """Product over letters of the factors yk -> yk(x)1 + 1(x)yk + sum yi(x)yj."""
-    if not w:
-        return ((((), ()), 1),)
-    memo = {} if memo is None else memo
-    got = memo.get(w)
-    if got is None:
-        k = int(w[0][1:])
-        factor = [(((w[0],), ()), 1), (((), (w[0],)), 1)]
-        for i in range(1, k):
-            factor.append((((f"y{i}",), (f"y{k - i}",)), 1))
-        tail = _unstuffle_word(w[1:], memo)
-        out = {}
-        for (u1, v1), c1 in factor:
-            for (u2, v2), c2 in tail:
-                key = (u1 + u2, v1 + v2)
-                out[key] = out.get(key, 0) + c1 * c2
-        got = memo[w] = tuple(out.items())
-    return got
+    return _letter_coproduct(w, _y_splits, memo)
 
 
 def _coproduct(p, word_kernel):

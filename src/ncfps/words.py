@@ -195,30 +195,13 @@ def is_lyndon(word, alphabet):
 
 
 def lyndon_words(alphabet, grade_bound):
-    """All Lyndon words of grade <= grade_bound, in lex order."""
-    letters = alphabet.letters_up_to(grade_bound)
-    if not letters or grade_bound < 1:
-        return []
-    maxlen = grade_bound  # every letter has grade >= 1
-    out = []
-    for w in _duval_generate(letters, maxlen):
-        if alphabet.word_grade(w) <= grade_bound:
-            out.append(w)
-    return out
+    """All Lyndon words of grade <= grade_bound, in lex order.
 
-
-def _duval_generate(ordered_letters, maxlen):
-    """Duval's generator: Lyndon words of length <= maxlen in lex order."""
-    k = len(ordered_letters)
-    w = [0]
-    while True:
-        yield tuple(ordered_letters[i] for i in w)
-        w = (w * (maxlen // len(w)) + w)[:maxlen]
-        while w and w[-1] == k - 1:
-            w.pop()
-        if not w:
-            return
-        w[-1] += 1
+    The graded words are few enough to filter: 2^g - 1 nonempty words of
+    weight <= g over Y, and over X the basis tables list them all anyway.
+    """
+    words = alphabet.words_up_to(grade_bound, include_empty=False)
+    return sorted((w for w in words if is_lyndon(w, alphabet)), key=alphabet.ranks)
 
 
 def standard_factorization(word, alphabet):

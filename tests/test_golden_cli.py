@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output of the commands whose bytes depend on the
 automaton kernels (minimization bases, derived ODEs, equality verdicts and
-classification) or on the quadrature (`chen` and `pair` print `repr` floats,
-so any change in the order of floating-point operations shows here).
+classification), on the Lyndon words of the basis tables (`bases`), or on
+the quadrature (`chen` and `pair` print `repr` floats, so any change in the
+order of floating-point operations shows here).
 
 The expected outputs live in ``tests/golden/cli_<name>.txt``.  To rewrite
 them after an intended output change, run this file as a script::
@@ -43,6 +44,9 @@ CASES = {
     "classify_general": ["classify", "(x0.x1)*"],
     "chen_polylog_from0": ["chen", "--inputs", "x0=1/z,x1=1/(1-z)", "--z0", "0", "--z", "1/2", "--max-length", "4"],
     "pair_star_x0x1": ["pair", "(x0.x1)*", "--inputs", "x0=1/z,x1=1/(1-z)", "--z0", "1/10", "--z", "1/2"],
+    # Lyndon words with the letters y5 and y6, past the weight-4 basis TSV
+    "bases_y6": ["bases", "--alphabet", "y", "--max-length", "6"],
+    "minimize_stuffle": ["minimize", "(y1)* stuffle (2*y2 + y3)*"],
 }
 
 # exit code of the cases that do not exit 0: a failing identity exits 1

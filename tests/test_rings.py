@@ -246,6 +246,16 @@ class TestPolyText:
             ring.parse("t+1")
 
 
+def _euclid_gcd(a, b):
+    """The plain Euclidean loop over raw remainders, kept as an oracle."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+_POLY = st.lists(st.fractions(-12, 12, max_denominator=7), max_size=7).map(lambda cs: Poly("z", cs))
+
+
 class TestGcd:
     def test_gcd_divides_and_is_monic(self):
         rng = random.Random(23)
@@ -263,6 +273,15 @@ class TestGcd:
                 assert (b % d).is_zero()
             if not g.is_zero():
                 assert (d % g.monic()).is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_POLY, _POLY, _POLY)
+    def test_gcd_matches_plain_euclid(self, g, a, b):
+        # a common factor g, coprime pairs, a zero and a nonzero constant
+        # argument; the Euclidean loop over raw remainders is the oracle
+        zero, const = Poly("z", ()), Poly("z", (Fraction(-3, 2),))
+        for x, y in [(g * a, g * b), (a, b), (a, zero), (zero, g * b), (const, g * b)]:
+            assert poly_gcd(x, y) == _euclid_gcd(x, y)
 
 
 class TestRatFun:

@@ -4,10 +4,12 @@ Brute-force oracles used here:
 
 * Lyndon test straight from the definition (smaller than every proper suffix).
 * Lyndon listing by filtering all words of bounded grade through that test.
+* Lyndon counts by weight from Witt's formula, independent of any listing.
 * Factorizations checked against exhaustive enumeration of all splits.
 """
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -40,6 +42,23 @@ def oracle_lyndon_words(alphabet, bound):
     out = [w for w in alphabet.words_up_to(bound, include_empty=False) if oracle_is_lyndon(w, alphabet)]
     out.sort(key=alphabet.ranks)
     return out
+
+
+def mobius(n):
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def witt_count(n, primitive):
+    """(1/n) sum over d | n of mobius(d) * primitive(n / d)."""
+    return sum(mobius(d) * primitive(n // d) for d in range(1, n + 1) if n % d == 0) // n
 
 
 class TestAlphabet:
@@ -123,6 +142,16 @@ class TestLyndon:
         for w in lyndon_words(X2, 7):
             by_grade[len(w)] = by_grade.get(len(w), 0) + 1
         assert [by_grade[g] for g in range(1, 8)] == [2, 1, 2, 3, 6, 9, 18]
+
+    def test_counts_by_weight_follow_witts_formula(self):
+        # k letters of grade 1 give k^m words of length m; Y, with one letter
+        # of each weight, gives 2^m - 1 in place of k^m
+        assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+        for alphabet, bound, primitive in [(X3, 6, lambda m: 3**m), (Y, 10, lambda m: 2**m - 1)]:
+            counts = Counter(alphabet.word_grade(w) for w in lyndon_words(alphabet, bound))
+            want = [witt_count(n, primitive) for n in range(1, bound + 1)]
+            assert [counts[n] for n in range(1, bound + 1)] == want
+        assert want == [1, 1, 2, 3, 6, 9, 18, 30, 56, 99]
 
     def test_standard_factorization_oracle(self):
         # oracle: of all splits w = uv with both halves Lyndon, the standard
