@@ -7,9 +7,10 @@ word combinatorics; `series` adds polynomials and truncated series under
 concatenation, shuffle, and quasi-shuffle; `bases` builds the dual pairs of
 graded bases from Lyndon words; `automata` represents rational series by
 finite linear machines and decides equality, minimality, and Lie type;
-`diffring` and `chen` connect the algebra to analysis, evaluating words as
-iterated integrals and deriving the scalar linear ODE a rational pairing
-satisfies; `exprs` and `cli` expose the whole stack through a small
+`chen` connects the algebra to analysis, evaluating words as iterated
+integrals and deriving the scalar linear ODE a rational pairing satisfies;
+`diffring` decides whether rational inputs are independent modulo exact
+derivatives; `exprs` and `cli` expose the whole stack through a small
 expression language.
 """
 
@@ -70,7 +71,7 @@ from .automata import (
     nilpotent_decompose,
     sweedler_split,
 )
-from .diffring import q_l, q_l_explicit, specialize, independence_criterion, parse_input_assignment
+from .diffring import independence_criterion
 from .exprs import parse_expression, series_of, representation_of, ExprSyntaxError
 
 __version__ = "0.1.0"
@@ -159,11 +160,7 @@ __all__ = [
     "classify",
     "nilpotent_decompose",
     "sweedler_split",
-    "q_l",
-    "q_l_explicit",
-    "specialize",
     "independence_criterion",
-    "parse_input_assignment",
     "InputFunction",
     "SegmentPath",
     "ChenEvaluation",

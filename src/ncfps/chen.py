@@ -10,8 +10,8 @@ primitivity diagnostics.
 
 A control is a rational function of z (constants, 1/z and 1/(1-z) among
 them), exp(z), or a fractional power z^a.  Rational controls keep their exact
-view in Q(z): it locates their poles by Sturm counts, feeds the symbolic
-pipeline, and bounds their sup exactly for the certified tail of a pairing.
+view in Q(z): it locates their poles by Sturm counts, feeds the exact ODE
+derivation, and bounds their sup exactly for the certified tail of a pairing.
 
 One adaptive driver integrates two linear flows panel by panel, accepting a
 panel when one step and two half steps agree and bisecting it otherwise.  The
@@ -62,11 +62,11 @@ class InputFunction:
 
     Three kinds: `rational`, any rational function of z (constants, 1/z and
     1/(1-z) among them); `exp`, exp(z); and `pow`, z^a for a non-integer real
-    a.  A rational control exposes its exact view `ratfun`, which the symbolic
-    pipeline requires and which locates the poles exactly, irrational ones
-    included.  Each kind knows its vanishing order at a rational abscissa and
-    an upper bound on its sup on a segment; a rational control's bound is
-    `RatFun.sup_bound`, exact, rounded up to a double.
+    a.  A rational control exposes its exact view `ratfun`, which the exact
+    ODE derivation requires and which locates the poles exactly, irrational
+    ones included.  Each kind knows its vanishing order at a rational
+    abscissa and an upper bound on its sup on a segment; a rational control's
+    bound is `RatFun.sup_bound`, exact, rounded up to a double.
     """
 
     __slots__ = ("kind", "value")
@@ -840,7 +840,9 @@ def _derivative_rows(rep, inputs):
     is polynomial.  The recursion r_0 = nu, r_l = r_{l-1}' + r_{l-1} A (the
     cyclic-vector step of Barkatou, AAECC 4, 1993) stays in Q[z] as
     P_l = D P_{l-1}' - (l-1) D' P_{l-1} + P_{l-1} B.  The generator yields
-    the pairs (P_l, D^l), one per order, without end.
+    the pairs (P_l, D^l), one per order, without end.  r_l is nu . mu(Q_l) for
+    the paper's word multipliers Q_0 = 1, Q_l = Q_{l-1} M + Q_{l-1}' with
+    M = sum_x u_x x; `tests/test_chen.py` checks the two against each other.
     """
     terms = [(f.ratfun, rep.mu[x]) for x, f in _exact_controls(inputs).items() if x in rep.mu]
     d = _QZ_POLY.one

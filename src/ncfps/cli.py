@@ -56,6 +56,8 @@ def _parse_inputs(spec):
         letter = letter.strip()
         if not eq or not _LETTER_RE.match(letter):
             raise ValueError(f"input {part!r} is not of the form letter=function")
+        if letter in inputs:
+            raise ValueError(f"input letter {letter} is given more than once")
         inputs[letter] = InputFunction.from_text(rhs.strip())
     if not inputs:
         raise ValueError("no inputs given")

@@ -705,8 +705,8 @@ class CoefficientRing:
     by Kronecker substitution; the caller picks the slot width from ``size``
     so that no slot overflows.  ``integral`` marks the rings whose loops see
     only ints, ``packs`` the one that needs a width.  By default all three
-    steps leave coefficients as they are: Q(v), floats and the symbolic
-    input ring run the loops on ring elements.
+    steps leave coefficients as they are: Q(v) and floats run the loops on
+    ring elements.
     """
 
     integral = False

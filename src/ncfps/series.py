@@ -25,9 +25,9 @@ Q[t] each coefficient also becomes one int by Kronecker substitution, at a
 slot width bounded before the loop starts.  The kernel loops then multiply
 and add plain ints, and each output coefficient takes its gcds once, when it
 is lowered.  star, exp and log lift their operand once and keep the whole
-recursion on numerators.  For Q(z), floats and symbolic coefficients the
-same loops run on ring elements, adding in the order that float results
-have always been rounded in.
+recursion on numerators.  For Q(z) and floats the same loops run on ring
+elements, adding in the order that float results have always been rounded
+in.
 """
 
 from __future__ import annotations
@@ -353,10 +353,6 @@ class NCPolynomial:
         if n == 0:
             return self
         return self._built({w[:-n]: c for w, c in self.terms.items() if w[-n:] == u})
-
-    def map_ring(self, ring, f=None):
-        conv = f if f is not None else ring.coerce
-        return NCPolynomial(self.alphabet, ring, {w: conv(c) for w, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, NCPolynomial):

@@ -435,6 +435,19 @@ class TestCliErrors:
         assert code == 2
         assert "letter=function" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chen", "--inputs", "x0=1/z,x0=1/(1-z)", "--z0", "1", "--z", "2"),
+            ("pair", "x0*", "--inputs", "x0=1,x0=2", "--z0", "0", "--z", "1"),
+            ("derive-ode", "x0*", "--inputs", "x0=1/z, x0 = 1/(1-z)"),
+        ],
+    )
+    def test_repeated_input_letter_exits_two(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == "error: input letter x0 is given more than once\n"
+
     def test_pole_on_path_exits_two(self):
         code, _, err = run_cli("chen", "--inputs", "x0=1/z", "--z0", "-1", "--z", "1")
         assert code == 2

@@ -1,180 +1,14 @@
-"""Differential input symbols, the word-multiplier recursion, rational
-specialization, and the exactness-based independence test."""
+"""The exactness-based independence test for rational inputs."""
 
 import math
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfps.diffring import (
-    DIFF,
-    DiffPolynomial,
-    derive,
-    independence_criterion,
-    input_form,
-    parse_input_assignment,
-    q_l,
-    q_l_explicit,
-    specialize,
-)
-from ncfps.rings import QQ, QZ, Poly, RatFun
-from ncfps.series import NCPolynomial
-from ncfps.words import Alphabet
-
-X1 = Alphabet.x(1)
-X2 = Alphabet.x(2)
-
-U = DiffPolynomial.symbol
-z = QZ.gen()
-
-
-# ---------------------------------------------------------------------------
-# the symbol algebra
-
-
-def test_symbol_arithmetic_is_commutative():
-    p = U("x0") * U("x1", 2)
-    q = U("x1", 2) * U("x0")
-    assert p == q
-    assert p + q == 2 * p
-
-
-def test_monomials_are_canonical_multisets():
-    p = U("x1") * U("x0") * U("x1")
-    (mono,) = p.terms
-    assert mono == (("x0", 0), ("x1", 0), ("x1", 0))
-    assert p.terms[mono] == 1
-
-
-def test_derive_single_symbol():
-    assert U("x0").derive() == U("x0", 1)
-    assert U("x0", 3).derive() == U("x0", 4)
-
-
-def test_derive_leibniz():
-    p = U("x0") * U("x1")
-    assert p.derive() == U("x0", 1) * U("x1") + U("x0") * U("x1", 1)
-    # second derivative of u^2 is 2 u'' u + 2 (u')^2
-    sq = U("x0") * U("x0")
-    dd = sq.derive().derive()
-    assert dd == 2 * (U("x0", 2) * U("x0")) + 2 * (U("x0", 1) * U("x0", 1))
-
-
-def test_derive_constants_vanish():
-    assert DiffPolynomial.const(5).derive().is_zero()
-    p = 3 * U("x0") - Fraction(1, 2)
-    assert p.derive() == 3 * U("x0", 1)
-
-
-def test_derive_word_polynomial_coefficientwise():
-    m = input_form(X2)
-    dm = derive(m)
-    assert dm.coeff(("x0",)) == U("x0", 1)
-    assert dm.coeff(("x1",)) == U("x1", 1)
-    assert dm.coeff(()) == DIFF.zero
-
-
-# ---------------------------------------------------------------------------
-# the multiplier recursion
-
-
-def test_q_low_orders():
-    assert q_l(X2, 0) == NCPolynomial.one(X2, DIFF)
-    assert q_l(X2, 1) == input_form(X2)
-    q2 = q_l(X2, 2)
-    # M^2 + dM
-    for x in ["x0", "x1"]:
-        for y in ["x0", "x1"]:
-            assert q2.coeff((x, y)) == U(x) * U(y)
-        assert q2.coeff((x,)) == U(x, 1)
-
-
-def test_q3_single_letter_closed_values():
-    q3 = q_l(X1, 3)
-    u = U("x0")
-    assert q3.coeff(("x0",) * 3) == u * u * u
-    assert q3.coeff(("x0",) * 2) == 3 * (U("x0", 1) * u)
-    assert q3.coeff(("x0",)) == U("x0", 2)
-    assert q3.coeff(()) == DIFF.zero
-
-
-def test_q_satisfies_defining_identity():
-    for alphabet in (X1, X2):
-        for l in range(1, 7):
-            lhs = q_l(alphabet, l)
-            rhs = q_l(alphabet, l - 1) * input_form(alphabet) + derive(
-                q_l(alphabet, l - 1)
-            )
-            assert lhs == rhs
-
-
-def test_q_weight_homogeneous():
-    # every monomial on a length-k word has total weight k + sum of orders = l
-    for l in range(5):
-        for w, c in q_l(X2, l).terms.items():
-            for mono in c.terms:
-                assert len(w) + sum(r for _, r in mono) == l
-
-
-def test_explicit_form_matches_recursion():
-    for alphabet in (X1, X2):
-        for l in range(5):
-            assert q_l_explicit(alphabet, l) == q_l(alphabet, l)
-
-
-def test_explicit_form_bounded():
-    with pytest.raises(ValueError):
-        q_l_explicit(X1, 5)
-    with pytest.raises(ValueError):
-        q_l(X1, -1)
-
-
-# ---------------------------------------------------------------------------
-# specialization
-
-
-def test_specialize_symbol_derivatives():
-    asg = {"x0": 1 / z}
-    assert specialize(U("x0"), asg) == 1 / z
-    assert specialize(U("x0", 1), asg) == QZ.parse("-1/z^2")
-    assert specialize(U("x0", 2), asg) == QZ.parse("2/z^3")
-
-
-def test_specialize_q2_single_letter():
-    got = specialize(q_l(X1, 2), {"x0": 1 / z})
-    assert got.coeff(("x0", "x0")) == QZ.parse("1/z^2")
-    assert got.coeff(("x0",)) == QZ.parse("-1/z^2")
-    assert got.coeff(()) == QZ.zero
-
-
-def test_specialize_product_of_inputs():
-    p = U("x0") * U("x1")
-    val = specialize(p, {"x0": "1/z", "x1": "1/(1-z)"})
-    assert val == QZ.parse("1/(z*(1-z))")
-
-
-def test_specialize_missing_assignment():
-    with pytest.raises(ValueError):
-        specialize(U("x0") * U("x1"), {"x0": 1 / z})
-
-
-def test_specialize_commutes_with_derivation():
-    asg = {"x0": QZ.parse("1/(1-z)"), "x1": QZ.parse("z^2-1/4")}
-    samples = [
-        U("x0"),
-        U("x0") * U("x1"),
-        3 * U("x0", 1) * U("x0") - U("x1", 2),
-        (U("x0") + U("x1")) * (U("x0") - 2 * U("x1", 1)),
-    ]
-    for p in samples:
-        assert specialize(p.derive(), asg) == specialize(p, asg).derivative()
-
-
-# ---------------------------------------------------------------------------
-# independence
+from ncfps.diffring import independence_criterion
+from ncfps.rings import QZ, Poly, RatFun
 
 
 def test_independence_log_pair():
@@ -344,10 +178,3 @@ def test_independence_proper_squarefree_agrees_with_base_q(inputs):
     # no nonzero proper function with a squarefree denominator is exact
     assert independence_criterion(inputs, "Q(z)") == independence_criterion(inputs, "Q")
 
-
-def test_parse_input_assignment():
-    asg = parse_input_assignment("x0=1/z, x1=1/(1-z)")
-    assert asg["x0"] == 1 / z
-    assert asg["x1"] == QZ.parse("1/(1-z)")
-    with pytest.raises(ValueError):
-        parse_input_assignment("x0")
