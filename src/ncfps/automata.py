@@ -20,19 +20,14 @@ from fractions import Fraction
 
 from .linalg import (
     EchelonBasis,
-    block_diag,
     dot,
-    identity,
     invert_matrix,
-    kron,
     mat,
-    mat_add,
     mat_mul,
     mat_sub,
     mat_vec,
-    transpose,
     vec_mat,
-    zeros,
+    vec_rows,
 )
 from .rings import ring_named
 from .series import NCPolynomial, TruncatedSeries
@@ -66,7 +61,23 @@ __all__ = [
 
 
 class LinearRepresentation:
-    __slots__ = ("alphabet", "ring", "nu", "mu", "eta", "dim")
+    """A rational series as (nu, mu, eta) over a coefficient ring.
+
+    Each letter matrix is stored as n sparse rows: ``rows[x][i]`` is a dict
+    {column: entry} that holds only the nonzero entries of row i of mu(x),
+    and a letter whose matrix is zero is not stored.  The shuffle and
+    quasi-shuffle are Kronecker sums, mostly zeros, so the constructors,
+    ``coeff``, ``expand``, ``minimize`` and ``equal`` cost the nonzero
+    entries, not n^2 per matrix.  ``mu`` is the dense view, {letter: n x n
+    tuple of row tuples}, built on first use and kept; numpy conversions,
+    the Lie classification and the JSON form read it.
+
+    The public constructor takes dense matrices and coerces every entry;
+    results of the operations below come through ``_built``, which takes
+    sparse rows that are already coerced and free of zeros.
+    """
+
+    __slots__ = ("alphabet", "ring", "nu", "rows", "eta", "dim", "_mu")
 
     def __init__(self, alphabet, ring, nu, mu, eta):
         nu = tuple(ring.coerce(c) for c in nu)
@@ -74,32 +85,35 @@ class LinearRepresentation:
         if len(nu) != len(eta):
             raise ValueError("initial and final vectors must have the same length")
         n = len(nu)
-        clean = {}
+        rows = {}
         for x, m in mu.items():
             if not alphabet.is_letter(x):
                 raise ValueError(f"letter {x!r} is not in alphabet {alphabet.name}")
-            m = tuple(tuple(map(ring.coerce, row)) for row in m)
+            m = [tuple(map(ring.coerce, row)) for row in m]
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError(f"matrix for {x!r} is not {n}x{n}")
-            if any(c for row in m for c in row):
-                clean[x] = m
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "mu", clean)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "dim", n)
+            rows[x] = tuple({j: c for j, c in enumerate(row) if c} for row in m)
+        _init(self, alphabet, ring, nu, rows, eta)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearRepresentation is immutable")
 
     @property
+    def mu(self):
+        if self._mu is None:
+            z, cols = self.ring.zero, range(self.dim)
+            dense = {x: tuple(tuple(row.get(j, z) for j in cols) for row in rs) for x, rs in self.rows.items()}
+            object.__setattr__(self, "_mu", dense)
+        return self._mu
+
+    @property
     def active_letters(self):
-        return sorted(self.mu, key=self.alphabet.rank)
+        return sorted(self.rows, key=self.alphabet.rank)
 
     def matrix(self, x):
+        """Dense mu(x); the zero matrix for a letter without one."""
         m = self.mu.get(x)
-        return m if m is not None else zeros(self.ring, self.dim, self.dim)
+        return m if m is not None else ((self.ring.zero,) * self.dim,) * self.dim
 
     def coeff(self, w):
         ring = self.ring
@@ -107,10 +121,10 @@ class LinearRepresentation:
             return ring.zero
         v = self.nu
         for x in w:
-            m = self.mu.get(x)
-            if m is None:
+            rows = self.rows.get(x)
+            if rows is None:
                 return ring.zero
-            v = vec_mat(ring, v, m)
+            v = vec_rows(ring, v, rows)
         return dot(ring, v, self.eta)
 
     def expand(self, bound):
@@ -118,16 +132,16 @@ class LinearRepresentation:
         ring, alphabet = self.ring, self.alphabet
         terms = {}
         if self.dim:
-            letters = [(x, alphabet.grade(x), self.mu[x]) for x in self.active_letters]
+            letters = [(x, alphabet.grade(x), self.rows[x]) for x in self.active_letters]
 
             def walk(word, grade, v):
                 c = dot(ring, v, self.eta)
-                if c != ring.zero:
+                if c:
                     terms[word] = c
-                for x, g, m in letters:
+                for x, g, rows in letters:
                     if grade + g <= bound:
-                        v2 = vec_mat(ring, v, m)
-                        if any(e != ring.zero for e in v2):
+                        v2 = vec_rows(ring, v, rows)
+                        if any(v2):
                             walk(word + (x,), grade + g, v2)
 
             walk((), 0, self.nu)
@@ -135,30 +149,29 @@ class LinearRepresentation:
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return LinearRepresentation(
-            self.alphabet, self.ring, tuple(c * v for v in self.nu), self.mu, self.eta
-        )
+        return _built(self.alphabet, self.ring, tuple(c * v for v in self.nu), self.rows, self.eta)
 
     def transpose(self):
         """Represents the letter-reversed series."""
-        return LinearRepresentation(
-            self.alphabet,
-            self.ring,
-            self.eta,
-            {x: transpose(m) for x, m in self.mu.items()},
-            self.nu,
-        )
+        rows = {}
+        for x, rs in self.rows.items():
+            t = [{} for _ in rs]
+            for i, row in enumerate(rs):
+                for j, c in row.items():
+                    t[j][i] = c
+            rows[x] = tuple(t)
+        return _built(self.alphabet, self.ring, self.eta, rows, self.nu)
 
     def embed_field(self):
         field = self.ring.field()
         if field == self.ring:
             return self
         emb = self.ring.embed
-        return LinearRepresentation(
+        return _built(
             self.alphabet,
             field,
             tuple(emb(c) for c in self.nu),
-            {x: tuple(tuple(emb(c) for c in row) for row in m) for x, m in self.mu.items()},
+            {x: tuple({j: emb(c) for j, c in row.items()} for row in rs) for x, rs in self.rows.items()},
             tuple(emb(c) for c in self.eta),
         )
 
@@ -217,19 +230,74 @@ class LinearRepresentation:
         )
 
 
+def _init(rep, alphabet, ring, nu, rows, eta):
+    put = object.__setattr__
+    put(rep, "alphabet", alphabet)
+    put(rep, "ring", ring)
+    put(rep, "nu", nu)
+    put(rep, "rows", {x: tuple(rs) for x, rs in rows.items() if any(rs)})
+    put(rep, "eta", eta)
+    put(rep, "dim", len(nu))
+    put(rep, "_mu", None)
+
+
+def _built(alphabet, ring, nu, rows, eta):
+    """Representation from vectors of ring elements and sparse rows that hold
+    no zero entry, as the operations on valid representations produce them:
+    drops the letters whose rows are all empty, skips coercion and checks.
+    Stored rows are shared between representations and never mutated."""
+    rep = object.__new__(LinearRepresentation)
+    _init(rep, alphabet, ring, nu, rows, eta)
+    return rep
+
+
+def _add_into(row, other):
+    """row += other for sparse rows, dropping entries that cancel."""
+    for j, c in other.items():
+        if j in row:
+            s = row[j] + c
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+        else:
+            row[j] = c
+
+
+def _plus_outer(rows, col, row):
+    """The rows plus col (x) row: row i gains col[i] * row."""
+    if not row:
+        return tuple(rows)
+    out = []
+    for r, e in zip(rows, col):
+        if e:
+            r = dict(r)
+            _add_into(r, {j: e * c for j, c in row.items()})
+        out.append(r)
+    return tuple(out)
+
+
+def _shifted(row, k):
+    return {j + k: c for j, c in row.items()}
+
+
+def _sparse(v):
+    return {j: c for j, c in enumerate(v) if c}
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
 
 def rep_zero(alphabet, ring):
-    return LinearRepresentation(alphabet, ring, (), {}, ())
+    return _built(alphabet, ring, (), {}, ())
 
 
 def rep_scalar(alphabet, ring, c):
     c = ring.coerce(c)
-    if c == ring.zero:
+    if not c:
         return rep_zero(alphabet, ring)
-    return LinearRepresentation(alphabet, ring, (c,), {}, (ring.one,))
+    return _built(alphabet, ring, (c,), {}, (ring.one,))
 
 
 def rep_word(alphabet, ring, w, coeff=None):
@@ -238,17 +306,14 @@ def rep_word(alphabet, ring, w, coeff=None):
     alphabet.validate_word(w)
     c = ring.one if coeff is None else ring.coerce(coeff)
     n = len(w) + 1
-    mu = {}
+    rows = {}
     for i, x in enumerate(w):
-        m = [[ring.zero] * n for _ in range(n)]
-        existing = mu.get(x)
-        if existing is not None:
-            m = [list(r) for r in existing]
-        m[i][i + 1] = ring.one
-        mu[x] = tuple(tuple(r) for r in m)
+        if x not in rows:
+            rows[x] = [{} for _ in range(n)]
+        rows[x][i][i + 1] = ring.one
     nu = tuple(ring.one if i == 0 else ring.zero for i in range(n))
     eta = tuple(c if i == n - 1 else ring.zero for i in range(n))
-    return LinearRepresentation(alphabet, ring, nu, mu, eta)
+    return _built(alphabet, ring, nu, rows, eta)
 
 
 def rep_polynomial(p):
@@ -264,76 +329,72 @@ def _check_pair(r1, r2):
         raise ValueError("representations live over different alphabets or rings")
 
 
+def _letters(r1, r2):
+    """The letters of r1, then the other letters of r2."""
+    return list({**dict.fromkeys(r1.rows), **dict.fromkeys(r2.rows)})
+
+
 def rep_sum(r1, r2):
+    """Sum: block-diagonal letter matrices."""
     _check_pair(r1, r2)
-    ring = r1.ring
-    letters = set(r1.mu) | set(r2.mu)
-    mu = {x: block_diag(ring, r1.matrix(x), r2.matrix(x)) for x in letters}
-    return LinearRepresentation(r1.alphabet, ring, r1.nu + r2.nu, mu, r1.eta + r2.eta)
+    empty1, empty2 = ({},) * r1.dim, ({},) * r2.dim
+    rows = {
+        x: r1.rows.get(x, empty1) + tuple(_shifted(row, r1.dim) for row in r2.rows.get(x, empty2))
+        for x in _letters(r1, r2)
+    }
+    return _built(r1.alphabet, r1.ring, r1.nu + r2.nu, rows, r1.eta + r2.eta)
 
 
 def rep_conc(r1, r2):
-    """Concatenation (Cauchy) product of the represented series."""
-    _check_pair(r1, r2)
-    ring = r1.ring
-    n1, n2 = r1.dim, r2.dim
+    """Concatenation (Cauchy) product: the sum's block-diagonal letter
+    matrices, coupled top right by eta1 (x) (nu2 mu2(x))."""
+    blocks = rep_sum(r1, r2)
+    ring, n1, empty2 = r1.ring, r1.dim, ({},) * r2.dim
+    rows = {}
+    for x, rs in blocks.rows.items():
+        row2 = _shifted(_sparse(vec_rows(ring, r2.nu, r2.rows.get(x, empty2))), n1)
+        rows[x] = _plus_outer(rs[:n1], r1.eta, row2) + rs[n1:]
     s2 = dot(ring, r2.nu, r2.eta)  # constant term of the right factor
-    letters = set(r1.mu) | set(r2.mu)
-    mu = {}
-    for x in letters:
-        m1, m2 = r1.matrix(x), r2.matrix(x)
-        # top-right coupling: eta1 . (nu2 mu2(x))
-        row2 = vec_mat(ring, r2.nu, m2)
-        rows = []
-        for i in range(n1):
-            rows.append(tuple(m1[i]) + tuple(r1.eta[i] * c for c in row2))
-        for i in range(n2):
-            rows.append(tuple(ring.zero for _ in range(n1)) + tuple(m2[i]))
-        mu[x] = tuple(rows)
-    nu = r1.nu + tuple(ring.zero for _ in range(n2))
     eta = tuple(e * s2 for e in r1.eta) + r2.eta
-    return LinearRepresentation(r1.alphabet, ring, nu, mu, eta)
+    return _built(r1.alphabet, ring, r1.nu + (ring.zero,) * r2.dim, rows, eta)
 
 
 def rep_star(r):
     """Kleene star; the represented series must have zero constant term."""
     ring = r.ring
-    if dot(ring, r.nu, r.eta) != ring.zero:
+    if dot(ring, r.nu, r.eta):
         raise ValueError("star needs a series with zero constant term")
-    n = r.dim
-    mu = {}
-    for x, m in r.mu.items():
-        row = vec_mat(ring, r.nu, m)  # nu mu(x)
-        rows = []
-        for i in range(n):
-            rows.append(
-                tuple(m[i][j] + r.eta[i] * row[j] for j in range(n)) + (ring.zero,)
-            )
-        rows.append(tuple(row) + (ring.zero,))
-        mu[x] = tuple(rows)
-    nu = tuple(ring.zero for _ in range(n)) + (ring.one,)
-    eta = r.eta + (ring.one,)
-    return LinearRepresentation(r.alphabet, ring, nu, mu, eta)
+    rows = {}
+    for x, m in r.rows.items():
+        last = _sparse(vec_rows(ring, r.nu, m))  # nu mu(x)
+        rows[x] = _plus_outer(m, r.eta, last) + (last,)
+    nu = (ring.zero,) * r.dim + (ring.one,)
+    return _built(r.alphabet, ring, nu, rows, r.eta + (ring.one,))
 
 
 def _kronecker_sum(r1, r2):
-    """Letter matrices mu1(x)(x)I + I(x)mu2(x), and the product vectors."""
+    """Letter rows of mu1(x)(x)I + I(x)mu2(x), fresh dicts the caller may
+    change, and the product vectors.  Row and column (i1, i2) is i1*n2 + i2."""
     _check_pair(r1, r2)
-    ring = r1.ring
-    i1, i2 = identity(ring, r1.dim), identity(ring, r2.dim)
-    mu = {x: kron(ring, m, i2) for x, m in r1.mu.items()}
-    for x, m in r2.mu.items():
-        right = kron(ring, i1, m)
-        mu[x] = mat_add(ring, mu[x], right) if x in mu else right
+    empty1, empty2 = ({},) * r1.dim, ({},) * r2.dim
+    n2 = r2.dim
+    rows = {}
+    for x in _letters(r1, r2):
+        out = rows[x] = []
+        for i1, left in enumerate(r1.rows.get(x, empty1)):
+            for i2, right in enumerate(r2.rows.get(x, empty2)):
+                row = {j1 * n2 + i2: a for j1, a in left.items()}
+                _add_into(row, _shifted(right, i1 * n2))
+                out.append(row)
     nu = tuple(a * b for a in r1.nu for b in r2.nu)
     eta = tuple(a * b for a in r1.eta for b in r2.eta)
-    return mu, nu, eta
+    return rows, nu, eta
 
 
 def rep_shuffle(r1, r2):
     """Shuffle product: Kronecker sum of the letter actions."""
-    mu, nu, eta = _kronecker_sum(r1, r2)
-    return LinearRepresentation(r1.alphabet, r1.ring, nu, mu, eta)
+    rows, nu, eta = _kronecker_sum(r1, r2)
+    return _built(r1.alphabet, r1.ring, nu, rows, eta)
 
 
 def rep_stuffle(r1, r2):
@@ -341,14 +402,20 @@ def rep_stuffle(r1, r2):
     letter merge mu1(yi)(x)mu2(yj) on y(i+j)."""
     if r1.alphabet.kind != "Y":
         raise ValueError("quasi-shuffle is defined on the graded Y alphabet")
-    mu, nu, eta = _kronecker_sum(r1, r2)
-    ring = r1.ring
-    for x1, m1 in r1.mu.items():
-        for x2, m2 in r2.mu.items():
+    rows, nu, eta = _kronecker_sum(r1, r2)
+    n2 = r2.dim
+    for x1, m1 in r1.rows.items():
+        for x2, m2 in r2.rows.items():
             x = f"y{int(x1[1:]) + int(x2[1:])}"
-            merge = kron(ring, m1, m2)
-            mu[x] = mat_add(ring, mu[x], merge) if x in mu else merge
-    return LinearRepresentation(r1.alphabet, ring, nu, mu, eta)
+            if x not in rows:
+                rows[x] = [{} for _ in range(r1.dim * n2)]
+            out = rows[x]
+            for i1, left in enumerate(m1):
+                for i2, right in enumerate(m2):
+                    if left and right:
+                        merge = {j1 * n2 + j2: a * b for j1, a in left.items() for j2, b in right.items()}
+                        _add_into(out[i1 * n2 + i2], merge)
+    return _built(r1.alphabet, r1.ring, nu, rows, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -365,27 +432,28 @@ def _left_reduce(rep):
     reached = []
 
     def coordinates(w):
+        # as a sparse row {k: c_k} over the reached vectors
         red = basis.reduce(tuple(w) + (zero,) * n)
         if not any(red[:n]):
-            return tuple(-c for c in red[n:])
+            return {k: -c for k, c in enumerate(red[n:]) if c}
         k = len(reached)
         red[n + k] = one
         basis.insert(red)
         reached.append(w)
-        return tuple(one if j == k else zero for j in range(n))
+        return {k: one}
 
     nu = coordinates(rep.nu)
     letters = rep.active_letters
-    mu = {x: [] for x in letters}
+    rows = {x: [] for x in letters}
     for v in reached:  # extended while it is walked: a breadth-first queue
         for x in letters:
-            mu[x].append(coordinates(vec_mat(ring, v, rep.mu[x])))
+            rows[x].append(coordinates(vec_rows(ring, v, rep.rows[x])))
     r = len(reached)
     if r == 0:
         return rep_zero(rep.alphabet, ring)
-    mu = {x: tuple(c[:r] for c in cs) for x, cs in mu.items()}
+    nu = tuple(nu.get(k, zero) for k in range(r))
     eta = tuple(dot(ring, v, rep.eta) for v in reached)
-    return LinearRepresentation(rep.alphabet, ring, nu[:r], mu, eta)
+    return _built(rep.alphabet, ring, nu, rows, eta)
 
 
 def minimize(rep):
@@ -407,8 +475,9 @@ def equal(r1, r2):
     vectors.  The pairs are walked breadth-first, one letter at a time, and
     their concatenations grow an echelon basis, whose dimension is at most
     n = n1 + n2; so the test makes at most n*|letters| vector-matrix products
-    on each side and costs O(|letters| n^3) ring operations.  It stops at
-    the first pair whose two values differ.
+    on each side, each at the cost of the matrix's nonzero entries, and
+    O(n^3) ring operations in the basis.  It stops at the first pair whose
+    two values differ.
 
     Over Q[t] the basis eliminates fraction-free in Q[t] itself, which
     decides the same span over Q(t) without a gcd per operation.  Two
@@ -419,15 +488,16 @@ def equal(r1, r2):
         r1, r2 = r1.embed_field(), r2.embed_field()
     _check_pair(r1, r2)
     ring = r1.ring
-    letters = sorted(set(r1.mu) | set(r2.mu), key=r1.alphabet.rank)
-    mats = [(r1.matrix(x), r2.matrix(x)) for x in letters]
+    empty1, empty2 = ({},) * r1.dim, ({},) * r2.dim
+    letters = sorted(_letters(r1, r2), key=r1.alphabet.rank)
+    mats = [(r1.rows.get(x, empty1), r2.rows.get(x, empty2)) for x in letters]
     basis = EchelonBasis(ring, r1.dim + r2.dim)
     frontier = [(r1.nu, r2.nu)]  # extended while it is walked: a breadth-first queue
     for v1, v2 in frontier:
         if dot(ring, v1, r1.eta) - dot(ring, v2, r2.eta):
             return False
         if basis.insert(v1 + v2) is not None:
-            frontier.extend((vec_mat(ring, v1, m1), vec_mat(ring, v2, m2)) for m1, m2 in mats)
+            frontier.extend((vec_rows(ring, v1, m1), vec_rows(ring, v2, m2)) for m1, m2 in mats)
     return True
 
 
@@ -440,8 +510,8 @@ def sweedler_split(rep):
     pairs = []
     for i in range(n):
         e = tuple(ring.one if j == i else ring.zero for j in range(n))
-        g = LinearRepresentation(rep.alphabet, ring, rep.nu, rep.mu, e)
-        d = LinearRepresentation(rep.alphabet, ring, e, rep.mu, rep.eta)
+        g = _built(rep.alphabet, ring, rep.nu, rep.rows, e)
+        d = _built(rep.alphabet, ring, e, rep.rows, rep.eta)
         pairs.append((g, d))
     return pairs
 

@@ -1,8 +1,11 @@
-"""Exact dense linear algebra over the coefficient rings.
+"""Exact linear algebra over the coefficient rings.
 
-Matrices are tuples of tuples (rows); vectors are tuples.  Everything is
-parameterized by a ring descriptor; inversion requires a field
-(``ring.is_field``).
+Dense matrices are tuples of tuples (rows); vectors are tuples.  A sparse
+matrix is a sequence of rows, each a dict {column: entry} of its nonzero
+entries: the automaton letter matrices are stored so, and ``vec_rows``
+multiplies a dense row vector by one at the cost of its nonzero entries.
+Everything is parameterized by a ring descriptor; inversion requires a
+field (``ring.is_field``).
 
 The incremental :class:`EchelonBasis` is the one elimination routine.  It
 works over a field, in reduced row echelon form, or over the integral domain
@@ -21,17 +24,14 @@ from __future__ import annotations
 
 __all__ = [
     "mat",
-    "zeros",
     "identity",
     "transpose",
-    "mat_add",
     "mat_sub",
     "mat_mul",
     "mat_vec",
     "vec_mat",
+    "vec_rows",
     "dot",
-    "kron",
-    "block_diag",
     "invert_matrix",
     "EchelonBasis",
 ]
@@ -41,11 +41,6 @@ def mat(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def zeros(ring, m, n):
-    z = ring.zero
-    return tuple(tuple(z for _ in range(n)) for _ in range(m))
-
-
 def identity(ring, n):
     z, o = ring.zero, ring.one
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
@@ -53,11 +48,6 @@ def identity(ring, n):
 
 def transpose(a):
     return tuple(zip(*a)) if a else ()
-
-
-def mat_add(ring, a, b):
-    # zero entries short-cut: x + 0 is x, 0 + y is y
-    return tuple(tuple(x + y if x and y else x or y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(ring, a, b):
@@ -97,39 +87,26 @@ def vec_mat(ring, v, a):
     return tuple(out)
 
 
+def vec_rows(ring, v, rows):
+    """Row vector times a square matrix given by sparse rows: the combination
+    sum_i v_i rows[i], dense, at the cost of the rows that v selects."""
+    acc = {}
+    for c, row in zip(v, rows):
+        if c:
+            for j, y in row.items():
+                acc[j] = acc[j] + c * y if j in acc else c * y
+    out = [ring.zero] * len(rows)
+    for j, c in acc.items():
+        out[j] = c
+    return tuple(out)
+
+
 def dot(ring, u, v):
     acc = ring.zero
     for x, y in zip(u, v):
         if x and y:
             acc = acc + x * y
     return acc
-
-
-def kron(ring, a, b):
-    if not a or not b:
-        return ()
-    z = ring.zero
-    zrow = (z,) * len(b[0])
-    out = []
-    for ra in a:
-        for rb in b:
-            row = []
-            for x in ra:
-                row.extend((x * y if y else z for y in rb) if x else zrow)
-            out.append(tuple(row))
-    return tuple(out)
-
-
-def block_diag(ring, a, b):
-    ma, na = len(a), len(a[0]) if a else 0
-    mb, nb = len(b), len(b[0]) if b else 0
-    z = ring.zero
-    out = []
-    for i in range(ma):
-        out.append(tuple(a[i]) + tuple(z for _ in range(nb)))
-    for i in range(mb):
-        out.append(tuple(z for _ in range(na)) + tuple(b[i]))
-    return tuple(out)
 
 
 def _complexity(x):
@@ -192,7 +169,7 @@ class EchelonBasis:
                 v = [x - c * y if y else x for x, y in zip(v, row)]
             else:
                 a = row[p]
-                v = [a * x - c * y if y else a * x for x, y in zip(v, row)]
+                v = [a * x - c * y if y else a * x if x else x for x, y in zip(v, row)]
         return v
 
     def insert(self, v):

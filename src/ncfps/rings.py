@@ -700,13 +700,13 @@ class CoefficientRing:
     turns a coefficient dict into (d, numerators over d); ``pack(nums,
     width)`` makes the numerators values the loops multiply and add;
     ``lower(values, d, width)`` turns sums of products of packed values back
-    into coefficients over d.  Q lifts to integer numerators.  Q[v] lifts to
-    integer coefficient lists, which ``pack`` turns into one Python int each
-    by Kronecker substitution; the caller picks the slot width from ``size``
-    so that no slot overflows.  ``integral`` marks the rings whose loops see
+    into coefficients over d, and drops the zeros.  Q lifts to integer
+    numerators.  Q[v] lifts to integer coefficient lists, which ``pack``
+    turns into one Python int each by Kronecker substitution; the caller
+    picks the slot width from ``size`` so that no slot overflows.  ``integral`` marks the rings whose loops see
     only ints, ``packs`` the one that needs a width.  By default all three
     steps leave coefficients as they are: Q(v) and floats run the loops on
-    ring elements.
+    ring elements, and ``lower`` only drops the zeros.
     """
 
     integral = False
@@ -719,7 +719,7 @@ class CoefficientRing:
         return nums
 
     def lower(self, values, d, width=None):
-        return values
+        return {k: c for k, c in values.items() if c}
 
 
 class RationalRing(CoefficientRing):

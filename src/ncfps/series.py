@@ -131,12 +131,18 @@ def conc_words(u, v):
 
 def _built(cls, alphabet, ring, terms):
     """Instance over words and ring elements that arithmetic on valid operands
-    produced: drops zero coefficients, skips word validation and coercion."""
+    produced, with no zero coefficient: skips word validation, coercion and
+    zero tests.  ``ring.lower`` drops zeros itself; a sum, a difference or a
+    scaling may cancel, and passes its terms through ``_nonzero`` first."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "alphabet", alphabet)
     object.__setattr__(obj, "ring", ring)
-    object.__setattr__(obj, "terms", {k: c for k, c in terms.items() if c})
+    object.__setattr__(obj, "terms", terms)
     return obj
+
+
+def _nonzero(terms):
+    return {k: c for k, c in terms.items() if c}
 
 
 def _lifted(ring, operands, grade):
@@ -267,7 +273,7 @@ class NCPolynomial:
         out = dict(self.terms)
         for w, c in o.terms.items():
             out[w] = out.get(w, self.ring.zero) + c
-        return self._built(out)
+        return self._built(_nonzero(out))
 
     __radd__ = __add__
 
@@ -284,7 +290,7 @@ class NCPolynomial:
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return self._built({w: c * cw for w, cw in self.terms.items()})
+        return self._built(_nonzero({w: c * cw for w, cw in self.terms.items()}))
 
     def _word_product(self, other, kernel, bound=None):
         o = self._check_compatible(other)
@@ -403,7 +409,7 @@ class TensorPoly:
         for u, cu in p.terms.items():
             for v, cv in q.terms.items():
                 terms[(u, v)] = cu * cv
-        return _built(cls, p.alphabet, p.ring, terms)
+        return _built(cls, p.alphabet, p.ring, _nonzero(terms))
 
     def _built(self, terms):
         return _built(TensorPoly, self.alphabet, self.ring, terms)
@@ -415,20 +421,20 @@ class TensorPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, self.ring.zero) + c
-        return self._built(out)
+        return self._built(_nonzero(out))
 
     def __sub__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, self.ring.zero) - c
-        return self._built(out)
+        return self._built(_nonzero(out))
 
     def __neg__(self):
         return self._built({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return self._built({k: c * cw for k, cw in self.terms.items()})
+        return self._built(_nonzero({k: c * cw for k, cw in self.terms.items()}))
 
     def mul(self, other, left_kernel=conc_words, right_kernel=conc_words, bound=None):
         """Componentwise product; each side may use its own word product.

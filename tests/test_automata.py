@@ -33,6 +33,7 @@ from ncfps.automata import (
     sweedler_split,
     triangular_star_factorization_check,
 )
+from ncfps.exprs import representation_of
 from ncfps.linalg import EchelonBasis, dot, identity, invert_matrix, vec_mat
 from ncfps.rings import QQ, QT, QZ, Poly
 from ncfps.series import NCPolynomial, TruncatedSeries, parse_series_text
@@ -269,6 +270,147 @@ def test_equal_similar_pair_of_dimension_5_is_fast():
     assert equal(r1, r2)
     assert time.perf_counter() - t0 < 1.0
     assert not equal(r1, r2.scale(2))
+
+
+def test_four_star_shuffle_identity_is_decided_on_sparse_rows():
+    # (x0+x1+x2)* shuffled four times is (4*x0+4*x1+4*x2)*: a compiled
+    # dimension of 7^4 = 2401, where each letter matrix holds 6593 nonzeros
+    # of 5.76 M entries
+    left = representation_of(" shuffle ".join(["(x0+x1+x2)*"] * 4))
+    assert left.dim == 2401
+    assert {x: sum(map(len, rows)) for x, rows in left.rows.items()} == {"x0": 6593, "x1": 6593, "x2": 6593}
+    assert equal(left, representation_of("(4*x0+4*x1+4*x2)*"))
+    assert not equal(left, representation_of("(4*x0+4*x1+3*x2)*"))
+
+
+# ---------------------------------------------------------------------------
+# sparse letter rows against the dense formulas
+#
+# The constructors build sparse rows.  The oracle is the dense construction:
+# block-diagonal sums, Kronecker products and entrywise sums of tuple-of-tuple
+# matrices, read off the inputs' dense views.
+
+
+def _zero_matrix(ring, n):
+    return tuple((ring.zero,) * n for _ in range(n))
+
+
+def _kron(a, b):
+    if not a or not b:
+        return ()
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def _block_diag(ring, a, b):
+    na, nb = len(a), len(b)
+    return tuple(tuple(r) + (ring.zero,) * nb for r in a) + tuple((ring.zero,) * na + tuple(r) for r in b)
+
+
+def _mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _dense(r, x):
+    return r.mu.get(x, _zero_matrix(r.ring, r.dim))
+
+
+def _dense_sum(r1, r2):
+    mu = {x: _block_diag(r1.ring, _dense(r1, x), _dense(r2, x)) for x in set(r1.mu) | set(r2.mu)}
+    return r1.nu + r2.nu, mu, r1.eta + r2.eta
+
+
+def _dense_conc(r1, r2):
+    ring, n1, n2 = r1.ring, r1.dim, r2.dim
+    s2 = sum((a * b for a, b in zip(r2.nu, r2.eta)), ring.zero)
+    mu = {}
+    for x in set(r1.mu) | set(r2.mu):
+        m1, m2 = _dense(r1, x), _dense(r2, x)
+        row2 = _plain_vec_mat(r2.nu, m2) if n2 else ()
+        top = tuple(tuple(m1[i]) + tuple(r1.eta[i] * c for c in row2) for i in range(n1))
+        mu[x] = top + tuple((ring.zero,) * n1 + tuple(m2[i]) for i in range(n2))
+    return r1.nu + (ring.zero,) * n2, mu, tuple(e * s2 for e in r1.eta) + r2.eta
+
+
+def _dense_star(r):
+    ring, n = r.ring, r.dim
+    mu = {}
+    for x, m in r.mu.items():
+        row = _plain_vec_mat(r.nu, m)
+        rows = tuple(tuple(m[i][j] + r.eta[i] * row[j] for j in range(n)) + (ring.zero,) for i in range(n))
+        mu[x] = rows + (tuple(row) + (ring.zero,),)
+    return (ring.zero,) * n + (ring.one,), mu, r.eta + (ring.one,)
+
+
+def _dense_kronecker_sum(r1, r2):
+    i1, i2 = identity(r1.ring, r1.dim), identity(r1.ring, r2.dim)
+    mu = {}
+    for x in set(r1.mu) | set(r2.mu):
+        mu[x] = _mat_add(_kron(_dense(r1, x), i2), _kron(i1, _dense(r2, x)))
+    nu = tuple(a * b for a in r1.nu for b in r2.nu)
+    eta = tuple(a * b for a in r1.eta for b in r2.eta)
+    return nu, mu, eta
+
+
+def _dense_stuffle(r1, r2):
+    nu, mu, eta = _dense_kronecker_sum(r1, r2)
+    n = r1.dim * r2.dim
+    for x1, m1 in r1.mu.items():
+        for x2, m2 in r2.mu.items():
+            x = f"y{int(x1[1:]) + int(x2[1:])}"
+            mu[x] = _mat_add(mu.get(x, _zero_matrix(r1.ring, n)), _kron(m1, m2))
+    return nu, mu, eta
+
+
+def _check_against_dense(rep, oracle):
+    nu, mu, eta = oracle
+    nonzero = {x: m for x, m in mu.items() if any(c for row in m for c in row)}
+    assert (rep.nu, rep.mu, rep.eta) == (nu, nonzero, eta)
+    for rows in rep.rows.values():
+        assert len(rows) == rep.dim and any(rows)
+        assert all(c for row in rows for c in row.values())
+
+
+@st.composite
+def _sparse_reps(draw, ring, alphabet, proper=False):
+    """A representation of dimension 0-3 over Q or Q[t] whose entries are
+    zero half the time; a proper one has eta zero on the support of nu, so
+    its constant term vanishes."""
+    n = draw(st.integers(0, 3))
+    entry = st.one_of(st.just(ring.zero), _ring_entries(ring).map(ring.coerce))
+    vec = st.lists(entry, min_size=n, max_size=n)
+    nu, eta = draw(vec), draw(vec)
+    if proper:
+        eta = [ring.zero if a else b for a, b in zip(nu, eta)]
+    letters = draw(st.lists(st.sampled_from(alphabet.letters_up_to(3)), unique=True))
+    mu = {x: draw(st.lists(vec, min_size=n, max_size=n)) for x in letters}
+    return LinearRepresentation(alphabet, ring, nu, mu, eta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_constructors_match_the_dense_formulas(data):
+    ring = data.draw(st.sampled_from((QQ, QT)))
+    alphabet = data.draw(st.sampled_from((X2, Y)))
+    r1, r2 = data.draw(_sparse_reps(ring, alphabet)), data.draw(_sparse_reps(ring, alphabet))
+    _check_against_dense(rep_sum(r1, r2), _dense_sum(r1, r2))
+    _check_against_dense(rep_conc(r1, r2), _dense_conc(r1, r2))
+    _check_against_dense(rep_shuffle(r1, r2), _dense_kronecker_sum(r1, r2))
+    if alphabet == Y:
+        _check_against_dense(rep_stuffle(r1, r2), _dense_stuffle(r1, r2))
+    proper = data.draw(_sparse_reps(ring, alphabet, proper=True))
+    _check_against_dense(rep_star(proper), _dense_star(proper))
+
+
+def test_stuffle_merges_that_cancel_drop_their_letters():
+    # (y1 + y2)* stuffle (-y1)*: on y1 the Kronecker sum is 1 - 1, on y2 the
+    # merge y1 (x) y1 adds -1 to the left factor's 1; only the merge
+    # y2 (x) y1 survives, on y3
+    for ring in (QQ, QT):
+        r1 = make_character_star(Y, ring, {"y1": 1, "y2": 1})
+        r2 = make_character_star(Y, ring, {"y1": -1})
+        got = rep_stuffle(r1, r2)
+        _check_against_dense(got, _dense_stuffle(r1, r2))
+        assert got.mu == {"y3": ((ring.coerce(-1),),)}
 
 
 def test_equal_walks_both_operands_past_a_closed_first_span():
