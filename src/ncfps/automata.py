@@ -640,11 +640,7 @@ def is_syntactically_exchangeable(series, bound=None):
 
 def _letters_commute(m):
     mats = [m.mu[x] for x in m.active_letters]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mat_mul(m.ring, mats[i], mats[j]) != mat_mul(m.ring, mats[j], mats[i]):
-                return False
-    return True
+    return not _bracket_span(m.ring, m.dim, mats, mats)
 
 
 def is_rationally_exchangeable(rep):
@@ -678,20 +674,24 @@ def _bracket(ring, a, b):
     return mat_sub(ring, mat_mul(ring, a, b), mat_mul(ring, b, a))
 
 
-def _span_closure(ring, n, generators):
-    """Echelon span of generators, saturated under brackets."""
+def _bracket_span(ring, n, left, right=None):
+    """Independent n x n matrices spanning the brackets [a, b], a in left and
+    b in right.  Without right, the span of left closed under brackets: the
+    brackets run over the growing list of members, new ones included."""
     basis = EchelonBasis(ring, n * n)
     members = []
-    for g in generators:
-        if basis.insert(_flatten(g)) is not None:
-            members.append(g)
-    i = 0
-    while i < len(members):
-        for j in range(len(members)):
-            b = _bracket(ring, members[i], members[j])
-            if basis.insert(_flatten(b)) is not None:
-                members.append(b)
-        i += 1
+
+    def add(m):
+        if basis.insert(_flatten(m)) is not None:
+            members.append(m)
+
+    if right is None:
+        for g in left:
+            add(g)
+        left = right = members
+    for a in left:
+        for b in right:
+            add(_bracket(ring, a, b))
     return members
 
 
@@ -701,19 +701,8 @@ def lie_closure(rep):
     if not ring.is_field:
         raise ValueError("field coefficients required")
     gens = [rep.mu[x] for x in rep.active_letters]
-    members = _span_closure(ring, rep.dim, gens)
+    members = _bracket_span(ring, rep.dim, gens)
     return MatrixLieAlgebra(ring, rep.dim, members)
-
-
-def _bracket_span(ring, n, left, right):
-    out = []
-    basis = EchelonBasis(ring, n * n)
-    for a in left:
-        for b in right:
-            c = _bracket(ring, a, b)
-            if basis.insert(_flatten(c)) is not None:
-                out.append(c)
-    return out
 
 
 def _series_vanishes(lie, lower_central):

@@ -19,9 +19,8 @@ from .bases import basis_table, basis_table_lines
 from .exprs import infer_alphabet, parse_expression, to_representation, to_series
 from .rings import ring_named
 from .series import series_text
-from .words import Alphabet, word_text
+from .words import _LETTER_RE, Alphabet, word_text
 
-_LETTER_RE = re.compile(r"[xy][0-9]+\Z")
 _ALPHABET_RE = re.compile(r"x([0-9]+)\Z")
 
 
@@ -71,12 +70,8 @@ def _exact_number(text):
         raise ValueError(f"cannot read {text!r} as an exact number") from None
 
 
-def _compile_series(exprs, ring_name, bound):
-    ring = ring_named(ring_name)
-    nodes = [parse_expression(e) for e in exprs]
-    joint = nodes[0] if len(nodes) == 1 else ("add",) + tuple(nodes)
-    alphabet = infer_alphabet(joint)
-    return [to_series(n, alphabet, ring, bound) for n in nodes], alphabet, ring
+def _compile_series(node, ring_name, bound):
+    return to_series(node, infer_alphabet(node), ring_named(ring_name), bound)
 
 
 def _load_representation(args):
@@ -100,7 +95,7 @@ def _reduced(rep):
 
 
 def _cmd_expand(args):
-    (s,), _, _ = _compile_series([args.expr], args.ring, args.max_length)
+    s = _compile_series(parse_expression(args.expr), args.ring, args.max_length)
     print(series_text(s.poly))
     return 0
 
@@ -109,22 +104,13 @@ _OPS = {"sum": "add", "conc": "cat", "shuffle": "shuffle", "stuffle": "stuffle"}
 
 
 def _cmd_op(args):
-    (a, b), _, _ = _compile_series([args.first, args.second], args.ring, args.max_length)
-    kind = _OPS[args.name]
-    if kind == "add":
-        out = a + b
-    elif kind == "cat":
-        out = a * b
-    elif kind == "shuffle":
-        out = a.shuffle(b)
-    else:
-        out = a.stuffle(b)
-    print(series_text(out.poly))
+    node = (_OPS[args.name], parse_expression(args.first), parse_expression(args.second))
+    print(series_text(_compile_series(node, args.ring, args.max_length).poly))
     return 0
 
 
 def _cmd_star(args):
-    (s,), _, _ = _compile_series([args.expr], args.ring, args.max_length)
+    s = _compile_series(parse_expression(args.expr), args.ring, args.max_length)
     print(series_text(s.star().poly))
     return 0
 

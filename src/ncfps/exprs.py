@@ -36,7 +36,7 @@ from .automata import (
 )
 from .rings import QQ, ring_named
 from .series import NCPolynomial, TruncatedSeries
-from .words import Alphabet
+from .words import _LETTER_RE, Alphabet
 
 __all__ = [
     "ExprSyntaxError",
@@ -55,7 +55,6 @@ class ExprSyntaxError(ValueError):
 
 
 _NAME_RE = re.compile(r"[0-9A-Za-z^/]+")
-_LETTER_RE = re.compile(r"[xy][0-9]+\Z")
 _OPS = frozenset("()+-.*")
 _KEYWORDS = frozenset(("shuffle", "stuffle"))
 

@@ -593,8 +593,19 @@ def _tokenize_expr(s):
     return toks
 
 
-# dense polynomials of higher degree cost too much time and memory to build
+# dense polynomials of higher degree, or with larger coefficients, cost too
+# much time and memory to build
 _MAX_EXPONENT = 1000
+_MAX_COEFFICIENT_BITS = 2048
+
+
+def _height(p):
+    """log2 of the common denominator d of p's coefficients plus log2 of the
+    sum of their absolute numerators over d.  No coefficient has a numerator
+    or a denominator above 2^height, and the height of a product is at most
+    the sum of its factors' heights."""
+    d, nums = _integral(p.coeffs)
+    return math.log2(d) + math.log2(max(1, sum(map(abs, nums))))
 
 
 def parse_ratfun_expr(s, var):
@@ -603,16 +614,24 @@ def parse_ratfun_expr(s, var):
     Precedence: unary sign < +,- < *,/ < ^ with an integer exponent from 0
     to _MAX_EXPONENT.  Every value is exact.  No numerator or denominator
     may exceed degree _MAX_EXPONENT, before any cancellation: each operation
-    checks the degrees of its result before it builds it.
+    checks the degrees of its result before it builds it.  Each ``^``, ``*``
+    and ``/`` also bounds the height (see ``_height``) of the polynomials it
+    multiplies out by those of its operands, and refuses a bound above
+    _MAX_COEFFICIENT_BITS.
     """
     toks = _tokenize_expr(s)
     if not toks:
         raise ValueError("empty expression")
     pos = [0]
 
-    def capped(num_degree, den_degree):
+    def capped(num_degree, den_degree, height=0):
         if max(num_degree, den_degree) > _MAX_EXPONENT:
             raise ValueError(f"{s!r} builds a polynomial of degree above {_MAX_EXPONENT}")
+        if height > _MAX_COEFFICIENT_BITS:
+            raise ValueError(f"{s!r} may build coefficients of more than {_MAX_COEFFICIENT_BITS} bits")
+
+    def heights(a, b):
+        return _height(a) + _height(b)
 
     def peek():
         return toks[pos[0]] if pos[0] < len(toks) else None
@@ -647,7 +666,7 @@ def parse_ratfun_expr(s, var):
             if e is None or e[0] != "rat" or e[1].denominator != 1 or not 0 <= e[1] <= _MAX_EXPONENT:
                 raise ValueError(f"exponent must be an integer from 0 to {_MAX_EXPONENT}")
             k = int(e[1])
-            capped(base.num.degree * k, base.den.degree * k)
+            capped(base.num.degree * k, base.den.degree * k, k * max(_height(base.num), _height(base.den)))
             return base**k
         return base
 
@@ -657,12 +676,20 @@ def parse_ratfun_expr(s, var):
             op = take()[1]
             rhs = factor()
             if op == "*":
-                capped(v.num.degree + rhs.num.degree, v.den.degree + rhs.den.degree)
+                capped(
+                    v.num.degree + rhs.num.degree,
+                    v.den.degree + rhs.den.degree,
+                    max(heights(v.num, rhs.num), heights(v.den, rhs.den)),
+                )
                 v = v * rhs
             else:
                 if rhs.is_zero():
                     raise ValueError("division by zero in expression")
-                capped(v.num.degree + rhs.den.degree, v.den.degree + rhs.num.degree)
+                capped(
+                    v.num.degree + rhs.den.degree,
+                    v.den.degree + rhs.num.degree,
+                    max(heights(v.num, rhs.den), heights(v.den, rhs.num)),
+                )
                 v = v / rhs
         return v
 

@@ -13,6 +13,11 @@ Coproducts returning :class:`TensorPoly` are duals of these products under
 the coefficient pairing: ``deconcat`` is adjoint to concatenation,
 ``unshuffle`` to the shuffle, ``unstuffle`` to the quasi-shuffle.
 
+:class:`NCPolynomial` (keyed by words) and :class:`TensorPoly` (keyed by
+word pairs) are two key types of one term map, ``_TermMap``, which holds
+their construction, linear arithmetic, truncation and the one product loop;
+``_word_product`` and ``TensorPoly.mul`` hand it a kernel on keys.
+
 :class:`TruncatedSeries` tracks a grade bound alongside the coefficients and
 propagates it through arithmetic, which is what makes fixed-point
 constructions (star, exp, log) terminate.  exp and log run Horner's rule,
@@ -32,6 +37,7 @@ in.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -205,31 +211,133 @@ def _bucket_pairs(left, right, grade, bound):
     return out
 
 
-# ---------------------------------------------------------------------------
+class _TermMap:
+    """Immutable finite map from keys to nonzero ring elements, each key
+    holding one or more words over a common alphabet.
 
-
-class NCPolynomial:
-    """Finite linear combination of words with coefficients in a ring."""
+    A subclass states which words a key holds (``_words``) and the key whose
+    words are all empty (``_unit``); word validation and the grade of a key,
+    the sum of its words' grades, follow from that.  A scalar operand of
+    ``+`` or ``-`` stands for itself times the unit key.
+    """
 
     __slots__ = ("alphabet", "ring", "terms")
 
     def __init__(self, alphabet, ring, terms):
         clean = {}
-        for w, c in terms.items():
+        for k, c in terms.items():
             c = ring.coerce(c)
             if c != ring.zero:
-                alphabet.validate_word(w)
-                clean[w] = c
+                for w in self._words(k):
+                    alphabet.validate_word(w)
+                clean[k] = c
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("NCPolynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, alphabet, ring):
         return cls(alphabet, ring, {})
+
+    def _built(self, terms):
+        return _built(type(self), self.alphabet, self.ring, terms)
+
+    def _grade(self):
+        """The function that gives the grade of a key."""
+        g, words = self.alphabet.word_grade, self._words
+        return lambda k: sum(map(g, words(k)))
+
+    def _check_compatible(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {other!r}")
+        # tuples compare identical items without calling their __eq__
+        if (other.alphabet, other.ring) != (self.alphabet, self.ring):
+            raise ValueError("operands live over different alphabets or rings")
+        return other
+
+    def _operand(self, other):
+        if isinstance(other, _TermMap):
+            return self._check_compatible(other)
+        return type(self)(self.alphabet, self.ring, {self._unit: other})
+
+    def _combined(self, other, op):
+        out = dict(self.terms)
+        zero = self.ring.zero
+        for k, c in self._operand(other).terms.items():
+            out[k] = op(out.get(k, zero), c)
+        return self._built(_nonzero(out))
+
+    def __add__(self, other):
+        return self._combined(other, operator.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combined(other, operator.sub)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return self._built({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = self.ring.coerce(c)
+        return self._built(_nonzero({k: c * ck for k, ck in self.terms.items()}))
+
+    def truncate(self, bound):
+        grade = self._grade()
+        return self._built({k: c for k, c in self.terms.items() if grade(k) <= bound})
+
+    def _product(self, other, kernel, bound, grade):
+        """Bilinear product: kernel(k1, k2) gives the (key, multiplicity)
+        pairs of the product of two keys.  With a bound, only pairs of terms
+        whose grade(key) values sum to at most it are formed: for a kernel
+        that adds those grades, the full product less its terms above the
+        bound."""
+        o = self._check_compatible(other)
+        ring = self.ring
+        ((da, a), (db, b)), width = _lifted(ring, (self.terms, o.terms), self._grade())
+        out = {}
+        for left, right in _bucket_pairs(a, b, grade, bound):
+            for k1, c1 in left:
+                for k2, c2 in right:
+                    c = c1 * c2
+                    for k, m in kernel(k1, k2):
+                        inc = c if m == 1 else c * m
+                        prev = out.get(k)
+                        out[k] = inc if prev is None else prev + inc
+        return self._built(ring.lower(out, da * db, width))
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.alphabet == other.alphabet
+            and self.ring == other.ring
+            and self.terms == other.terms
+        )
+
+
+# ---------------------------------------------------------------------------
+
+
+class NCPolynomial(_TermMap):
+    """Finite linear combination of words with coefficients in a ring."""
+
+    __slots__ = ()
+    _unit = ()
+
+    @staticmethod
+    def _words(w):
+        return (w,)
+
+    def _grade(self):
+        # the same function as the base's, without a sum over one word
+        return self.alphabet.word_grade
 
     @classmethod
     def one(cls, alphabet, ring):
@@ -256,58 +364,10 @@ class NCPolynomial:
             return 0
         return max(self.alphabet.word_grade(w) for w in self.terms)
 
-    def _check_compatible(self, other):
-        if not isinstance(other, NCPolynomial):
-            raise TypeError(f"expected NCPolynomial, got {other!r}")
-        if other.alphabet != self.alphabet or other.ring != self.ring:
-            raise ValueError("operands live over different alphabets or rings")
-        return other
-
-    def _built(self, terms):
-        return _built(NCPolynomial, self.alphabet, self.ring, terms)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other).__name__ in ("Poly", "RatFun"):
-            other = NCPolynomial(self.alphabet, self.ring, {(): other})
-        o = self._check_compatible(other)
-        out = dict(self.terms)
-        for w, c in o.terms.items():
-            out[w] = out.get(w, self.ring.zero) + c
-        return self._built(_nonzero(out))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._built({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, NCPolynomial):
-            other = NCPolynomial(self.alphabet, self.ring, {(): other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        c = self.ring.coerce(c)
-        return self._built(_nonzero({w: c * cw for w, cw in self.terms.items()}))
-
     def _word_product(self, other, kernel, bound=None):
-        o = self._check_compatible(other)
-        ring = self.ring
-        ((da, a), (db, b)), width = _lifted(ring, (self.terms, o.terms), self.alphabet.word_grade)
-        out = {}
-        # all three word products are grade-additive, so only grade buckets
-        # whose grades sum to at most the bound can contribute below it
-        for left, right in _bucket_pairs(a, b, self.alphabet.word_grade, bound):
-            for u, cu in left:
-                for v, cv in right:
-                    c = cu * cv
-                    for w, m in kernel(u, v):
-                        inc = c if m == 1 else c * m
-                        prev = out.get(w)
-                        out[w] = inc if prev is None else prev + inc
-        return self._built(ring.lower(out, da * db, width))
+        if kernel is stuffle_words and self.alphabet.kind != "Y":
+            raise ValueError("quasi-shuffle is defined on the graded Y alphabet")
+        return self._product(other, kernel, bound, self.alphabet.word_grade)
 
     def __mul__(self, other):
         """Concatenation product, or scalar scaling."""
@@ -323,13 +383,7 @@ class NCPolynomial:
         return self._word_product(other, shuffle_words)
 
     def stuffle(self, other):
-        if self.alphabet.kind != "Y":
-            raise ValueError("quasi-shuffle is defined on the graded Y alphabet")
         return self._word_product(other, stuffle_words)
-
-    def truncate(self, bound):
-        g = self.alphabet.word_grade
-        return self._built({w: c for w, c in self.terms.items() if g(w) <= bound})
 
     def homogeneous_component(self, grade):
         g = self.alphabet.word_grade
@@ -360,15 +414,6 @@ class NCPolynomial:
             return self
         return self._built({w[:-n]: c for w, c in self.terms.items() if w[-n:] == u})
 
-    def __eq__(self, other):
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
     def __hash__(self):
         return hash((self.alphabet, self.ring, frozenset(self.terms.items())))
 
@@ -379,27 +424,15 @@ class NCPolynomial:
 # ---------------------------------------------------------------------------
 
 
-class TensorPoly:
+class TensorPoly(_TermMap):
     """Finite combination of word pairs u (x) v over a common alphabet."""
 
-    __slots__ = ("alphabet", "ring", "terms")
+    __slots__ = ()
+    _unit = ((), ())
 
-    def __init__(self, alphabet, ring, terms):
-        clean = {}
-        for (u, v), c in terms.items():
-            c = ring.coerce(c)
-            if c != ring.zero:
-                clean[(u, v)] = c
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorPoly is immutable")
-
-    @classmethod
-    def zero(cls, alphabet, ring):
-        return cls(alphabet, ring, {})
+    @staticmethod
+    def _words(key):
+        return key
 
     @classmethod
     def of(cls, p, q):
@@ -411,30 +444,8 @@ class TensorPoly:
                 terms[(u, v)] = cu * cv
         return _built(cls, p.alphabet, p.ring, _nonzero(terms))
 
-    def _built(self, terms):
-        return _built(TensorPoly, self.alphabet, self.ring, terms)
-
     def coeff(self, u, v):
         return self.terms.get((tuple(u), tuple(v)), self.ring.zero)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, self.ring.zero) + c
-        return self._built(_nonzero(out))
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, self.ring.zero) - c
-        return self._built(_nonzero(out))
-
-    def __neg__(self):
-        return self._built({k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = self.ring.coerce(c)
-        return self._built(_nonzero({k: c * cw for k, cw in self.terms.items()}))
 
     def mul(self, other, left_kernel=conc_words, right_kernel=conc_words, bound=None):
         """Componentwise product; each side may use its own word product.
@@ -447,47 +458,18 @@ class TensorPoly:
         quasi-shuffle do.
         """
         g = self.alphabet.word_grade
-        ring = self.ring
-        ((da, a), (db, b)), width = _lifted(ring, (self.terms, other.terms), lambda k: g(k[0]) + g(k[1]))
-        out = {}
-        for left, right in _bucket_pairs(a, b, lambda k: g(k[0]), bound):
-            for (u1, v1), c1 in left:
-                for (u2, v2), c2 in right:
-                    c = c1 * c2
-                    for wu, mu in left_kernel(u1, u2):
-                        for wv, mv in right_kernel(v1, v2):
-                            key = (wu, wv)
-                            m = mu * mv
-                            inc = c if m == 1 else c * m
-                            prev = out.get(key)
-                            out[key] = inc if prev is None else prev + inc
-        return self._built(ring.lower(out, da * db, width))
 
-    def pair(self, p, q):
-        """Pair against p (x) q: sum of coeff * p[u] * q[v]."""
-        acc = self.ring.zero
-        for (u, v), c in self.terms.items():
-            pu = p.terms.get(u)
-            if pu is None:
-                continue
-            qv = q.terms.get(v)
-            if qv is None:
-                continue
-            acc = acc + c * pu * qv
-        return acc
+        # a plain loop, not a comprehension: CPython 3.11 gives each
+        # comprehension its own frame, a measurable cost per pair of terms
+        def kernel(k1, k2):
+            right = right_kernel(k1[1], k2[1])
+            out = []
+            for u, mu in left_kernel(k1[0], k2[0]):
+                for v, mv in right:
+                    out.append(((u, v), mu * mv))
+            return out
 
-    def truncate(self, bound):
-        g = self.alphabet.word_grade
-        return self._built({k: c for k, c in self.terms.items() if g(k[0]) + g(k[1]) <= bound})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        return self._product(other, kernel, bound, lambda k: g(k[0]))
 
     def __repr__(self):
         bits = []
@@ -627,22 +609,17 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (TruncatedSeries, NCPolynomial)):
-            o, b = self._join(other)
-            return TruncatedSeries(self.poly._word_product(o, conc_words, b), b)
+            return _truncated_product(self, other, conc_words)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def shuffle(self, other):
-        o, b = self._join(other)
-        return TruncatedSeries(self.poly._word_product(o, shuffle_words, b), b)
+        return _truncated_product(self, other, shuffle_words)
 
     def stuffle(self, other):
-        o, b = self._join(other)
-        if self.alphabet.kind != "Y":
-            raise ValueError("quasi-shuffle is defined on the graded Y alphabet")
-        return TruncatedSeries(self.poly._word_product(o, stuffle_words, b), b)
+        return _truncated_product(self, other, stuffle_words)
 
     def star(self):
         """Concatenation star: the unique T with T = 1 + self * T.
@@ -753,6 +730,15 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({series_text(self.poly)!r}, bound={self.bound})"
+
+
+def _truncated_product(s, other, kernel):
+    """Word product of a truncated series with a series or a polynomial,
+    truncated at the lower bound.  A private function, not a method, so that
+    the span tracer of ``perfbench`` counts its time under the public method
+    that calls it."""
+    o, b = s._join(other)
+    return TruncatedSeries(s.poly._word_product(o, kernel, b), b)
 
 
 def _horner(poly, plan):

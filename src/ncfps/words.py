@@ -29,7 +29,7 @@ __all__ = [
     "x_word_to_y",
 ]
 
-_LETTER_RE = re.compile(r"^([xy])([0-9]+)$")
+_LETTER_RE = re.compile(r"([xy])([0-9]+)\Z")
 
 
 class Alphabet:

@@ -310,6 +310,7 @@ class TestCliAnalytic:
             (["pair", "x0*", "--inputs", "x0=-1/10^400+10^400*z", "--z0", "0", "--z", "1"], "outside the double range"),
             (["chen", "--inputs", "x0=(z^1000)^1000", "--z0", "1/2", "--z", "1"], "degree above 1000"),
             (["derive-ode", "x0*", "--inputs", "x0=z^600*z^600"], "degree above 1000"),
+            (["derive-ode", "x0*", "--inputs", "x0=(3/7*z^2+1/5*z-2)^500"], "more than 2048 bits"),
         ],
     )
     def test_oversized_controls_fail_at_once(self, argv, message):

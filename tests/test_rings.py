@@ -417,6 +417,16 @@ class TestRings:
             QZ.parse(text)
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(3/7*z^2+1/5*z-2)^500", "(1/3*z+1/7)^200*(1/3*z+1/7)^200", "(1/3*z+1/7)^200/(1/(z+1/7)^200)"],
+    )
+    def test_parse_caps_the_coefficient_height_of_powers_products_and_quotients(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 2048 bits"):
+            QZ.parse(text)
+        assert time.perf_counter() - start < 0.5
+
     def test_parse_keeps_degrees_at_the_cap(self):
         assert QZ.parse("z^1000/(z^999+1)").num.degree == 1000
         assert QZ.parse("(z^10)^100").num.degree == 1000

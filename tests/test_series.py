@@ -501,6 +501,46 @@ def test_public_constructor_validates_words_and_coefficients():
     assert NCPolynomial(X2, QQ, {("x0",): 0, ("x1",): 2}).terms == {("x1",): Fraction(2)}
 
 
+def test_public_tensor_constructor_validates_both_words():
+    for key in ((("x2",), ()), ((), ("x0", "x2")), (("y1",), ("x0",))):
+        with pytest.raises(ValueError):
+            TensorPoly(X2, QQ, {key: 1})
+    with pytest.raises(ValueError):
+        TensorPoly(Y, QQ, {((), ("x0",)): 1})
+    assert TensorPoly(X2, QQ, {(("x2",), ()): 0}) == TensorPoly.zero(X2, QQ)
+
+
+def test_polynomial_plus_or_minus_a_scalar_moves_the_constant_term():
+    p = qp("1 + 2*x0")
+    assert p + 1 == 1 + p == qp("2 + 2*x0")
+    assert p - 1 == qp("2*x0")
+    assert 1 - p == qp("-2*x0")
+    assert p + Fraction(1, 2) == qp("3/2 + 2*x0")
+    assert p - Fraction(3, 2) == qp("-1/2 + 2*x0")
+
+
+def test_tensor_negation_subtraction_truncation_repr_and_foreign_equality():
+    t = TensorPoly(X2, QQ, {(("x0",), ("x1",)): Fraction(1, 2), ((), ("x0", "x1")): -3, (("x1",), ()): 2})
+    assert repr(t) == "TensorPoly(-3*1(x)x0.x1 + 1/2*x0(x)x1 + 2*x1(x)1)"
+    assert repr(-t) == "TensorPoly(3*1(x)x0.x1 + -1/2*x0(x)x1 + -2*x1(x)1)"
+    assert repr(TensorPoly.zero(X2, QQ)) == "TensorPoly(0)"
+    low = t.truncate(1)
+    assert low.terms == {(("x1",), ()): 2}
+    assert (t - low).terms == {(("x0",), ("x1",)): Fraction(1, 2), ((), ("x0", "x1")): -3}
+    assert (t - t).terms == {} and (t + -t).terms == {}
+    assert t.truncate(0) == TensorPoly.zero(X2, QQ)
+    assert t != NCPolynomial.zero(X2, QQ) and t != 1 and not t == "t"
+
+
+def test_truncated_right_quotient_reads_the_word_suffixes():
+    s = TruncatedSeries(qp("1 + 3*x1 + 2*x0.x1 - 1*x1.x1 + 1/2*x0.x0.x1"), 3)
+    assert s.right_quotient(("x1",)) == TruncatedSeries(qp("3 + 2*x0 - 1*x1 + 1/2*x0.x0"), 2)
+    assert s.right_quotient(("x0", "x1")) == TruncatedSeries(qp("2 + 1/2*x0"), 1)
+    assert s.right_quotient(()) == s
+    with pytest.raises(ValueError):
+        TruncatedSeries(qp("x0"), 1).right_quotient(("x0", "x1"))
+
+
 def test_log_of_exp_at_bound_10_is_fast():
     # pairing every term of one factor with every term of the other and
     # discarding the pairs above the bound took about 3.7 s here

@@ -76,8 +76,11 @@ class TestAlphabet:
     def test_membership(self):
         assert X2.is_letter("x1") and not X2.is_letter("x2")
         assert Y.is_letter("y12") and not Y.is_letter("y0") and not Y.is_letter("x1")
+        assert not Y.is_letter("y2\n")
         with pytest.raises(ValueError):
             X2.validate_word(("x0", "x5"))
+        with pytest.raises(ValueError):
+            Alphabet.from_letters(["x0\n"])
 
     def test_words_of_grade_x(self):
         assert X2.words_of_grade(0) == [()]
