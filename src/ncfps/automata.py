@@ -16,6 +16,7 @@ and the two triangular factorizations.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .linalg import (
@@ -26,10 +27,11 @@ from .linalg import (
     mat_mul,
     mat_sub,
     mat_vec,
+    nonzeros,
     vec_mat,
     vec_rows,
 )
-from .rings import ring_named
+from .rings import QQ, ring_named
 from .series import NCPolynomial, TruncatedSeries
 from .words import Alphabet
 
@@ -119,7 +121,7 @@ class LinearRepresentation:
         ring = self.ring
         if self.dim == 0:
             return ring.zero
-        v = self.nu
+        v = nonzeros(self.nu)
         for x in w:
             rows = self.rows.get(x)
             if rows is None:
@@ -141,10 +143,10 @@ class LinearRepresentation:
                 for x, g, rows in letters:
                     if grade + g <= bound:
                         v2 = vec_rows(ring, v, rows)
-                        if any(v2):
+                        if v2:
                             walk(word + (x,), grade + g, v2)
 
-            walk((), 0, self.nu)
+            walk((), 0, nonzeros(self.nu))
         return TruncatedSeries(NCPolynomial(alphabet, ring, terms), bound)
 
     def scale(self, c):
@@ -281,10 +283,6 @@ def _shifted(row, k):
     return {j + k: c for j, c in row.items()}
 
 
-def _sparse(v):
-    return {j: c for j, c in enumerate(v) if c}
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -350,23 +348,24 @@ def rep_conc(r1, r2):
     matrices, coupled top right by eta1 (x) (nu2 mu2(x))."""
     blocks = rep_sum(r1, r2)
     ring, n1, empty2 = r1.ring, r1.dim, ({},) * r2.dim
+    nu2 = nonzeros(r2.nu)
     rows = {}
     for x, rs in blocks.rows.items():
-        row2 = _shifted(_sparse(vec_rows(ring, r2.nu, r2.rows.get(x, empty2))), n1)
+        row2 = _shifted(vec_rows(ring, nu2, r2.rows.get(x, empty2)), n1)
         rows[x] = _plus_outer(rs[:n1], r1.eta, row2) + rs[n1:]
-    s2 = dot(ring, r2.nu, r2.eta)  # constant term of the right factor
+    s2 = dot(ring, nu2, r2.eta)  # constant term of the right factor
     eta = tuple(e * s2 for e in r1.eta) + r2.eta
     return _built(r1.alphabet, ring, r1.nu + (ring.zero,) * r2.dim, rows, eta)
 
 
 def rep_star(r):
     """Kleene star; the represented series must have zero constant term."""
-    ring = r.ring
-    if dot(ring, r.nu, r.eta):
+    ring, nu = r.ring, nonzeros(r.nu)
+    if dot(ring, nu, r.eta):
         raise ValueError("star needs a series with zero constant term")
     rows = {}
     for x, m in r.rows.items():
-        last = _sparse(vec_rows(ring, r.nu, m))  # nu mu(x)
+        last = vec_rows(ring, nu, m)  # nu mu(x)
         rows[x] = _plus_outer(m, r.eta, last) + (last,)
     nu = (ring.zero,) * r.dim + (ring.one,)
     return _built(r.alphabet, ring, nu, rows, r.eta + (ring.one,))
@@ -424,8 +423,9 @@ def rep_stuffle(r1, r2):
 
 def _left_reduce(rep):
     # The reached vectors v_k = nu.mu(w), walked breadth-first, go into one
-    # echelon basis as [v_k | e_k]; an image w reduces as [w | 0] to
-    # [0 | -c] when w = sum_k c_k v_k, and otherwise becomes the next v_k.
+    # echelon basis as v_k + e_(n+k); an image w reduces to the entries -c_k
+    # at the columns n + k when w = sum_k c_k v_k, and otherwise becomes the
+    # next v_k.
     ring, n = rep.ring, rep.dim
     zero, one = ring.zero, ring.one
     basis = EchelonBasis(ring, n)
@@ -433,16 +433,16 @@ def _left_reduce(rep):
 
     def coordinates(w):
         # as a sparse row {k: c_k} over the reached vectors
-        red = basis.reduce(tuple(w) + (zero,) * n)
-        if not any(red[:n]):
-            return {k: -c for k, c in enumerate(red[n:]) if c}
+        red = basis.reduce(w)
+        if all(j >= n for j in red):
+            return {j - n: -c for j, c in red.items()}
         k = len(reached)
         red[n + k] = one
         basis.insert(red)
         reached.append(w)
         return {k: one}
 
-    nu = coordinates(rep.nu)
+    nu = coordinates(nonzeros(rep.nu))
     letters = rep.active_letters
     rows = {x: [] for x in letters}
     for v in reached:  # extended while it is walked: a breadth-first queue
@@ -465,39 +465,113 @@ def minimize(rep):
     return _left_reduce(half.transpose()).transpose()
 
 
+class _Integers:
+    """Z, as far as the fraction-free ``EchelonBasis`` reads it: an integral
+    domain whose primitive part of a sparse vector is the vector divided by
+    the gcd of its entries."""
+
+    is_field = False
+    zero, one = 0, 1
+
+    @staticmethod
+    def primitive(v):
+        g = math.gcd(*v.values())
+        return v if g == 1 else {j: c // g for j, c in v.items()}
+
+
+def _denominator(entries):
+    return math.lcm(*{c.denominator for c in entries})
+
+
+class _DifferenceRows(dict):
+    """The sparse rows of one letter's block-diagonal matrix diag(m1, m2),
+    each built on first use.  Over Q (``dens`` not None) row i is stored as
+    the integer numerators of d_i times it, with d_i = ``dens[i]`` the lcm
+    of the denominators of the row."""
+
+    def __init__(self, m1, m2, over_q):
+        super().__init__()
+        self.m1, self.m2 = m1, m2
+        self.dens = {} if over_q else None
+
+    def __missing__(self, i):
+        k = len(self.m1)
+        row, k = (self.m1[i], 0) if i < k else (self.m2[i - k], k)
+        if self.dens is not None:
+            d = self.dens[i] = _denominator(row.values())
+            row = {j + k: c.numerator * (d // c.denominator) for j, c in row.items()}
+        elif k:
+            row = _shifted(row, k)
+        self[i] = row
+        return row
+
+    def times(self, ring, v):
+        """v times the matrix.  Over Q, v is an integer vector, and the result
+        is the integer vector D.v.m divided by the gcd of its entries, with D
+        the lcm of the denominators of the rows that v selects."""
+        if self.dens is None:
+            return vec_rows(ring, v, self)
+        for i in v:
+            if i not in self:
+                self.__missing__(i)
+        dens = self.dens
+        d = math.lcm(*[dens[i] for i in v])
+        if d != 1:
+            v = {i: c * (d // dens[i]) for i, c in v.items()}
+        return ring.primitive(vec_rows(ring, v, self))
+
+
 def equal(r1, r2):
     """Decide equality of the represented series.
 
     Span test of the difference r1 - r2 (Schützenberger reduction; the
     polynomial-time equivalence test of Tzeng, SIAM J. Comput. 21, 1992):
-    the series are equal exactly when every reachable pair of row vectors
-    (nu1.mu1(w), nu2.mu2(w)) gives the same value against the two final
-    vectors.  The pairs are walked breadth-first, one letter at a time, and
-    their concatenations grow an echelon basis, whose dimension is at most
-    n = n1 + n2; so the test makes at most n*|letters| vector-matrix products
-    on each side, each at the cost of the matrix's nonzero entries, and
-    O(n^3) ring operations in the basis.  It stops at the first pair whose
-    two values differ.
+    the series are equal exactly when every reachable vector nu.mu(w) of the
+    block-diagonal sum of r1 and r2 pairs to zero with (eta1, -eta2).  The
+    vectors are walked breadth-first, one letter at a time, and grow an
+    echelon basis, whose dimension is at most n = n1 + n2; so the test makes
+    at most n*|letters| vector-matrix products, each at the cost of the
+    nonzero entries of the rows the vector selects, and the basis pays for
+    the nonzero entries of the rows a vector hits.  It stops at the first
+    vector whose pairing is nonzero.  The letter rows are built on first use.
 
-    Over Q[t] the basis eliminates fraction-free in Q[t] itself, which
-    decides the same span over Q(t) without a gcd per operation.  Two
-    representations over different rings are both embedded in their fraction
-    fields first, so that a Q[t] series compares with a Q(t) one.
+    Over Q the test runs on Python ints.  Both nus are lifted by one shared
+    denominator and both etas by another, and each step by a letter
+    multiplies by the lcm of the denominators of the rows it reads, on both
+    sides at once.  So the integer vector reached by a word is a nonzero
+    multiple of the rational one, its two halves by the same factor; it is
+    divided by the gcd of its entries.  The pairing's zero test and the span
+    test are both unchanged by such factors, and the span is decided
+    fraction-free over Z.  The rows are lifted on first use, so a pair that
+    fails early pays for few of them.  Over Q[t] the basis eliminates
+    fraction-free in Q[t] itself, which decides the same span over Q(t)
+    without a gcd per operation.  Two representations over different rings
+    are both embedded in their fraction fields first, so that a Q[t] series
+    compares with a Q(t) one.
     """
     if r1.ring != r2.ring:
         r1, r2 = r1.embed_field(), r2.embed_field()
     _check_pair(r1, r2)
-    ring = r1.ring
-    empty1, empty2 = ({},) * r1.dim, ({},) * r2.dim
+    ring, n1 = r1.ring, r1.dim
+    nu, eta = r1.nu + r2.nu, r1.eta + r2.eta
+    over_q = ring == QQ
+    if over_q:
+        ring = _Integers
+        d = _denominator(nu)
+        nu = tuple(c.numerator * (d // c.denominator) for c in nu)
+        d = _denominator(eta)
+        eta = tuple(c.numerator * (d // c.denominator) for c in eta)
+    eta = eta[:n1] + tuple(-e for e in eta[n1:])
+    empty1, empty2 = ({},) * n1, ({},) * r2.dim
     letters = sorted(_letters(r1, r2), key=r1.alphabet.rank)
-    mats = [(r1.rows.get(x, empty1), r2.rows.get(x, empty2)) for x in letters]
-    basis = EchelonBasis(ring, r1.dim + r2.dim)
-    frontier = [(r1.nu, r2.nu)]  # extended while it is walked: a breadth-first queue
-    for v1, v2 in frontier:
-        if dot(ring, v1, r1.eta) - dot(ring, v2, r2.eta):
+    mats = [_DifferenceRows(r1.rows.get(x, empty1), r2.rows.get(x, empty2), over_q) for x in letters]
+    basis = EchelonBasis(ring, len(nu))
+    frontier = [nonzeros(nu)]  # extended while it is walked: a breadth-first queue
+    for v in frontier:
+        if dot(ring, v, eta):
             return False
-        if basis.insert(v1 + v2) is not None:
-            frontier.extend((vec_rows(ring, v1, m1), vec_rows(ring, v2, m2)) for m1, m2 in mats)
+        if basis.insert(v) is not None:
+            frontier.extend(rows.times(ring, v) for rows in mats)
     return True
 
 
@@ -528,7 +602,7 @@ def is_character(rep):
     m = minimize(rep.embed_field())
     if m.dim > 1:
         return False
-    return dot(m.ring, m.nu, m.eta) == m.ring.one
+    return dot(m.ring, nonzeros(m.nu), m.eta) == m.ring.one
 
 
 def _char_poly(ring, m):
@@ -575,10 +649,10 @@ def kronecker_form(rep):
     # det(I - xM) has coefficient a_{n-k} on x^k
     d = [a[n - k] for k in range(n + 1)]
     s = []
-    v = rep.nu
+    v, rows = nonzeros(rep.nu), rep.rows.get(x, ({},) * n)
     for _ in range(n):
         s.append(dot(ring, v, rep.eta))
-        v = vec_mat(ring, v, m)
+        v = vec_rows(ring, v, rows)
     p = {}
     for j in range(n):
         c = ring.zero
@@ -665,10 +739,6 @@ class MatrixLieAlgebra:
         return f"MatrixLieAlgebra(dim={self.dim}, matrices {self.n}x{self.n})"
 
 
-def _flatten(m):
-    return tuple(c for row in m for c in row)
-
-
 def _bracket(ring, a, b):
 
     return mat_sub(ring, mat_mul(ring, a, b), mat_mul(ring, b, a))
@@ -682,7 +752,7 @@ def _bracket_span(ring, n, left, right=None):
     members = []
 
     def add(m):
-        if basis.insert(_flatten(m)) is not None:
+        if basis.insert(nonzeros(c for row in m for c in row)) is not None:
             members.append(m)
 
     if right is None:

@@ -297,10 +297,12 @@ def msr_check(alphabet, bound, table=None):
         return True
 
     report = {"max_discrepancy": Fraction(0), "at": None}
-    pair_sum = TensorPoly(alphabet, QQ, {})
+    pair_sum = {}  # one dict for the sum of the duals[w] (x) brackets[w]
     for w in alphabet.words_up_to(bound):
-        pair_sum = pair_sum + TensorPoly.of(duals[w], brackets[w])
-    ok_sum = compare(pair_sum, "sum_ok", report)
+        for u, cu in duals[w].terms.items():
+            for v, cv in brackets[w].terms.items():
+                pair_sum[(u, v)] = pair_sum.get((u, v), QQ.zero) + cu * cv
+    ok_sum = compare(TensorPoly(alphabet, QQ, pair_sum), "sum_ok", report)
 
     product = TensorPoly(alphabet, QQ, {((), ()): QQ.one})
     lyndon = [l for l in table.lyndon if alphabet.word_grade(l) <= bound]

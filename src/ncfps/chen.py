@@ -44,7 +44,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .linalg import EchelonBasis, vec_mat
+from .linalg import EchelonBasis, nonzeros, vec_mat
 from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, poly_lcm, poly_text
 from .series import NCPolynomial, TensorPoly, TruncatedSeries, shuffle_words, unshuffle
 from .words import Alphabet, parse_word, word_text
@@ -879,9 +879,10 @@ def pair_ode_derivatives(rep, inputs, path, orders, tol=1e-10):
     return out
 
 
-def _normalize_ode(polys):
+def _normalize_ode(coeffs, order):
     # the primitive part is unique up to sign: make the top-order leading coefficient positive
-    polys = _QZ_POLY.primitive(polys)
+    coeffs = _QZ_POLY.primitive(coeffs)
+    polys = [coeffs.get(l, _QZ_POLY.zero) for l in range(order + 1)]
     if polys[-1].leading() < 0:
         polys = [-p for p in polys]
     return polys
@@ -905,11 +906,12 @@ def derive_scalar_ode(rep, inputs):
         raise ValueError("the representation must have rational coefficients")
     n = rep.dim
     basis = EchelonBasis(_QZ_POLY, n)
-    zero = _QZ_POLY.zero
     for l, (row, scale) in enumerate(_derivative_rows(rep, inputs)):
-        v = basis.reduce(row + [scale if k == l else zero for k in range(n + 1)])
-        if not any(v[:n]):
-            return _normalize_ode(v[n : n + l + 1])
+        v = nonzeros(row)
+        v[n + l] = scale
+        v = basis.reduce(v)
+        if all(j >= n for j in v):
+            return _normalize_ode({j - n: p for j, p in v.items()}, l)
         basis.insert(v)
 
 

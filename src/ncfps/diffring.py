@@ -9,9 +9,7 @@ decision is one echelon span test over Q and needs no roots of D.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import EchelonBasis
+from .linalg import EchelonBasis, nonzeros
 from .rings import QQ, QZ, Poly, RatFun, poly_gcd, poly_lcm, ring_named
 
 __all__ = ["independence_criterion"]
@@ -52,7 +50,7 @@ def independence_criterion(inputs, base):
         top = max(n.degree for n in numerators)
         exact += [z**k * den for k in range(top - den.degree + 1)]
     width = max(p.degree for p in exact + numerators) + 1
-    rows = [p.coeffs + (Fraction(0),) * (width - len(p.coeffs)) for p in exact + numerators]
+    rows = [nonzeros(p.coeffs) for p in exact + numerators]
     basis = EchelonBasis(QQ, width)
     for row in rows[: len(exact)]:
         basis.insert(row)

@@ -1,26 +1,30 @@
 """Exact linear algebra over the coefficient rings.
 
-Dense matrices are tuples of tuples (rows); vectors are tuples.  A sparse
-matrix is a sequence of rows, each a dict {column: entry} of its nonzero
-entries: the automaton letter matrices are stored so, and ``vec_rows``
-multiplies a dense row vector by one at the cost of its nonzero entries.
-Everything is parameterized by a ring descriptor; inversion requires a
-field (``ring.is_field``).
+Dense matrices are tuples of tuples (rows) and dense vectors are tuples.  A
+sparse vector is a dict {column: entry} of its nonzero entries, and a sparse
+matrix is a sequence of such rows: the automaton letter matrices are stored
+so.  ``vec_rows`` multiplies a sparse row vector by a sparse matrix, ``dot``
+pairs a sparse row vector with a dense column, and ``nonzeros`` turns a
+dense vector into a sparse one.  Everything is parameterized by a ring
+descriptor; inversion requires a field (``ring.is_field``).
 
-The incremental :class:`EchelonBasis` is the one elimination routine.  It
-works over a field, in reduced row echelon form, or over the integral domain
-Q[v], fraction-free by cross-multiplication (Bareiss, Math. Comp. 22, 1968):
-rows stay polynomial, and rank and span test are those over the fraction
-field Q(v), at one gcd per inserted row instead of one per ring operation.
-It keeps no copy of the inserted vectors.  A caller that needs a vector as a
-combination of them appends identity columns past ``width``: a vector in the
-span reduces to zero on the first ``width`` entries, and the entries past
-them carry the combination.  Matrix inversion and the automaton
-minimization both read their results off such columns.  Zero tests use
-truthiness: every ring element defines ``__bool__``.
+The incremental :class:`EchelonBasis` is the one elimination routine, on
+sparse vectors, at the cost of their nonzero entries.  It works over a
+field, in reduced row echelon form, or over an integral domain (Q[v], or Z
+for the equality test over Q), fraction-free by cross-multiplication
+(Bareiss, Math. Comp. 22, 1968): rows stay in the domain, and rank and span
+test are those over its fraction field, at one gcd per inserted row instead
+of one per ring operation.  It keeps no copy of the inserted vectors.  A
+caller that needs a vector as a combination of them puts identity entries
+in the columns past ``width``: a vector in the span reduces to zero below
+``width``, and the entries past it carry the combination.  Matrix inversion
+and the automaton minimization both read their results off such columns.
+Zero tests use truthiness: every ring element defines ``__bool__``.
 """
 
 from __future__ import annotations
+
+import heapq
 
 __all__ = [
     "mat",
@@ -32,6 +36,7 @@ __all__ = [
     "vec_mat",
     "vec_rows",
     "dot",
+    "nonzeros",
     "invert_matrix",
     "EchelonBasis",
 ]
@@ -88,29 +93,33 @@ def vec_mat(ring, v, a):
 
 
 def vec_rows(ring, v, rows):
-    """Row vector times a square matrix given by sparse rows: the combination
-    sum_i v_i rows[i], dense, at the cost of the rows that v selects."""
+    """Sparse row vector times a square matrix given by sparse rows: the
+    combination sum_i v_i rows[i], as a sparse vector without zeros, at the
+    cost of the nonzero entries of the rows that v selects."""
     acc = {}
-    for c, row in zip(v, rows):
-        if c:
-            for j, y in row.items():
-                acc[j] = acc[j] + c * y if j in acc else c * y
-    out = [ring.zero] * len(rows)
-    for j, c in acc.items():
-        out[j] = c
-    return tuple(out)
+    for i, c in v.items():
+        for j, y in rows[i].items():
+            acc[j] = acc[j] + c * y if j in acc else c * y
+    return {j: c for j, c in acc.items() if c}
 
 
-def dot(ring, u, v):
+def dot(ring, v, w):
+    """The pairing of a sparse row vector v with a dense column w."""
     acc = ring.zero
-    for x, y in zip(u, v):
-        if x and y:
-            acc = acc + x * y
+    for j, c in v.items():
+        y = w[j]
+        if y:
+            acc = acc + c * y
     return acc
 
 
+def nonzeros(v):
+    """The sparse form {column: entry} of a dense vector."""
+    return {j: c for j, c in enumerate(v) if c}
+
+
 def _complexity(x):
-    # pivot preference: small objects first; works for Fraction, Poly, RatFun
+    # pivot preference: small objects first; works for int, Fraction, Poly, RatFun
     num = getattr(x, "num", None)
     if num is not None and hasattr(num, "degree"):
         return num.degree + x.den.degree
@@ -122,25 +131,31 @@ def _complexity(x):
 
 
 class EchelonBasis:
-    """Growing row space.
+    """Growing row space of sparse vectors.
 
-    ``insert(v)`` returns None when v was already in the span, else the new
-    row index.  ``reduce(v)`` clears v on every pivot column.
+    Vectors are dicts {column: entry} that hold no zero entry.  ``insert(v)``
+    returns None when v was already in the span, else the new row index.
+    ``reduce(v)`` returns v cleared on every pivot column.  A pivot -> row map
+    finds the rows whose pivots v hits, so a reduction costs the nonzero
+    entries of those rows and of v, not the width times the rank.
 
     The ring decides the elimination.  Over a field the rows are in reduced
-    row echelon form with pivot entries 1.  Over Q[v] (``ring.is_field``
-    false) they are in echelon form in insertion order, each row zero on the
-    pivots of the rows before it: a vector is reduced by v <- a*v - v[p]*row
-    for each row's pivot entry a = row[p] where v[p] is nonzero, and an
-    inserted row is divided by its content (``ring.primitive``), one gcd per
-    row.
+    row echelon form with pivot entries 1, and a vector is reduced by
+    subtracting v[p] times each hit row, in row order.  Over an integral
+    domain (``ring.is_field`` false: Q[v], or Z for ``automata.equal``) they
+    are in echelon form in insertion order, each row zero on the pivots of the
+    rows before it: a vector is reduced by v <- a*v - v[p]*row for each row,
+    in insertion order, whose pivot entry a = row[p] meets a nonzero v[p], and
+    an inserted row is divided by its content (``ring.primitive``), one gcd
+    per row.  The pivot of a new row is its entry of least ``_complexity``,
+    the lowest column among equals.
 
-    Vectors may be longer than ``width``.  The entries past it ride along
-    through every row operation but are never pivots, and the span test reads
-    only the first ``width`` entries.  Identity columns there record which
-    combination of the inserted vectors a row is: insert [v_k | e_k] for each
-    vector, and over a field a vector [w | 0] in the span reduces to
-    [0 | -c] with w = sum_k c_k v_k.
+    Columns may run past ``width``.  Their entries ride along through every
+    row operation but are never pivots, and the span test reads only the
+    columns below it.  Identity columns there record which combination of the
+    inserted vectors a row is: insert v_k + e_(width+k) for each vector, and
+    over a field a vector w in the span reduces to the entries -c_k at the
+    columns width + k, with w = sum_k c_k v_k.
     """
 
     def __init__(self, ring, width):
@@ -148,6 +163,7 @@ class EchelonBasis:
         self.width = width
         self.rows = []  # over a field: reduced row echelon form, pivot entry 1
         self.pivots = []  # pivot column per row
+        self._row_at = {}  # pivot column -> row index
 
     @property
     def rank(self):
@@ -156,41 +172,67 @@ class EchelonBasis:
     def reduce(self, v):
         """v less its part in the row span: zero on every pivot column.
 
-        Over Q[v] the result is a nonzero polynomial multiple of that."""
-        v = list(v)
-        field = self.ring.is_field
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not c:
+        Over a domain the result is a nonzero multiple of that."""
+        v = dict(v)
+        row_at, rows, pivots = self._row_at, self.rows, self.pivots
+        field, one = self.ring.is_field, self.ring.one
+        hits = [row_at[p] for p in v if p in row_at]
+        heapq.heapify(hits)
+        last = -1
+        while hits:
+            i = heapq.heappop(hits)
+            c = v.get(pivots[i])
+            if i == last or c is None:
                 continue
-            if field:
-                # rows are zero on each other's pivots, so each coefficient is
-                # the entry of the input at that pivot
-                v = [x - c * y if y else x for x, y in zip(v, row)]
-            else:
-                a = row[p]
-                v = [a * x - c * y if y else a * x if x else x for x, y in zip(v, row)]
+            last = i
+            row = rows[i]
+            if not field:
+                a = row[pivots[i]]
+                if a != one:
+                    v = {j: a * x for j, x in v.items()}
+                # a domain row may put entries on the pivots of later rows;
+                # over a field the rows are zero on each other's pivots
+                for j in row:
+                    k = row_at.get(j, i)
+                    if k > i:
+                        heapq.heappush(hits, k)
+            _add_multiple(v, -c, row)
         return v
 
     def insert(self, v):
         red = self.reduce(v)
-        nonzero = [j for j in range(self.width) if red[j]]
-        if not nonzero:
+        width = self.width
+        free = [j for j in red if j < width]
+        if not free:
             return None
-        pivot = min(nonzero, key=lambda j: (_complexity(red[j]), j))
+        pivot = min(free, key=lambda j: (_complexity(red[j]), j))
         if self.ring.is_field:
             inv = self.ring.invert(red[pivot])
-            red = [inv * c if c else c for c in red]
+            red = {j: inv * c for j, c in red.items()}
             # back-eliminate the new pivot from stored rows
-            for i, row in enumerate(self.rows):
-                c = row[pivot]
-                if c:
-                    self.rows[i] = [a - c * b if b else a for a, b in zip(row, red)]
+            for row in self.rows:
+                c = row.get(pivot)
+                if c is not None:
+                    _add_multiple(row, -c, red)
         else:
             red = self.ring.primitive(red)
+        self._row_at[pivot] = len(self.rows)
         self.rows.append(red)
         self.pivots.append(pivot)
         return len(self.rows) - 1
+
+
+def _add_multiple(v, c, row):
+    """v += c*row for sparse vectors, in place, dropping entries that cancel."""
+    for j, y in row.items():
+        if j in v:
+            x = v[j] + c * y
+            if x:
+                v[j] = x
+            else:
+                del v[j]
+        else:
+            v[j] = c * y
 
 
 def invert_matrix(ring, a):
@@ -202,7 +244,10 @@ def invert_matrix(ring, a):
         raise ValueError("matrix inversion needs a field")
     n = len(a)
     basis = EchelonBasis(ring, n)
-    for row, unit in zip(a, identity(ring, n)):
-        if basis.insert(tuple(row) + unit) is None:
+    for i, row in enumerate(a):
+        v = nonzeros(row)
+        v[n + i] = ring.one
+        if basis.insert(v) is None:
             raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for _, row in sorted(zip(basis.pivots, basis.rows)))
+    z = ring.zero
+    return tuple(tuple(row.get(n + j, z) for j in range(n)) for _, row in sorted(zip(basis.pivots, basis.rows)))

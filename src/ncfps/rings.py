@@ -893,22 +893,22 @@ class PolynomialRing(CoefficientRing):
         return out
 
     def primitive(self, v):
-        """The entries of v divided by their gcd and by the content of all
-        their coefficients together: setwise coprime integer polynomials."""
+        """A sparse vector {column: entry} with its entries divided by their
+        gcd and by the content of all their coefficients together: setwise
+        coprime integer polynomials."""
         g = None
-        for p in v:
-            if p:
-                g = p if g is None else poly_gcd(g, p)
-                if g.degree == 0:
-                    break
+        for p in v.values():
+            g = p if g is None else poly_gcd(g, p)
+            if g.degree == 0:
+                break
         if g is None:
-            return list(v)
+            return dict(v)
         if g.degree > 0:
-            v = [p // g for p in v]
-        content = Poly(self.var, [c for p in v for c in p.coeffs]).content()
+            v = {j: p // g for j, p in v.items()}
+        content = Poly(self.var, [c for p in v.values() for c in p.coeffs]).content()
         if content != 1:
-            v = [Poly(self.var, [c / content for c in p.coeffs]) for p in v]
-        return list(v)
+            v = {j: Poly(self.var, [c / content for c in p.coeffs]) for j, p in v.items()}
+        return dict(v)
 
     def invert(self, x):
         # units of Q[v] are the nonzero constants

@@ -41,7 +41,7 @@ from ncfps.chen import (
 )
 from ncfps.diffring import independence_criterion
 from ncfps.exprs import representation_of, series_of
-from ncfps.linalg import dot, invert_matrix, mat_mul, vec_mat
+from ncfps.linalg import dot, invert_matrix, mat_mul, nonzeros, vec_mat
 from ncfps.rings import QQ, QT, QZ
 from ncfps.series import NCPolynomial, TensorPoly, TruncatedSeries, unshuffle, unstuffle
 from ncfps.words import Alphabet
@@ -111,7 +111,7 @@ def expansion(rep, bound):
         if w:
             m = rep.mu.get(w[-1])
             rows[w] = vec_mat(ring, rows[w[:-1]], m) if m is not None else zero_row
-        c = dot(ring, rows[w], rep.eta)
+        c = dot(ring, nonzeros(rows[w]), rep.eta)
         if c != ring.zero:
             terms[w] = c
     return NCPolynomial(rep.alphabet, ring, terms)
@@ -131,7 +131,7 @@ def random_rep(rng, alphabet, letters):
 
 def properized(rep):
     """Shift eta so that nu . eta = 0, making the series star-compatible."""
-    s = dot(QQ, rep.nu, rep.eta)
+    s = dot(QQ, nonzeros(rep.nu), rep.eta)
     if s == 0:
         return rep
     j = next(i for i, v in enumerate(rep.nu) if v != 0)
@@ -152,7 +152,7 @@ def conjugated(rep, rng):
             continue
     nu = vec_mat(QQ, rep.nu, t)
     mu = {x: mat_mul(QQ, mat_mul(QQ, tinv, m), t) for x, m in rep.mu.items()}
-    eta = tuple(dot(QQ, row, rep.eta) for row in tinv)
+    eta = tuple(dot(QQ, nonzeros(row), rep.eta) for row in tinv)
     return LinearRepresentation(rep.alphabet, rep.ring, nu, mu, eta)
 
 

@@ -34,7 +34,7 @@ from ncfps.automata import (
     triangular_star_factorization_check,
 )
 from ncfps.exprs import representation_of
-from ncfps.linalg import EchelonBasis, dot, identity, invert_matrix, vec_mat
+from ncfps.linalg import EchelonBasis, dot, identity, invert_matrix, nonzeros, vec_mat
 from ncfps.rings import QQ, QT, QZ, Poly
 from ncfps.series import NCPolynomial, TruncatedSeries, parse_series_text
 from ncfps.words import Alphabet
@@ -678,9 +678,10 @@ def test_plane_stars_linearly_independent():
         for j in range(3):
             star = make_character_star(X2, QQ, {"x0": Fraction(i), "x1": Fraction(j)})
             vec = tuple(star.coeff(w) for w in words)
-            if basis.insert(vec) is not None:
+            if basis.insert(nonzeros(vec)) is not None:
                 count += 1
     assert count == 9
+    assert all(all(row.values()) for row in basis.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +816,49 @@ def test_equal_matches_brute_force_over_q(pair):
     assert equal(r1, r2) == _brute_equal(r1, r2)
 
 
+_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 7))
+
+
+@st.composite
+def _rational_pairs(draw, max_dim=3):
+    """(r1, r2) over Q with entries of denominators 1 to 7 and r2 = r1 after
+    the change of basis by a rational diagonal matrix d, optionally with one
+    entry of r2 perturbed by a rational.  The two sides then have different
+    denominators on nu, eta and every letter, so an integer lift that scaled
+    one side apart from the other would change the verdict."""
+    n = draw(st.integers(1, max_dim))
+    alphabet = Alphabet.x(draw(st.integers(1, 3)))
+    vec = st.lists(_rationals, min_size=n, max_size=n)
+    nu, eta = draw(vec), draw(vec)
+    mu = {x: draw(st.lists(vec, min_size=n, max_size=n)) for x in alphabet.letters}
+    d = draw(st.lists(_rationals.filter(bool), min_size=n, max_size=n))
+    nu2 = [nu[j] / d[j] for j in range(n)]
+    mu2 = {x: [[d[i] * m[i][j] / d[j] for j in range(n)] for i in range(n)] for x, m in mu.items()}
+    eta2 = [d[i] * eta[i] for i in range(n)]
+    if draw(st.booleans()):
+        where = draw(st.sampled_from(["nu", "eta"] + list(alphabet.letters)))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(_rationals.filter(bool))
+        if where == "nu":
+            nu2[i] += c
+        elif where == "eta":
+            eta2[i] += c
+        else:
+            mu2[where][i][j] += c
+    r1 = LinearRepresentation(alphabet, QQ, nu, mu, eta)
+    return r1, LinearRepresentation(alphabet, QQ, nu2, mu2, eta2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_pairs())
+def test_equal_over_q_with_rational_entries_matches_brute_force(pair):
+    # the integer decision over Q lifts nu, eta and each letter step by
+    # denominators that both sides share; here the sides' denominators differ
+    r1, r2 = pair
+    assert equal(r1, r2) == _brute_equal(r1, r2)
+    assert equal(r2, r1) == _brute_equal(r1, r2)
+
+
 @settings(max_examples=20, deadline=None)
 @given(_similar_pairs(QT))
 def test_equal_matches_brute_force_over_qt(pair):
@@ -836,7 +880,7 @@ def _reference_left_reduce(rep):
     reached = []
 
     def insert(v):
-        if basis.insert(v) is not None:
+        if basis.insert(nonzeros(v)) is not None:
             reached.append(v)
 
     insert(rep.nu)
@@ -847,16 +891,17 @@ def _reference_left_reduce(rep):
             w = vec_mat(ring, v, rep.mu[x])
             images[x].append(w)
             insert(w)
+    assert all(all(row.values()) for row in basis.rows)
     if not reached:
         return rep_zero(rep.alphabet, ring)
     inverse = invert_matrix(ring, tuple(tuple(v[p] for p in basis.pivots) for v in reached))
 
     def coordinates(v):
-        assert not any(basis.reduce(v))
+        assert not basis.reduce(nonzeros(v))
         return vec_mat(ring, tuple(v[p] for p in basis.pivots), inverse)
 
     mu = {x: tuple(coordinates(w) for w in ws) for x, ws in images.items()}
-    eta = tuple(dot(ring, v, rep.eta) for v in reached)
+    eta = tuple(dot(ring, nonzeros(v), rep.eta) for v in reached)
     return LinearRepresentation(rep.alphabet, ring, coordinates(rep.nu), mu, eta)
 
 
@@ -1009,33 +1054,38 @@ def test_echelon_domain_mode_matches_the_field_path(data):
     field = QT.field()
     domain_basis, field_basis = EchelonBasis(QT, n), EchelonBasis(field, n)
     for row in a:
-        inserted = domain_basis.insert(row)
-        assert inserted == field_basis.insert(tuple(QT.embed(c) for c in row))
+        inserted = domain_basis.insert(nonzeros(row))
+        assert inserted == field_basis.insert(nonzeros(QT.embed(c) for c in row))
         if inserted is not None:
             assert QT.primitive(domain_basis.rows[-1]) == domain_basis.rows[-1]
+    assert all(all(row.values()) for basis in (domain_basis, field_basis) for row in basis.rows)
     extra = data.draw(st.lists(_small_t, min_size=n, max_size=n))
     for v in [extra] + [tuple(QT.coerce(int(i == j)) for i in range(n)) for j in range(n)]:
-        assert any(domain_basis.reduce(v)) == any(field_basis.reduce(tuple(QT.embed(c) for c in v)))
+        assert bool(domain_basis.reduce(nonzeros(v))) == bool(field_basis.reduce(nonzeros(QT.embed(c) for c in v)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_echelon_coordinates_reproduce_combinations(data):
-    # identity columns past the width: with [a_i | e_i] inserted, a vector
-    # [v | 0] in the span reduces to [0 | -c] with v = sum_i c_i a_i
+    # identity columns past the width: with a_i + e_(n+i) inserted, a vector
+    # v in the span reduces to the entries -c_i at the columns n + i, with
+    # v = sum_i c_i a_i
     a = data.draw(_matrices())
     m, n = len(a), len(a[0])
     basis = EchelonBasis(QQ, n)
-    for row, unit in zip(a, identity(QQ, m)):
-        basis.insert(row + unit)
+    for i, row in enumerate(a):
+        row = nonzeros(row)
+        row[n + i] = Fraction(1)
+        basis.insert(row)
+    assert all(all(row.values()) for row in basis.rows)
     rank = _rank(a)
     assert basis.rank == rank
     coeffs = data.draw(st.lists(_small, min_size=m, max_size=m))
     v = _plain_vec_mat(coeffs, a)
-    red = basis.reduce(v + (Fraction(0),) * m)
-    assert not any(red[:n])
-    assert _plain_vec_mat([-c for c in red[n:]], a) == v
+    red = basis.reduce(nonzeros(v))
+    assert all(j >= n for j in red)
+    assert _plain_vec_mat([-red.get(n + i, Fraction(0)) for i in range(m)], a) == v
     for j in range(n):
         e = tuple(Fraction(int(i == j)) for i in range(n))
         if _rank(a + (e,)) > rank:
-            assert any(basis.reduce(e + (Fraction(0),) * m)[:n])
+            assert any(k < n for k in basis.reduce({j: Fraction(1)}))

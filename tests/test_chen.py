@@ -41,7 +41,7 @@ from ncfps.chen import (
     scalar_ode_text,
 )
 from ncfps.exprs import representation_of
-from ncfps.linalg import EchelonBasis, vec_mat
+from ncfps.linalg import EchelonBasis, nonzeros, vec_mat
 from ncfps.rings import QQ, QT, QZ, Poly, RatFun, poly_gcd, poly_lcm
 from ncfps.series import NCPolynomial
 from ncfps.words import Alphabet
@@ -836,18 +836,20 @@ def test_derivative_rows_match_the_word_sum(case):
 def _field_path_ode(rep, inputs):
     """The derivation over the field Q(z): the word-sum rows go into one
     echelon basis over Q(z), each with an identity column l past the row, so
-    the first row that reduces to zero carries the kernel vector in those
-    columns; the vector is cleared of denominators and made primitive with a
+    the first row that reduces to zero below the identity columns carries the
+    kernel vector in them; the vector is cleared of denominators and made primitive with a
     positive top-order leading coefficient."""
     n = rep.dim
     basis = EchelonBasis(QZ, n)
     for l in range(n + 1):
-        unit = tuple(QZ.coerce(int(k == l)) for k in range(n + 1))
-        red = basis.reduce(_word_sum_row(rep, inputs, l) + unit)
-        if not any(red[:n]):
-            kernel = red[n : n + l + 1]
+        v = nonzeros(_word_sum_row(rep, inputs, l))
+        v[n + l] = QZ.one
+        red = basis.reduce(v)
+        if all(j >= n for j in red):
+            kernel = [red.get(n + k, QZ.zero) for k in range(l + 1)]
             break
         basis.insert(red)
+    assert all(all(row.values()) for row in basis.rows)
     den = Poly.const("z", Fraction(1))
     for f in kernel:
         den = poly_lcm(den, f.den)

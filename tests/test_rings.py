@@ -435,10 +435,11 @@ class TestRings:
         ring = PolynomialRing("z")
         a = zpoly(0, Fraction(2, 3)) * zpoly(1, 1)
         b = zpoly(Fraction(4, 5)) * zpoly(1, 1)
-        assert ring.primitive([a, ring.zero, b]) == [zpoly(0, 5), ring.zero, zpoly(6)]
-        assert ring.primitive([ring.zero, ring.zero]) == [ring.zero, ring.zero]
-        assert ring.primitive([zpoly(-3, 6), zpoly(4)]) == [zpoly(-3, 6), zpoly(4)]
-        assert ring.primitive([zpoly(-3, 6)]) == [zpoly(1)]
+        # sparse vectors {column: entry}: a zero entry is an absent column
+        assert ring.primitive({0: a, 2: b}) == {0: zpoly(0, 5), 2: zpoly(6)}
+        assert ring.primitive({}) == {}
+        assert ring.primitive({0: zpoly(-3, 6), 1: zpoly(4)}) == {0: zpoly(-3, 6), 1: zpoly(4)}
+        assert ring.primitive({0: zpoly(-3, 6)}) == {0: zpoly(1)}
 
     def test_field_promotion(self):
         assert QT.field().name == "Q(t)"
