@@ -2,7 +2,7 @@
 
 A representation is a triple (nu, mu, eta): a row vector, a letter-indexed
 family of square matrices extended to words as a monoid morphism, and a
-column vector.  The represented series has coefficient nu.mu(w).eta on the
+column vector.  The represented series has coefficient nu mu(w) eta on the
 word w; letters without a stored matrix act as zero.
 
 The module provides the closure constructions (sum, concatenation product,
@@ -19,18 +19,7 @@ import json
 import math
 from fractions import Fraction
 
-from .linalg import (
-    EchelonBasis,
-    dot,
-    invert_matrix,
-    mat,
-    mat_mul,
-    mat_sub,
-    mat_vec,
-    nonzeros,
-    vec_mat,
-    vec_rows,
-)
+from .linalg import EchelonBasis, _add_multiple, dot, invert_matrix, mat_rows, nonzeros, vec_rows
 from .rings import QQ, ring_named
 from .series import NCPolynomial, TruncatedSeries
 from .words import Alphabet
@@ -70,9 +59,11 @@ class LinearRepresentation:
     and a letter whose matrix is zero is not stored.  The shuffle and
     quasi-shuffle are Kronecker sums, mostly zeros, so the constructors,
     ``coeff``, ``expand``, ``minimize`` and ``equal`` cost the nonzero
-    entries, not n^2 per matrix.  ``mu`` is the dense view, {letter: n x n
-    tuple of row tuples}, built on first use and kept; numpy conversions,
-    the Lie classification and the JSON form read it.
+    entries, not n^2 per matrix; so do conjugation, the one-letter form and
+    the Lie classification.  ``mu`` is the dense view, {letter: n x n tuple
+    of row tuples}, built on first use and kept; only the JSON form,
+    ``matrix``, the triangular star check and the numpy conversions of
+    ``chen`` read it.
 
     The public constructor takes dense matrices and coerces every entry;
     results of the operations below come through ``_built``, which takes
@@ -178,16 +169,23 @@ class LinearRepresentation:
         )
 
     def conjugate(self, t):
-        """Similarity transform by an invertible matrix; the series is unchanged."""
-        ring = self.ring
-        t = mat(t)
+        """Similarity transform (nu t^-1, t mu(x) t^-1, t eta) by an invertible
+        n x n matrix t, given dense; the series is unchanged.  Raises
+        ValueError when t is not n x n or not invertible, or the ring is not
+        a field."""
+        ring, n = self.ring, self.dim
+        t = [tuple(map(ring.coerce, row)) for row in t]
+        if len(t) != n or any(len(row) != n for row in t):
+            raise ValueError(f"change of basis is not {n}x{n}")
+        t = [nonzeros(row) for row in t]
         tinv = invert_matrix(ring, t)
-        return LinearRepresentation(
+        nu = vec_rows(ring, nonzeros(self.nu), tinv)
+        return _built(
             self.alphabet,
             ring,
-            vec_mat(ring, self.nu, tinv),
-            {x: mat_mul(ring, mat_mul(ring, t, m), tinv) for x, m in self.mu.items()},
-            mat_vec(ring, t, self.eta),
+            tuple(nu.get(j, ring.zero) for j in range(n)),
+            {x: mat_rows(ring, mat_rows(ring, t, m), tinv) for x, m in self.rows.items()},
+            tuple(dot(ring, row, self.eta) for row in t),
         )
 
     def to_json(self):
@@ -274,7 +272,7 @@ def _plus_outer(rows, col, row):
     for r, e in zip(rows, col):
         if e:
             r = dict(r)
-            _add_into(r, {j: e * c for j, c in row.items()})
+            _add_multiple(r, e, row)
         out.append(r)
     return tuple(out)
 
@@ -422,7 +420,7 @@ def rep_stuffle(r1, r2):
 
 
 def _left_reduce(rep):
-    # The reached vectors v_k = nu.mu(w), walked breadth-first, go into one
+    # The reached vectors v_k = nu mu(w), walked breadth-first, go into one
     # echelon basis as v_k + e_(n+k); an image w reduces to the entries -c_k
     # at the columns n + k when w = sum_k c_k v_k, and otherwise becomes the
     # next v_k.
@@ -526,7 +524,7 @@ def equal(r1, r2):
 
     Span test of the difference r1 - r2 (Schützenberger reduction; the
     polynomial-time equivalence test of Tzeng, SIAM J. Comput. 21, 1992):
-    the series are equal exactly when every reachable vector nu.mu(w) of the
+    the series are equal exactly when every reachable vector nu mu(w) of the
     block-diagonal sum of r1 and r2 pairs to zero with (eta1, -eta2).  The
     vectors are walked breadth-first, one letter at a time, and grow an
     echelon basis, whose dimension is at most n = n1 + n2; so the test makes
@@ -605,23 +603,29 @@ def is_character(rep):
     return dot(m.ring, nonzeros(m.nu), m.eta) == m.ring.one
 
 
+def _plus_scalar(rows, c):
+    """The matrix given by sparse rows plus c times the identity, as fresh rows."""
+    out = [dict(row) for row in rows]
+    if c:
+        for i, row in enumerate(out):
+            _add_into(row, {i: c})
+    return out
+
+
 def _char_poly(ring, m):
-    """Coefficients (a_0, ..., a_n) of det(lambda I - M), a_n = 1, computed
-    division-free in lambda by the trace recursion (valid in characteristic 0)."""
+    """Coefficients (a_0, ..., a_n) of det(lambda I - M), a_n = 1, for M given
+    by n sparse rows, computed division-free in lambda by the trace recursion
+    (valid in characteristic 0)."""
     n = len(m)
     a = [ring.zero] * (n + 1)
     a[n] = ring.one
     mk = m
     for k in range(1, n + 1):
-        tr = sum((mk[i][i] for i in range(n)), ring.zero)
+        tr = sum((mk[i].get(i, ring.zero) for i in range(n)), ring.zero)
         ck = ring.coerce(Fraction(-1, k)) * tr
         a[n - k] = ck
         if k < n:
-            shifted = tuple(
-                tuple(mk[i][j] + ck if i == j else mk[i][j] for j in range(n))
-                for i in range(n)
-            )
-            mk = mat_mul(ring, m, shifted)
+            mk = mat_rows(ring, m, _plus_scalar(mk, ck))
     return tuple(a)
 
 
@@ -644,12 +648,12 @@ def kronecker_form(rep):
     if not ring.is_field:
         raise ValueError("field coefficients required")
     n = rep.dim
-    m = rep.matrix(x)
-    a = _char_poly(ring, m)  # monic, a[k] multiplies lambda^k
+    rows = rep.rows.get(x, ({},) * n)
+    a = _char_poly(ring, rows)  # monic, a[k] multiplies lambda^k
     # det(I - xM) has coefficient a_{n-k} on x^k
     d = [a[n - k] for k in range(n + 1)]
     s = []
-    v, rows = nonzeros(rep.nu), rep.rows.get(x, ({},) * n)
+    v = nonzeros(rep.nu)
     for _ in range(n):
         s.append(dot(ring, v, rep.eta))
         v = vec_rows(ring, v, rows)
@@ -713,7 +717,7 @@ def is_syntactically_exchangeable(series, bound=None):
 
 
 def _letters_commute(m):
-    mats = [m.mu[x] for x in m.active_letters]
+    mats = [m.rows[x] for x in m.active_letters]
     return not _bracket_span(m.ring, m.dim, mats, mats)
 
 
@@ -724,7 +728,8 @@ def is_rationally_exchangeable(rep):
 
 
 class MatrixLieAlgebra:
-    """Bracket-closed span of square matrices over a field."""
+    """Bracket-closed span of n x n matrices over a field: ``basis`` holds
+    linearly independent members, each given by n sparse rows."""
 
     def __init__(self, ring, n, basis):
         self.ring = ring
@@ -740,19 +745,23 @@ class MatrixLieAlgebra:
 
 
 def _bracket(ring, a, b):
-
-    return mat_sub(ring, mat_mul(ring, a, b), mat_mul(ring, b, a))
+    """ab - ba for matrices given by sparse rows."""
+    ab = mat_rows(ring, a, b)
+    for row, other in zip(ab, mat_rows(ring, b, a)):
+        _add_into(row, {j: -c for j, c in other.items()})
+    return ab
 
 
 def _bracket_span(ring, n, left, right=None):
-    """Independent n x n matrices spanning the brackets [a, b], a in left and
-    b in right.  Without right, the span of left closed under brackets: the
-    brackets run over the growing list of members, new ones included."""
+    """Independent n x n matrices, given by sparse rows, spanning the
+    brackets [a, b], a in left and b in right.  Without right, the span of
+    left closed under brackets: the brackets run over the growing list of
+    members, new ones included.  Entry (i, j) is column i*n + j of the span."""
     basis = EchelonBasis(ring, n * n)
     members = []
 
     def add(m):
-        if basis.insert(nonzeros(c for row in m for c in row)) is not None:
+        if basis.insert({i * n + j: c for i, row in enumerate(m) for j, c in row.items()}) is not None:
             members.append(m)
 
     if right is None:
@@ -770,7 +779,7 @@ def lie_closure(rep):
     ring = rep.ring
     if not ring.is_field:
         raise ValueError("field coefficients required")
-    gens = [rep.mu[x] for x in rep.active_letters]
+    gens = [rep.rows[x] for x in rep.active_letters]
     members = _bracket_span(ring, rep.dim, gens)
     return MatrixLieAlgebra(ring, rep.dim, members)
 
@@ -810,29 +819,18 @@ def classify(rep):
 def nilpotent_decompose(rep, char_coeffs=None):
     """Split S = S1 (shuffle) (sum_x c_x x)* when every mu(x) - c_x I is
     strictly upper triangular.  Returns (S1 as a polynomial, c)."""
-    ring, n = rep.ring, rep.dim
+    ring, n, alphabet = rep.ring, rep.dim, rep.alphabet
     if char_coeffs is None:
-        char_coeffs = {}
-        for x in rep.active_letters:
-            m = rep.mu[x]
-            d = m[0][0] if n else ring.zero
-            char_coeffs[x] = d
+        char_coeffs = {x: rep.rows[x][0].get(0, ring.zero) for x in rep.active_letters}
     c = {x: ring.coerce(v) for x, v in char_coeffs.items()}
-    mu1 = {}
-    for x in set(rep.mu) | set(c):
-        m = rep.matrix(x)
+    alphabet.validate_word(tuple(c))
+    rows1 = {}
+    for x in sorted(rep.rows.keys() | c.keys(), key=alphabet.rank):
         cx = c.get(x, ring.zero)
-        shifted = tuple(
-            tuple(m[i][j] - cx if i == j else m[i][j] for j in range(n)) for i in range(n)
-        )
-        for i in range(n):
-            for j in range(i + 1):
-                if shifted[i][j] != ring.zero:
-                    raise ValueError(
-                        f"matrix for {x!r} minus {ring.format(cx)}*I is not strictly upper triangular"
-                    )
-        mu1[x] = shifted
-    rep1 = LinearRepresentation(rep.alphabet, ring, rep.nu, mu1, rep.eta)
+        rows1[x] = _plus_scalar(rep.rows.get(x, ({},) * n), -cx)
+        if any(j <= i for i, row in enumerate(rows1[x]) for j in row):
+            raise ValueError(f"matrix for {x!r} minus {ring.format(cx)}*I is not strictly upper triangular")
+    rep1 = _built(alphabet, ring, rep.nu, rows1, rep.eta)
     bound = max(n - 1, 0)
     s1 = rep1.expand(bound).poly
     return s1, c

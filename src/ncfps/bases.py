@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import invert_matrix, transpose
+from .linalg import invert_matrix
 from .rings import QQ
 from .series import (
     CACHE_SIZE,
@@ -206,13 +206,16 @@ class BasisTable:
         if g == 0:
             self.Sigma[()] = NCPolynomial.one(self.alphabet, QQ)
             return
-        m = [[self.Pi[v].coeff(w) for w in words] for v in words]
-        # rows of the inverse-transpose give the dual family coefficients
-        s = invert_matrix(QQ, transpose(tuple(tuple(r) for r in m)))
+        # column i of the transpose holds the coefficients of Pi[words[i]] on
+        # the words; rows of its inverse give the dual family coefficients
+        column = {w: j for j, w in enumerate(words)}
+        t = [{} for _ in words]
         for i, v in enumerate(words):
-            self.Sigma[v] = NCPolynomial(
-                self.alphabet, QQ, {w: s[i][j] for j, w in enumerate(words)}
-            )
+            for w, c in self.Pi[v].terms.items():
+                t[column[w]][i] = c
+        s = invert_matrix(QQ, t)
+        for v, row in zip(words, s):
+            self.Sigma[v] = NCPolynomial(self.alphabet, QQ, {words[j]: c for j, c in sorted(row.items())})
 
 
 # at most this many tables are kept; the oldest goes first

@@ -44,7 +44,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .linalg import EchelonBasis, nonzeros, vec_mat
+from .linalg import EchelonBasis, _add_multiple, vec_rows
 from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, poly_lcm, poly_text
 from .series import NCPolynomial, TensorPoly, TruncatedSeries, shuffle_words, unshuffle
 from .words import Alphabet, parse_word, word_text
@@ -257,14 +257,6 @@ class SegmentPath:
     @property
     def length(self):
         return abs(self.z1 - self.z0)
-
-    @property
-    def lo(self):
-        return min(self.z0, self.z1)
-
-    @property
-    def hi(self):
-        return max(self.z0, self.z1)
 
     @property
     def lo_exact(self):
@@ -666,7 +658,7 @@ def flow_compose(second, first):
         raise TypeError("flow composition needs two evaluations")
     if first.alphabet != second.alphabet:
         raise ValueError("the legs use different alphabets")
-    if abs(first.path.z1 - second.path.z0) > 1e-12:
+    if first.path.z1_exact != second.path.z0_exact:
         raise ValueError("the second leg must start where the first ends")
     bound = min(first.bound, second.bound)
     out = {}
@@ -709,10 +701,9 @@ class PairingResult:
         return f"PairingResult({self.value!r}, tail={self.tail!r}, certified={self.certified})"
 
 
-def _inf_norm(m):
-    if not m:
-        return 0.0
-    return max(sum(abs(float(c)) for c in row) for row in m)
+def _inf_norm(rows):
+    # each row summed in column order, so the float sum does not depend on dict order
+    return max(sum(abs(float(row[j])) for j in sorted(row)) for row in rows)
 
 
 def pair_series(ev, rep):
@@ -750,7 +741,7 @@ def pair_series(ev, rep):
         if v is not None:
             value += c * float(v @ eta)
 
-    mu_norm = max((_inf_norm(rep.mu[x]) for x in ev.inputs if x in rep.mu), default=0.0)
+    mu_norm = max((_inf_norm(rep.rows[x]) for x in ev.inputs if x in rep.rows), default=0.0)
     k = float(np.sum(np.abs(nu))) * float(np.max(np.abs(eta)))
     tail = 0.0
     if k > 0.0 and mu_norm > 0.0:
@@ -839,23 +830,29 @@ def _derivative_rows(rep, inputs):
     matrix, and D is the lcm of their control denominators, so that B = D A
     is polynomial.  The recursion r_0 = nu, r_l = r_{l-1}' + r_{l-1} A (the
     cyclic-vector step of Barkatou, AAECC 4, 1993) stays in Q[z] as
-    P_l = D P_{l-1}' - (l-1) D' P_{l-1} + P_{l-1} B.  The generator yields
-    the pairs (P_l, D^l), one per order, without end.  r_l is nu . mu(Q_l) for
-    the paper's word multipliers Q_0 = 1, Q_l = Q_{l-1} M + Q_{l-1}' with
-    M = sum_x u_x x; `tests/test_chen.py` checks the two against each other.
+    P_l = D P_{l-1}' - (l-1) D' P_{l-1} + P_{l-1} B, with B and each P_l
+    held as sparse rows.  The generator yields the pairs (P_l, D^l), one per
+    order, without end.  r_l is nu . mu(Q_l) for the paper's word
+    multipliers Q_0 = 1, Q_l = Q_{l-1} M + Q_{l-1}' with M = sum_x u_x x;
+    `tests/test_chen.py` checks the two against each other.
     """
-    terms = [(f.ratfun, rep.mu[x]) for x, f in _exact_controls(inputs).items() if x in rep.mu]
+    terms = [(f.ratfun, rep.rows[x]) for x, f in _exact_controls(inputs).items() if x in rep.rows and f.ratfun]
     d = _QZ_POLY.one
     for u, _ in terms:
         d = poly_lcm(d, u.den)
-    terms = [(u.num * (d // u.den), m) for u, m in terms]
-    n = rep.dim
-    b = [[sum((p * m[i][j] for p, m in terms if m[i][j]), _QZ_POLY.zero) for j in range(n)] for i in range(n)]
+    b = [{} for _ in range(rep.dim)]  # the sparse rows of B
+    for u, m in terms:
+        p = u.num * (d // u.den)
+        for out, row in zip(b, m):
+            _add_multiple(out, p, row)
     dd = d.derivative()
-    row, scale = [_QZ_POLY.coerce(c) for c in rep.nu], _QZ_POLY.one
+    row, scale = {j: _QZ_POLY.coerce(c) for j, c in enumerate(rep.nu) if c}, _QZ_POLY.one
     for l in count():
         yield row, scale
-        row = [d * p.derivative() - l * dd * p + s for p, s in zip(row, vec_mat(_QZ_POLY, row, b))]
+        step = vec_rows(_QZ_POLY, row, b)
+        for j, p in row.items():
+            step[j] = step.get(j, _QZ_POLY.zero) + d * p.derivative() - l * dd * p
+        row = {j: p for j, p in step.items() if p}
         scale = scale * d
 
 
@@ -875,7 +872,7 @@ def pair_ode_derivatives(rep, inputs, path, orders, tol=1e-10):
     z = Fraction(path.z1)
     out = []
     for row, scale in islice(_derivative_rows(rep, inputs), orders + 1):
-        out.append(float(sum(float(p(z) / scale(z)) * qi for p, qi in zip(row, q))))
+        out.append(float(sum(float(row[j](z) / scale(z)) * q[j] for j in sorted(row))))
     return out
 
 
@@ -907,9 +904,7 @@ def derive_scalar_ode(rep, inputs):
     n = rep.dim
     basis = EchelonBasis(_QZ_POLY, n)
     for l, (row, scale) in enumerate(_derivative_rows(rep, inputs)):
-        v = nonzeros(row)
-        v[n + l] = scale
-        v = basis.reduce(v)
+        v = basis.reduce({**row, n + l: scale})
         if all(j >= n for j in v):
             return _normalize_ode({j - n: p for j, p in v.items()}, l)
         basis.insert(v)

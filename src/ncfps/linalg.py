@@ -1,12 +1,14 @@
 """Exact linear algebra over the coefficient rings.
 
-Dense matrices are tuples of tuples (rows) and dense vectors are tuples.  A
-sparse vector is a dict {column: entry} of its nonzero entries, and a sparse
-matrix is a sequence of such rows: the automaton letter matrices are stored
-so.  ``vec_rows`` multiplies a sparse row vector by a sparse matrix, ``dot``
-pairs a sparse row vector with a dense column, and ``nonzeros`` turns a
-dense vector into a sparse one.  Everything is parameterized by a ring
-descriptor; inversion requires a field (``ring.is_field``).
+There is one matrix form: a sequence of sparse rows, each a dict {column:
+entry} of its nonzero entries.  The automaton letter matrices, the Lie
+brackets, inverses and the ODE rows are all stored so.  The initial and
+final vectors nu and eta of a representation stay dense tuples.
+``vec_rows`` multiplies a sparse row vector by a matrix, ``mat_rows``
+multiplies two matrices, ``dot`` pairs a sparse row vector with a dense
+column such as eta, and ``nonzeros`` turns a dense vector into a sparse one.
+Everything is parameterized by a ring descriptor; inversion requires a
+field (``ring.is_field``).
 
 The incremental :class:`EchelonBasis` is the one elimination routine, on
 sparse vectors, at the cost of their nonzero entries.  It works over a
@@ -27,14 +29,8 @@ from __future__ import annotations
 import heapq
 
 __all__ = [
-    "mat",
-    "identity",
-    "transpose",
-    "mat_sub",
-    "mat_mul",
-    "mat_vec",
-    "vec_mat",
     "vec_rows",
+    "mat_rows",
     "dot",
     "nonzeros",
     "invert_matrix",
@@ -42,58 +38,8 @@ __all__ = [
 ]
 
 
-def mat(rows):
-    return tuple(tuple(r) for r in rows)
-
-
-def identity(ring, n):
-    z, o = ring.zero, ring.one
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-
-
-def transpose(a):
-    return tuple(zip(*a)) if a else ()
-
-
-def mat_sub(ring, a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_mul(ring, a, b):
-    if not a or not b:
-        return ()
-    return tuple(vec_mat(ring, ra, b) for ra in a)
-
-
-def mat_vec(ring, a, v):
-    z = ring.zero
-    out = []
-    for r in a:
-        acc = z
-        for x, y in zip(r, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return tuple(out)
-
-
-def vec_mat(ring, v, a):
-    """Row vector times matrix: the combination sum_i v_i a[i] of the rows."""
-    z = ring.zero
-    out = None
-    for c, row in zip(v, a):
-        if c:
-            if out is None:
-                out = [c * y if y else z for y in row]
-            else:
-                out = [acc + c * y if y else acc for acc, y in zip(out, row)]
-    if out is None:
-        return tuple(z for _ in range(len(a[0]) if a else 0))
-    return tuple(out)
-
-
 def vec_rows(ring, v, rows):
-    """Sparse row vector times a square matrix given by sparse rows: the
+    """Sparse row vector times a matrix given by sparse rows: the
     combination sum_i v_i rows[i], as a sparse vector without zeros, at the
     cost of the nonzero entries of the rows that v selects."""
     acc = {}
@@ -101,6 +47,11 @@ def vec_rows(ring, v, rows):
         for j, y in rows[i].items():
             acc[j] = acc[j] + c * y if j in acc else c * y
     return {j: c for j, c in acc.items() if c}
+
+
+def mat_rows(ring, a, b):
+    """The product ab of two matrices given by sparse rows, as fresh rows."""
+    return tuple(vec_rows(ring, r, b) for r in a)
 
 
 def dot(ring, v, w):
@@ -235,19 +186,17 @@ def _add_multiple(v, c, row):
             v[j] = c * y
 
 
-def invert_matrix(ring, a):
-    """Inverse over a field; raises ValueError when singular.
+def invert_matrix(ring, rows):
+    """Inverse over a field of a square matrix given by sparse rows, as
+    sparse rows; raises ValueError when singular.
 
     The rows [a_i | e_i] go into one echelon basis.  In reduced row echelon
     form the row with pivot column p is [e_p | row p of the inverse]."""
     if not ring.is_field:
         raise ValueError("matrix inversion needs a field")
-    n = len(a)
+    n = len(rows)
     basis = EchelonBasis(ring, n)
-    for i, row in enumerate(a):
-        v = nonzeros(row)
-        v[n + i] = ring.one
-        if basis.insert(v) is None:
+    for i, row in enumerate(rows):
+        if basis.insert({**row, n + i: ring.one}) is None:
             raise ValueError("singular matrix")
-    z = ring.zero
-    return tuple(tuple(row.get(n + j, z) for j in range(n)) for _, row in sorted(zip(basis.pivots, basis.rows)))
+    return tuple({j - n: c for j, c in row.items() if j >= n} for _, row in sorted(zip(basis.pivots, basis.rows)))

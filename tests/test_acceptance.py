@@ -41,7 +41,7 @@ from ncfps.chen import (
 )
 from ncfps.diffring import independence_criterion
 from ncfps.exprs import representation_of, series_of
-from ncfps.linalg import dot, invert_matrix, mat_mul, nonzeros, vec_mat
+from ncfps.linalg import dot, invert_matrix, mat_rows, nonzeros, vec_rows
 from ncfps.rings import QQ, QT, QZ
 from ncfps.series import NCPolynomial, TensorPoly, TruncatedSeries, unshuffle, unstuffle
 from ncfps.words import Alphabet
@@ -104,14 +104,13 @@ def braket(a, b):
 def expansion(rep, bound):
     """All coefficients of the represented series up to the grade bound."""
     ring = rep.ring
-    zero_row = (ring.zero,) * rep.dim
-    rows = {(): tuple(rep.nu)}
+    rows = {(): nonzeros(rep.nu)}
     terms = {}
     for w in sorted(rep.alphabet.words_up_to(bound), key=len):
         if w:
-            m = rep.mu.get(w[-1])
-            rows[w] = vec_mat(ring, rows[w[:-1]], m) if m is not None else zero_row
-        c = dot(ring, nonzeros(rows[w]), rep.eta)
+            m = rep.rows.get(w[-1])
+            rows[w] = vec_rows(ring, rows[w[:-1]], m) if m is not None else {}
+        c = dot(ring, rows[w], rep.eta)
         if c != ring.zero:
             terms[w] = c
     return NCPolynomial(rep.alphabet, ring, terms)
@@ -144,15 +143,19 @@ def conjugated(rep, rng):
     """A random change of basis; the represented series is unchanged."""
     n = rep.dim
     while True:
-        t = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
+        t = [nonzeros(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n)]
         try:
             tinv = invert_matrix(QQ, t)
             break
         except ValueError:
             continue
-    nu = vec_mat(QQ, rep.nu, t)
-    mu = {x: mat_mul(QQ, mat_mul(QQ, tinv, m), t) for x, m in rep.mu.items()}
-    eta = tuple(dot(QQ, nonzeros(row), rep.eta) for row in tinv)
+
+    def dense(row):
+        return tuple(row.get(j, QQ.zero) for j in range(n))
+
+    nu = dense(vec_rows(QQ, nonzeros(rep.nu), t))
+    mu = {x: tuple(map(dense, mat_rows(QQ, mat_rows(QQ, tinv, m), t))) for x, m in rep.rows.items()}
+    eta = tuple(dot(QQ, row, rep.eta) for row in tinv)
     return LinearRepresentation(rep.alphabet, rep.ring, nu, mu, eta)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ncfps.automata import (
     LinearRepresentation,
+    _char_poly,
     classify,
     equal,
     is_character,
@@ -34,7 +35,7 @@ from ncfps.automata import (
     triangular_star_factorization_check,
 )
 from ncfps.exprs import representation_of
-from ncfps.linalg import EchelonBasis, dot, identity, invert_matrix, nonzeros, vec_mat
+from ncfps.linalg import EchelonBasis, dot, invert_matrix, nonzeros, vec_rows
 from ncfps.rings import QQ, QT, QZ, Poly
 from ncfps.series import NCPolynomial, TruncatedSeries, parse_series_text
 from ncfps.words import Alphabet
@@ -295,6 +296,10 @@ def _zero_matrix(ring, n):
     return tuple((ring.zero,) * n for _ in range(n))
 
 
+def _unit_matrix(ring, n):
+    return tuple(tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n))
+
+
 def _kron(a, b):
     if not a or not b:
         return ()
@@ -342,7 +347,7 @@ def _dense_star(r):
 
 
 def _dense_kronecker_sum(r1, r2):
-    i1, i2 = identity(r1.ring, r1.dim), identity(r1.ring, r2.dim)
+    i1, i2 = _unit_matrix(r1.ring, r1.dim), _unit_matrix(r1.ring, r2.dim)
     mu = {}
     for x in set(r1.mu) | set(r2.mu):
         mu[x] = _mat_add(_kron(_dense(r1, x), i2), _kron(i1, _dense(r2, x)))
@@ -438,7 +443,7 @@ def test_schuetzenberger_reconstruction():
     acc = rep_scalar(X2, QQ, r.coeff(()))
     for x in r.active_letters:
         shifted = LinearRepresentation(
-            X2, QQ, vec_mat(QQ, r.nu, r.mu[x]), r.mu, r.eta
+            X2, QQ, _plain_vec_mat(r.nu, r.mu[x]), r.mu, r.eta
         )
         acc = rep_sum(acc, rep_conc(rep_word(X2, QQ, (x,)), shifted))
     assert equal(acc, r)
@@ -888,17 +893,19 @@ def _reference_left_reduce(rep):
     images = {x: [] for x in letters}  # images[x][i] = reached[i] . mu(x)
     for v in reached:
         for x in letters:
-            w = vec_mat(ring, v, rep.mu[x])
+            w = _plain_vec_mat(v, rep.mu[x])
             images[x].append(w)
             insert(w)
     assert all(all(row.values()) for row in basis.rows)
     if not reached:
         return rep_zero(rep.alphabet, ring)
-    inverse = invert_matrix(ring, tuple(tuple(v[p] for p in basis.pivots) for v in reached))
+    inverse = invert_matrix(ring, [nonzeros(v[p] for p in basis.pivots) for v in reached])
+    assert all(all(row.values()) for row in inverse)
 
     def coordinates(v):
         assert not basis.reduce(nonzeros(v))
-        return vec_mat(ring, tuple(v[p] for p in basis.pivots), inverse)
+        c = vec_rows(ring, nonzeros(v[p] for p in basis.pivots), inverse)
+        return tuple(c.get(k, ring.zero) for k in range(len(reached)))
 
     mu = {x: tuple(coordinates(w) for w in ws) for x, ws in images.items()}
     eta = tuple(dot(ring, nonzeros(v), rep.eta) for v in reached)
@@ -959,19 +966,12 @@ def _matrices(draw, min_rows=1):
     return tuple(rows)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_vec_mat_matches_definition(data):
-    a = data.draw(_matrices())
-    v = tuple(data.draw(st.lists(_small, min_size=len(a), max_size=len(a))))
-    assert vec_mat(QQ, v, a) == _plain_vec_mat(v, a)
-
-
 @st.composite
-def _invertible_matrices(draw, field):
+def _invertible_matrices(draw, field, n=None):
     """P.L.U with L unit lower triangular, U upper triangular with nonzero
-    diagonal and P a row permutation, over Q or over Q(t)."""
-    n = draw(st.integers(1, 4))
+    diagonal and P a row permutation, over Q or over Q(t); n x n, or of a
+    drawn size from 1 to 4."""
+    n = draw(st.integers(1, 4)) if n is None else n
     entry = _ring_entries(QQ) if field == QQ else _ring_entries(QT).map(QT.embed)
     nonzero = entry.filter(bool)
     lower = [[field.one if i == j else draw(entry) if j < i else field.zero for j in range(n)] for i in range(n)]
@@ -985,8 +985,11 @@ def _invertible_matrices(draw, field):
 def test_invert_matrix_is_a_two_sided_inverse(data):
     field = data.draw(st.sampled_from((QQ, QT.field())))
     a = data.draw(_invertible_matrices(field))
-    inv = invert_matrix(field, a)
-    unit = identity(field, len(a))
+    n = len(a)
+    rows = invert_matrix(field, [nonzeros(row) for row in a])
+    assert len(rows) == n and all(all(row.values()) for row in rows)
+    inv = tuple(tuple(row.get(j, field.zero) for j in range(n)) for row in rows)
+    unit = _unit_matrix(field, n)
     assert _plain_mat_mul(a, inv) == unit and _plain_mat_mul(inv, a) == unit
 
 
@@ -1000,12 +1003,12 @@ def test_invert_matrix_rejects_a_dependent_row(data):
     coeffs = [field.coerce(data.draw(st.integers(-2, 2))) for _ in range(n)]
     a[i] = [sum((coeffs[k] * a[k][j] for k in range(n) if k != i), field.zero) for j in range(n)]
     with pytest.raises(ValueError, match="singular matrix"):
-        invert_matrix(field, tuple(tuple(row) for row in a))
+        invert_matrix(field, [nonzeros(row) for row in a])
 
 
 def test_invert_matrix_needs_a_field_and_takes_the_empty_matrix():
     with pytest.raises(ValueError, match="needs a field"):
-        invert_matrix(QT, ((QT.one,),))
+        invert_matrix(QT, ({0: QT.one},))
     assert invert_matrix(QQ, ()) == ()
     assert invert_matrix(QT.field(), ()) == ()
 
@@ -1089,3 +1092,139 @@ def test_echelon_coordinates_reproduce_combinations(data):
         e = tuple(Fraction(int(i == j)) for i in range(n))
         if _rank(a + (e,)) > rank:
             assert any(k < n for k in basis.reduce({j: Fraction(1)}))
+
+
+# ---------------------------------------------------------------------------
+# the Lie classification, the one-letter form and conjugation on sparse rows
+# against the dense formulas
+
+
+def _dense_bracket(a, b):
+    ab, ba = _plain_mat_mul(a, b), _plain_mat_mul(b, a)
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
+
+
+def _dense_char_poly(ring, m):
+    """The trace recursion on dense matrices: a_(n-k) = -tr(M_k)/k with
+    M_1 = M and M_(k+1) = M (M_k + a_(n-k) I)."""
+    n = len(m)
+    a = [ring.zero] * n + [ring.one]
+    mk = m
+    for k in range(1, n + 1):
+        a[n - k] = ring.coerce(Fraction(-1, k)) * sum((mk[i][i] for i in range(n)), ring.zero)
+        shifted = tuple(tuple(c + a[n - k] if i == j else c for j, c in enumerate(row)) for i, row in enumerate(mk))
+        mk = _plain_mat_mul(m, shifted)
+    return tuple(a)
+
+
+def _dense_add(reduced, m):
+    """Reduce the flattened entries of m by the rows (pivot, row with pivot
+    entry 1) in `reduced`; a nonzero remainder joins them, and then True."""
+    v = [c for row in m for c in row]
+    for p, r in reduced:
+        if v[p]:
+            c = v[p]
+            v = [x - c * y for x, y in zip(v, r)]
+    p = next((j for j, c in enumerate(v) if c), None)
+    if p is not None:
+        reduced.append((p, [c / v[p] for c in v]))
+    return p is not None
+
+
+def _dense_span(mats, stop=None):
+    """A maximal linearly independent sublist of dense matrices, or the first
+    `stop` members of one."""
+    reduced, members = [], []
+    for m in mats:
+        if len(members) == stop:
+            break
+        if _dense_add(reduced, m):
+            members.append(m)
+    return members
+
+
+def _dense_lie_closure(gens):
+    reduced = []
+    members = [m for m in gens if _dense_add(reduced, m)]
+    for i, a in enumerate(members):  # extended while it is walked
+        for b in members[:i]:
+            c = _dense_bracket(a, b)
+            if _dense_add(reduced, c):
+                members.append(c)
+    return members
+
+
+def _dense_classify(rep):
+    m = minimize(rep.embed_field())
+    gens = [m.mu[x] for x in m.active_letters]
+    if not _dense_span([_dense_bracket(a, b) for a in gens for b in gens]):
+        return "exchangeable"
+    lie = _dense_lie_closure(gens)
+
+    def vanishes(lower_central):
+        # L_(k+1) = [L, L_k] for the lower central series, [L_k, L_k] for the derived one
+        layer = lie
+        while layer:
+            brackets = (_dense_bracket(a, b) for a in (lie if lower_central else layer) for b in layer)
+            nxt = _dense_span(brackets, stop=len(layer))
+            if len(nxt) >= len(layer):
+                return False
+            layer = nxt
+        return True
+
+    return "nilpotent" if vanishes(True) else "solvable" if vanishes(False) else "general"
+
+
+@st.composite
+def _field_reps(draw, field, max_dim):
+    """A representation over Q or Q(t) of dimension 0 to max_dim on one or
+    two letters, whose entries are zero about half the time."""
+    n = draw(st.integers(0, max_dim))
+    nonzero = (_ring_entries(QQ) if field == QQ else _ring_entries(QT).map(QT.embed)).filter(bool)
+    vec = st.lists(st.one_of(st.just(field.zero), nonzero), min_size=n, max_size=n)
+    letters = draw(st.sampled_from((("x0",), ("x0", "x1"))))
+    mu = {x: draw(st.lists(vec, min_size=n, max_size=n)) for x in letters}
+    return LinearRepresentation(X2, field, draw(vec), mu, draw(vec))
+
+
+def _check_sparse_against_dense(data, field, max_dim):
+    r = data.draw(_field_reps(field, max_dim))
+    n = r.dim
+    for x in X2.letters:
+        assert _char_poly(field, r.rows.get(x, ({},) * n)) == _dense_char_poly(field, r.matrix(x))
+    assert lie_closure(r).dim == len(_dense_lie_closure([r.mu[x] for x in r.active_letters]))
+    assert classify(r) == _dense_classify(r)
+    t = data.draw(_invertible_matrices(field, n))
+    conj = r.conjugate(t)
+    assert set(conj.mu) == set(r.mu)
+    assert all(c for rows in conj.rows.values() for row in rows for c in row.values())
+    if n:
+        assert _plain_vec_mat(conj.nu, t) == r.nu
+    assert conj.eta == tuple(sum((a * b for a, b in zip(row, r.eta)), field.zero) for row in t)
+    for x, m in r.mu.items():
+        assert _plain_mat_mul(conj.mu[x], t) == _plain_mat_mul(t, m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_sparse_lie_and_conjugation_match_the_dense_formulas_over_q(data):
+    # a dimension-4 pair of letters mostly generates gl(4), of dimension 16:
+    # about 1 s per classification
+    _check_sparse_against_dense(data, QQ, 4)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_sparse_lie_and_conjugation_match_the_dense_formulas_over_qt(data):
+    # dimension 2 at most: classifying a dimension-3 representation over Q(t)
+    # can take minutes, in the brackets of its minimized rational functions
+    _check_sparse_against_dense(data, QT.field(), 2)
+
+
+def test_conjugate_needs_a_square_matrix_of_the_dimension():
+    r = quiplait_rep()
+    for t in (((1, 0), (0, 1), (0, 0)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1,), (0, 1))):
+        with pytest.raises(ValueError, match="not 2x2"):
+            r.conjugate(t)
+    with pytest.raises(ValueError, match="singular"):
+        r.conjugate(((1, 2), (2, 4)))

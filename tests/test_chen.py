@@ -41,7 +41,7 @@ from ncfps.chen import (
     scalar_ode_text,
 )
 from ncfps.exprs import representation_of
-from ncfps.linalg import EchelonBasis, nonzeros, vec_mat
+from ncfps.linalg import EchelonBasis, nonzeros, vec_rows
 from ncfps.rings import QQ, QT, QZ, Poly, RatFun, poly_gcd, poly_lcm
 from ncfps.series import NCPolynomial
 from ncfps.words import Alphabet
@@ -521,6 +521,15 @@ def test_flow_composition_matches_direct_evaluation():
         flow_compose(first, second)
 
 
+def test_flow_composition_compares_exact_endpoints():
+    # the double 0.3333333333333333 is within 1e-12 of 1/3, but another point
+    first = chen_series(POLYLOG, SegmentPath("1/5", "1/3"), 2)
+    second = chen_series(POLYLOG, SegmentPath(0.3333333333333333, "3/5"), 2)
+    assert abs(first.path.z1 - second.path.z0) < 1e-12
+    with pytest.raises(ValueError, match="must start where the first ends"):
+        flow_compose(second, first)
+
+
 # ---------------------------------------------------------------------------
 # pairing against linear representations
 
@@ -638,6 +647,19 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from ncfps import *", namespace)
     assert all(namespace[name] is getattr(ncfps, name) for name in ncfps.__all__)
+
+
+def test_every_submodule_exported_name_resolves():
+    # a name deleted from a module but left in its __all__ breaks `from ncfps.<module> import *`
+    import importlib
+    import pkgutil
+
+    import ncfps
+
+    for info in pkgutil.iter_modules(ncfps.__path__):
+        module = importlib.import_module(f"ncfps.{info.name}")
+        stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not stale, (info.name, stale)
 
 
 def test_pair_ode_near_a_far_end_pole():
@@ -796,12 +818,13 @@ def _word_sum_row(rep, inputs, l):
     skipping words with a letter outside mu."""
     row = [QZ.zero] * rep.dim
     for w, c in _word_multiplier(inputs, l).terms.items():
-        if any(x not in rep.mu for x in w):
+        if any(x not in rep.rows for x in w):
             continue
-        vec = tuple(QZ.coerce(v) for v in rep.nu)
+        vec = {j: QZ.coerce(v) for j, v in nonzeros(rep.nu).items()}
         for x in w:
-            vec = vec_mat(QZ, vec, rep.mu[x])
-        row = [a + c * b for a, b in zip(row, vec)]
+            vec = vec_rows(QZ, vec, rep.rows[x])
+        for j, b in vec.items():
+            row[j] += c * b
     return tuple(row)
 
 
@@ -830,7 +853,9 @@ def test_derivative_rows_match_the_word_sum(case):
     rows = _derivative_rows(rep, inputs)
     for l in range(5):
         row, scale = next(rows)
-        assert tuple(RatFun(p, scale) for p in row) == _word_sum_row(rep, inputs, l)
+        assert all(row.values())
+        dense = (row.get(j, Poly.const("z", Fraction(0))) for j in range(rep.dim))
+        assert tuple(RatFun(p, scale) for p in dense) == _word_sum_row(rep, inputs, l)
 
 
 def _field_path_ode(rep, inputs):
