@@ -6,11 +6,11 @@ column vector.  The represented series has coefficient nu mu(w) eta on the
 word w; letters without a stored matrix act as zero.
 
 The module provides the closure constructions (sum, concatenation product,
-star, shuffle, quasi-shuffle), two-sided minimization and decidable equality
-over a field, the splitting of a series into finitely many left/right
-factor pairs, character stars, the one-letter rational-fraction form,
-exchangeability tests, Lie-algebra classification of the letter matrices,
-and the two triangular factorizations.
+star, shuffle, quasi-shuffle), two-sided minimization over a field,
+decidable equality over Q, Q[v] and Q(v), the splitting of a series into
+finitely many left/right factor pairs, character stars, the one-letter
+rational-fraction form, exchangeability tests, Lie-algebra classification
+of the letter matrices, and the two triangular factorizations.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .linalg import EchelonBasis, _add_multiple, dot, invert_matrix, mat_rows, nonzeros, vec_rows
-from .rings import QQ, ring_named
+from .rings import QQ, PolynomialRing, RationalFunctionRing, poly_lcm, ring_named
 from .series import NCPolynomial, TruncatedSeries
 from .words import Alphabet
 
@@ -482,33 +482,27 @@ def _denominator(entries):
 
 
 class _DifferenceRows(dict):
-    """The sparse rows of one letter's block-diagonal matrix diag(m1, m2),
-    each built on first use.  Over Q (``dens`` not None) row i is stored as
-    the integer numerators of d_i times it, with d_i = ``dens[i]`` the lcm
-    of the denominators of the row."""
+    """The sparse rows of one letter's block-diagonal matrix diag(m1, m2)
+    over Q, each built on first use: row i is stored as the integer
+    numerators of d_i times it, with d_i = ``dens[i]`` the lcm of the
+    denominators of the row."""
 
-    def __init__(self, m1, m2, over_q):
+    def __init__(self, m1, m2):
         super().__init__()
         self.m1, self.m2 = m1, m2
-        self.dens = {} if over_q else None
+        self.dens = {}
 
     def __missing__(self, i):
         k = len(self.m1)
         row, k = (self.m1[i], 0) if i < k else (self.m2[i - k], k)
-        if self.dens is not None:
-            d = self.dens[i] = _denominator(row.values())
-            row = {j + k: c.numerator * (d // c.denominator) for j, c in row.items()}
-        elif k:
-            row = _shifted(row, k)
-        self[i] = row
+        d = self.dens[i] = _denominator(row.values())
+        row = self[i] = {j + k: c.numerator * (d // c.denominator) for j, c in row.items()}
         return row
 
-    def times(self, ring, v):
-        """v times the matrix.  Over Q, v is an integer vector, and the result
-        is the integer vector D.v.m divided by the gcd of its entries, with D
-        the lcm of the denominators of the rows that v selects."""
-        if self.dens is None:
-            return vec_rows(ring, v, self)
+    def times(self, v):
+        """The integer vector D.v.m divided by the gcd of its entries, for an
+        integer vector v, with D the lcm of the denominators of the rows that
+        v selects."""
         for i in v:
             if i not in self:
                 self.__missing__(i)
@@ -516,7 +510,69 @@ class _DifferenceRows(dict):
         d = math.lcm(*[dens[i] for i in v])
         if d != 1:
             v = {i: c * (d // dens[i]) for i, c in v.items()}
-        return ring.primitive(vec_rows(ring, v, self))
+        return _Integers.primitive(vec_rows(_Integers, v, self))
+
+
+def _specialized(r1, r2):
+    """A pair over Q[v] or Q(v) as a pair over Q, with integer entries, whose
+    series are equal exactly when those of r1 and r2 are: the pair at
+    v = 2^W, with W fixed in advance so that 2^W is no root of the
+    difference.
+
+    The vector nu, the column eta and each letter's matrix are multiplied by
+    factors common to both sides, which leave the verdict as it is.  Over
+    Q(v) the factor is the polynomial lcm of their denominators.  Then it is
+    the lcm of their coefficient denominators, D_nu, D_eta and D_x, after
+    which every coefficient g_w of the difference lies in Z[v].  Let |p|_1
+    be the sum of the absolute coefficients, which is submultiplicative.
+    For |w| < n = n1 + n2 the height of g_w is at most
+    N = |D_nu nu|_1 max_j |D_eta eta_j|_1 B^(n-1), with B at least 1 and at
+    least every row sum of every |D_x mu(x)|_1.  A nonzero integer
+    polynomial of height at most N has no root of absolute value N + 1 or
+    more (Cauchy's bound).  So with W = bitlen(N) + 1 each g_w vanishes at
+    2^W exactly when it is zero, and series of dimensions n1 and n2 are
+    equal when they agree on the words shorter than n.  The value at 2^W is
+    the Kronecker packing of the integer coefficients.
+    """
+    n1, n = r1.dim, r1.dim + r2.dim
+    ring = PolynomialRing(r1.ring.var)
+    fractions = r1.ring != ring
+
+    def lifted(rows):
+        # {(i, j): integer coefficients} of the rows, and their largest |.|_1
+        if fractions:
+            m = ring.one
+            for den in {c.den for row in rows for c in row.values()}:
+                if den.degree:
+                    m = poly_lcm(m, den)
+            rows = [{j: c.num if c.den == m else c.num * (m // c.den) for j, c in row.items()} for row in rows]
+        _, nums = ring.lift({(i, j): p for i, row in enumerate(rows) for j, p in row.items()})
+        sums = [0] * len(rows)
+        for (i, _), cs in nums.items():
+            sums[i] += sum(map(abs, cs))
+        return nums, max(sums, default=0)
+
+    def packed(nums, k):
+        rows = [{} for _ in range(k)]
+        for (i, j), value in ring.pack(nums, width).items():
+            if value:
+                rows[i][j] = value
+        return rows
+
+    empty1, empty2 = ({},) * n1, ({},) * r2.dim
+    nu = lifted([nonzeros(r1.nu + r2.nu)])
+    eta = lifted([{0: c} if c else {} for c in r1.eta + r2.eta])
+    mats = {x: lifted(r1.rows.get(x, empty1) + r2.rows.get(x, empty2)) for x in _letters(r1, r2)}
+    b = max([1] + [s for _, s in mats.values()])
+    width = (nu[1] * eta[1] * b ** max(n - 1, 0)).bit_length() + 1
+    [nu] = packed(nu[0], 1)
+    nu = tuple(nu.get(j, 0) for j in range(n))
+    eta = tuple(row.get(0, 0) for row in packed(eta[0], n))
+    mats = {x: packed(nums, n) for x, (nums, _) in mats.items()}
+    return tuple(
+        _built(r1.alphabet, QQ, nu[lo:hi], {x: rows[lo:hi] for x, rows in mats.items()}, eta[lo:hi])
+        for lo, hi in ((0, n1), (n1, n))
+    )
 
 
 def equal(r1, r2):
@@ -533,7 +589,7 @@ def equal(r1, r2):
     the nonzero entries of the rows a vector hits.  It stops at the first
     vector whose pairing is nonzero.  The letter rows are built on first use.
 
-    Over Q the test runs on Python ints.  Both nus are lifted by one shared
+    The test runs on Python ints.  Over Q both nus are lifted by one shared
     denominator and both etas by another, and each step by a letter
     multiplies by the lcm of the denominators of the rows it reads, on both
     sides at once.  So the integer vector reached by a word is a nonzero
@@ -541,35 +597,36 @@ def equal(r1, r2):
     divided by the gcd of its entries.  The pairing's zero test and the span
     test are both unchanged by such factors, and the span is decided
     fraction-free over Z.  The rows are lifted on first use, so a pair that
-    fails early pays for few of them.  Over Q[t] the basis eliminates
-    fraction-free in Q[t] itself, which decides the same span over Q(t)
-    without a gcd per operation.  Two representations over different rings
-    are both embedded in their fraction fields first, so that a Q[t] series
-    compares with a Q(t) one.
+    fails early pays for few of them.  A pair over Q[v] or Q(v) is first
+    specialized at one integer point that no coefficient of the difference
+    has as a root (``_specialized``), which keeps the verdict.  Two
+    representations over different rings are both embedded in their
+    fraction fields first, so that a Q[t] series compares with a Q(t) one.
     """
     if r1.ring != r2.ring:
         r1, r2 = r1.embed_field(), r2.embed_field()
     _check_pair(r1, r2)
-    ring, n1 = r1.ring, r1.dim
+    if isinstance(r1.ring, (PolynomialRing, RationalFunctionRing)):
+        r1, r2 = _specialized(r1, r2)
+    elif r1.ring != QQ:
+        raise ValueError(f"equality is decided over Q, Q[v] and Q(v), not over {r1.ring.name}")
+    n1 = r1.dim
     nu, eta = r1.nu + r2.nu, r1.eta + r2.eta
-    over_q = ring == QQ
-    if over_q:
-        ring = _Integers
-        d = _denominator(nu)
-        nu = tuple(c.numerator * (d // c.denominator) for c in nu)
-        d = _denominator(eta)
-        eta = tuple(c.numerator * (d // c.denominator) for c in eta)
+    d = _denominator(nu)
+    nu = tuple(c.numerator * (d // c.denominator) for c in nu)
+    d = _denominator(eta)
+    eta = tuple(c.numerator * (d // c.denominator) for c in eta)
     eta = eta[:n1] + tuple(-e for e in eta[n1:])
     empty1, empty2 = ({},) * n1, ({},) * r2.dim
     letters = sorted(_letters(r1, r2), key=r1.alphabet.rank)
-    mats = [_DifferenceRows(r1.rows.get(x, empty1), r2.rows.get(x, empty2), over_q) for x in letters]
-    basis = EchelonBasis(ring, len(nu))
+    mats = [_DifferenceRows(r1.rows.get(x, empty1), r2.rows.get(x, empty2)) for x in letters]
+    basis = EchelonBasis(_Integers, len(nu))
     frontier = [nonzeros(nu)]  # extended while it is walked: a breadth-first queue
     for v in frontier:
-        if dot(ring, v, eta):
+        if dot(_Integers, v, eta):
             return False
         if basis.insert(v) is not None:
-            frontier.extend(rows.times(ring, v) for rows in mats)
+            frontier.extend(rows.times(v) for rows in mats)
     return True
 
 
@@ -756,7 +813,9 @@ def _bracket_span(ring, n, left, right=None):
     """Independent n x n matrices, given by sparse rows, spanning the
     brackets [a, b], a in left and b in right.  Without right, the span of
     left closed under brackets: the brackets run over the growing list of
-    members, new ones included.  Entry (i, j) is column i*n + j of the span."""
+    members, new ones included.  Entry (i, j) is column i*n + j of the span.
+    Once there are n^2 members they span every matrix, and no more brackets
+    are formed."""
     basis = EchelonBasis(ring, n * n)
     members = []
 
@@ -770,6 +829,8 @@ def _bracket_span(ring, n, left, right=None):
         left = right = members
     for a in left:
         for b in right:
+            if len(members) == n * n:
+                return members
             add(_bracket(ring, a, b))
     return members
 

@@ -382,17 +382,20 @@ def _adaptive(step, q, breaks, tol, path, p=1):
     its share max(tol * width, rounding) of the tolerance, relative to the
     size of the state, and is bisected otherwise.  An accepted panel keeps
     the half steps and adds |halves - whole| to the error estimate.  Half
-    steps whose values overflow doubles raise ValueError.
+    steps whose values overflow doubles raise ValueError.  A bisected panel
+    passes its left half step on as the whole step of its left half, which
+    starts from the same state.
     """
-    pending = list(zip(breaks[:-1], breaks[1:]))[::-1]  # a stack, leftmost panel on top
+    # a stack, leftmost panel on top; a panel may carry its whole step
+    pending = [(lo, hi, None) for lo, hi in zip(breaks[:-1], breaks[1:])][::-1]
     err = np.zeros_like(q)
     bisections = 0
     while pending:
-        lo, hi = pending.pop()
+        lo, hi, known = pending.pop()
         mid = (lo + hi) / 2.0
         with np.errstate(all="ignore"):
-            whole, norm = step(q, lo, hi)
-            left, _ = step(q, lo, mid)
+            whole, norm = known or step(q, lo, hi)
+            left, left_norm = step(q, lo, mid)
             halves, _ = step(left, mid, hi)
             if not np.isfinite(halves).all():
                 where = path.z0 + (path.z1 - path.z0) * hi**p
@@ -408,7 +411,7 @@ def _adaptive(step, q, breaks, tol, path, p=1):
         if hi - lo <= _MIN_PANEL or bisections > _MAX_BISECTIONS:
             where = path.z0 + (path.z1 - path.z0) * lo**p
             raise RuntimeError(f"flow integration does not converge near z = {where:.6g}")
-        pending += [(mid, hi), (lo, mid)]
+        pending += [(mid, hi, None), (lo, mid, (left, left_norm))]
     return q, err
 
 

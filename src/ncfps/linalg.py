@@ -12,8 +12,9 @@ field (``ring.is_field``).
 
 The incremental :class:`EchelonBasis` is the one elimination routine, on
 sparse vectors, at the cost of their nonzero entries.  It works over a
-field, in reduced row echelon form, or over an integral domain (Q[v], or Z
-for the equality test over Q), fraction-free by cross-multiplication
+field, in reduced row echelon form, or over an integral domain (Q[v] for the
+scalar ODEs, or Z for the equality test over every exact ring), fraction-free
+by cross-multiplication
 (Bareiss, Math. Comp. 22, 1968): rows stay in the domain, and rank and span
 test are those over its fraction field, at one gcd per inserted row instead
 of one per ring operation.  It keeps no copy of the inserted vectors.  A

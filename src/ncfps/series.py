@@ -602,10 +602,10 @@ class TruncatedSeries:
         return TruncatedSeries(self.poly - o, b)
 
     def __neg__(self):
-        return TruncatedSeries(-self.poly, self.bound)
+        return _within(-self.poly, self.bound)
 
     def scale(self, c):
-        return TruncatedSeries(self.poly.scale(c), self.bound)
+        return _within(self.poly.scale(c), self.bound)
 
     def __mul__(self, other):
         if isinstance(other, (TruncatedSeries, NCPolynomial)):
@@ -657,7 +657,7 @@ class TruncatedSeries:
             if comp:
                 t_by_grade[g] = list(comp.items())
                 out.update(ring.lower(comp, di ** (g + 1) * ds**g, width))
-        return TruncatedSeries(self.poly._built(out), n)
+        return _within(self.poly._built(out), n)
 
     def exp(self):
         """Concatenation exponential; requires zero constant term.
@@ -682,7 +682,7 @@ class TruncatedSeries:
                 steps.append((dk, 1, n - k + 1))
             return steps, dk
 
-        return TruncatedSeries(_horner(self.poly, plan), n)
+        return _within(_horner(self.poly, plan), n)
 
     def log(self):
         """Concatenation logarithm; requires constant term one.
@@ -707,21 +707,21 @@ class TruncatedSeries:
                 ek *= k * d
             return steps + [(0, 1, n)], d * ek
 
-        return TruncatedSeries(_horner(self.poly, plan), n)
+        return _within(_horner(self.poly, plan), n)
 
     def left_quotient(self, u):
         u = tuple(u)
         b = self.bound - self.alphabet.word_grade(u)
         if b < 0:
             raise ValueError("insufficient truncation bound for the quotient")
-        return TruncatedSeries(self.poly.left_quotient(u), b)
+        return _within(self.poly.left_quotient(u), b)
 
     def right_quotient(self, u):
         u = tuple(u)
         b = self.bound - self.alphabet.word_grade(u)
         if b < 0:
             raise ValueError("insufficient truncation bound for the quotient")
-        return TruncatedSeries(self.poly.right_quotient(u), b)
+        return _within(self.poly.right_quotient(u), b)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -732,13 +732,23 @@ class TruncatedSeries:
         return f"TruncatedSeries({series_text(self.poly)!r}, bound={self.bound})"
 
 
+def _within(poly, bound):
+    """The truncated series of a polynomial whose terms already lie within
+    the bound, as products, star, exp, log, quotients, negation and scaling
+    make them: unlike the public constructor, it does not filter them again."""
+    series = object.__new__(TruncatedSeries)
+    object.__setattr__(series, "poly", poly)
+    object.__setattr__(series, "bound", bound)
+    return series
+
+
 def _truncated_product(s, other, kernel):
     """Word product of a truncated series with a series or a polynomial,
     truncated at the lower bound.  A private function, not a method, so that
     the span tracer of ``perfbench`` counts its time under the public method
     that calls it."""
     o, b = s._join(other)
-    return TruncatedSeries(s.poly._word_product(o, kernel, b), b)
+    return _within(s.poly._word_product(o, kernel, b), b)
 
 
 def _horner(poly, plan):

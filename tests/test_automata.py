@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncfps.automata
 from ncfps.automata import (
     LinearRepresentation,
     _char_poly,
@@ -36,7 +37,7 @@ from ncfps.automata import (
 )
 from ncfps.exprs import representation_of
 from ncfps.linalg import EchelonBasis, dot, invert_matrix, nonzeros, vec_rows
-from ncfps.rings import QQ, QT, QZ, Poly
+from ncfps.rings import QQ, QT, QZ, Poly, RatFun
 from ncfps.series import NCPolynomial, TruncatedSeries, parse_series_text
 from ncfps.words import Alphabet
 
@@ -564,6 +565,23 @@ def test_lie_closure_dimensions():
     assert chain.dim == 3  # two steps plus their bracket, then abelian
 
 
+def test_lie_closure_stops_at_the_whole_matrix_space(monkeypatch):
+    # diag(1, 2, 4) and the cyclic shift generate gl_3: once the closure has
+    # nine members no more brackets are formed (75 were formed without the
+    # stop), and the classification is unchanged
+    rep = LinearRepresentation(
+        X2, QQ, (1, 0, 0), {"x0": ((1, 0, 0), (0, 2, 0), (0, 0, 4)), "x1": ((0, 1, 0), (0, 0, 1), (1, 0, 0))}, (1, 1, 1)
+    )
+    assert minimize(rep).dim == 3
+    brackets = []
+    bracket = ncfps.automata._bracket
+    monkeypatch.setattr(ncfps.automata, "_bracket", lambda *args: brackets.append(1) or bracket(*args))
+    lie = lie_closure(rep)
+    assert lie.dim == 9 and len(_dense_lie_closure([rep.matrix(x) for x in ("x0", "x1")])) == 9
+    assert len(brackets) < 75
+    assert classify(rep) == "general"
+
+
 def test_classify_examples():
     assert classify(make_character_star(X2, QQ, {"x0": 2, "x1": 3})) == "exchangeable"
     assert classify(rep_polynomial(parse_series_text("1*x0.x1", X2, QQ))) == "nilpotent"
@@ -758,7 +776,35 @@ def _ring_entries(ring):
     ints = st.integers(-2, 2)
     if ring == QQ:
         return ints.map(Fraction)
-    return st.tuples(ints, ints).map(lambda ab: Poly("t", ab))
+    polys = st.tuples(ints, ints).map(lambda ab: Poly("t", ab))
+    if ring == QT:
+        return polys
+    return st.tuples(polys, polys.filter(bool)).map(lambda pq: RatFun(*pq))  # (a + b t)/(c + d t)
+
+
+@st.composite
+def _basis_change(draw, ring, n):
+    """(t, t^-1) for a product of up to three elementary matrices with
+    integer entries, so that the inverse is exact in any ring."""
+    one, zero = ring.one, ring.zero
+    t = tinv = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = ring.coerce(draw(st.integers(-2, 2)))
+        e = [[one if a == b else zero for b in range(n)] for a in range(n)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        t, tinv = _plain_mat_mul(e, t), _plain_mat_mul(tinv, e_inv)
+    return t, tinv
+
+
+def _conjugated(alphabet, ring, nu, mu, eta, basis_change):
+    t, tinv = basis_change
+    n = len(nu)
+    nu2 = _plain_vec_mat(nu, tinv)
+    mu2 = {x: _plain_mat_mul(_plain_mat_mul(t, m), tinv) for x, m in mu.items()}
+    eta2 = [sum((t[i][j] * eta[j] for j in range(n)), ring.zero) for i in range(n)]
+    return LinearRepresentation(alphabet, ring, nu2, mu2, eta2)
 
 
 @st.composite
@@ -800,18 +846,7 @@ def _similar_pairs(draw, ring, max_dim=4):
             eta[i] = eta[i] + one
         else:
             mu[where][i][j] = mu[where][i][j] + one
-    t = tinv = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
-        i, j = draw(st.permutations(range(n)))[:2]
-        c = ring.coerce(draw(st.integers(-2, 2)))
-        e = [[one if a == b else zero for b in range(n)] for a in range(n)]
-        e_inv = [row[:] for row in e]
-        e[i][j], e_inv[i][j] = c, -c
-        t, tinv = _plain_mat_mul(e, t), _plain_mat_mul(tinv, e_inv)
-    nu2 = _plain_vec_mat(nu, tinv)
-    mu2 = {x: _plain_mat_mul(_plain_mat_mul(t, m), tinv) for x, m in mu.items()}
-    eta2 = [sum((t[i][j] * eta[j] for j in range(n)), zero) for i in range(n)]
-    return r1, LinearRepresentation(alphabet, ring, nu2, mu2, eta2)
+    return r1, _conjugated(alphabet, ring, nu, mu, eta, draw(_basis_change(ring, n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -867,13 +902,55 @@ def test_equal_over_q_with_rational_entries_matches_brute_force(pair):
 @settings(max_examples=20, deadline=None)
 @given(_similar_pairs(QT))
 def test_equal_matches_brute_force_over_qt(pair):
-    # the fraction-free verdict over Q[t] against the brute force, against
-    # the field path over Q(t), and with only one side embedded in Q(t)
+    # the verdict over Q[t] against the brute force, against the same pair
+    # embedded in Q(t), and with only one side embedded in Q(t)
     r1, r2 = pair
     verdict = equal(r1, r2)
     assert verdict == _brute_equal(r1, r2)
     assert verdict == equal(r1.embed_field(), r2.embed_field())
     assert verdict == equal(r1, r2.embed_field()) == equal(r1.embed_field(), r2)
+
+
+_ROOTS = (1, 2, 3, 4, 8, 2**10, 2**40, 2**100)
+
+
+@st.composite
+def _root_planted_pairs(draw):
+    """(r1, r2, plant) over Q[t], or over Q(t) with entries (a + b t)/(c + d t):
+    r2 is r1 after an exact change of basis, and plant(r) is r2 with its nu
+    or eta moved by c (t - r) at one place.  Every coefficient of the
+    difference of r1 and plant(r) has the factor t - r, so a decision that
+    evaluated that pair at t = r would call it equal.  Over Q(t) a pair has
+    dimension at most 2: the brute force over Q(t) takes about 30 s on some
+    two-letter pairs of dimension 3, in the gcds of its sums."""
+    ring = draw(st.sampled_from([QT, QT.field()]))
+    n = draw(st.integers(1, 3 if ring == QT else 2))
+    alphabet = Alphabet.x(draw(st.integers(1, 2)))
+    vec = st.lists(_ring_entries(ring).map(ring.coerce), min_size=n, max_size=n)
+    nu, eta = draw(vec), draw(vec)
+    mu = {x: draw(st.lists(vec, min_size=n, max_size=n)) for x in alphabet.letters}
+    r1 = LinearRepresentation(alphabet, ring, nu, mu, eta)
+    r2 = _conjugated(alphabet, ring, nu, mu, eta, draw(_basis_change(ring, n)))
+    on_nu, i, c = draw(st.booleans()), draw(st.integers(0, n - 1)), draw(st.sampled_from([-2, -1, 1, 2]))
+
+    def plant(r):
+        nu, eta = list(r2.nu), list(r2.eta)
+        (nu if on_nu else eta)[i] += ring.coerce(c * (QT.gen() - r))
+        return LinearRepresentation(alphabet, ring, nu, r2.mu, eta)
+
+    return r1, r2, plant
+
+
+@settings(max_examples=60, deadline=None)
+@given(_root_planted_pairs())
+def test_equal_over_qt_and_q_of_t_matches_brute_force_at_planted_roots(case):
+    # the one evaluation point must be no root of the difference: pairs that
+    # differ by a multiple of t - r, for small and for huge r, stay unequal
+    r1, r2, plant = case
+    for other in [r2] + [plant(r) for r in _ROOTS]:
+        truth = _brute_equal(r1, other)
+        assert equal(r1, other) == equal(other, r1) == truth
+        assert equal(r1.embed_field(), other) == equal(r1, other.embed_field()) == truth
 
 
 def _reference_left_reduce(rep):

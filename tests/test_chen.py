@@ -15,10 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncfps.automata import LinearRepresentation, minimize, rep_star, rep_word, rep_zero
+import ncfps.chen
 from ncfps.chen import (
     _BLOCK,
     _CUM,
+    _MAX_BISECTIONS,
+    _MIN_PANEL,
     _NODES,
+    _ROUNDING,
     _WEIGHTS,
     ChenEvaluation,
     InputFunction,
@@ -321,6 +325,59 @@ def test_near_pole_matches_closed_forms():
     assert _covers(ev, ("x0", "x0"), log * log / 2)
     # the estimates are the accepted panels' defects: rounding-sized, not zero
     assert all(0.0 < ev.errors[w] <= 1e-10 * max(1.0, abs(ev.values[w])) for w in ev.values if w)
+
+
+def _recomputing_adaptive(step, q, breaks, tol, path, p=1):
+    """The adaptive driver that takes every panel's whole step afresh, also
+    on the left half of a bisected panel, whose whole step is the left half
+    step of its parent."""
+    pending = list(zip(breaks[:-1], breaks[1:]))[::-1]
+    err = np.zeros_like(q)
+    bisections = 0
+    while pending:
+        lo, hi = pending.pop()
+        mid = (lo + hi) / 2.0
+        with np.errstate(all="ignore"):
+            whole, norm = step(q, lo, hi)
+            left, _ = step(q, lo, mid)
+            halves, _ = step(left, mid, hi)
+            defect = np.abs(halves - whole)
+            share = max(tol * (hi - lo), _ROUNDING * (1.0 + norm))
+            accept = np.max(defect) <= share * max(1.0, np.max(np.abs(halves)))
+        if accept:
+            q = halves
+            err += defect
+            continue
+        bisections += 1
+        assert hi - lo > _MIN_PANEL and bisections <= _MAX_BISECTIONS
+        pending += [(mid, hi), (lo, mid)]
+    return q, err
+
+
+def test_adaptive_reuses_the_left_half_step_of_a_bisected_panel(monkeypatch):
+    # the near-pole control bisects the panels next to z = 1; reusing the
+    # left half steps leaves every value and error estimate bit-identical
+    # and saves one step per rejected panel
+    steps = []
+    panel_values = ncfps.chen._panel_values
+
+    def counted(q, lo, hi, **kwargs):
+        steps.append((lo, hi))
+        return panel_values(q, lo, hi, **kwargs)
+
+    monkeypatch.setattr(ncfps.chen, "_panel_values", counted)
+    runs = []
+    for driver in (ncfps.chen._adaptive, _recomputing_adaptive):
+        monkeypatch.setattr(ncfps.chen, "_adaptive", driver)
+        steps.clear()
+        ev = chen_series({"x0": "1/(z-10001/10000)", "x1": "1/(1+z)"}, SegmentPath(0, 1), 3)
+        runs.append((ev, len(steps)))
+    (ev, n), (ref, n_ref) = runs
+    assert ev.values == ref.values and ev.errors == ref.errors
+    # the reference takes 3 steps per panel tried: 8 initial panels, and two
+    # more tried for each of the R rejected ones
+    rejected = (n_ref // 3 - 8) // 2
+    assert rejected > 0 and n == n_ref - rejected
 
 
 def test_bound_14_is_fast():

@@ -67,6 +67,14 @@ def test_cli_output_matches_golden(name):
     assert out == (GOLDEN / f"cli_{name}.txt").read_text()
 
 
+@pytest.mark.parametrize("name", ["check_identity_qt_holds", "check_identity_qt_fails"])
+def test_check_identity_over_q_of_t_prints_the_q_t_golden(name):
+    # the Q[t] pairs read over Q(t) are cleared back to Q[t] before the
+    # integer test: same verdict, same bytes, same exit code
+    argv = CASES[name][:-1] + ["Q(t)"]
+    assert cli_stdout(argv) == (EXIT_CODES.get(name, 0), (GOLDEN / f"cli_{name}.txt").read_text())
+
+
 if __name__ == "__main__":
     for name, argv in CASES.items():
         code, out = cli_stdout(argv)

@@ -626,6 +626,25 @@ def test_horner_exp_and_log_match_the_power_sums(case, bound):
     assert lg.bound == bound and lg.poly == power_sum_log((one + p).truncate(bound), bound)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_proper_series(), st.integers(0, 6))
+def test_results_built_within_the_bound_are_not_truncated_again(case, bound):
+    # products, star, exp, log, quotients, negation and scaling skip the
+    # public constructor's truncation, so their terms must lie within it
+    alphabet, ring, p = case
+    s = TruncatedSeries(p, bound)
+    one = NCPolynomial.one(alphabet, ring)
+    u = (alphabet.letters_up_to(1)[0],)
+    results = [s * s, s * p, s.shuffle(p), s.star(), s.exp(), (s + one).log(), -s, s.scale(3)]
+    if alphabet.kind == "Y":
+        results.append(s.stuffle(s))
+    if bound >= 1:
+        results += [s.left_quotient(u), s.right_quotient(u)]
+    for r in results:
+        assert r.poly.truncate(r.bound) == r.poly
+        assert TruncatedSeries(r.poly, r.bound) == r
+
+
 def test_exp_and_log_at_bound_0():
     p = qp("1/2*x0 - 3*x1.x0")
     assert TruncatedSeries(p, 0).exp() == TruncatedSeries(NCPolynomial.one(X2, QQ), 0)
