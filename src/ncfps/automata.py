@@ -62,8 +62,7 @@ class LinearRepresentation:
     entries, not n^2 per matrix; so do conjugation, the one-letter form and
     the Lie classification.  ``mu`` is the dense view, {letter: n x n tuple
     of row tuples}, built on first use and kept; only the JSON form,
-    ``matrix``, the triangular star check and the numpy conversions of
-    ``chen`` read it.
+    ``matrix`` and the triangular star check read it.
 
     The public constructor takes dense matrices and coerces every entry;
     results of the operations below come through ``_built``, which takes

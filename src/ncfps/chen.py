@@ -34,15 +34,20 @@ integrands stay integrable; the mesh is then graded geometrically toward that
 endpoint.  Words whose innermost integral diverges there are excluded from bulk
 evaluation and raise when requested individually.  Interior singularities and a
 singular far endpoint are rejected outright: no regularization is attempted.
+
+This module holds the controls, the segments, their exact validation and the
+exact ODE derivation.  Everything that computes a double (the quadrature
+tables, the level kernel, the adaptive driver, the collocation step, the
+float matrices of a pairing and control values at doubles) is the private
+`ncfps._numeric`, which imports numpy and is imported at the first float
+computed here; parsing, validation, every refusal and `derive_scalar_ode`
+run without numpy.
 """
 
 import math
 import re
 from fractions import Fraction
-from functools import partial
 from itertools import count, islice
-
-import numpy as np
 
 from .linalg import EchelonBasis, _add_multiple, vec_rows
 from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, poly_lcm, poly_text
@@ -133,14 +138,14 @@ class InputFunction:
     # -- pointwise evaluation
 
     def evaluate(self, z):
+        import numpy as np
+
         return float(self.eval_array(np.float64(z)))
 
     def eval_array(self, z):
-        if self.kind == "exp":
-            return np.exp(z)
-        if self.kind == "pow":
-            return z ** float(self.value)
-        return self.value(z)
+        from ._numeric import _control_values
+
+        return _control_values(self, z)
 
     # -- analytic structure
 
@@ -271,206 +276,7 @@ class SegmentPath:
 
 
 # ---------------------------------------------------------------------------
-# panel quadrature and the adaptive driver
-
-_PANEL = 16
-
-
-def _gauss_tables():
-    x, w = np.polynomial.legendre.leggauss(_PANEL)
-    p = np.zeros((_PANEL + 1, _PANEL))
-    p[0] = 1.0
-    p[1] = x
-    for m in range(1, _PANEL):
-        p[m + 1] = ((2 * m + 1) * x * p[m] - m * p[m - 1]) / (m + 1)
-    # node values -> Legendre coefficients of the degree-15 interpolant; the
-    # quadrature is exact to degree 31, so the projection is the interpolant
-    coef = ((2.0 * np.arange(_PANEL) + 1.0) / 2.0)[:, None] * (w[None, :] * p[:_PANEL])
-    anti = np.zeros((_PANEL, _PANEL))
-    anti[:, 0] = x + 1.0
-    for m in range(1, _PANEL):
-        anti[:, m] = (p[m + 1] - p[m - 1]) / (2 * m + 1)
-    return x, w, anti @ coef
-
-
-_NODES, _WEIGHTS, _CUM = _gauss_tables()
-
-
-def _initial_mesh(singular_start):
-    """Panel breaks on the unit parameter interval, graded toward a singular start."""
-    if singular_start:
-        return np.array(sorted({0.0, 1.0, 0.5, 0.625, 0.75, 0.875} | {4.0**-k for k in range(1, 9)}))
-    return np.linspace(0.0, 1.0, 9)
-
-
-# rows per gather: bounds the temporaries of one level, and keeps each matrix
-# product small enough that BLAS runs it on the calling thread
-_BLOCK = 512
-
-
-def _panel_values(q, lo, hi, path, controls, levels, p=1):
-    """Values of a family of words at parameter hi from their values q at lo.
-
-    One step of the nilpotent flow dV_w = u_x V_s (w = x s) on the panel,
-    by word length.  `levels[k]` describes the words of length k + 1 as index
-    arrays (first, suffix): row i is the letter `controls[first[i]]` followed
-    by row `suffix[i]` of the previous length (the empty word, of value 1, for
-    length 1); `q` holds all rows, length by length.  The rows of one length
-    are integrated in blocks of `_BLOCK`: one gather of their integrands, one
-    matmul with the quadrature weights and one with the panel antiderivative,
-    each added to the row's start value.  `controls[i]` is a (letter,
-    control) pair, or None for a letter no row starts with.
-
-    `p` reparametrizes the segment as z(s) = z0 + (z1 - z0) s^p; with p large
-    enough every integrable integrand vanishes at a singular start, restoring
-    panelwise polynomial accuracy there.  Returns the values at hi and
-    h max_j sum_x |u_x(t_j) dz/dt|, which scales their rounding error.
-    """
-    half = (hi - lo) / 2.0
-    t = (lo + hi) / 2.0 + half * _NODES
-    dz = path.z1 - path.z0
-    if p == 1:
-        zs, jac = path.z0 + dz * t, dz
-    else:
-        zs, jac = path.z0 + dz * t**p, dz * p * t ** (p - 1)
-    u = np.zeros((len(controls), _PANEL))
-    with np.errstate(all="ignore"):
-        for i, c in enumerate(controls):
-            if c is not None:
-                u[i] = c[1].eval_array(zs) * jac
-    if not np.isfinite(u).all():
-        i, j = np.argwhere(~np.isfinite(u))[0]
-        how = f"power substitution s^{p}" if p > 1 else "no power substitution"
-        raise ValueError(f"the integrand of {controls[i][0]} is not finite at z = {float(zs[j])!r} ({how})")
-    norm = np.max(np.sum(np.abs(u), axis=0))
-    u *= half
-    out = np.empty_like(q)
-    prev = np.ones((1, _PANEL))
-    start = 0
-    for k, (first, suffix) in enumerate(levels):
-        q_k, out_k = q[start : start + first.size], out[start : start + first.size]
-        nodes = np.empty((first.size, _PANEL)) if k + 1 < len(levels) else None
-        for r in range(0, first.size, _BLOCK):
-            rows = slice(r, r + _BLOCK)
-            g = np.take(prev, suffix[rows], axis=0)
-            g *= np.take(u, first[rows], axis=0)
-            np.add(q_k[rows], g @ _WEIGHTS, out=out_k[rows])
-            if nodes is not None:
-                np.matmul(g, _CUM.T, out=nodes[rows])
-                nodes[rows] += q_k[rows, None]
-        prev = nodes
-        start += first.size
-    return out, half * norm
-
-
-# The driver bisects a panel at most down to 2^-43 of the parameter interval
-# and at most 512 times in all, so that an integrand it cannot resolve (a pole
-# next to the path, fast growth or oscillation) fails in bounded time.  A step
-# rounds to about 1e-14 * (1 + h |B|) of the state's size, so steps that agree
-# to that have converged.
-_MIN_PANEL = 2.0**-43
-_MAX_BISECTIONS = 512
-_ROUNDING = 1e-14
-
-
-def _adaptive(step, q, breaks, tol, path, p=1):
-    """State at parameter 1 from q at 0, and its error estimate.
-
-    `step(q, lo, hi)` returns the state at hi from q at lo and h |B|, the
-    scale of its rounding.  The panels start as the intervals between
-    `breaks`; a panel is accepted when one step and two half steps agree to
-    its share max(tol * width, rounding) of the tolerance, relative to the
-    size of the state, and is bisected otherwise.  An accepted panel keeps
-    the half steps and adds |halves - whole| to the error estimate.  Half
-    steps whose values overflow doubles raise ValueError.  A bisected panel
-    passes its left half step on as the whole step of its left half, which
-    starts from the same state.
-    """
-    # a stack, leftmost panel on top; a panel may carry its whole step
-    pending = [(lo, hi, None) for lo, hi in zip(breaks[:-1], breaks[1:])][::-1]
-    err = np.zeros_like(q)
-    bisections = 0
-    while pending:
-        lo, hi, known = pending.pop()
-        mid = (lo + hi) / 2.0
-        with np.errstate(all="ignore"):
-            whole, norm = known or step(q, lo, hi)
-            left, left_norm = step(q, lo, mid)
-            halves, _ = step(left, mid, hi)
-            if not np.isfinite(halves).all():
-                where = path.z0 + (path.z1 - path.z0) * hi**p
-                raise ValueError(f"the flow values overflow doubles by z = {where:.6g}")
-            defect = np.abs(halves - whole)
-            share = max(tol * (hi - lo), _ROUNDING * (1.0 + norm))
-            accept = np.max(defect) <= share * max(1.0, np.max(np.abs(halves)))
-        if accept:
-            q = halves
-            err += defect
-            continue
-        bisections += 1
-        if hi - lo <= _MIN_PANEL or bisections > _MAX_BISECTIONS:
-            where = path.z0 + (path.z1 - path.z0) * lo**p
-            raise RuntimeError(f"flow integration does not converge near z = {where:.6g}")
-        pending += [(mid, hi, None), (lo, mid, (left, left_norm))]
-    return q, err
-
-
-# ---------------------------------------------------------------------------
-# word levels, and integrability at a singular start
-
-
-def _word_levels(letters, orders, prepend):
-    """Words grown one letter at a time on the left, with their integrability.
-
-    `prepend[k]` lists the indices of the letters put in front of every kept
-    word of length k to make the words of length k + 1; lex-ordered letters
-    over lex-ordered suffixes keep each length in lex order.  A word's outer
-    stage multiplies the antiderivative of its suffix (leading exponent
-    acc = suffix stage + 1) by its first control (leading exponent
-    orders[i]) and integrates; a stage exponent of -1 or less diverges, which
-    excludes the word and every word built on it.
-
-    Returns the kept words, their (first, suffix) index arrays per length for
-    `_panel_values`, the excluded words and the smallest kept stage exponent.
-    """
-    words, levels, excluded = [], [], []
-    kept, stages, dropped = [()], [-1.0], []
-    emin = math.inf
-    for row_letters in prepend:
-        rows, row_stages, first, suffix, lost = [], [], [], [], []
-        for i in row_letters:
-            x = (letters[i],)
-            lost += [x + s for s in dropped]
-            for j, s in enumerate(kept):
-                e = orders[i] + (stages[j] + 1.0)
-                if e > -1.0 + 1e-12:
-                    rows.append(x + s)
-                    row_stages.append(e)
-                    first.append(i)
-                    suffix.append(j)
-                else:
-                    lost.append(x + s)
-        emin = min(emin, min(row_stages, default=math.inf))
-        words += rows
-        excluded += lost
-        levels.append((np.array(first, dtype=np.intp), np.array(suffix, dtype=np.intp)))
-        kept, stages, dropped = rows, row_stages, lost
-    return words, levels, excluded, emin
-
-
-def _power_param(orders, emin):
-    """Reparametrization power for a singular start.
-
-    Integer control orders leave every integrable integrand analytic at the
-    endpoint, so the graded mesh alone suffices.  Fractional orders get the
-    power substitution lifting the smallest stage exponent to at least 2.
-    """
-    finite = [o for o in orders if o != math.inf]
-    if all(float(o).is_integer() for o in finite):
-        return 1
-    if not math.isfinite(emin):
-        return 1
-    return min(64, max(2, math.ceil(3.0 / (emin + 1.0))))
+# evaluations
 
 
 def _prepare_inputs(inputs, path):
@@ -483,10 +289,6 @@ def _prepare_inputs(inputs, path):
         if f.validate_on(path) == "singular_start":
             singular_start = True
     return clean, alphabet, singular_start
-
-
-# ---------------------------------------------------------------------------
-# evaluations
 
 
 class ChenEvaluation:
@@ -530,26 +332,6 @@ class ChenEvaluation:
         )
 
 
-def _evaluate(clean, alphabet, singular_start, path, prepend, tol):
-    """Kept words, their values and error estimates, and the excluded words.
-
-    The state of the adaptive driver is the vector of all kept words' values,
-    zero at the start; a panel step starts from the previous panel's end
-    values, which is Chen's identity applied in place.
-    """
-    controls = [clean[x] for x in alphabet.letters]
-    orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
-    words, levels, excluded, emin = _word_levels(alphabet.letters, orders, prepend)
-    if not words:
-        return words, np.zeros(0), np.zeros(0), excluded
-    p = _power_param(orders, emin) if singular_start else 1
-    used = {int(i) for first, _ in levels for i in np.unique(first)}
-    pairs = [(x, f) if i in used else None for i, (x, f) in enumerate(zip(alphabet.letters, controls))]
-    step = partial(_panel_values, path=path, controls=pairs, levels=levels, p=p)
-    vals, errs = _adaptive(step, np.zeros(len(words)), _initial_mesh(singular_start), tol, path, p)
-    return words, vals, errs, excluded
-
-
 def chen_series(inputs, path, bound, tol=1e-10):
     """Evaluate all words of length <= bound over the given controls.
 
@@ -566,6 +348,8 @@ def chen_series(inputs, path, bound, tol=1e-10):
         raise ValueError("the length bound must be nonnegative")
     clean, alphabet, singular_start = _prepare_inputs(inputs, path)
     prepend = [range(len(alphabet.letters))] * bound
+    from ._numeric import _evaluate
+
     words, vals, errs, excluded = _evaluate(clean, alphabet, singular_start, path, prepend, tol)
     values = {(): 1.0}
     values.update(zip(words, vals.tolist()))
@@ -585,6 +369,8 @@ def iterated_integral(word, inputs, path, tol=1e-10):
     if not word:
         return 1.0
     prepend = [[alphabet.letters.index(x)] for x in reversed(word)]
+    from ._numeric import _evaluate
+
     words, vals, _, _ = _evaluate(clean, alphabet, singular_start, path, prepend, tol)
     if len(words) < len(word):
         raise ValueError(f"{word_text(word)} is not integrable at the path endpoint")
@@ -726,26 +512,10 @@ def pair_series(ev, rep):
         raise ValueError("the pairing needs a complete evaluation; choose a path avoiding the singular endpoint")
     if rep.dim == 0:
         return PairingResult(0.0, 0.0, True)
-    mats = {x: np.array([[float(c) for c in row] for row in rep.mu[x]]) for x in rep.mu}
-    nu = np.array([float(c) for c in rep.nu])
-    eta = np.array([float(c) for c in rep.eta])
-    prefixes = {(): nu}
+    from ._numeric import _series_pairing
 
-    def prefix(w):
-        # None stands for a zero row: some letter of w has no matrix
-        if w not in prefixes:
-            head, m = prefix(w[:-1]), mats.get(w[-1])
-            prefixes[w] = None if head is None or m is None else head @ m
-        return prefixes[w]
-
-    value = 0.0
-    for w, c in ev.values.items():
-        v = prefix(w)
-        if v is not None:
-            value += c * float(v @ eta)
-
+    value, k = _series_pairing(ev, rep)
     mu_norm = max((_inf_norm(rep.rows[x]) for x in ev.inputs if x in rep.rows), default=0.0)
-    k = float(np.sum(np.abs(nu))) * float(np.max(np.abs(eta)))
     tail = 0.0
     if k > 0.0 and mu_norm > 0.0:
         sup = max(f.sup_on(ev.path.lo_exact, ev.path.hi_exact) for f in ev.inputs.values())
@@ -757,35 +527,15 @@ def pair_series(ev, rep):
     return PairingResult(value, tail, math.isfinite(tail))
 
 
-def _collocation_step(q, lo, hi, path, funcs):
-    """State at parameter hi from the state q at lo, by Gauss collocation.
-
-    The stage values Q_j at the panel's quadrature nodes t_j solve
-    Q = 1 (x) q + h (_CUM (x) B_j) Q with B_j = (dz/dt) A(z(t_j)); the step
-    q + h sum_j w_j B_j Q_j is the 16-stage Gauss-Legendre method, of order 32.
-    Returns the new state and h max_j |B_j|, which scales its rounding error.
-    """
-    h = (hi - lo) / 2.0
-    dz = path.z1 - path.z0
-    z = path.z0 + dz * ((lo + hi) / 2.0 + h * _NODES)
-    b = sum(f.eval_array(z)[:, None, None] * m for f, m in funcs) * dz
-    n = q.size
-    blocks = (h * _CUM)[:, None, :, None] * b.transpose(1, 0, 2)[None]
-    stages = np.linalg.solve(np.eye(_PANEL * n) - blocks.reshape(_PANEL * n, _PANEL * n), np.tile(q, _PANEL))
-    step = h * np.einsum("j,jab,jb->a", _WEIGHTS, b, stages.reshape(_PANEL, n))
-    return q + step, h * np.max(np.sum(np.abs(b), axis=2))
-
-
-def _ode_state(rep, inputs, path, tol):
-    """Flow state at z1, by collocation steps under the adaptive driver."""
+def _flow_state(rep, inputs, path, tol):
+    """Flow state at z1: the controls are checked here, and the float engine
+    integrates the flow."""
     clean, _, singular_start = _prepare_inputs(inputs, path)
     if singular_start:
         raise ValueError("the flow evaluator needs controls regular on the closed segment")
-    funcs = [(clean[x], np.array([[float(c) for c in row] for row in rep.mu[x]])) for x in clean if x in rep.mu]
-    q = np.array([float(c) for c in rep.eta])
-    if not funcs:
-        return q
-    return _adaptive(partial(_collocation_step, path=path, funcs=funcs), q, _initial_mesh(False), tol, path)[0]
+    from ._numeric import _ode_state
+
+    return _ode_state(rep, clean, path, tol)
 
 
 def pair_ode(rep, inputs, path, tol=1e-10):
@@ -805,9 +555,9 @@ def pair_ode(rep, inputs, path, tol=1e-10):
     path = SegmentPath.of(path)
     if rep.dim == 0:
         return 0.0
-    q = _ode_state(rep, inputs, path, tol)
-    nu = np.array([float(c) for c in rep.nu])
-    return float(nu @ q)
+    q = _flow_state(rep, inputs, path, tol)
+    # a list of doubles @ an array is NumPy's matmul, as nu @ q with nu an array
+    return float([float(c) for c in rep.nu] @ q)
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +621,7 @@ def pair_ode_derivatives(rep, inputs, path, orders, tol=1e-10):
     path = SegmentPath.of(path)
     if rep.dim == 0:
         return [0.0] * (orders + 1)
-    q = _ode_state(rep, inputs, path, tol)
+    q = _flow_state(rep, inputs, path, tol)
     z = Fraction(path.z1)
     out = []
     for row, scale in islice(_derivative_rows(rep, inputs), orders + 1):

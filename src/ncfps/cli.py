@@ -6,6 +6,11 @@ postfix ``*``) and writes deterministic text: the same invocation always
 produces the same bytes.  Exit status 0 reports success (and, for
 ``check-identity``, a holding identity), 1 a failing identity, 2 any usage,
 parse, or evaluation error.
+
+Each handler imports the modules it runs, so one call loads only what its
+subcommand needs: `bases` alone loads `ncfps.bases`, the expansions
+(`expand`, `op`, `star`) run without `ncfps.automata`, and numpy loads only
+when `chen` or `pair` integrates.
 """
 
 import argparse
@@ -14,11 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .automata import LinearRepresentation, classify, equal, minimize
-from .bases import basis_table, basis_table_lines
-from .exprs import infer_alphabet, parse_expression, to_representation, to_series
 from .rings import ring_named
-from .series import series_text
 from .words import _LETTER_RE, Alphabet, word_text
 
 _ALPHABET_RE = re.compile(r"x([0-9]+)\Z")
@@ -70,11 +71,25 @@ def _exact_number(text):
         raise ValueError(f"cannot read {text!r} as an exact number") from None
 
 
-def _compile_series(node, ring_name, bound):
-    return to_series(node, infer_alphabet(node), ring_named(ring_name), bound)
+def _parse(text):
+    from .exprs import parse_expression
+
+    return parse_expression(text)
+
+
+def _print_series(node, args, star=False):
+    from .exprs import infer_alphabet, to_series
+    from .series import series_text
+
+    s = to_series(node, infer_alphabet(node), ring_named(args.ring), args.max_length)
+    print(series_text((s.star() if star else s).poly))
+    return 0
 
 
 def _load_representation(args):
+    from .automata import LinearRepresentation
+    from .exprs import infer_alphabet, to_representation
+
     if getattr(args, "rep", None):
         if args.expr is not None:
             raise ValueError("give either an expression or --rep, not both")
@@ -82,11 +97,13 @@ def _load_representation(args):
     if args.expr is None:
         raise ValueError("give an expression or --rep FILE")
     ring = ring_named(getattr(args, "ring", "Q"))
-    node = parse_expression(args.expr)
+    node = _parse(args.expr)
     return to_representation(node, infer_alphabet(node), ring)
 
 
 def _reduced(rep):
+    from .automata import minimize
+
     return minimize(rep.embed_field())
 
 
@@ -95,27 +112,23 @@ def _reduced(rep):
 
 
 def _cmd_expand(args):
-    s = _compile_series(parse_expression(args.expr), args.ring, args.max_length)
-    print(series_text(s.poly))
-    return 0
+    return _print_series(_parse(args.expr), args)
 
 
 _OPS = {"sum": "add", "conc": "cat", "shuffle": "shuffle", "stuffle": "stuffle"}
 
 
 def _cmd_op(args):
-    node = (_OPS[args.name], parse_expression(args.first), parse_expression(args.second))
-    print(series_text(_compile_series(node, args.ring, args.max_length).poly))
-    return 0
+    return _print_series((_OPS[args.name], _parse(args.first), _parse(args.second)), args)
 
 
 def _cmd_star(args):
-    s = _compile_series(parse_expression(args.expr), args.ring, args.max_length)
-    print(series_text(s.star().poly))
-    return 0
+    return _print_series(_parse(args.expr), args, star=True)
 
 
 def _cmd_bases(args):
+    from .bases import basis_table, basis_table_lines
+
     if args.alphabet == "y":
         alphabet = Alphabet.y()
     else:
@@ -134,14 +147,19 @@ def _cmd_minimize(args):
 
 
 def _cmd_classify(args):
+    from .automata import classify
+
     print(classify(_load_representation(args)))
     return 0
 
 
 def _cmd_check_identity(args):
+    from .automata import equal
+    from .exprs import infer_alphabet, to_representation
+
     ring = ring_named(args.ring)
-    na = parse_expression(args.first)
-    nb = parse_expression(args.second)
+    na = _parse(args.first)
+    nb = _parse(args.second)
     alphabet = infer_alphabet(("add", na, nb))
     holds = equal(to_representation(na, alphabet, ring), to_representation(nb, alphabet, ring))
     print("identity holds (exact)" if holds else "identity fails (exact)")

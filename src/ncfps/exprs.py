@@ -25,15 +25,6 @@ letter.  ``x0*x1`` is a syntax error: concatenation is always spelled ``.``.
 
 import re
 
-from .automata import (
-    rep_conc,
-    rep_polynomial,
-    rep_shuffle,
-    rep_star,
-    rep_stuffle,
-    rep_sum,
-    rep_word,
-)
 from .rings import QQ, ring_named
 from .series import NCPolynomial, TruncatedSeries
 from .words import _LETTER_RE, Alphabet
@@ -275,30 +266,39 @@ def to_series(node, alphabet, ring, bound):
 
 
 def to_representation(node, alphabet, ring):
-    """Compile a parsed expression to a linear representation."""
-    if node[0] == "num":
-        c = _coefficient(ring, node[1], node[2])
-        return rep_polynomial(NCPolynomial(alphabet, ring, {(): c}))
-    if node[0] == "word":
-        return rep_word(alphabet, ring, (node[1],))
-    if node[0] == "neg":
-        return to_representation(node[1], alphabet, ring).scale(-1)
-    if node[0] == "scale":
-        c = _coefficient(ring, node[1], node[2])
-        return to_representation(node[3], alphabet, ring).scale(c)
-    if node[0] == "star":
-        return rep_star(to_representation(node[1], alphabet, ring))
-    a = to_representation(node[1], alphabet, ring)
-    b = to_representation(node[2], alphabet, ring)
-    if node[0] == "add":
-        return rep_sum(a, b)
-    if node[0] == "sub":
-        return rep_sum(a, b.scale(-1))
-    if node[0] == "cat":
-        return rep_conc(a, b)
-    if node[0] == "shuffle":
-        return rep_shuffle(a, b)
-    return rep_stuffle(a, b)
+    """Compile a parsed expression to a linear representation.
+
+    The automaton constructors load here, on first use, so that expansion
+    runs without them.
+    """
+    from .automata import rep_conc, rep_polynomial, rep_shuffle, rep_star, rep_stuffle, rep_sum, rep_word
+
+    def build(node):
+        if node[0] == "num":
+            c = _coefficient(ring, node[1], node[2])
+            return rep_polynomial(NCPolynomial(alphabet, ring, {(): c}))
+        if node[0] == "word":
+            return rep_word(alphabet, ring, (node[1],))
+        if node[0] == "neg":
+            return build(node[1]).scale(-1)
+        if node[0] == "scale":
+            c = _coefficient(ring, node[1], node[2])
+            return build(node[3]).scale(c)
+        if node[0] == "star":
+            return rep_star(build(node[1]))
+        a = build(node[1])
+        b = build(node[2])
+        if node[0] == "add":
+            return rep_sum(a, b)
+        if node[0] == "sub":
+            return rep_sum(a, b.scale(-1))
+        if node[0] == "cat":
+            return rep_conc(a, b)
+        if node[0] == "shuffle":
+            return rep_shuffle(a, b)
+        return rep_stuffle(a, b)
+
+    return build(node)
 
 
 def _resolve(text, ring, alphabet):

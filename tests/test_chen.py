@@ -2,6 +2,7 @@
 independent oracles, group-likeness diagnostics, representation pairing, and
 exact scalar differential equations."""
 
+import json
 import math
 import subprocess
 import sys
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncfps.automata import LinearRepresentation, minimize, rep_star, rep_word, rep_zero
-import ncfps.chen
-from ncfps.chen import (
+import ncfps._numeric
+from ncfps._numeric import (
     _BLOCK,
     _CUM,
     _MAX_BISECTIONS,
@@ -24,15 +25,18 @@ from ncfps.chen import (
     _NODES,
     _ROUNDING,
     _WEIGHTS,
+    _initial_mesh,
+    _integrands,
+    _panel_values,
+    _power_param,
+    _word_levels,
+)
+from ncfps.chen import (
     ChenEvaluation,
     InputFunction,
     SegmentPath,
     _derivative_rows,
-    _initial_mesh,
-    _panel_values,
-    _power_param,
     _prepare_inputs,
-    _word_levels,
     chen_series,
     derive_scalar_ode,
     flow_compose,
@@ -215,6 +219,15 @@ def test_power_control_negative_exponent():
         assert abs(ev.coeff(("x0",) * n) - want) < 1e-10
 
 
+def test_power_control_from_a_singular_start_under_s64():
+    # the substitution s^64 underflows z(s) to 0 at the first nodes, where
+    # z^(-97/100) dz/ds is evaluated as 64 (1/2)^(3/100) s^(64*3/100 - 1)
+    ev = chen_series({"x0": "pow(z,-97/100)"}, SegmentPath(0, "1/2"), 2)
+    x0 = 0.5 ** (3 / 100) / (3 / 100)
+    assert abs(ev.coeff(("x0",)) - x0) <= 1e-12 * x0
+    assert abs(ev.coeff(("x0", "x0")) - x0 * x0 / 2) <= 1e-12 * x0 * x0 / 2
+
+
 def test_polylogarithm_values():
     # Li_2(1/2) = sum 2^(-n)/n^2 and Li_3(1/2) = sum 2^(-n)/n^3; the partial
     # sums below are accurate to far beyond the quadrature tolerance
@@ -359,16 +372,16 @@ def test_adaptive_reuses_the_left_half_step_of_a_bisected_panel(monkeypatch):
     # left half steps leaves every value and error estimate bit-identical
     # and saves one step per rejected panel
     steps = []
-    panel_values = ncfps.chen._panel_values
+    panel_values = ncfps._numeric._panel_values
 
     def counted(q, lo, hi, **kwargs):
         steps.append((lo, hi))
         return panel_values(q, lo, hi, **kwargs)
 
-    monkeypatch.setattr(ncfps.chen, "_panel_values", counted)
+    monkeypatch.setattr(ncfps._numeric, "_panel_values", counted)
     runs = []
-    for driver in (ncfps.chen._adaptive, _recomputing_adaptive):
-        monkeypatch.setattr(ncfps.chen, "_adaptive", driver)
+    for driver in (ncfps._numeric._adaptive, _recomputing_adaptive):
+        monkeypatch.setattr(ncfps._numeric, "_adaptive", driver)
         steps.clear()
         ev = chen_series({"x0": "1/(z-10001/10000)", "x1": "1/(1+z)"}, SegmentPath(0, 1), 3)
         runs.append((ev, len(steps)))
@@ -411,14 +424,8 @@ def _per_word_values(mesh, path, inputs, chain, p):
     """The former whole-mesh sweep: one quadrature sweep per word, each word
     reusing the node values of its suffix (`chain` is length-sorted and
     suffix-closed)."""
-    dz = path.z1 - path.z0
-    if p == 1:
-        zs = path.z0 + dz * mesh.t
-        jac = dz
-    else:
-        zs = path.z0 + dz * mesh.t**p
-        jac = dz * p * mesh.t ** (p - 1)
-    u = {x: inputs[x].eval_array(zs) * jac for x in {w[0] for w in chain}}
+    firsts = sorted({w[0] for w in chain})
+    u = dict(zip(firsts, _integrands([inputs[x] for x in firsts], path, mesh.t, p)))
     vals = {(): np.ones_like(mesh.t)}
     out = {}
     for w in chain:
@@ -686,8 +693,30 @@ def test_cli_import_leaves_scipy_out():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+# Each subcommand, run by cli.main in a fresh interpreter: its exit code and
+# the modules that must stay unloaded after it.  numpy loads only when chen
+# or pair integrates, so never for a refusal (a pole inside the path, a
+# missing input); automata only for the commands that build automata; bases
+# only for `bases`, and diffring never.
+_NO_FLOAT = {"numpy", "ncfps.bases", "ncfps.diffring"}
+_NO_AUTOMATA = {"numpy", "ncfps.automata", "ncfps.bases", "ncfps.diffring"}
+_FOOTPRINTS = [
+    (["expand", "x0* shuffle x1"], 0, _NO_AUTOMATA),
+    (["op", "shuffle", "x0.x1", "x1*"], 0, _NO_AUTOMATA),
+    (["star", "x0.x1"], 0, _NO_AUTOMATA),
+    (["bases", "--max-length", "3"], 0, {"numpy", "ncfps.automata", "ncfps.diffring"}),
+    (["minimize", "(x0.x1)*"], 0, _NO_FLOAT),
+    (["classify", "(x0.x1)*"], 0, _NO_FLOAT),
+    (["check-identity", "x0* shuffle x1*", "(x0 + x1)*"], 0, _NO_FLOAT),
+    (["derive-ode", "(x0.x1)*", "--inputs", "x0=1/z,x1=1/(1-z)"], 0, _NO_FLOAT),
+    (["chen", "--inputs", "x0=1/(z-1/2)", "--z0", "0", "--z", "1"], 2, _NO_FLOAT),
+    (["pair", "x0.x1*", "--inputs", "x0=1"], 2, _NO_FLOAT),
+    (["chen", "--inputs", "x0=1/z", "--z0", "1", "--z", "2"], 0, {"ncfps.bases", "ncfps.diffring"}),
+    (["pair", "x1*", "--inputs", "x1=1/(1-z)", "--z0", "0", "--z", "1/2"], 0, {"ncfps.bases", "ncfps.diffring"}),
+]
+
+
 def test_cli_import_leaves_numpy_and_chen_out():
-    # only the chen, pair and derive-ode handlers load the quadrature module
     code = (
         "import sys, ncfps.cli\n"
         "assert 'numpy' not in sys.modules and 'ncfps.chen' not in sys.modules\n"
@@ -695,15 +724,48 @@ def test_cli_import_leaves_numpy_and_chen_out():
         "assert abs(chen_series({'x0': 1}, (0, 1), 1).coeff(('x0',)) - 1.0) < 1e-12"
     )
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ncfps.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    for argv, want, absent in _FOOTPRINTS:
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        rc, loaded = json.loads(done.stdout)
+        assert rc == want, argv
+        assert not absent & set(loaded), (argv, sorted(absent & set(loaded)))
 
 
 def test_every_exported_name_resolves():
-    # the lazily loaded chen names included: a stale export breaks `from ncfps import *`
+    # the lazily loaded names included: a stale export breaks `from ncfps import *`
     import ncfps
 
     namespace = {}
     exec("from ncfps import *", namespace)
     assert all(namespace[name] is getattr(ncfps, name) for name in ncfps.__all__)
+    # in a fresh interpreter `import ncfps` loads no submodule, and submodules
+    # and their names resolve on first access
+    code = (
+        "import sys, ncfps\n"
+        "assert not [m for m in sys.modules if m.startswith('ncfps.')]\n"
+        "assert ncfps.automata.minimize is sys.modules['ncfps.automata'].minimize\n"
+        "assert ncfps.chen.chen_series is sys.modules['ncfps.chen'].chen_series\n"
+        "try:\n"
+        "    ncfps.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('an unknown name resolved')\n"
+        "namespace = {}\n"
+        "exec('from ncfps import *', namespace)\n"
+        "assert set(ncfps.__all__) <= set(namespace)\n"
+        "assert all(namespace[name] is getattr(ncfps, name) for name in ncfps.__all__)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_every_submodule_exported_name_resolves():

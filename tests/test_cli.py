@@ -282,9 +282,11 @@ class TestCliAnalytic:
         assert abs(float(fields["ode"]) - 1 / 10001) <= 1e-12 / 10001
 
     def test_chen_non_finite_integrand_fails_at_once(self):
-        # s^64 underflows to 0 at the first node, where pow(z, -97/100) is
-        # infinite: one error line, no numpy warnings, no bisection
-        argv = ["chen", "--inputs", "x0=pow(z,-97/100)", "--z0", "0", "--z", "1/2", "--max-length", "2"]
+        # pow(z, -97/100) sets the substitution s^64, which underflows z to 0
+        # at the first node, where 10^300/(z + 10^-300) leaves the double
+        # range: one error line, no numpy warnings, no bisection
+        inputs = "x0=10^300/(z+1/10^300),x1=pow(z,-97/100)"
+        argv = ["chen", "--inputs", inputs, "--z0", "0", "--z", "1/2", "--max-length", "2"]
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "ncfps.cli", *argv], capture_output=True, text=True)
         assert time.perf_counter() - start < 1.0
