@@ -3,9 +3,10 @@
 The Gauss-Legendre panel tables, the word levels and the level kernel of the
 truncated Chen series, the adaptive driver, the Gauss collocation step of the
 state flow, the float matrices of a pairing and the evaluation of controls at
-doubles.  This is the only module that imports numpy; `chen` imports it at
-the first float it computes, after its exact checks have passed, so parsing,
-validation, refusals and the exact ODE derivation run without numpy.
+doubles.  This is the only module that imports numpy at its top; `chen`
+imports it at the first float it computes, after its exact checks have
+passed, so parsing, validation, refusals and the exact ODE derivation run
+without numpy.
 """
 
 import math
