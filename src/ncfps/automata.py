@@ -9,8 +9,8 @@ The module provides the closure constructions (sum, concatenation product,
 star, shuffle, quasi-shuffle), two-sided minimization over a field,
 decidable equality over Q, Q[v] and Q(v), the splitting of a series into
 finitely many left/right factor pairs, character stars, the one-letter
-rational-fraction form, exchangeability tests, Lie-algebra classification
-of the letter matrices, and the two triangular factorizations.
+rational-fraction form, the exchangeability decision, Lie-algebra
+classification of the letter matrices, and the nilpotent decomposition.
 """
 
 from __future__ import annotations
@@ -41,13 +41,11 @@ __all__ = [
     "make_character_star",
     "is_character",
     "kronecker_form",
-    "is_syntactically_exchangeable",
     "is_rationally_exchangeable",
     "MatrixLieAlgebra",
     "lie_closure",
     "classify",
     "nilpotent_decompose",
-    "triangular_star_factorization_check",
 ]
 
 
@@ -61,15 +59,15 @@ class LinearRepresentation:
     ``coeff``, ``expand``, ``minimize`` and ``equal`` cost the nonzero
     entries, not n^2 per matrix; so do conjugation, the one-letter form and
     the Lie classification.  ``mu`` is the dense view, {letter: n x n tuple
-    of row tuples}, built on first use and kept; only the JSON form,
-    ``matrix`` and the triangular star check read it.
+    of row tuples}, built from ``rows`` on each access; in this package
+    only ``to_json`` reads it.
 
     The public constructor takes dense matrices and coerces every entry;
     results of the operations below come through ``_built``, which takes
     sparse rows that are already coerced and free of zeros.
     """
 
-    __slots__ = ("alphabet", "ring", "nu", "rows", "eta", "dim", "_mu")
+    __slots__ = ("alphabet", "ring", "nu", "rows", "eta", "dim")
 
     def __init__(self, alphabet, ring, nu, mu, eta):
         nu = tuple(ring.coerce(c) for c in nu)
@@ -92,20 +90,12 @@ class LinearRepresentation:
 
     @property
     def mu(self):
-        if self._mu is None:
-            z, cols = self.ring.zero, range(self.dim)
-            dense = {x: tuple(tuple(row.get(j, z) for j in cols) for row in rs) for x, rs in self.rows.items()}
-            object.__setattr__(self, "_mu", dense)
-        return self._mu
+        z, cols = self.ring.zero, range(self.dim)
+        return {x: tuple(tuple(row.get(j, z) for j in cols) for row in rs) for x, rs in self.rows.items()}
 
     @property
     def active_letters(self):
         return sorted(self.rows, key=self.alphabet.rank)
-
-    def matrix(self, x):
-        """Dense mu(x); the zero matrix for a letter without one."""
-        m = self.mu.get(x)
-        return m if m is not None else ((self.ring.zero,) * self.dim,) * self.dim
 
     def coeff(self, w):
         ring = self.ring
@@ -207,20 +197,38 @@ class LinearRepresentation:
 
     @classmethod
     def from_json(cls, text):
+        """Read the form ``to_json`` writes.  Raises ValueError, naming the
+        field, on text of any other shape."""
         data = json.loads(text)
-        ring = ring_named(data["ring"])
-        letters = data["alphabet"]
+        if not isinstance(data, dict):
+            raise ValueError("representation JSON must be an object")
+
+        def field(key, ok, what):
+            value = data.get(key)
+            if not ok(value):
+                raise ValueError(f"field {key!r} must be {what}")
+            return value
+
+        def strings(v, length=None):
+            return isinstance(v, list) and all(isinstance(c, str) for c in v) and (length is None or len(v) == length)
+
+        letters = field("alphabet", strings, "a list of strings")
+        ring = ring_named(field("ring", lambda v: isinstance(v, str), "a string"))
+        n = field("dim", lambda v: type(v) is int and v >= 0, "an integer >= 0")
+        nu, eta = (field(key, lambda v: strings(v, n), f"a list of dim = {n} strings") for key in ("nu", "eta"))
+        flats = field(
+            "mu",
+            lambda v: isinstance(v, dict) and all(strings(m, n * n) for m in v.values()),
+            f"an object of lists of dim * dim = {n * n} strings",
+        )
         if letters and all(c.startswith("y") for c in letters):
             alphabet = Alphabet.y()
         else:
             alphabet = Alphabet.from_letters(letters)
-        n = data["dim"]
         mu = {}
-        for x, flat in data["mu"].items():
-            if len(flat) != n * n:
-                raise ValueError(f"matrix for {x!r} has {len(flat)} entries, wanted {n * n}")
+        for x, flat in flats.items():
             mu[x] = tuple(tuple(ring.parse(c) for c in flat[i * n : (i + 1) * n]) for i in range(n))
-        return cls(alphabet, ring, [ring.parse(c) for c in data["nu"]], mu, [ring.parse(c) for c in data["eta"]])
+        return cls(alphabet, ring, [ring.parse(c) for c in nu], mu, [ring.parse(c) for c in eta])
 
     def __repr__(self):
         return (
@@ -237,7 +245,6 @@ def _init(rep, alphabet, ring, nu, rows, eta):
     put(rep, "rows", {x: tuple(rs) for x, rs in rows.items() if any(rs)})
     put(rep, "eta", eta)
     put(rep, "dim", len(nu))
-    put(rep, "_mu", None)
 
 
 def _built(alphabet, ring, nu, rows, eta):
@@ -735,43 +742,6 @@ def kronecker_form(rep):
 # exchangeability and classification
 
 
-def _multidegree(alphabet, w):
-    counts = {}
-    for c in w:
-        counts[c] = counts.get(c, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-def is_syntactically_exchangeable(series, bound=None):
-    """Coefficients constant on classes of words sharing a letter multiset."""
-    if isinstance(series, LinearRepresentation):
-        if bound is None:
-            raise ValueError("a grade bound is required")
-        series = series.expand(bound)
-    if isinstance(series, TruncatedSeries):
-        bound = series.bound if bound is None else min(bound, series.bound)
-        poly = series.poly
-    else:
-        poly = series
-        if bound is None:
-            bound = poly.max_grade()
-    alphabet = poly.alphabet
-    if alphabet.kind == "X":
-        active = sorted({c for w in poly.terms for c in w}, key=alphabet.rank)
-        alphabet = Alphabet.from_letters(active)
-    words = alphabet.words_up_to(bound)
-    classes = {}
-    for w in words:
-        key = _multidegree(alphabet, w)
-        c = poly.coeff(w)
-        if key in classes:
-            if classes[key] != c:
-                return False
-        else:
-            classes[key] = c
-    return True
-
-
 def _letters_commute(m):
     mats = [m.rows[x] for x in m.active_letters]
     return not _bracket_span(m.ring, m.dim, mats, mats)
@@ -873,7 +843,7 @@ def classify(rep):
 
 
 # ---------------------------------------------------------------------------
-# triangular factorizations
+# nilpotent decomposition
 
 
 def nilpotent_decompose(rep, char_coeffs=None):
@@ -894,77 +864,3 @@ def nilpotent_decompose(rep, char_coeffs=None):
     bound = max(n - 1, 0)
     s1 = rep1.expand(bound).poly
     return s1, c
-
-
-def _poly_mat_mul(a, b, bound):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = (a[i][k] * b[k][j]).truncate(bound)
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _poly_mat_star(m, bound, one, zero):
-    """Geometric sum of a matrix with proper polynomial entries."""
-    n = len(m)
-    ident = tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-    acc = ident
-    power = ident
-    for _ in range(bound):
-        power = _poly_mat_mul(power, m, bound)
-        if all(p.is_zero() for row in power for p in row):
-            break
-        acc = tuple(
-            tuple(acc[i][j] + power[i][j] for j in range(n)) for i in range(n)
-        )
-    return acc
-
-
-def triangular_star_factorization_check(rep, bound):
-    """With upper-triangular letter matrices, the star of the letter matrix
-    factors through its diagonal and strict parts; verified entrywise on
-    words of grade <= bound."""
-    ring, n = rep.ring, rep.dim
-    for x, m in rep.mu.items():
-        for i in range(n):
-            for j in range(i):
-                if m[i][j] != ring.zero:
-                    raise ValueError(f"matrix for {x!r} is not upper triangular")
-    alphabet = rep.alphabet
-    zero = NCPolynomial.zero(alphabet, ring)
-    one = NCPolynomial.one(alphabet, ring)
-    letter_matrix = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = zero
-            for x, m in rep.mu.items():
-                if m[i][j] != ring.zero:
-                    p = p + NCPolynomial.word(alphabet, ring, (x,), m[i][j])
-            row.append(p)
-        letter_matrix.append(tuple(row))
-    m_full = tuple(letter_matrix)
-    d_part = tuple(
-        tuple(m_full[i][j] if i == j else zero for j in range(n)) for i in range(n)
-    )
-    n_part = tuple(
-        tuple(m_full[i][j] if i != j else zero for j in range(n)) for i in range(n)
-    )
-    lhs = _poly_mat_star(m_full, bound, one, zero)
-    d_star = _poly_mat_star(d_part, bound, one, zero)
-    dn = _poly_mat_mul(d_star, n_part, bound)
-    rhs = _poly_mat_mul(_poly_mat_star(dn, bound, one, zero), d_star, bound)
-    for i in range(n):
-        for j in range(n):
-            if lhs[i][j] != rhs[i][j]:
-                return False
-    return True

@@ -41,7 +41,8 @@ tables, the level kernel, the adaptive driver, the collocation step, the
 float matrices of a pairing and control values at doubles) is the private
 `ncfps._numeric`, which imports numpy and is imported at the first float
 computed here; parsing, validation, every refusal and `derive_scalar_ode`
-run without numpy.
+run without numpy.  `ncfps.series` and `ncfps.linalg` are imported only by
+the diagnostics and the ODE derivation that use them.
 """
 
 import math
@@ -49,9 +50,7 @@ import re
 from fractions import Fraction
 from itertools import count, islice
 
-from .linalg import EchelonBasis, _add_multiple, vec_rows
 from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, poly_lcm, poly_text
-from .series import NCPolynomial, TensorPoly, TruncatedSeries, shuffle_words, unshuffle
 from .words import Alphabet, parse_word, word_text
 
 
@@ -388,6 +387,8 @@ def friedrichs_check(ev):
     maximum over all pairs with |u| + |v| <= bound measures the numerical
     quality of the evaluation.
     """
+    from .series import shuffle_words
+
     vals = ev.values
     words = sorted(vals, key=len)
     worst = 0.0
@@ -422,6 +423,8 @@ def primitive_log_check(ev):
         raise ValueError("the primitivity check needs coefficients to length at least 2")
     if ev.excluded:
         raise ValueError("the primitivity check needs a complete evaluation; choose a path avoiding the singular endpoint")
+    from .series import NCPolynomial, TensorPoly, TruncatedSeries, unshuffle
+
     series = NCPolynomial(ev.alphabet, RR, dict(ev.values))
     logarithm = TruncatedSeries(series, ev.bound).log()
     one = NCPolynomial.one(ev.alphabet, RR)
@@ -589,6 +592,8 @@ def _derivative_rows(rep, inputs):
     multipliers Q_0 = 1, Q_l = Q_{l-1} M + Q_{l-1}' with M = sum_x u_x x;
     `tests/test_chen.py` checks the two against each other.
     """
+    from .linalg import _add_multiple, vec_rows
+
     terms = [(f.ratfun, rep.rows[x]) for x, f in _exact_controls(inputs).items() if x in rep.rows and f.ratfun]
     d = _QZ_POLY.one
     for u, _ in terms:
@@ -654,6 +659,8 @@ def derive_scalar_ode(rep, inputs):
     """
     if rep.ring != QQ:
         raise ValueError("the representation must have rational coefficients")
+    from .linalg import EchelonBasis
+
     n = rep.dim
     basis = EchelonBasis(_QZ_POLY, n)
     for l, (row, scale) in enumerate(_derivative_rows(rep, inputs)):

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import ncfps.automata
@@ -17,7 +17,6 @@ from ncfps.automata import (
     equal,
     is_character,
     is_rationally_exchangeable,
-    is_syntactically_exchangeable,
     kronecker_form,
     lie_closure,
     make_character_star,
@@ -33,7 +32,6 @@ from ncfps.automata import (
     rep_word,
     rep_zero,
     sweedler_split,
-    triangular_star_factorization_check,
 )
 from ncfps.exprs import representation_of
 from ncfps.linalg import EchelonBasis, dot, invert_matrix, nonzeros, vec_rows
@@ -514,23 +512,43 @@ def test_kronecker_form_round_trip():
 # exchangeability
 
 
+def _syntactically_exchangeable(series):
+    """Coefficients constant on each class of words that share a letter
+    multiset, checked on every word over the letters of the series up to its
+    bound (a polynomial's bound is its degree): the word walk, exponential in
+    the bound, that is_rationally_exchangeable decides by linear algebra."""
+    if isinstance(series, TruncatedSeries):
+        poly, bound = series.poly, series.bound
+    else:
+        poly, bound = series, series.max_grade()
+    alphabet = poly.alphabet
+    if alphabet.kind == "X":
+        alphabet = Alphabet.from_letters(sorted({c for w in poly.terms for c in w}, key=alphabet.rank))
+    classes = {}
+    for w in alphabet.words_up_to(bound):
+        c = poly.coeff(w)
+        if classes.setdefault(tuple(sorted(w)), c) != c:
+            return False
+    return True
+
+
 def test_syntactic_exchangeability():
     ones = rep_star(rep_polynomial(parse_series_text("1*x0 + 1*x1", X2, QQ)))
-    assert is_syntactically_exchangeable(ones, 4)
+    assert _syntactically_exchangeable(ones.expand(4))
     skew = parse_series_text("1*x0.x1 - 1*x1.x0", X2, QQ)
-    assert not is_syntactically_exchangeable(skew)
+    assert not _syntactically_exchangeable(skew)
     sym = parse_series_text("1*x0.x1 + 1*x1.x0 + 5", X2, QQ)
-    assert is_syntactically_exchangeable(sym)
+    assert _syntactically_exchangeable(sym)
     # zero coefficients must participate: x0x1 alone is not exchangeable
-    assert not is_syntactically_exchangeable(
+    assert not _syntactically_exchangeable(
         parse_series_text("1*x0.x1", X2, QQ)
     )
 
 
 def test_syntactic_exchangeability_on_y():
     r = make_character_star(Y, QQ, {"y1": 2, "y2": 4})
-    assert is_syntactically_exchangeable(r, 4)
-    assert not is_syntactically_exchangeable(
+    assert _syntactically_exchangeable(r.expand(4))
+    assert not _syntactically_exchangeable(
         NCPolynomial(Y, QQ, {("y1", "y2"): Fraction(1), ("y2", "y1"): Fraction(2)})
     )
 
@@ -543,8 +561,31 @@ def test_rational_exchangeability():
     assert is_rationally_exchangeable(shuffled)
     assert not is_rationally_exchangeable(loop_star_rep())
     # syntactic and rational verdicts agree on these rational examples
-    assert is_syntactically_exchangeable(shuffled, 4)
-    assert not is_syntactically_exchangeable(loop_star_rep(), 4)
+    assert _syntactically_exchangeable(shuffled.expand(4))
+    assert not _syntactically_exchangeable(loop_star_rep().expand(4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rational_exchangeability_matches_the_word_walk(data):
+    # if the minimal letter matrices do not commute, some u.x0.x1.v and
+    # u.x1.x0.v differ with u and v shorter than the minimal dimension, so
+    # grade 2 * dim holds a witness; half the draws take mu(x1) as a
+    # polynomial in mu(x0), so that the letters commute
+    n = data.draw(st.integers(0, 3))
+    entry = st.integers(-2, 2).map(Fraction)
+    vec = st.lists(entry, min_size=n, max_size=n)
+    m0 = data.draw(st.lists(vec, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        a, b, c = data.draw(st.lists(entry, min_size=3, max_size=3))
+        m0m0 = _plain_mat_mul(m0, m0) if n else ()
+        m1 = [[a * (i == j) + b * m0[i][j] + c * m0m0[i][j] for j in range(n)] for i in range(n)]
+    else:
+        m1 = data.draw(st.lists(vec, min_size=n, max_size=n))
+    r = LinearRepresentation(X2, QQ, data.draw(vec), {"x0": m0, "x1": m1}, data.draw(vec))
+    verdict = is_rationally_exchangeable(r)
+    event(f"exchangeable: {verdict}")
+    assert verdict == _syntactically_exchangeable(r.expand(2 * r.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +618,7 @@ def test_lie_closure_stops_at_the_whole_matrix_space(monkeypatch):
     bracket = ncfps.automata._bracket
     monkeypatch.setattr(ncfps.automata, "_bracket", lambda *args: brackets.append(1) or bracket(*args))
     lie = lie_closure(rep)
-    assert lie.dim == 9 and len(_dense_lie_closure([rep.matrix(x) for x in ("x0", "x1")])) == 9
+    assert lie.dim == 9 and len(_dense_lie_closure([_dense(rep, x) for x in ("x0", "x1")])) == 9
     assert len(brackets) < 75
     assert classify(rep) == "general"
 
@@ -664,27 +705,25 @@ def test_nilpotent_decompose_rejects_non_triangular():
         nilpotent_decompose(quiplait_rep())
 
 
-def test_triangular_star_factorization():
-    rng = random.Random(811)
-    for n in (2, 3):
-        mu = {}
-        for x in ["x0", "x1"]:
-            mu[x] = tuple(
-                tuple(
-                    Fraction(rng.randint(-2, 2)) if j >= i else Fraction(0)
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        r = LinearRepresentation(X2, QQ, (1,) * n, mu, (1,) * n)
-        assert triangular_star_factorization_check(r, 4)
-    # purely diagonal and purely strict cases reduce to one factor each
-    diag = LinearRepresentation(X2, QQ, (1, 1), {"x0": ((2, 0), (0, 3))}, (1, 1))
-    assert triangular_star_factorization_check(diag, 4)
-    strict = rep_word(X2, QQ, ("x0", "x1"))
-    assert triangular_star_factorization_check(strict, 5)
-    with pytest.raises(ValueError):
-        triangular_star_factorization_check(quiplait_rep(), 3)
+def _properized(r):
+    """r with eta shifted so that nu . eta = 0: a proper series."""
+    s = dot(QQ, nonzeros(r.nu), r.eta)
+    if not s:
+        return r
+    j = next(i for i, v in enumerate(r.nu) if v)
+    eta = list(r.eta)
+    eta[j] -= s / r.nu[j]
+    return LinearRepresentation(r.alphabet, r.ring, r.nu, r.mu, eta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_star_of_a_sum_factors(data):
+    # (a + b)* = (a* b)* a* for proper a and b: with a and b the diagonal and
+    # strict parts of an upper-triangular letter matrix, the star of that
+    # matrix factors through the stars of its parts
+    a, b = (_properized(data.draw(_sparse_reps(QQ, X2))) for _ in range(2))
+    assert equal(rep_star(rep_sum(a, b)), rep_conc(rep_star(rep_conc(rep_star(a), b)), rep_star(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +804,7 @@ def _brute_equal(r1, r2):
             if c1 != c2:
                 return False
         layer = [
-            (_plain_vec_mat(v1, r1.matrix(x)), _plain_vec_mat(v2, r2.matrix(x)))
+            (_plain_vec_mat(v1, _dense(r1, x)), _plain_vec_mat(v2, _dense(r2, x)))
             for v1, v2 in layer
             for x in letters
         ]
@@ -1268,7 +1307,7 @@ def _check_sparse_against_dense(data, field, max_dim):
     r = data.draw(_field_reps(field, max_dim))
     n = r.dim
     for x in X2.letters:
-        assert _char_poly(field, r.rows.get(x, ({},) * n)) == _dense_char_poly(field, r.matrix(x))
+        assert _char_poly(field, r.rows.get(x, ({},) * n)) == _dense_char_poly(field, _dense(r, x))
     assert lie_closure(r).dim == len(_dense_lie_closure([r.mu[x] for x in r.active_letters]))
     assert classify(r) == _dense_classify(r)
     t = data.draw(_invertible_matrices(field, n))

@@ -697,9 +697,10 @@ def test_cli_import_leaves_scipy_out():
 # the modules that must stay unloaded after it.  numpy loads only when chen
 # or pair integrates, so never for a refusal (a pole inside the path, a
 # missing input); automata only for the commands that build automata; bases
-# only for `bases`, and diffring never.
+# only for `bases`, and diffring never; `chen` loads neither series nor linalg.
 _NO_FLOAT = {"numpy", "ncfps.bases", "ncfps.diffring"}
 _NO_AUTOMATA = {"numpy", "ncfps.automata", "ncfps.bases", "ncfps.diffring"}
+_NO_SERIES = {"ncfps.series", "ncfps.linalg"}
 _FOOTPRINTS = [
     (["expand", "x0* shuffle x1"], 0, _NO_AUTOMATA),
     (["op", "shuffle", "x0.x1", "x1*"], 0, _NO_AUTOMATA),
@@ -709,9 +710,9 @@ _FOOTPRINTS = [
     (["classify", "(x0.x1)*"], 0, _NO_FLOAT),
     (["check-identity", "x0* shuffle x1*", "(x0 + x1)*"], 0, _NO_FLOAT),
     (["derive-ode", "(x0.x1)*", "--inputs", "x0=1/z,x1=1/(1-z)"], 0, _NO_FLOAT),
-    (["chen", "--inputs", "x0=1/(z-1/2)", "--z0", "0", "--z", "1"], 2, _NO_FLOAT),
+    (["chen", "--inputs", "x0=1/(z-1/2)", "--z0", "0", "--z", "1"], 2, _NO_FLOAT | _NO_SERIES),
     (["pair", "x0.x1*", "--inputs", "x0=1"], 2, _NO_FLOAT),
-    (["chen", "--inputs", "x0=1/z", "--z0", "1", "--z", "2"], 0, {"ncfps.bases", "ncfps.diffring"}),
+    (["chen", "--inputs", "x0=1/z", "--z0", "1", "--z", "2"], 0, {"ncfps.bases", "ncfps.diffring"} | _NO_SERIES),
     (["pair", "x1*", "--inputs", "x1=1/(1-z)", "--z0", "0", "--z", "1/2"], 0, {"ncfps.bases", "ncfps.diffring"}),
 ]
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import math
 import subprocess
 import sys
@@ -467,6 +468,34 @@ class TestCliErrors:
         f = tmp_path / "rep.json"
         f.write_text(representation_of("x0*").to_json())
         assert run_cli("classify", "x0*", "--rep", str(f))[0] == 2
+
+    @pytest.mark.parametrize(
+        ("changes", "named"),
+        [
+            (None, "object"),  # the file holds a list
+            ({"mu": []}, "'mu'"),
+            ({"mu": {"x0": [None]}}, "'mu'"),
+            ({"mu": {"x0": ["1", "0"]}}, "'mu'"),
+            ({"eta": [1]}, "'eta'"),
+            ({"nu": [None]}, "'nu'"),
+            ({"nu": ["1", "0"]}, "'nu'"),
+            ({"dim": 2}, "'nu'"),
+            ({"dim": "1"}, "'dim'"),
+            ({"dim": True}, "'dim'"),
+            ({"dim": -1}, "'dim'"),
+            ({"alphabet": "x0"}, "'alphabet'"),
+            ({"alphabet": [0]}, "'alphabet'"),
+            ({"ring": None}, "'ring'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["minimize", "classify"])
+    def test_malformed_rep_file_is_one_error_line(self, tmp_path, command, changes, named):
+        base = {"alphabet": ["x0"], "ring": "Q", "dim": 1, "nu": ["1"], "mu": {"x0": ["1"]}, "eta": ["1"]}
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps([base] if changes is None else {**base, **changes}))
+        code, out, err = run_cli(command, "--rep", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
 
 class TestConsoleEntry:
