@@ -224,6 +224,8 @@ _TABLES = {}
 
 
 def basis_table(alphabet, bound):
+    if bound < 0:
+        raise ValueError("the grade bound must be nonnegative")
     key = (alphabet, bound)
     table = _TABLES.get(key)
     if table is None:

@@ -61,6 +61,16 @@ from .words import Alphabet, parse_word, word_text
 _POW_RE = re.compile(r"pow\(\s*z\s*,\s*([^)]+)\)\Z")
 
 
+def _exponent(text):
+    """The exponent of pow(z, text): exact if Fraction reads it, else a double."""
+    for read in (Fraction, float):
+        try:
+            return read(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"cannot read the power exponent {text!r}")
+
+
 class InputFunction:
     """One scalar control attached to a letter.
 
@@ -114,12 +124,7 @@ class InputFunction:
             return cls.exp()
         m = _POW_RE.match(s)
         if m:
-            body = m.group(1).strip()
-            try:
-                a = Fraction(body)
-            except ValueError:
-                a = float(body)
-            return cls.power(a)
+            return cls.power(_exponent(m.group(1).strip()))
         return cls.rational(s)
 
     @classmethod
@@ -216,15 +221,19 @@ class InputFunction:
 
 
 def _exact_point(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, (int, str)):
-        return Fraction(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError("path endpoints must be finite")
-        return Fraction(v)
-    raise TypeError(f"cannot interpret {v!r} as a path endpoint")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError("path endpoints must be finite")
+    if not isinstance(v, (Fraction, int, str, float)):
+        raise TypeError(f"cannot interpret {v!r} as a path endpoint")
+    try:
+        e = Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot read {v!r} as an exact number") from None
+    try:
+        float(e)
+    except OverflowError:
+        raise ValueError(f"path endpoint {v!r} is outside the double range") from None
+    return e
 
 
 class SegmentPath:
@@ -278,7 +287,9 @@ class SegmentPath:
 # evaluations
 
 
-def _prepare_inputs(inputs, path):
+def _prepare_inputs(inputs, path, tol):
+    if not tol >= 0:
+        raise ValueError(f"the tolerance must be a number >= 0, not {tol!r}")
     clean = {}
     for x, f in inputs.items():
         clean[x] = InputFunction.of(f)
@@ -345,7 +356,7 @@ def chen_series(inputs, path, bound, tol=1e-10):
     path = SegmentPath.of(path)
     if bound < 0:
         raise ValueError("the length bound must be nonnegative")
-    clean, alphabet, singular_start = _prepare_inputs(inputs, path)
+    clean, alphabet, singular_start = _prepare_inputs(inputs, path, tol)
     prepend = [range(len(alphabet.letters))] * bound
     from ._numeric import _evaluate
 
@@ -363,7 +374,7 @@ def iterated_integral(word, inputs, path, tol=1e-10):
         word = parse_word(word)
     word = tuple(word)
     path = SegmentPath.of(path)
-    clean, alphabet, singular_start = _prepare_inputs(inputs, path)
+    clean, alphabet, singular_start = _prepare_inputs(inputs, path, tol)
     alphabet.validate_word(word)
     if not word:
         return 1.0
@@ -533,7 +544,7 @@ def pair_series(ev, rep):
 def _flow_state(rep, inputs, path, tol):
     """Flow state at z1: the controls are checked here, and the float engine
     integrates the flow."""
-    clean, _, singular_start = _prepare_inputs(inputs, path)
+    clean, _, singular_start = _prepare_inputs(inputs, path, tol)
     if singular_start:
         raise ValueError("the flow evaluator needs controls regular on the closed segment")
     from ._numeric import _ode_state

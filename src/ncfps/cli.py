@@ -16,31 +16,12 @@ when `chen` or `pair` integrates.
 import argparse
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .rings import ring_named
-from .words import _LETTER_RE, Alphabet, word_text
+from .words import _LETTER_RE, Alphabet, split_outside_parens, word_text
 
 _ALPHABET_RE = re.compile(r"x([0-9]+)\Z")
-
-
-def _split_outside_parens(text):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    parts.append("".join(cur))
-    return parts
 
 
 def _parse_inputs(spec):
@@ -48,7 +29,7 @@ def _parse_inputs(spec):
     from .chen import InputFunction
 
     inputs = {}
-    for part in _split_outside_parens(spec):
+    for _, part in split_outside_parens(spec, ","):
         part = part.strip()
         if not part:
             continue
@@ -64,11 +45,13 @@ def _parse_inputs(spec):
     return inputs
 
 
-def _exact_number(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot read {text!r} as an exact number") from None
+def _inputs_for(rep, spec):
+    """The inputs of spec, which must give a control for each letter rep uses."""
+    inputs = _parse_inputs(spec)
+    missing = sorted(set(rep.active_letters) - set(inputs))
+    if missing:
+        raise ValueError(f"no input given for {', '.join(missing)}")
+    return inputs
 
 
 def _parse(text):
@@ -77,12 +60,12 @@ def _parse(text):
     return parse_expression(text)
 
 
-def _print_series(node, args, star=False):
+def _print_series(node, args):
     from .exprs import infer_alphabet, to_series
     from .series import series_text
 
     s = to_series(node, infer_alphabet(node), ring_named(args.ring), args.max_length)
-    print(series_text((s.star() if star else s).poly))
+    print(series_text(s.poly))
     return 0
 
 
@@ -123,7 +106,7 @@ def _cmd_op(args):
 
 
 def _cmd_star(args):
-    return _print_series(_parse(args.expr), args, star=True)
+    return _print_series(("star", _parse(args.expr)), args)
 
 
 def _cmd_bases(args):
@@ -170,7 +153,7 @@ def _cmd_chen(args):
     from .chen import chen_series
 
     inputs = _parse_inputs(args.inputs)
-    path = (_exact_number(args.z0), _exact_number(args.z))
+    path = (args.z0, args.z)
     ev = chen_series(inputs, path, args.max_length, args.tol)
     for w in ev.alphabet.words_up_to(args.max_length):
         text = "divergent" if w in ev.excluded else repr(ev.values[w])
@@ -182,11 +165,8 @@ def _cmd_pair(args):
     from .chen import chen_series, pair_ode, pair_series
 
     rep = _reduced(_load_representation(args))
-    inputs = _parse_inputs(args.inputs)
-    missing = sorted(set(rep.active_letters) - set(inputs))
-    if missing:
-        raise ValueError(f"no input given for {', '.join(missing)}")
-    path = (_exact_number(args.z0), _exact_number(args.z))
+    inputs = _inputs_for(rep, args.inputs)
+    path = (args.z0, args.z)
     ev = chen_series(inputs, path, args.max_length, args.tol)
     value, tail, certified = pair_series(ev, rep)
     print(f"value {value!r}")
@@ -203,7 +183,7 @@ def _cmd_derive_ode(args):
     from .chen import derive_scalar_ode, scalar_ode_text
 
     rep = _reduced(_load_representation(args))
-    coeffs = derive_scalar_ode(rep, _parse_inputs(args.inputs))
+    coeffs = derive_scalar_ode(rep, _inputs_for(rep, args.inputs))
     print(scalar_ode_text(coeffs))
     return 0
 

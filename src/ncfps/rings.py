@@ -574,6 +574,14 @@ _EXPR_TOKEN = re.compile(
 )
 
 
+def _rational(text):
+    """The Fraction that a literal such as "3/4" or "3 / 4" denotes."""
+    try:
+        return Fraction(text.replace(" ", ""))
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in {text!r}") from None
+
+
 def _tokenize_expr(s):
     toks = []
     pos = 0
@@ -584,7 +592,7 @@ def _tokenize_expr(s):
                 raise ValueError(f"bad expression near {s[pos:]!r}")
             break
         if m.group("rat"):
-            toks.append(("rat", Fraction(m.group("rat").replace(" ", ""))))
+            toks.append(("rat", _rational(m.group("rat"))))
         elif m.group("name"):
             toks.append(("name", m.group("name")))
         else:
@@ -734,6 +742,8 @@ class CoefficientRing:
     only ints, ``packs`` the one that needs a width.  By default all three
     steps leave coefficients as they are: Q(v) and floats run the loops on
     ring elements, and ``lower`` only drops the zeros.
+
+    Two descriptors are equal when their names are, as "Q[t]" or "Q(z)".
     """
 
     integral = False
@@ -747,6 +757,22 @@ class CoefficientRing:
 
     def lower(self, values, d, width=None):
         return {k: c for k, c in values.items() if c}
+
+    def field(self):
+        return self
+
+    def embed(self, x):
+        """The image of x in :meth:`field`, which is this ring for a field."""
+        return self.coerce(x)
+
+    def __eq__(self, other):
+        return isinstance(other, CoefficientRing) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return f"<ring {self.name}>"
 
 
 class RationalRing(CoefficientRing):
@@ -774,7 +800,7 @@ class RationalRing(CoefficientRing):
         s = s.strip()
         if not _RATIONAL_RE.match(s):
             raise ValueError(f"bad rational literal {s!r}")
-        return Fraction(s.replace(" ", ""))
+        return _rational(s)
 
     def format(self, x):
         return str(x)
@@ -791,21 +817,6 @@ class RationalRing(CoefficientRing):
 
     def invert(self, x):
         return Fraction(1) / x
-
-    def field(self):
-        return self
-
-    def embed(self, x):
-        return x
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "RationalRing()"
 
 
 class PolynomialRing(CoefficientRing):
@@ -922,15 +933,6 @@ class PolynomialRing(CoefficientRing):
     def embed(self, x):
         return RatFun(self.coerce(x))
 
-    def __eq__(self, other):
-        return isinstance(other, PolynomialRing) and other.var == self.var
-
-    def __hash__(self):
-        return hash(("Q[]", self.var))
-
-    def __repr__(self):
-        return f"PolynomialRing({self.var!r})"
-
 
 class RationalFunctionRing(CoefficientRing):
     """Q(var): univariate rational functions; a field."""
@@ -974,21 +976,6 @@ class RationalFunctionRing(CoefficientRing):
             raise ZeroDivisionError("inverse of zero")
         return 1 / x
 
-    def field(self):
-        return self
-
-    def embed(self, x):
-        return self.coerce(x)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFunctionRing) and other.var == self.var
-
-    def __hash__(self):
-        return hash(("Q()", self.var))
-
-    def __repr__(self):
-        return f"RationalFunctionRing({self.var!r})"
-
 
 class FloatRing(CoefficientRing):
     """Double-precision stand-in for the exact coefficient descriptors."""
@@ -1014,21 +1001,6 @@ class FloatRing(CoefficientRing):
         if x == 0.0:
             raise ZeroDivisionError("inverse of zero")
         return 1.0 / x
-
-    def field(self):
-        return self
-
-    def embed(self, x):
-        return x
-
-    def __eq__(self, other):
-        return isinstance(other, FloatRing)
-
-    def __hash__(self):
-        return hash("R")
-
-    def __repr__(self):
-        return "FloatRing()"
 
 
 QQ = RationalRing()

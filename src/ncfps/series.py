@@ -38,12 +38,11 @@ in.
 from __future__ import annotations
 
 import operator
-import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .words import parse_word, word_text
+from .words import parse_word, split_outside_parens, word_text
 
 __all__ = [
     "NCPolynomial",
@@ -826,6 +825,12 @@ def x_poly_to_y(p, target_alphabet):
 # Series print as sign-separated terms in grade-then-lex word order, each
 # term "coeff*word" with the coefficient always explicit, e.g.
 # "1*x0.x1 - 1/2*x1.x0 + 2".  The empty word is the bare coefficient.
+#
+# Reading cuts the text at the + and - signs outside parentheses; a run of
+# signs multiplies out.  Each term is "coeff*word", a bare word or a bare
+# coefficient, and the word 1 is the empty word.  The ring's own parser
+# reads every coefficient, so "(1)/(z)*x0" and "t*x0" read over Q(z) and
+# Q[t] as they would as coefficients alone.
 
 
 def series_text(p):
@@ -845,106 +850,27 @@ def series_text(p):
     return " ".join(pieces)
 
 
-_NUM_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
-_WORD_RE = re.compile(r"[xy][0-9]+(?:\.[xy][0-9]+)*")
-
-
-def _lex_series(s):
-    toks = []
-    i, n = 0, len(s)
-    while i < n:
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            depth, j = 1, i + 1
-            while j < n and depth:
-                if s[j] == "(":
-                    depth += 1
-                elif s[j] == ")":
-                    depth -= 1
-                j += 1
-            if depth:
-                raise ValueError("unbalanced parenthesis in series text")
-            toks.append(("group", s[i + 1 : j - 1]))
-            i = j
-            continue
-        if ch in "xy":
-            m = _WORD_RE.match(s, i)
-            if not m:
-                raise ValueError(f"bad word near {s[i:]!r}")
-            toks.append(("word", m.group()))
-            i = m.end()
-            continue
-        if ch.isdigit():
-            m = _NUM_RE.match(s, i)
-            toks.append(("num", m.group()))
-            i = m.end()
-            continue
-        if ch in "+-*/":
-            toks.append(("op", ch))
-            i += 1
-            continue
-        raise ValueError(f"unexpected character {ch!r} in series text")
-    return toks
-
-
 def parse_series_text(text, alphabet, ring):
     """Parse the series text form produced by :func:`series_text`."""
-    toks = _lex_series(text)
-    if not toks:
-        raise ValueError("empty series text")
     terms = {}
-    i = 0
-    while i < len(toks):
-        sign = 1
-        while i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
-            if toks[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(toks):
-            raise ValueError("dangling sign in series text")
-        coeff = None
-        word = None
-        kind, val = toks[i]
-        if kind == "num":
-            coeff_text = val
-            i += 1
-            if i + 1 < len(toks) and toks[i] == ("op", "/") and toks[i + 1][0] == "group":
-                raise ValueError("rational-function coefficients need parenthesized numerators")
-            coeff = ring.parse(coeff_text)
-        elif kind == "group":
-            coeff_text = f"({val})"
-            i += 1
-            if i + 1 < len(toks) and toks[i] == ("op", "/") and toks[i + 1][0] == "group":
-                coeff_text += f"/({toks[i + 1][1]})"
-                i += 2
-            coeff = ring.parse(coeff_text)
-        elif kind == "word":
-            word = parse_word(val)
-            i += 1
-        else:
-            raise ValueError(f"unexpected token {val!r} in series text")
-        if coeff is not None and i < len(toks) and toks[i] == ("op", "*"):
-            i += 1
-            if i >= len(toks):
-                raise ValueError("dangling * in series text")
-            kind, val = toks[i]
-            if kind == "word":
-                word = parse_word(val)
-            elif kind == "num" and val == "1":
-                word = ()
-            else:
-                raise ValueError(f"expected a word after *, got {val!r}")
-            i += 1
-        if coeff is None:
-            coeff = ring.one
-        if word is None:
-            word = ()
-        alphabet.validate_word(word)
-        c = coeff if sign == 1 else -coeff
-        terms[word] = terms.get(word, ring.zero) + c
-        if i < len(toks) and not (toks[i][0] == "op" and toks[i][1] in "+-"):
-            raise ValueError(f"expected + or - before {toks[i][1]!r}")
+    sign = 1
+    for sep, term in split_outside_parens(text, "+-"):
+        sign = -sign if sep == "-" else sign
+        term = term.strip()
+        if term:
+            word, coeff = _read_term(term, ring)
+            terms[alphabet.validate_word(word)] = terms.get(word, ring.zero) + (coeff if sign == 1 else -coeff)
+            sign = 1
+    if not term:
+        raise ValueError("dangling sign in series text" if text.strip() else "empty series text")
     return NCPolynomial(alphabet, ring, terms)
+
+
+def _read_term(term, ring):
+    """(word, coefficient) of `coeff*word`, a bare word or a bare coefficient."""
+    head, star, tail = term.rpartition("*")
+    try:
+        word = parse_word(tail)
+    except ValueError:
+        return (), ring.parse(term)
+    return word, ring.parse(head) if star else ring.one

@@ -21,6 +21,7 @@ __all__ = [
     "Alphabet",
     "parse_word",
     "word_text",
+    "split_outside_parens",
     "is_lyndon",
     "lyndon_words",
     "standard_factorization",
@@ -183,6 +184,21 @@ def parse_word(text):
 
 def word_text(word):
     return ".".join(word) if word else "1"
+
+
+def split_outside_parens(text, seps):
+    """Cut text at the characters of seps that lie outside parentheses.
+
+    Returns (separator, piece) pairs in order; the first separator is "".
+    """
+    out, sep, start, depth = [], "", 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and ch in seps:
+            out.append((sep, text[start:i]))
+            sep, start = ch, i + 1
+    out.append((sep, text[start:]))
+    return out
 
 
 def is_lyndon(word, alphabet):

@@ -449,7 +449,7 @@ def _integrable(word, orders):
 
 
 def _assert_kernel_matches_per_word_loop(inputs, path, bound):
-    clean, alphabet, singular_start = _prepare_inputs(inputs, path)
+    clean, alphabet, singular_start = _prepare_inputs(inputs, path, 1e-10)
     controls = [clean[x] for x in alphabet.letters]
     orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
     prepend = [range(len(controls))] * bound

@@ -497,6 +497,28 @@ class TestCliErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["chen", "--inputs", "x0=1", "--z0", "1e400", "--z", "1"],
+                "path endpoint '1e400' is outside the double range",
+            ),
+            (["star", "1"], "cannot star a series whose constant term is 1"),
+            (["chen", "--inputs", "x0=pow(z,1/0)"], "cannot read the power exponent '1/0'"),
+            (["chen", "--inputs", "x0=1/0"], "division by zero in '1/0'"),
+            (["expand", "1/0*x0"], "cannot read '1/0' at position 0 as an element of Q"),
+            (["derive-ode", "x0*", "--inputs", "x1=1"], "no input given for x0"),
+            (["chen", "--inputs", "x0=1", "--tol", "nan"], "the tolerance must be a number >= 0, not nan"),
+            (["pair", "x0*", "--inputs", "x0=1", "--tol", "-1"], "the tolerance must be a number >= 0, not -1.0"),
+            (["bases", "--max-length", "-1"], "the grade bound must be nonnegative"),
+        ],
+    )
+    def test_bad_values_are_one_error_line(self, argv, message):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

@@ -13,6 +13,7 @@ from ncfps.rings import (
     QQ,
     QT,
     QZ,
+    RR,
     Poly,
     PolynomialRing,
     RatFun,
@@ -377,6 +378,11 @@ class TestRings:
         assert ring_named("Q(z)") == QZ
         with pytest.raises(ValueError):
             ring_named("Z")
+
+    def test_descriptors_compare_by_name(self):
+        assert PolynomialRing("t") == QT and hash(PolynomialRing("t")) == hash(QT)
+        assert len({QQ, QT, QZ, ring_named("Q[z]"), ring_named("Q(t)"), RR}) == 6
+        assert QT.field() == ring_named("Q(t)") and QZ.field() is QZ and QT != QT.field()
 
     def test_coerce_and_format_rationals(self):
         assert QQ.coerce(3) == Fraction(3)

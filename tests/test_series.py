@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfps.rings import QQ, QT, RR, Poly, ring_named
+from ncfps.rings import QQ, QT, RR, Poly, RatFun, ring_named
 from ncfps.series import (
     NCPolynomial,
     TensorPoly,
@@ -401,6 +401,33 @@ class TestTextForm:
         for bad in ["", "x0 x1", "2**x0", "*x0", "x0 +", "(t²)*x0", "x0,x1"]:
             with pytest.raises(ValueError):
                 qp(bad)
+
+    def test_coefficients_in_the_ring_grammar(self):
+        t = Poly("t", (0, 1))
+        assert qp("t*x0 - 2*t", ring=QT) == NCPolynomial(X2, QT, {("x0",): t, (): -2 * t})
+        assert qp("(t^2+1)*(t^2+1) + t - 1", ring=QT) == qp("(t^4+2*t^2+t)", ring=QT)
+        qt = ring_named("Q(t)")
+        assert qp("1/t*x1 - (t)/(t+1)/(t)*x1", ring=qt) == qp("(1)/(t^2+t)*x1", ring=qt)
+
+
+_FRACTIONS = st.fractions(-3, 3, max_denominator=4)
+_T_POLYS = st.lists(_FRACTIONS, max_size=3).map(lambda cs: Poly("t", cs))
+_TEXT_COEFFS = {
+    "Q": _FRACTIONS,
+    "Q[t]": _T_POLYS,
+    "Q(t)": st.tuples(_T_POLYS, _T_POLYS.filter(bool)).map(lambda nd: RatFun(*nd)),
+}
+
+
+@pytest.mark.parametrize("ring_name", sorted(_TEXT_COEFFS))
+@pytest.mark.parametrize("alphabet", [X2, Y], ids=["X2", "Y"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_text_round_trip(alphabet, ring_name, data):
+    ring = ring_named(ring_name)
+    words = st.sampled_from(alphabet.words_up_to(3))
+    p = NCPolynomial(alphabet, ring, data.draw(st.dictionaries(words, _TEXT_COEFFS[ring_name], max_size=5)))
+    assert parse_series_text(series_text(p), alphabet, ring) == p
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from ncfps.words import (
     lyndon_factorization,
     lyndon_words,
     parse_word,
+    split_outside_parens,
     standard_factorization,
     word_text,
     x_word_to_y,
@@ -123,6 +124,12 @@ class TestWordText:
             parse_word("x0..x1")
         with pytest.raises(ValueError):
             parse_word("foo")
+
+    def test_split_outside_parens(self):
+        assert split_outside_parens("a+(b-(c+d))-e", "+-") == [("", "a"), ("+", "(b-(c+d))"), ("-", "e")]
+        assert split_outside_parens("-a+", "+-") == [("", ""), ("-", "a"), ("+", "")]
+        assert split_outside_parens(",x0=f(z, w),", ",") == [("", ""), (",", "x0=f(z, w)"), (",", "")]
+        assert split_outside_parens("", ",") == [("", "")]
 
 
 class TestLyndon:
