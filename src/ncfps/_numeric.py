@@ -11,6 +11,7 @@ without numpy.
 
 import math
 from functools import lru_cache, partial
+from itertools import compress
 
 import numpy as np
 
@@ -73,8 +74,22 @@ def _split_at(f, z0):
 _PANEL = 16
 
 
+# the positive half of the 16-point Gauss-Legendre rule, as
+# numpy.polynomial.legendre.leggauss(16) gives it (bitwise symmetric); literal,
+# so that a float evaluation does not import numpy.polynomial
+_HALF_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_HALF_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
+
+
 def _gauss_tables():
-    x, w = np.polynomial.legendre.leggauss(_PANEL)
+    half_x, half_w = np.array(_HALF_NODES), np.array(_HALF_WEIGHTS)
+    x, w = np.concatenate([-half_x[::-1], half_x]), np.concatenate([half_w[::-1], half_w])
     p = np.zeros((_PANEL + 1, _PANEL))
     p[0] = 1.0
     p[1] = x
@@ -100,8 +115,8 @@ def _initial_mesh(singular_start):
     return np.linspace(0.0, 1.0, 9)
 
 
-# rows per gather: bounds the temporaries of one level, and keeps each matrix
-# product small enough that BLAS runs it on the calling thread
+# rows per matrix product: keeps each product small enough that BLAS runs it
+# on the calling thread
 _BLOCK = 512
 
 
@@ -109,14 +124,17 @@ def _panel_values(q, lo, hi, path, controls, levels, p=1):
     """Values of a family of words at parameter hi from their values q at lo.
 
     One step of the nilpotent flow dV_w = u_x V_s (w = x s) on the panel,
-    by word length.  `levels[k]` describes the words of length k + 1 as index
-    arrays (first, suffix): row i is the letter `controls[first[i]]` followed
-    by row `suffix[i]` of the previous length (the empty word, of value 1, for
-    length 1); `q` holds all rows, length by length.  The rows of one length
-    are integrated in blocks of `_BLOCK`: one gather of their integrands, one
-    matmul with the quadrature weights and one with the panel antiderivative,
-    each added to the row's start value.  `controls[i]` is a (letter,
-    control) pair, or None for a letter no row starts with.
+    by word length.  `levels[k]` is (size, segments) for the words of length
+    k + 1, as `_word_levels` builds them: the rows of a segment (i, index)
+    are the letter `controls[i]` followed by the rows `index` of the previous
+    length (the empty word, of value 1, for length 1); `q` holds all rows,
+    length by length.  Letter i's node values are folded into the quadrature
+    weights and the panel antiderivative, so a segment costs one matmul of
+    its suffixes' node values with each, in blocks of at most `_BLOCK` rows,
+    and the start values are added once per length.  The suffixes are a view
+    for a slice, and a gather of at most one length's node values otherwise.
+    `controls[i]` is a (letter, control) pair, or None for a letter no row
+    starts with.
 
     `p` reparametrizes the segment as z(s) = z0 + (z1 - z0) s^p; with p large
     enough every integrable integrand vanishes at a singular start, restoring
@@ -137,22 +155,30 @@ def _panel_values(q, lo, hi, path, controls, levels, p=1):
         raise ValueError(f"the integrand of {controls[i][0]} is not finite at z = {float(zs[j])!r} ({how})")
     norm = np.max(np.sum(np.abs(u), axis=0))
     u *= half
+    # letter i's control folded into the quadrature weights and the panel
+    # antiderivative; C order makes each product read its matrix by rows
+    weights, cums = u * _WEIGHTS, np.multiply(u[:, :, None], _CUM.T, order="C")
     out = np.empty_like(q)
     prev = np.ones((1, _PANEL))
     start = 0
-    for k, (first, suffix) in enumerate(levels):
-        q_k, out_k = q[start : start + first.size], out[start : start + first.size]
-        nodes = np.empty((first.size, _PANEL)) if k + 1 < len(levels) else None
-        for r in range(0, first.size, _BLOCK):
-            rows = slice(r, r + _BLOCK)
-            g = np.take(prev, suffix[rows], axis=0)
-            g *= np.take(u, first[rows], axis=0)
-            np.add(q_k[rows], g @ _WEIGHTS, out=out_k[rows])
-            if nodes is not None:
-                np.matmul(g, _CUM.T, out=nodes[rows])
-                nodes[rows] += q_k[rows, None]
+    for k, (size, segments) in enumerate(levels):
+        q_k, out_k = q[start : start + size], out[start : start + size]
+        nodes = np.empty((size, _PANEL)) if k + 1 < len(levels) else None
+        row = 0
+        for i, index in segments:
+            src = prev[index]
+            for r in range(0, len(src), _BLOCK):
+                block = src[r : r + _BLOCK]
+                rows = slice(row, row + len(block))
+                np.matmul(block, weights[i], out=out_k[rows])
+                if nodes is not None:
+                    np.matmul(block, cums[i], out=nodes[rows])
+                row += len(block)
+        out_k += q_k
+        if nodes is not None:
+            nodes += q_k[:, None]
         prev = nodes
-        start += first.size
+        start += size
     return out, half * norm
 
 
@@ -221,33 +247,37 @@ def _word_levels(letters, orders, prepend):
     stage multiplies the antiderivative of its suffix (leading exponent
     acc = suffix stage + 1) by its first control (leading exponent
     orders[i]) and integrates; a stage exponent of -1 or less diverges, which
-    excludes the word and every word built on it.
+    excludes the word and every word built on it.  One mask per letter and
+    length decides its words at once.
 
-    Returns the kept words, their (first, suffix) index arrays per length for
-    `_panel_values`, the excluded words and the smallest kept stage exponent.
+    Returns the kept words, their levels for `_panel_values`, the excluded
+    words and the smallest kept stage exponent.  A level is (size, segments)
+    for one length: its rows are the segments in order, and a segment
+    (i, index) holds the letter i followed by the rows `index` of the
+    previous length, a slice when that is the whole previous length and an
+    intp array otherwise.
     """
     words, levels, excluded = [], [], []
-    kept, stages, dropped = [()], [-1.0], []
+    kept, stages, dropped = [()], np.array([-1.0]), []
     emin = math.inf
     for row_letters in prepend:
-        rows, row_stages, first, suffix, lost = [], [], [], [], []
+        # the empty array keeps the concatenation defined with no letters
+        rows, row_stages, segments, lost = [], [np.zeros(0)], [], []
         for i in row_letters:
             x = (letters[i],)
-            lost += [x + s for s in dropped]
-            for j, s in enumerate(kept):
-                e = orders[i] + (stages[j] + 1.0)
-                if e > -1.0 + 1e-12:
-                    rows.append(x + s)
-                    row_stages.append(e)
-                    first.append(i)
-                    suffix.append(j)
-                else:
-                    lost.append(x + s)
-        emin = min(emin, min(row_stages, default=math.inf))
+            e = orders[i] + (stages + 1.0)
+            keep = e > -1.0 + 1e-12
+            lost += [x + s for s in dropped] + [x + s for s in compress(kept, (~keep).tolist())]
+            rows += [x + s for s in compress(kept, keep.tolist())]
+            if keep.any():
+                segments.append((i, slice(None) if keep.all() else np.flatnonzero(keep)))
+            row_stages.append(e[keep])
+        stages = np.concatenate(row_stages)
+        emin = min(emin, float(stages.min(initial=math.inf)))
         words += rows
         excluded += lost
-        levels.append((np.array(first, dtype=np.intp), np.array(suffix, dtype=np.intp)))
-        kept, stages, dropped = rows, row_stages, lost
+        levels.append((len(rows), segments))
+        kept, dropped = rows, lost
     return words, levels, excluded, emin
 
 
@@ -279,7 +309,7 @@ def _evaluate(clean, alphabet, singular_start, path, prepend, tol):
     if not words:
         return words, np.zeros(0), np.zeros(0), excluded
     p = _power_param(orders, emin) if singular_start else 1
-    used = {int(i) for first, _ in levels for i in np.unique(first)}
+    used = {i for _, segments in levels for i, _ in segments}
     pairs = [(x, f) if i in used else None for i, (x, f) in enumerate(zip(alphabet.letters, controls))]
     step = partial(_panel_values, path=path, controls=pairs, levels=levels, p=p)
     vals, errs = _adaptive(step, np.zeros(len(words)), _initial_mesh(singular_start), tol, path, p)

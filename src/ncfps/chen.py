@@ -185,17 +185,19 @@ class InputFunction:
         range, which the quadrature could not evaluate.  Poles are the roots
         of the exact denominator: endpoints are tested by exact evaluation and
         the interior by a Sturm count, so no pole escapes, rational or not.
+        The quadrature runs between the endpoints rounded to doubles, so it
+        also raises when one rounds onto a singularity that the exact
+        endpoint avoids.
         """
         if self.ratfun is None:
             if self.kind == "pow":
                 if path.lo_exact < 0:
                     raise ValueError("fractional powers need a nonnegative segment")
-                if path.z0_exact == 0:
-                    # a pole, or continuous but not smooth; grade the mesh
-                    return "singular_start"
                 if self.value < 0 and path.z1_exact == 0:
                     raise ValueError("input singular at the far endpoint 0")
-            return "regular"
+            self._check_rounded_endpoints(path)
+            # z^a at 0: a pole, or continuous but not smooth; grade the mesh
+            return "singular_start" if self.kind == "pow" and path.z0_exact == 0 else "regular"
         den = self.ratfun.den
         for c in self.ratfun.num.coeffs + den.coeffs:
             try:
@@ -207,7 +209,24 @@ class InputFunction:
             raise ValueError(f"input singular between {path.lo_exact} and {path.hi_exact}, inside the path")
         if den(path.z1_exact) == 0:
             raise ValueError(f"input singular at the far endpoint {path.z1_exact}")
+        self._check_rounded_endpoints(path)
         return "singular_start" if den(path.z0_exact) == 0 else "regular"
+
+    def _check_rounded_endpoints(self, path):
+        """Raise when an endpoint, regular for this control as an exact
+        number, rounds to a double at which the control is singular."""
+        for which, exact, rounded in (("start", path.z0_exact, path.z0), ("far", path.z1_exact, path.z1)):
+            r = Fraction(rounded)
+            if r == exact:
+                continue
+            if self.kind == "rational":
+                singular = self.value.den(r) == 0
+            else:
+                singular = self.kind == "pow" and self.value < 0 and r == 0
+            if singular:
+                raise ValueError(
+                    f"the {which} endpoint rounds to {rounded!r} in double precision, onto a singularity of the input"
+                )
 
     def __repr__(self):
         if self.kind == "exp":
@@ -347,11 +366,12 @@ def chen_series(inputs, path, bound, tol=1e-10):
 
     The truncated series solves the universal flow dS = (sum_x u_x x) S, and
     `_adaptive`, the driver `pair_ode` uses too, integrates it panel by
-    panel.  A step costs one gather and two matmuls per block of rows of one
-    word length, and memory holds two lengths' node values on one panel.  A
-    word's error estimate is the sum of its accepted panels' step-doubling
-    defects.  At a singular start endpoint, words with divergent innermost
-    integrals are excluded rather than regularized.
+    panel.  A step costs two matmuls per first letter and word length (per
+    block of at most 512 rows), with the letter's control folded into the
+    quadrature matrices, and memory holds two lengths' node values on one
+    panel.  A word's error estimate is the sum of its accepted panels'
+    step-doubling defects.  At a singular start endpoint, words with
+    divergent innermost integrals are excluded rather than regularized.
     """
     path = SegmentPath.of(path)
     if bound < 0:

@@ -489,6 +489,7 @@ def _assert_kernel_matches_per_word_loop(inputs, path, bound):
         assert abs(whole[i] - one[w]) <= 4 * np.spacing(scale)
         assert abs(halves[i] - two[w]) <= 8 * np.spacing(scale)
         assert abs(abs(halves[i] - whole[i]) - abs(two[w] - one[w])) <= 8 * np.spacing(scale)
+    return levels
 
 
 _REGULAR_AT_0 = ("0", "1", "-3/2", "1/(1-z)", "exp", "1/(z+1)", "1/(z+3)")
@@ -520,9 +521,33 @@ def test_level_kernel_matches_the_per_word_loop(case):
 
 
 def test_level_kernel_matches_across_a_block_boundary():
-    # the 1024 words of length 10 span two blocks of rows
-    assert 2**10 > _BLOCK
-    _assert_kernel_matches_per_word_loop(POLYLOG, SegmentPath("1/5", "1/2"), 10)
+    # the rows of one letter at the last length span two blocks: suffixes
+    # read as the whole previous length (a slice) at a regular start, and
+    # gathered from part of it (an index array) where 1/z^2 drops the
+    # suffixes it cannot integrate
+    for inputs, path, bound, gathered in (
+        (POLYLOG, SegmentPath("1/5", "1/2"), 11, False),
+        ({"x0": "1/z^2", "x1": "1/(1-z)", "x2": "1/(z+1)"}, SegmentPath(0, "1/2"), 8, True),
+    ):
+        levels = _assert_kernel_matches_per_word_loop(inputs, path, bound)
+        suffixes = np.arange(levels[-2][0])
+        long = [index for _, index in levels[-1][1] if suffixes[index].size > _BLOCK]
+        assert any(isinstance(index, np.ndarray) == gathered for index in long)
+
+
+def test_gauss_tables_are_the_numpy_rule():
+    # the literal half rule, mirrored, is leggauss(16) bit for bit
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(_NODES, x) and np.array_equal(_WEIGHTS, w)
+
+
+def test_polylogarithms_at_one_half_within_a_few_ulps():
+    # x0^(n-1).x1 from 0 to 1/2 is Li_n(1/2) = sum_k 2^-k k^-n, summed
+    # exactly to 80 terms (a tail below 2^-80) and rounded once
+    ev = chen_series(POLYLOG, SegmentPath(0, "1/2"), 4)
+    for n in (2, 3, 4):
+        want = float(sum(Fraction(1, 2**k * k**n) for k in range(1, 81)))
+        assert abs(ev.coeff(("x0",) * (n - 1) + ("x1",)) - want) <= 4 * np.spacing(want)
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +721,13 @@ def test_cli_import_leaves_scipy_out():
 # Each subcommand, run by cli.main in a fresh interpreter: its exit code and
 # the modules that must stay unloaded after it.  numpy loads only when chen
 # or pair integrates, so never for a refusal (a pole inside the path, a
-# missing input); automata only for the commands that build automata; bases
-# only for `bases`, and diffring never; `chen` loads neither series nor linalg.
+# missing input), and numpy.polynomial never; automata only for the commands
+# that build automata; bases only for `bases`, and diffring never; `chen`
+# loads neither series nor linalg.
 _NO_FLOAT = {"numpy", "ncfps.bases", "ncfps.diffring"}
 _NO_AUTOMATA = {"numpy", "ncfps.automata", "ncfps.bases", "ncfps.diffring"}
 _NO_SERIES = {"ncfps.series", "ncfps.linalg"}
+_FLOAT = {"numpy.polynomial", "ncfps.bases", "ncfps.diffring"}
 _FOOTPRINTS = [
     (["expand", "x0* shuffle x1"], 0, _NO_AUTOMATA),
     (["op", "shuffle", "x0.x1", "x1*"], 0, _NO_AUTOMATA),
@@ -712,8 +739,8 @@ _FOOTPRINTS = [
     (["derive-ode", "(x0.x1)*", "--inputs", "x0=1/z,x1=1/(1-z)"], 0, _NO_FLOAT),
     (["chen", "--inputs", "x0=1/(z-1/2)", "--z0", "0", "--z", "1"], 2, _NO_FLOAT | _NO_SERIES),
     (["pair", "x0.x1*", "--inputs", "x0=1"], 2, _NO_FLOAT),
-    (["chen", "--inputs", "x0=1/z", "--z0", "1", "--z", "2"], 0, {"ncfps.bases", "ncfps.diffring"} | _NO_SERIES),
-    (["pair", "x1*", "--inputs", "x1=1/(1-z)", "--z0", "0", "--z", "1/2"], 0, {"ncfps.bases", "ncfps.diffring"}),
+    (["chen", "--inputs", "x0=1/z", "--z0", "1", "--z", "2"], 0, _FLOAT | _NO_SERIES),
+    (["pair", "x1*", "--inputs", "x1=1/(1-z)", "--z0", "0", "--z", "1/2"], 0, _FLOAT),
 ]
 
 

@@ -512,6 +512,23 @@ class TestCliErrors:
             (["chen", "--inputs", "x0=1", "--tol", "nan"], "the tolerance must be a number >= 0, not nan"),
             (["pair", "x0*", "--inputs", "x0=1", "--tol", "-1"], "the tolerance must be a number >= 0, not -1.0"),
             (["bases", "--max-length", "-1"], "the grade bound must be nonnegative"),
+            # endpoints regular as exact numbers whose doubles are poles
+            (
+                ["chen", "--inputs", "x0=1/z", "--z0", "1e-400", "--z", "1"],
+                "the start endpoint rounds to 0.0 in double precision, onto a singularity of the input",
+            ),
+            (
+                ["chen", "--inputs", "x1=1/(1-z)", "--z0", "1.000000000000000000000000000001", "--z", "2"],
+                "the start endpoint rounds to 1.0 in double precision, onto a singularity of the input",
+            ),
+            (
+                ["chen", "--inputs", "x1=1/(1-z)", "--z0", "2", "--z", "1.000000000000000000000000000001"],
+                "the far endpoint rounds to 1.0 in double precision, onto a singularity of the input",
+            ),
+            (
+                ["chen", "--inputs", "x0=pow(z,-1/2)", "--z0", "1", "--z", "1e-400"],
+                "the far endpoint rounds to 0.0 in double precision, onto a singularity of the input",
+            ),
         ],
     )
     def test_bad_values_are_one_error_line(self, argv, message):
