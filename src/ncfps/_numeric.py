@@ -186,7 +186,8 @@ def _panel_values(q, lo, hi, path, controls, levels, p=1):
 # and at most 512 times in all, so that an integrand it cannot resolve (a pole
 # next to the path, fast growth or oscillation) fails in bounded time.  A step
 # rounds to about 1e-14 * (1 + h |B|) of the state's size, so steps that agree
-# to that have converged.
+# to that have converged, up to the tolerance: next to a strong pole h |B| is
+# so large that the uncapped floor would pass steps that share no digit.
 _MIN_PANEL = 2.0**-43
 _MAX_BISECTIONS = 512
 _ROUNDING = 1e-14
@@ -198,9 +199,9 @@ def _adaptive(step, q, breaks, tol, path, p=1):
     `step(q, lo, hi)` returns the state at hi from q at lo and h |B|, the
     scale of its rounding.  The panels start as the intervals between
     `breaks`; a panel is accepted when one step and two half steps agree to
-    its share max(tol * width, rounding) of the tolerance, relative to the
-    size of the state, and is bisected otherwise.  An accepted panel keeps
-    the half steps and adds |halves - whole| to the error estimate.  Half
+    its share max(tol * width, min(rounding, tol)) of the tolerance, relative
+    to the size of the state, and is bisected otherwise.  An accepted panel
+    keeps the half steps and adds |halves - whole| to the error estimate.  Half
     steps whose values overflow doubles raise ValueError.  A bisected panel
     passes its left half step on as the whole step of its left half, which
     starts from the same state.
@@ -220,7 +221,7 @@ def _adaptive(step, q, breaks, tol, path, p=1):
                 where = path.z0 + (path.z1 - path.z0) * hi**p
                 raise ValueError(f"the flow values overflow doubles by z = {where:.6g}")
             defect = np.abs(halves - whole)
-            share = max(tol * (hi - lo), _ROUNDING * (1.0 + norm))
+            share = max(tol * (hi - lo), min(_ROUNDING * (1.0 + norm), tol))
             accept = np.max(defect) <= share * max(1.0, np.max(np.abs(halves)))
         if accept:
             q = halves

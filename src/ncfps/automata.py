@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .linalg import EchelonBasis, _add_multiple, dot, invert_matrix, mat_rows, nonzeros, vec_rows
-from .rings import QQ, PolynomialRing, RationalFunctionRing, poly_lcm, ring_named
+from .rings import QQ, PolynomialRing, RationalFunctionRing, _Immutable, _integral, poly_lcm, ring_named
 from .series import NCPolynomial, TruncatedSeries
 from .words import Alphabet
 
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-class LinearRepresentation:
+class LinearRepresentation(_Immutable):
     """A rational series as (nu, mu, eta) over a coefficient ring.
 
     Each letter matrix is stored as n sparse rows: ``rows[x][i]`` is a dict
@@ -84,9 +84,6 @@ class LinearRepresentation:
                 raise ValueError(f"matrix for {x!r} is not {n}x{n}")
             rows[x] = tuple({j: c for j, c in enumerate(row) if c} for row in m)
         _init(self, alphabet, ring, nu, rows, eta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearRepresentation is immutable")
 
     @property
     def mu(self):
@@ -483,10 +480,6 @@ class _Integers:
         return v if g == 1 else {j: c // g for j, c in v.items()}
 
 
-def _denominator(entries):
-    return math.lcm(*{c.denominator for c in entries})
-
-
 class _DifferenceRows(dict):
     """The sparse rows of one letter's block-diagonal matrix diag(m1, m2)
     over Q, each built on first use: row i is stored as the integer
@@ -501,8 +494,8 @@ class _DifferenceRows(dict):
     def __missing__(self, i):
         k = len(self.m1)
         row, k = (self.m1[i], 0) if i < k else (self.m2[i - k], k)
-        d = self.dens[i] = _denominator(row.values())
-        row = self[i] = {j + k: c.numerator * (d // c.denominator) for j, c in row.items()}
+        self.dens[i], nums = _integral(row.values())
+        row = self[i] = {j + k: n for j, n in zip(row, nums)}
         return row
 
     def times(self, v):
@@ -547,10 +540,7 @@ def _specialized(r1, r2):
     def lifted(rows):
         # {(i, j): integer coefficients} of the rows, and their largest |.|_1
         if fractions:
-            m = ring.one
-            for den in {c.den for row in rows for c in row.values()}:
-                if den.degree:
-                    m = poly_lcm(m, den)
+            m = poly_lcm(ring.one, *{c.den for row in rows for c in row.values()})
             rows = [{j: c.num if c.den == m else c.num * (m // c.den) for j, c in row.items()} for row in rows]
         _, nums = ring.lift({(i, j): p for i, row in enumerate(rows) for j, p in row.items()})
         sums = [0] * len(rows)
@@ -617,12 +607,9 @@ def equal(r1, r2):
     elif r1.ring != QQ:
         raise ValueError(f"equality is decided over Q, Q[v] and Q(v), not over {r1.ring.name}")
     n1 = r1.dim
-    nu, eta = r1.nu + r2.nu, r1.eta + r2.eta
-    d = _denominator(nu)
-    nu = tuple(c.numerator * (d // c.denominator) for c in nu)
-    d = _denominator(eta)
-    eta = tuple(c.numerator * (d // c.denominator) for c in eta)
-    eta = eta[:n1] + tuple(-e for e in eta[n1:])
+    _, nu = _integral(r1.nu + r2.nu)
+    _, eta = _integral(r1.eta + r2.eta)
+    eta = eta[:n1] + [-e for e in eta[n1:]]
     empty1, empty2 = ({},) * n1, ({},) * r2.dim
     letters = sorted(_letters(r1, r2), key=r1.alphabet.rank)
     mats = [_DifferenceRows(r1.rows.get(x, empty1), r2.rows.get(x, empty2)) for x in letters]

@@ -50,8 +50,8 @@ import re
 from fractions import Fraction
 from itertools import count, islice
 
-from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, poly_lcm, poly_text
-from .words import Alphabet, parse_word, word_text
+from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, _Immutable, poly_lcm, poly_text
+from .words import _LETTER_RE, Alphabet, parse_word, word_text
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def _exponent(text):
     raise ValueError(f"cannot read the power exponent {text!r}")
 
 
-class InputFunction:
+class InputFunction(_Immutable):
     """One scalar control attached to a letter.
 
     Three kinds: `rational`, any rational function of z (constants, 1/z and
@@ -88,9 +88,6 @@ class InputFunction:
     def __init__(self, kind, value=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InputFunction is immutable")
 
     @property
     def ratfun(self):
@@ -255,7 +252,7 @@ def _exact_point(v):
     return e
 
 
-class SegmentPath:
+class SegmentPath(_Immutable):
     """Oriented real segment from z0 to z1.
 
     Endpoints are kept both as doubles and as exact rationals; the exact
@@ -274,9 +271,6 @@ class SegmentPath:
         object.__setattr__(self, "z1", float(e1))
         object.__setattr__(self, "z0_exact", e0)
         object.__setattr__(self, "z1_exact", e1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SegmentPath is immutable")
 
     @classmethod
     def of(cls, obj):
@@ -312,7 +306,9 @@ def _prepare_inputs(inputs, path, tol):
     clean = {}
     for x, f in inputs.items():
         clean[x] = InputFunction.of(f)
-    alphabet = Alphabet.from_letters(sorted(clean))
+    # by letter index, x2 before x10; a key that is no letter sorts first, and the alphabet refuses it
+    order = {x: (int(m[2]), x) if (m := _LETTER_RE.match(x)) else (-1, x) for x in clean}
+    alphabet = Alphabet.from_letters(sorted(clean, key=order.get))
     singular_start = False
     for f in clean.values():
         if f.validate_on(path) == "singular_start":
@@ -320,7 +316,7 @@ def _prepare_inputs(inputs, path, tol):
     return clean, alphabet, singular_start
 
 
-class ChenEvaluation:
+class ChenEvaluation(_Immutable):
     """All iterated-integral coefficients of one segment up to a length bound.
 
     `values` maps each included word to a double, `errors` to its a-posteriori
@@ -339,9 +335,6 @@ class ChenEvaluation:
         object.__setattr__(self, "values", dict(values))
         object.__setattr__(self, "errors", dict(errors))
         object.__setattr__(self, "excluded", frozenset(excluded))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChenEvaluation is immutable")
 
     def coeff(self, w):
         w = tuple(w)
@@ -504,7 +497,7 @@ def flow_compose(second, first):
 # pairing with a linear representation
 
 
-class PairingResult:
+class PairingResult(_Immutable):
     """Value of a series-evaluation pairing with a certified tail bound."""
 
     __slots__ = ("value", "tail", "certified")
@@ -513,9 +506,6 @@ class PairingResult:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "certified", certified)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairingResult is immutable")
 
     def __iter__(self):
         return iter((self.value, self.tail, self.certified))
@@ -626,9 +616,7 @@ def _derivative_rows(rep, inputs):
     from .linalg import _add_multiple, vec_rows
 
     terms = [(f.ratfun, rep.rows[x]) for x, f in _exact_controls(inputs).items() if x in rep.rows and f.ratfun]
-    d = _QZ_POLY.one
-    for u, _ in terms:
-        d = poly_lcm(d, u.den)
+    d = poly_lcm(_QZ_POLY.one, *(u.den for u, _ in terms))
     b = [{} for _ in range(rep.dim)]  # the sparse rows of B
     for u, m in terms:
         p = u.num * (d // u.den)

@@ -221,7 +221,6 @@ def build_parser():
         description="Noncommutative formal power series: expansion, Hopf dual bases, "
         "weighted-automaton representations, and iterated-integral evaluation.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="reserved; accepted for interface stability")
     cmds = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = cmds.add_parser("expand", help="expand an expression to a polynomial")

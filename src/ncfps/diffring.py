@@ -38,9 +38,7 @@ def independence_criterion(inputs, base):
     funs = [QZ.parse(f) if isinstance(f, str) else QZ.coerce(f) for f in funs]
     if not funs:
         return True
-    den = funs[0].den
-    for f in funs[1:]:
-        den = poly_lcm(den, f.den)
+    den = poly_lcm(*(f.den for f in funs))
     numerators = [f.num * (den // f.den) for f in funs]
     exact = []
     if base.name != "Q":

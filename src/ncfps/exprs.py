@@ -23,6 +23,7 @@ follows, so ``2*x0*`` is 2 times the star of x0 while ``x0*`` stars the
 letter.  ``x0*x1`` is a syntax error: concatenation is always spelled ``.``.
 """
 
+import operator
 import re
 
 from .rings import QQ, ring_named
@@ -95,21 +96,23 @@ class _Parser:
             self._fail(f"unexpected {tok[1]!r}", tok)
         return node
 
-    def expr(self):
+    def _at_sign(self):
         tok = self._peek()
-        negate = False
-        if tok is not None and tok[0] == "OP" and tok[1] in "+-":
-            self._next()
-            negate = tok[1] == "-"
+        return tok is not None and tok[0] == "OP" and tok[1] in "+-"
+
+    def _term(self):
+        # a sign before a term, optional before the first; - is the scalar prefix -1
+        if not self._at_sign():
+            return self.mul()
+        _, sign, pos = self._next()
         node = self.mul()
-        if negate:
-            node = ("neg", node)
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "OP" or tok[1] not in "+-":
-                return node
-            self._next()
-            node = ("add" if tok[1] == "+" else "sub", node, self.mul())
+        return ("scale", "-1", pos, node) if sign == "-" else node
+
+    def expr(self):
+        node = self._term()
+        while self._at_sign():
+            node = ("add", node, self._term())
+        return node
 
     def mul(self):
         node = self.cat()
@@ -234,35 +237,45 @@ def _coefficient(ring, text, pos):
         ) from None
 
 
+def _compile(node, ring, const, letter, star, ops):
+    """Fold a parsed expression bottom-up: ``const`` builds a constant from
+    a ring element, ``letter`` a letter from its name, ``star`` stars a built
+    value, ``ops`` maps each binary node kind to its operation, and a scalar
+    prefix calls the built value's ``scale``."""
+    kind, tables = node[0], (ring, const, letter, star, ops)
+    if kind == "num":
+        return const(_coefficient(ring, node[1], node[2]))
+    if kind == "word":
+        return letter(node[1])
+    if kind == "scale":
+        c = _coefficient(ring, node[1], node[2])
+        return _compile(node[3], *tables).scale(c)
+    if kind == "star":
+        return star(_compile(node[1], *tables))
+    return ops[kind](_compile(node[1], *tables), _compile(node[2], *tables))
+
+
+_SERIES_OPS = {
+    "add": operator.add,
+    "cat": operator.mul,
+    "shuffle": lambda a, b: a.shuffle(b),
+    "stuffle": lambda a, b: a.stuffle(b),
+}
+
+
 def to_series(node, alphabet, ring, bound):
     """Compile a parsed expression to a series truncated at the given grade."""
-    if node[0] == "num":
-        c = _coefficient(ring, node[1], node[2])
-        return TruncatedSeries(NCPolynomial(alphabet, ring, {(): c}), bound)
-    if node[0] == "word":
-        p = NCPolynomial(alphabet, ring, {(node[1],): ring.coerce(1)})
-        return TruncatedSeries(p, bound)
-    if node[0] == "neg":
-        return to_series(node[1], alphabet, ring, bound).scale(ring.coerce(-1))
-    if node[0] == "scale":
-        c = _coefficient(ring, node[1], node[2])
-        return to_series(node[3], alphabet, ring, bound).scale(c)
-    if node[0] == "star":
+
+    def term(w, c):
+        return TruncatedSeries(NCPolynomial(alphabet, ring, {w: c}), bound)
+
+    def star(s):
         try:
-            return to_series(node[1], alphabet, ring, bound).star()
+            return s.star()
         except ZeroDivisionError:
             raise ValueError("cannot star a series whose constant term is 1") from None
-    a = to_series(node[1], alphabet, ring, bound)
-    b = to_series(node[2], alphabet, ring, bound)
-    if node[0] == "add":
-        return a + b
-    if node[0] == "sub":
-        return a - b
-    if node[0] == "cat":
-        return a * b
-    if node[0] == "shuffle":
-        return a.shuffle(b)
-    return a.stuffle(b)
+
+    return _compile(node, ring, lambda c: term((), c), lambda x: term((x,), ring.one), star, _SERIES_OPS)
 
 
 def to_representation(node, alphabet, ring):
@@ -273,32 +286,11 @@ def to_representation(node, alphabet, ring):
     """
     from .automata import rep_conc, rep_polynomial, rep_shuffle, rep_star, rep_stuffle, rep_sum, rep_word
 
-    def build(node):
-        if node[0] == "num":
-            c = _coefficient(ring, node[1], node[2])
-            return rep_polynomial(NCPolynomial(alphabet, ring, {(): c}))
-        if node[0] == "word":
-            return rep_word(alphabet, ring, (node[1],))
-        if node[0] == "neg":
-            return build(node[1]).scale(-1)
-        if node[0] == "scale":
-            c = _coefficient(ring, node[1], node[2])
-            return build(node[3]).scale(c)
-        if node[0] == "star":
-            return rep_star(build(node[1]))
-        a = build(node[1])
-        b = build(node[2])
-        if node[0] == "add":
-            return rep_sum(a, b)
-        if node[0] == "sub":
-            return rep_sum(a, b.scale(-1))
-        if node[0] == "cat":
-            return rep_conc(a, b)
-        if node[0] == "shuffle":
-            return rep_shuffle(a, b)
-        return rep_stuffle(a, b)
+    def const(c):
+        return rep_polynomial(NCPolynomial(alphabet, ring, {(): c}))
 
-    return build(node)
+    ops = {"add": rep_sum, "cat": rep_conc, "shuffle": rep_shuffle, "stuffle": rep_stuffle}
+    return _compile(node, ring, const, lambda x: rep_word(alphabet, ring, (x,)), rep_star, ops)
 
 
 def _resolve(text, ring, alphabet):

@@ -43,12 +43,21 @@ def _frac(x):
 
 
 def _integral(coeffs):
-    """(d, integers n_k) with coeffs[k] = n_k / d."""
-    d = math.lcm(*(c.denominator for c in coeffs))
+    """(d, integers n_k) with coeffs[k] = n_k / d, d the lcm of the denominators."""
+    d = math.lcm(*[c.denominator for c in coeffs])
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
-class Poly:
+class _Immutable:
+    """Base of the value classes whose constructors set each attribute once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Poly(_Immutable):
     """Dense univariate polynomial over Q, coefficients in ascending degree.
 
     Immutable once built; trailing zero coefficients are stripped so the
@@ -65,9 +74,6 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def const(cls, var, c):
@@ -229,14 +235,8 @@ class Poly:
 
     def content(self):
         """Positive rational c with self/c having integer, setwise-coprime coefficients."""
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        if num == 0:
-            return Fraction(0)
-        return Fraction(num, den)
+        d, nums = _integral(self.coeffs)
+        return Fraction(math.gcd(*nums), d)
 
     def root_multiplicity(self, r):
         r = _frac(r)
@@ -256,12 +256,8 @@ class Poly:
         divided by its content; the first entry is the squarefree part."""
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
-        chain = [self // poly_gcd(self, self.derivative())]
-        chain.append(chain[0].derivative())
-        while not chain[-1].is_zero():
-            r = chain[-2] % chain[-1]
-            chain.append(r * (-1 / r.content()) if r else r)
-        return chain[:-1]
+        p = self // poly_gcd(self, self.derivative())
+        return [p, *_remainders(p, p.derivative(), -1)]
 
     def count_real_roots(self, lo, hi):
         """Number of distinct real roots in the open interval (lo, hi).
@@ -303,23 +299,30 @@ def _sign_changes(chain, x):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def poly_gcd(a, b):
-    """Monic gcd of two polynomials (1 if either is a nonzero constant).
-
-    Each remainder is divided by its content, as in `Poly._sturm_chain`, so
-    the coefficients stay small along the Euclidean sequence."""
+def _remainders(a, b, sign):
+    """The Euclidean sequence of a and b: b, then each nonzero remainder divided
+    by sign times its content, which keeps coefficients small; the last is the gcd."""
     while b:
+        yield b
         r = a % b
-        a, b = b, r * (1 / r.content()) if r else r
-    return a.monic()
+        a, b = b, r * (sign / r.content()) if r else r
 
 
-def poly_lcm(a, b):
-    """Least common multiple of two nonzero polynomials."""
-    return (a * b) // poly_gcd(a, b)
+def poly_gcd(a, b):
+    """Monic gcd of two polynomials (1 if either is a nonzero constant)."""
+    *_, g = a, *_remainders(a, b, 1)
+    return g.monic()
 
 
-class RatFun:
+def poly_lcm(*ps):
+    """Least common multiple of one or more nonzero polynomials."""
+    out = ps[0]
+    for p in ps[1:]:
+        out = (out * p) // poly_gcd(out, p)
+    return out
+
+
+class RatFun(_Immutable):
     """Rational function over Q: coprime numerator/denominator, monic denominator."""
 
     __slots__ = ("num", "den")
@@ -347,9 +350,6 @@ class RatFun:
                 den = den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFun is immutable")
 
     @property
     def var(self):

@@ -42,6 +42,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
+from .rings import _Immutable
 from .words import parse_word, split_outside_parens, word_text
 
 __all__ = [
@@ -210,7 +211,7 @@ def _bucket_pairs(left, right, grade, bound):
     return out
 
 
-class _TermMap:
+class _TermMap(_Immutable):
     """Immutable finite map from keys to nonzero ring elements, each key
     holding one or more words over a common alphabet.
 
@@ -233,9 +234,6 @@ class _TermMap:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, alphabet, ring):
@@ -557,7 +555,7 @@ def unstuffle(p):
 # ---------------------------------------------------------------------------
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Immutable):
     """A series known exactly on all words of grade <= bound."""
 
     __slots__ = ("poly", "bound")
@@ -567,9 +565,6 @@ class TruncatedSeries:
             raise ValueError("truncation bound must be nonnegative")
         object.__setattr__(self, "poly", poly.truncate(bound))
         object.__setattr__(self, "bound", bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @property
     def alphabet(self):

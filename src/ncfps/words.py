@@ -17,6 +17,8 @@ from __future__ import annotations
 import re
 from itertools import product
 
+from .rings import _Immutable
+
 __all__ = [
     "Alphabet",
     "parse_word",
@@ -33,7 +35,7 @@ __all__ = [
 _LETTER_RE = re.compile(r"([xy])([0-9]+)\Z")
 
 
-class Alphabet:
+class Alphabet(_Immutable):
     """A totally ordered, graded letter set."""
 
     __slots__ = ("kind", "letters", "_rank")
@@ -59,9 +61,6 @@ class Alphabet:
         else:
             raise ValueError(f"unknown alphabet kind {kind!r}")
         object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
 
     @classmethod
     def x(cls, n):

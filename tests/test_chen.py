@@ -340,6 +340,20 @@ def test_near_pole_matches_closed_forms():
     assert all(0.0 < ev.errors[w] <= 1e-10 * max(1.0, abs(ev.values[w])) for w in ev.values if w)
 
 
+def test_strong_pole_past_the_endpoint_is_refused():
+    # an order-8 pole 1e-14 past z = 1/2, where x0 is about 1.43e97: steps
+    # that agree only to the rounding of such values are not converged
+    with pytest.raises(RuntimeError, match="does not converge"):
+        chen_series({"x0": "1/(z-(100000000000002/200000000000000))^8"}, SegmentPath("3/10", "1/2"), 1)
+
+
+def test_input_keys_order_by_letter_index():
+    ev = chen_series({"x10": "z", "x2": "1"}, SegmentPath(0, 1), 1)
+    assert ev.alphabet.letters == ("x2", "x10")
+    with pytest.raises(ValueError, match="bad X-type letter 'u'"):
+        chen_series({"x1": "1", "u": "1"}, SegmentPath(0, 1), 1)
+
+
 def _recomputing_adaptive(step, q, breaks, tol, path, p=1):
     """The adaptive driver that takes every panel's whole step afresh, also
     on the left half of a bisected panel, whose whole step is the left half
@@ -355,7 +369,7 @@ def _recomputing_adaptive(step, q, breaks, tol, path, p=1):
             left, _ = step(q, lo, mid)
             halves, _ = step(left, mid, hi)
             defect = np.abs(halves - whole)
-            share = max(tol * (hi - lo), _ROUNDING * (1.0 + norm))
+            share = max(tol * (hi - lo), min(_ROUNDING * (1.0 + norm), tol))
             accept = np.max(defect) <= share * max(1.0, np.max(np.abs(halves)))
         if accept:
             q = halves
