@@ -241,14 +241,15 @@ def _compile(node, ring, const, letter, star, ops):
     """Fold a parsed expression bottom-up: ``const`` builds a constant from
     a ring element, ``letter`` a letter from its name, ``star`` stars a built
     value, ``ops`` maps each binary node kind to its operation, and a scalar
-    prefix calls the built value's ``scale``."""
+    prefix calls the built value's ``scale``.  A sign's -1 is coerced, not
+    parsed: no name token holds a ``-``, so only a sign writes it."""
     kind, tables = node[0], (ring, const, letter, star, ops)
     if kind == "num":
         return const(_coefficient(ring, node[1], node[2]))
     if kind == "word":
         return letter(node[1])
     if kind == "scale":
-        c = _coefficient(ring, node[1], node[2])
+        c = ring.coerce(-1) if node[1] == "-1" else _coefficient(ring, node[1], node[2])
         return _compile(node[3], *tables).scale(c)
     if kind == "star":
         return star(_compile(node[1], *tables))

@@ -33,7 +33,7 @@ from ncfps.automata import (
     rep_zero,
     sweedler_split,
 )
-from ncfps.exprs import representation_of
+from ncfps.exprs import infer_alphabet, parse_expression, representation_of, to_representation, to_series
 from ncfps.linalg import EchelonBasis, dot, invert_matrix, nonzeros, vec_rows
 from ncfps.rings import QQ, QT, QZ, Poly, RatFun
 from ncfps.series import NCPolynomial, TruncatedSeries, parse_series_text
@@ -281,6 +281,45 @@ def test_four_star_shuffle_identity_is_decided_on_sparse_rows():
     assert {x: sum(map(len, rows)) for x, rows in left.rows.items()} == {"x0": 6593, "x1": 6593, "x2": 6593}
     assert equal(left, representation_of("(4*x0+4*x1+4*x2)*"))
     assert not equal(left, representation_of("(4*x0+4*x1+3*x2)*"))
+
+
+_SIGNED = ["-x0", "x0 - x1.x0", "-(x0 + 2*x1)* + x1", "x0 - (x1 - x0)*", "-x0 shuffle (-x1)"]
+_SIGNED_QT = ["-t*x0", "x0 - t^2*x1.x0 - 1", "-(t*x0 + x1)* - t", "(y1 - t*y2)* stuffle (-y1)"]
+
+
+def _parsed_signs(node):
+    """The tree with each sign's -1 written as -1/1, so that the ring parser
+    reads it like any other scalar prefix."""
+    if node[0] == "scale":
+        return ("scale", "-1/1" if node[1] == "-1" else node[1], node[2], _parsed_signs(node[3]))
+    if node[0] in ("word", "num"):
+        return node
+    return (node[0], *map(_parsed_signs, node[1:]))
+
+
+@pytest.mark.parametrize("text, ring", [(t, QQ) for t in _SIGNED] + [(t, QT) for t in _SIGNED + _SIGNED_QT])
+def test_signs_compile_as_the_parsed_minus_one(text, ring):
+    node = parse_expression(text)
+    old = _parsed_signs(node)
+    assert old != node
+    alphabet = infer_alphabet(node)
+    rep, ref = to_representation(node, alphabet, ring), to_representation(old, alphabet, ring)
+    assert (rep.nu, rep.rows, rep.eta) == (ref.nu, ref.rows, ref.eta)
+    assert to_series(node, alphabet, ring, 4) == to_series(old, alphabet, ring, 4)
+
+
+def test_signs_do_not_call_the_ring_parser(monkeypatch):
+    texts = []
+    parse = QT.parse
+
+    def recorded(s):
+        texts.append(s)
+        return parse(s)
+
+    monkeypatch.setattr(QT, "parse", recorded)
+    for text in _SIGNED + _SIGNED_QT:
+        representation_of(text, ring="Q[t]")
+    assert "-1" not in texts and "t^2" in texts
 
 
 # ---------------------------------------------------------------------------

@@ -401,10 +401,70 @@ def test_adaptive_reuses_the_left_half_step_of_a_bisected_panel(monkeypatch):
         runs.append((ev, len(steps)))
     (ev, n), (ref, n_ref) = runs
     assert ev.values == ref.values and ev.errors == ref.errors
-    # the reference takes 3 steps per panel tried: 8 initial panels, and two
-    # more tried for each of the R rejected ones
-    rejected = (n_ref // 3 - 8) // 2
+    # the reference takes 3 steps per panel tried: the initial panels, and
+    # two more tried for each of the R rejected ones
+    rejected = (n_ref // 3 - (len(ncfps._numeric._initial_mesh(False)) - 1)) // 2
     assert rejected > 0 and n == n_ref - rejected
+
+
+def test_smooth_calls_take_three_steps_per_initial_panel(monkeypatch):
+    # a regular segment starts as two panels and a singular start as the
+    # 13 graded ones; a smooth family accepts each at once, in one step and
+    # two half steps
+    steps = []
+    for name in ("_panel_values", "_collocation_step"):
+        step = getattr(ncfps._numeric, name)
+
+        def counted(*args, step=step, **kwargs):
+            steps.append(args[1:3])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(ncfps._numeric, name, counted)
+    chen_series(POLYLOG, SegmentPath("1/10", "2/5"), 8)
+    assert len(steps) == 6
+    steps.clear()
+    y = pair_ode(representation_of("(2*x1)*"), {"x1": "1/(1-z)"}, SegmentPath(0, "1/5"))
+    assert len(steps) == 6 and abs(y - 1 / 0.64) < 1e-14
+    steps.clear()
+    chen_series(POLYLOG, SegmentPath(0, "1/2"), 8)
+    assert len(steps) == 39
+
+
+@pytest.mark.parametrize("a, b", [("1/10", "2/5"), ("1/5", "1/2"), ("3/10", "1/2"), ("1/4", "1/3")])
+def test_polylogs_by_chen_identity_across_a_regular_segment(a, b):
+    # Li_n(b) is the coefficient of x0^(n-1).x1 along 0 -> a -> b: the sum of
+    # C(a -> b)[u] C(0 -> a)[v] over the splittings w = uv, so the regular
+    # segment's values and estimates enter every word
+    first = chen_series(POLYLOG, SegmentPath(0, a), 10)
+    second = chen_series(POLYLOG, SegmentPath(a, b), 10)
+    for n in range(1, 11):
+        w = ("x0",) * (n - 1) + ("x1",)
+        splits = [(w[:i], w[i:]) for i in range(n + 1)]
+        value = math.fsum(second.coeff(u) * first.coeff(v) for u, v in splits)
+        err = math.fsum(
+            abs(second.coeff(u)) * first.error(v) + second.error(u) * abs(first.coeff(v)) for u, v in splits
+        )
+        want = _polylog(n, Fraction(b))
+        assert abs(value - want) <= err + 64 * EPS * abs(want)
+
+
+def test_near_pole_sweep_returns_right_or_raises():
+    # poles of order k at 10^-e past z = 1/2: near such a pole the quadrature
+    # nodes round by k eps |z| / 10^-e relative, so a call may refuse, but a
+    # value it returns matches the exact integral
+    z0, z1 = Fraction(3, 10), Fraction(1, 2)
+    returned = 0
+    for k in (2, 4, 8, 12):
+        for e in (3, 6, 9, 12, 14):
+            c = z1 + Fraction(1, 10**e)
+            exact = ((z1 - c) ** (1 - k) - (z0 - c) ** (1 - k)) / (1 - k)
+            try:
+                ev = chen_series({"x0": f"1/(z-({c}))^{k}"}, SegmentPath(z0, z1), 1)
+            except (ValueError, RuntimeError):
+                continue
+            returned += 1
+            assert abs(ev.coeff(("x0",)) - float(exact)) <= 1e-9 * abs(float(exact))
+    assert returned >= 1
 
 
 def test_bound_14_is_fast():
