@@ -16,6 +16,7 @@ from itertools import compress
 import numpy as np
 
 from .rings import Poly, RatFun
+from .words import _graded_words
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +250,24 @@ def _adaptive(step, q, breaks, tol, path, p=1):
 # ---------------------------------------------------------------------------
 # word levels, and integrability at a singular start
 
+# a stage exponent at or below -1 diverges; the margin absorbs the rounding of
+# sums of fractional orders
+_DIVERGES = -1.0 + 1e-12
 
-def _word_levels(letters, orders, prepend):
-    """Words grown one letter at a time on the left, with their integrability.
 
-    `prepend[k]` lists the indices of the letters put in front of every kept
-    word of length k to make the words of length k + 1; lex-ordered letters
-    over lex-ordered suffixes keep each length in lex order.  A word's outer
-    stage multiplies the antiderivative of its suffix (leading exponent
-    acc = suffix stage + 1) by its first control (leading exponent
-    orders[i]) and integrates; a stage exponent of -1 or less diverges, which
-    excludes the word and every word built on it.  One mask per letter and
-    length decides its words at once.
+def _word_levels(letters, orders, bound):
+    """Every word of length 1 to `bound`, grown one letter at a time on the
+    left, with its integrability.
+
+    The words of length k + 1 are the cached graded words, in lex order:
+    block i is the letter i followed by every word of length k.  A word's
+    outer stage multiplies the antiderivative of its suffix (leading exponent
+    acc = suffix stage + 1) by its first control (leading exponent orders[i])
+    and integrates; a stage exponent of -1 or less diverges, which excludes
+    the word and every word built on it.  The stage exponents are held over
+    all words of one length, -inf for an excluded word so that its extensions
+    stay excluded, and one mask per length selects the kept rows of every
+    block at once.
 
     Returns the kept words, their levels for `_panel_values`, the excluded
     words and the smallest kept stage exponent.  A level is (size, segments)
@@ -270,27 +277,44 @@ def _word_levels(letters, orders, prepend):
     intp array otherwise.
     """
     words, levels, excluded = [], [], []
-    kept, stages, dropped = [()], np.array([-1.0]), []
+    orders = np.array(orders, dtype=float)[:, None]
+    stages, alive = np.array([-1.0]), np.array([True])
     emin = math.inf
-    for row_letters in prepend:
-        # the empty array keeps the concatenation defined with no letters
-        rows, row_stages, segments, lost = [], [np.zeros(0)], [], []
-        for i in row_letters:
-            x = (letters[i],)
-            e = orders[i] + (stages + 1.0)
-            keep = e > -1.0 + 1e-12
-            lost += [x + s for s in dropped] + [x + s for s in compress(kept, (~keep).tolist())]
-            rows += [x + s for s in compress(kept, keep.tolist())]
-            if keep.any():
-                segments.append((i, slice(None) if keep.all() else np.flatnonzero(keep)))
-            row_stages.append(e[keep])
-        stages = np.concatenate(row_stages)
-        emin = min(emin, float(stages.min(initial=math.inf)))
-        words += rows
-        excluded += lost
-        levels.append((len(rows), segments))
-        kept, dropped = rows, lost
+    for k in range(1, bound + 1):
+        graded = _graded_words(letters, k)
+        with np.errstate(invalid="ignore"):  # inf + -inf: a zero control on an excluded suffix
+            e = orders + (stages + 1.0)
+        keep = e > _DIVERGES
+        emin = min(emin, float(e[keep].min(initial=math.inf)))
+        segments = []
+        for i, rows in enumerate(keep[:, alive]):
+            if rows.any():
+                segments.append((i, slice(None) if rows.all() else np.flatnonzero(rows)))
+        stages, alive = np.where(keep, e, -math.inf).ravel(), keep.ravel()
+        if alive.all():
+            words += graded
+        else:
+            words += compress(graded, alive.tolist())
+            excluded += compress(graded, (~alive).tolist())
+        levels.append((int(np.count_nonzero(alive)), segments))
     return words, levels, excluded, emin
+
+
+def _chain_levels(letters, orders, word):
+    """The suffixes of one word, shortest first, laid out as `_word_levels`
+    lays out a family: one row per length.  The first suffix whose stage
+    diverges ends the chain, and it and every longer suffix are excluded."""
+    words, levels = [], []
+    stage, emin = -1.0, math.inf
+    for k in range(len(word) - 1, -1, -1):
+        i = letters.index(word[k])
+        stage = orders[i] + (stage + 1.0)
+        if not stage > _DIVERGES:
+            return words, levels, [word[j:] for j in range(k, -1, -1)], emin
+        words.append(word[k:])
+        levels.append((1, [(i, slice(None))]))
+        emin = min(emin, stage)
+    return words, levels, [], emin
 
 
 def _power_param(orders, emin):
@@ -308,8 +332,9 @@ def _power_param(orders, emin):
     return min(64, max(2, math.ceil(3.0 / (emin + 1.0))))
 
 
-def _evaluate(clean, alphabet, singular_start, path, prepend, tol):
-    """Kept words, their values and error estimates, and the excluded words.
+def _evaluate(clean, alphabet, singular_start, path, tol, bound=0, word=None):
+    """Kept words, their values and error estimates, and the excluded words,
+    of every word up to length `bound`, or of the suffixes of `word`.
 
     The state of the adaptive driver is the vector of all kept words' values,
     zero at the start; a panel step starts from the previous panel's end
@@ -317,7 +342,10 @@ def _evaluate(clean, alphabet, singular_start, path, prepend, tol):
     """
     controls = [clean[x] for x in alphabet.letters]
     orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
-    words, levels, excluded, emin = _word_levels(alphabet.letters, orders, prepend)
+    if word is None:
+        words, levels, excluded, emin = _word_levels(alphabet.letters, orders, bound)
+    else:
+        words, levels, excluded, emin = _chain_levels(alphabet.letters, orders, word)
     if not words:
         return words, np.zeros(0), np.zeros(0), excluded
     p = _power_param(orders, emin) if singular_start else 1

@@ -48,6 +48,7 @@ the diagnostics and the ODE derivation that use them.
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 
 from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, _Immutable, poly_lcm, poly_text
@@ -83,11 +84,14 @@ class InputFunction(_Immutable):
     bound is `RatFun.sup_bound`, exact, rounded up to a double.
     """
 
-    __slots__ = ("kind", "value")
+    __slots__ = ("kind", "value", "_hash")
 
     def __init__(self, kind, value=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
+        # kept: a Q(z) value hashes its Fraction coefficients, microseconds
+        # a time, and every panel step looks its control up in `_split_at`
+        object.__setattr__(self, "_hash", hash((kind, value)))
 
     @property
     def ratfun(self):
@@ -116,13 +120,7 @@ class InputFunction(_Immutable):
 
     @classmethod
     def from_text(cls, s):
-        s = s.strip()
-        if s in ("exp", "exp(z)"):
-            return cls.exp()
-        m = _POW_RE.match(s)
-        if m:
-            return cls.power(_exponent(m.group(1).strip()))
-        return cls.rational(s)
+        return _control_of_text(s.strip())
 
     @classmethod
     def of(cls, obj):
@@ -225,11 +223,31 @@ class InputFunction(_Immutable):
                     f"the {which} endpoint rounds to {rounded!r} in double precision, onto a singularity of the input"
                 )
 
+    def __eq__(self, other):
+        if not isinstance(other, InputFunction):
+            return NotImplemented
+        return (self.kind, self.value) == (other.kind, other.value)
+
+    def __hash__(self):
+        return self._hash
+
     def __repr__(self):
         if self.kind == "exp":
             return "InputFunction('exp')"
         body = QZ.format(self.value) if self.kind == "rational" else repr(self.value)
         return f"InputFunction({self.kind!r}, {body})"
+
+
+@lru_cache(maxsize=32)
+def _control_of_text(s):
+    """The control a stripped text denotes.  Cached, as controls are
+    immutable: a text repeated across calls is parsed once."""
+    if s in ("exp", "exp(z)"):
+        return InputFunction.exp()
+    m = _POW_RE.match(s)
+    if m:
+        return InputFunction.power(_exponent(m.group(1).strip()))
+    return InputFunction.rational(s)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +383,17 @@ def chen_series(inputs, path, bound, tol=1e-10):
     panel.  A word's error estimate is the sum of its accepted panels'
     step-doubling defects.  At a singular start endpoint, words with
     divergent innermost integrals are excluded rather than regularized.
+    The words are the alphabet's cached graded words, shared with every
+    other evaluation on the same letters, and control texts are parsed once
+    per process.
     """
     path = SegmentPath.of(path)
     if bound < 0:
         raise ValueError("the length bound must be nonnegative")
     clean, alphabet, singular_start = _prepare_inputs(inputs, path, tol)
-    prepend = [range(len(alphabet.letters))] * bound
     from ._numeric import _evaluate
 
-    words, vals, errs, excluded = _evaluate(clean, alphabet, singular_start, path, prepend, tol)
+    words, vals, errs, excluded = _evaluate(clean, alphabet, singular_start, path, tol, bound=bound)
     values = {(): 1.0}
     values.update(zip(words, vals.tolist()))
     errors = {(): 0.0}
@@ -391,10 +411,9 @@ def iterated_integral(word, inputs, path, tol=1e-10):
     alphabet.validate_word(word)
     if not word:
         return 1.0
-    prepend = [[alphabet.letters.index(x)] for x in reversed(word)]
     from ._numeric import _evaluate
 
-    words, vals, _, _ = _evaluate(clean, alphabet, singular_start, path, prepend, tol)
+    words, vals, _, _ = _evaluate(clean, alphabet, singular_start, path, tol, word=word)
     if len(words) < len(word):
         raise ValueError(f"{word_text(word)} is not integrable at the path endpoint")
     return float(vals[-1])

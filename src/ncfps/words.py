@@ -34,6 +34,26 @@ __all__ = [
 
 _LETTER_RE = re.compile(r"([xy])([0-9]+)\Z")
 
+# the graded words of X alphabets by (letters, length), shared by every Chen
+# evaluation on the same letters; bounded by the words held, not the entries,
+# and cleared when a new table would overflow it
+_GRADED_WORDS_CAP = 2**16
+_GRADED_WORDS_CACHE = {}
+
+
+def _graded_words(letters, g):
+    """The tuple of all words of length g over the letters, in lex order.
+
+    A table of more than `_GRADED_WORDS_CAP` words is built and not kept."""
+    words = _GRADED_WORDS_CACHE.get((letters, g))
+    if words is None:
+        words = tuple(product(letters, repeat=g))
+        if len(words) <= _GRADED_WORDS_CAP:
+            if sum(map(len, _GRADED_WORDS_CACHE.values())) + len(words) > _GRADED_WORDS_CAP:
+                _GRADED_WORDS_CACHE.clear()
+            _GRADED_WORDS_CACHE[letters, g] = words
+    return words
+
 
 class Alphabet(_Immutable):
     """A totally ordered, graded letter set."""
@@ -123,7 +143,7 @@ class Alphabet(_Immutable):
         if g == 0:
             return [()]
         if self.kind == "X":
-            return [w for w in product(self.letters, repeat=g)]
+            return list(_graded_words(self.letters, g))
         words = [tuple(f"y{k}" for k in comp) for comp in _compositions(g)]
         words.sort(key=self.ranks)
         return words

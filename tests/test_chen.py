@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,16 +26,19 @@ from ncfps._numeric import (
     _NODES,
     _ROUNDING,
     _WEIGHTS,
+    _chain_levels,
     _initial_mesh,
     _integrands,
     _panel_values,
     _power_param,
+    _split_at,
     _word_levels,
 )
 from ncfps.chen import (
     ChenEvaluation,
     InputFunction,
     SegmentPath,
+    _control_of_text,
     _derivative_rows,
     _prepare_inputs,
     chen_series,
@@ -52,7 +56,7 @@ from ncfps.exprs import representation_of
 from ncfps.linalg import EchelonBasis, nonzeros, vec_rows
 from ncfps.rings import QQ, QT, QZ, Poly, RatFun, poly_gcd, poly_lcm
 from ncfps.series import NCPolynomial
-from ncfps.words import Alphabet
+from ncfps.words import _GRADED_WORDS_CACHE, Alphabet
 
 X1 = Alphabet.x(1)
 X2 = Alphabet.x(2)
@@ -80,6 +84,59 @@ def test_input_from_text_forms():
     assert r.kind == "rational"
     with pytest.raises(ValueError):
         InputFunction.from_text("1/(z-z)")
+
+
+def test_control_texts_are_parsed_once_per_process():
+    _control_of_text.cache_clear()
+    # surrounding blanks share the entry of the stripped text
+    assert InputFunction.from_text(" 1/z ") is InputFunction.from_text("1/z")
+    info = _control_of_text.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # a bad text is not cached: it raises the same error on every call
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ValueError) as exc:
+            InputFunction.from_text("1/(z-z)")
+        messages.add(str(exc.value))
+    assert len(messages) == 1 and _control_of_text.cache_info().currsize == 1
+    # the series, the flow and the exact ODE on the same two texts parse each once
+    _control_of_text.cache_clear()
+    inputs = {"x0": "1/z", "x1": "1/(1-z)"}
+    rep = star_rep(X2, ("x0", "x1"))
+    chen_series(inputs, SegmentPath("1/10", "2/5"), 4)
+    pair_ode(rep, inputs, SegmentPath("1/10", "2/5"))
+    derive_scalar_ode(rep, inputs)
+    assert _control_of_text.cache_info().misses == 2
+
+
+def test_controls_compare_and_hash_by_value():
+    pairs = [
+        (InputFunction.exp(), InputFunction.from_text("exp(z)")),
+        (InputFunction.power(Fraction(-1, 2)), InputFunction.from_text("pow(z, -1/2)")),
+        (InputFunction.power(0.5), InputFunction.power(Fraction(1, 2))),
+        (InputFunction.of(QZ.parse("1/(1-z)")), InputFunction.of(QZ.parse("2/(2-2*z)"))),
+        (InputFunction.of(Poly.gen("z")), InputFunction.from_text("z")),
+        (InputFunction.of(Fraction(3, 2)), InputFunction.of(1.5)),
+    ]
+    for f, g in pairs:
+        assert f is not g and f == g and hash(f) == hash(g)
+    distinct = [f for f, _ in pairs[:2]] + [pairs[2][0]] + [f for f, _ in pairs[3:]]
+    assert all((f == g) == (i == j) for i, f in enumerate(distinct) for j, g in enumerate(distinct))
+    assert InputFunction.exp() != "exp" and InputFunction.of(1) != 1
+
+
+def test_equal_controls_share_their_split_across_calls():
+    # under the power substitution every panel step splits each control at
+    # the start; a control rebuilt from a fresh RatFun hits the first call's entry
+    _split_at.cache_clear()
+    before = None
+    for _ in range(2):
+        inputs = {"x0": InputFunction.power(Fraction(-1, 2)), "x1": QZ.parse("1/(1-z)")}
+        chen_series(inputs, SegmentPath(0, "1/2"), 3)
+        info = _split_at.cache_info()
+        if before is not None:
+            assert info.hits > before.hits and info.misses == before.misses
+        before = info
 
 
 def test_constants_and_integer_powers_are_rational():
@@ -522,12 +579,72 @@ def _integrable(word, orders):
     return True
 
 
+def _per_row_word_levels(letters, orders, prepend):
+    """The former level builder, one row of word tuples per letter and length:
+    `prepend[k]` lists the letters put in front of every kept word of length k."""
+    words, levels, excluded = [], [], []
+    kept, stages, dropped = [()], np.array([-1.0]), []
+    emin = math.inf
+    for row_letters in prepend:
+        rows, row_stages, segments, lost = [], [np.zeros(0)], [], []
+        for i in row_letters:
+            x = (letters[i],)
+            e = orders[i] + (stages + 1.0)
+            keep = e > -1.0 + 1e-12
+            lost += [x + s for s in dropped] + [x + s for s in compress(kept, (~keep).tolist())]
+            rows += [x + s for s in compress(kept, keep.tolist())]
+            if keep.any():
+                segments.append((i, slice(None) if keep.all() else np.flatnonzero(keep)))
+            row_stages.append(e[keep])
+        stages = np.concatenate(row_stages)
+        emin = min(emin, float(stages.min(initial=math.inf)))
+        words += rows
+        excluded += lost
+        levels.append((len(rows), segments))
+        kept, dropped = rows, lost
+    return words, levels, excluded, emin
+
+
+def _assert_same_levels(got, want):
+    assert got[0] == want[0]  # the same words in the same order
+    assert len(got[1]) == len(want[1])
+    for (size, segments), (want_size, want_segments) in zip(got[1], want[1]):
+        assert size == want_size
+        assert [i for i, _ in segments] == [i for i, _ in want_segments]
+        for (_, index), (_, want_index) in zip(segments, want_segments):
+            if isinstance(want_index, slice):
+                assert index == slice(None)
+            else:
+                assert index.dtype == want_index.dtype and np.array_equal(index, want_index)
+    assert set(got[2]) == set(want[2]) and len(got[2]) == len(want[2])
+    assert got[3] == want[3]
+
+
+_ORDERS = (0.0, 1.0, 2.0, -1.0, -0.5, -1.5, 1.5, math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_ORDERS), min_size=1, max_size=3), st.integers(0, 6), st.data())
+def test_word_levels_match_the_per_row_oracle(orders, bound, data):
+    # a dropped word's extensions stay dropped, whatever the orders of the
+    # letters put in front of it, a zero control's inf included
+    letters = tuple(f"x{i}" for i in range(len(orders)))
+    want = _per_row_word_levels(letters, orders, [range(len(letters))] * bound)
+    _assert_same_levels(_word_levels(letters, orders, bound), want)
+    # one word's suffix chain, up to its first divergent suffix
+    word = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=6)))
+    chain = _chain_levels(letters, orders, word)
+    want = _per_row_word_levels(letters, orders, [[letters.index(x)] for x in reversed(word)])
+    kept = len(chain[0])
+    assert want[1][kept:] == [(0, [])] * (len(word) - kept)
+    _assert_same_levels(chain, (want[0], want[1][:kept], want[2], want[3]))
+
+
 def _assert_kernel_matches_per_word_loop(inputs, path, bound):
     clean, alphabet, singular_start = _prepare_inputs(inputs, path, 1e-10)
     controls = [clean[x] for x in alphabet.letters]
     orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
-    prepend = [range(len(controls))] * bound
-    words, levels, excluded, emin = _word_levels(alphabet.letters, orders, prepend)
+    words, levels, excluded, emin = _word_levels(alphabet.letters, orders, bound)
     by_letter = dict(zip(alphabet.letters, orders))
     chain = [w for w in alphabet.words_up_to(bound, include_empty=False) if _integrable(w, by_letter)]
     assert words == chain
@@ -607,6 +724,37 @@ def test_level_kernel_matches_across_a_block_boundary():
         suffixes = np.arange(levels[-2][0])
         long = [index for _, index in levels[-1][1] if suffixes[index].size > _BLOCK]
         assert any(isinstance(index, np.ndarray) == gathered for index in long)
+
+
+def _clear_shared_caches():
+    _GRADED_WORDS_CACHE.clear()
+    _control_of_text.cache_clear()
+    _split_at.cache_clear()
+
+
+def test_evaluations_do_not_depend_on_the_cache_state():
+    # graded words, parsed texts and split controls are shared across calls;
+    # an evaluation reads bit for bit the same in every state of them
+    def bits(pairs):
+        return [(w, v.hex()) for w, v in pairs]
+
+    def evaluations():
+        out = []
+        for path, bound in ((SegmentPath("1/10", "2/5"), 8), (SegmentPath(0, "1/2"), 6)):
+            ev = chen_series(POLYLOG, path, bound)
+            out.append((bits(ev.values.items()), bits(ev.errors.items()), ev.excluded))
+        out.append(iterated_integral("x0.x0.x1", POLYLOG, SegmentPath(0, "1/2")).hex())
+        out.append(iterated_integral("x1.x0.x1", POLYLOG, SegmentPath("1/10", "2/5")).hex())
+        return out
+
+    _clear_shared_caches()
+    cold = evaluations()
+    chen_series(POLYLOG, SegmentPath("1/5", "1/2"), 13)
+    assert evaluations() == cold
+    chen_series(POLYLOG, SegmentPath(0, "1/3"), 9)
+    assert evaluations() == cold
+    _clear_shared_caches()
+    assert evaluations() == cold
 
 
 def test_gauss_tables_are_the_numpy_rule():

@@ -15,6 +15,8 @@ from itertools import product
 import pytest
 
 from ncfps.words import (
+    _GRADED_WORDS_CACHE,
+    _GRADED_WORDS_CAP,
     Alphabet,
     is_lyndon,
     lyndon_factorization,
@@ -92,6 +94,23 @@ class TestAlphabet:
             ("x1", "x1"),
         ]
         assert len(X3.words_of_grade(3)) == 27
+
+    def test_graded_words_are_fresh_lists_of_a_bounded_cache(self):
+        # the X tables are cached, but a caller mutating its list changes no later call
+        words = X2.words_of_grade(3)
+        words.append(("x9",))
+        words[0] = ()
+        assert X2.words_of_grade(3) == list(product(X2.letters, repeat=3))
+        # a table larger than the cache is built and returned, not kept
+        big = X2.words_of_grade(17)
+        assert len(big) == 2**17 > _GRADED_WORDS_CAP
+        assert big == list(product(X2.letters, repeat=17))
+        assert (X2.letters, 17) not in _GRADED_WORDS_CACHE
+        assert sum(map(len, _GRADED_WORDS_CACHE.values())) <= _GRADED_WORDS_CAP
+        # tables that together overflow it clear it first
+        for g in range(10, 17):
+            assert len(X2.words_of_grade(g)) == 2**g
+            assert sum(map(len, _GRADED_WORDS_CACHE.values())) <= _GRADED_WORDS_CAP
 
     def test_words_of_grade_y_are_compositions(self):
         ws = Y.words_of_grade(3)
