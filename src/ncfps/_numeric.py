@@ -332,9 +332,10 @@ def _power_param(orders, emin):
     return min(64, max(2, math.ceil(3.0 / (emin + 1.0))))
 
 
-def _evaluate(clean, alphabet, singular_start, path, tol, bound=0, word=None):
+def _evaluate(clean, alphabet, singular_start, path, tol, levels_of):
     """Kept words, their values and error estimates, and the excluded words,
-    of every word up to length `bound`, or of the suffixes of `word`.
+    of the family that `levels_of(letters, orders)` lays out: `_word_levels`
+    with its length bound, or `_chain_levels` with its word.
 
     The state of the adaptive driver is the vector of all kept words' values,
     zero at the start; a panel step starts from the previous panel's end
@@ -342,10 +343,7 @@ def _evaluate(clean, alphabet, singular_start, path, tol, bound=0, word=None):
     """
     controls = [clean[x] for x in alphabet.letters]
     orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
-    if word is None:
-        words, levels, excluded, emin = _word_levels(alphabet.letters, orders, bound)
-    else:
-        words, levels, excluded, emin = _chain_levels(alphabet.letters, orders, word)
+    words, levels, excluded, emin = levels_of(alphabet.letters, orders)
     if not words:
         return words, np.zeros(0), np.zeros(0), excluded
     p = _power_param(orders, emin) if singular_start else 1

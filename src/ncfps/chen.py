@@ -48,7 +48,7 @@ the diagnostics and the ODE derivation that use them.
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count, islice
 
 from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, _Immutable, poly_lcm, poly_text
@@ -84,14 +84,11 @@ class InputFunction(_Immutable):
     bound is `RatFun.sup_bound`, exact, rounded up to a double.
     """
 
-    __slots__ = ("kind", "value", "_hash")
+    __slots__ = ("kind", "value")
 
     def __init__(self, kind, value=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
-        # kept: a Q(z) value hashes its Fraction coefficients, microseconds
-        # a time, and every panel step looks its control up in `_split_at`
-        object.__setattr__(self, "_hash", hash((kind, value)))
 
     @property
     def ratfun(self):
@@ -222,14 +219,6 @@ class InputFunction(_Immutable):
                 raise ValueError(
                     f"the {which} endpoint rounds to {rounded!r} in double precision, onto a singularity of the input"
                 )
-
-    def __eq__(self, other):
-        if not isinstance(other, InputFunction):
-            return NotImplemented
-        return (self.kind, self.value) == (other.kind, other.value)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self.kind == "exp":
@@ -391,9 +380,10 @@ def chen_series(inputs, path, bound, tol=1e-10):
     if bound < 0:
         raise ValueError("the length bound must be nonnegative")
     clean, alphabet, singular_start = _prepare_inputs(inputs, path, tol)
-    from ._numeric import _evaluate
+    from ._numeric import _evaluate, _word_levels
 
-    words, vals, errs, excluded = _evaluate(clean, alphabet, singular_start, path, tol, bound=bound)
+    levels_of = partial(_word_levels, bound=bound)
+    words, vals, errs, excluded = _evaluate(clean, alphabet, singular_start, path, tol, levels_of)
     values = {(): 1.0}
     values.update(zip(words, vals.tolist()))
     errors = {(): 0.0}
@@ -411,9 +401,10 @@ def iterated_integral(word, inputs, path, tol=1e-10):
     alphabet.validate_word(word)
     if not word:
         return 1.0
-    from ._numeric import _evaluate
+    from ._numeric import _chain_levels, _evaluate
 
-    words, vals, _, _ = _evaluate(clean, alphabet, singular_start, path, tol, word=word)
+    levels_of = partial(_chain_levels, word=word)
+    words, vals, _, _ = _evaluate(clean, alphabet, singular_start, path, tol, levels_of)
     if len(words) < len(word):
         raise ValueError(f"{word_text(word)} is not integrable at the path endpoint")
     return float(vals[-1])
