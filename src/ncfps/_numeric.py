@@ -11,12 +11,10 @@ without numpy.
 
 import math
 from functools import lru_cache, partial
-from itertools import compress
 
 import numpy as np
 
 from .rings import Poly, RatFun
-from .words import _graded_words
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +257,7 @@ def _word_levels(letters, orders, bound):
     """Every word of length 1 to `bound`, grown one letter at a time on the
     left, with its integrability.
 
-    The words of length k + 1 are the cached graded words, in lex order:
+    The words of length k + 1 are the graded words, in lex order:
     block i is the letter i followed by every word of length k.  A word's
     outer stage multiplies the antiderivative of its suffix (leading exponent
     acc = suffix stage + 1) by its first control (leading exponent orders[i])
@@ -269,19 +267,22 @@ def _word_levels(letters, orders, bound):
     stay excluded, and one mask per length selects the kept rows of every
     block at once.
 
-    Returns the kept words, their levels for `_panel_values`, the excluded
-    words and the smallest kept stage exponent.  A level is (size, segments)
+    Returns the kept masks (per length, a bool array over its graded words,
+    or None when every word is kept), their levels for `_panel_values` and
+    the smallest kept stage exponent.  A level is (size, segments)
     for one length: its rows are the segments in order, and a segment
     (i, index) holds the letter i followed by the rows `index` of the
     previous length, a slice when that is the whole previous length and an
     intp array otherwise.
     """
-    words, levels, excluded = [], [], []
+    if bound and min(orders) >= 0:  # no stage can diverge: every word is kept
+        every = [(i, slice(None)) for i in range(len(orders))]
+        return [None] * bound, [(len(orders) ** k, every) for k in range(1, bound + 1)], float(min(orders))
+    masks, levels = [], []
     orders = np.array(orders, dtype=float)[:, None]
     stages, alive = np.array([-1.0]), np.array([True])
     emin = math.inf
-    for k in range(1, bound + 1):
-        graded = _graded_words(letters, k)
+    for _ in range(bound):
         with np.errstate(invalid="ignore"):  # inf + -inf: a zero control on an excluded suffix
             e = orders + (stages + 1.0)
         keep = e > _DIVERGES
@@ -291,30 +292,28 @@ def _word_levels(letters, orders, bound):
             if rows.any():
                 segments.append((i, slice(None) if rows.all() else np.flatnonzero(rows)))
         stages, alive = np.where(keep, e, -math.inf).ravel(), keep.ravel()
-        if alive.all():
-            words += graded
-        else:
-            words += compress(graded, alive.tolist())
-            excluded += compress(graded, (~alive).tolist())
-        levels.append((int(np.count_nonzero(alive)), segments))
-    return words, levels, excluded, emin
+        kept = int(np.count_nonzero(alive))
+        masks.append(None if kept == alive.size else alive)
+        levels.append((kept, segments))
+    return masks, levels, emin
 
 
 def _chain_levels(letters, orders, word):
     """The suffixes of one word, shortest first, laid out as `_word_levels`
     lays out a family: one row per length.  The first suffix whose stage
-    diverges ends the chain, and it and every longer suffix are excluded."""
+    diverges ends the chain, and it and every longer suffix are excluded.
+    Returns the kept suffixes, their levels and the smallest stage exponent."""
     words, levels = [], []
     stage, emin = -1.0, math.inf
     for k in range(len(word) - 1, -1, -1):
         i = letters.index(word[k])
         stage = orders[i] + (stage + 1.0)
         if not stage > _DIVERGES:
-            return words, levels, [word[j:] for j in range(k, -1, -1)], emin
+            break
         words.append(word[k:])
         levels.append((1, [(i, slice(None))]))
         emin = min(emin, stage)
-    return words, levels, [], emin
+    return words, levels, emin
 
 
 def _power_param(orders, emin):
@@ -333,9 +332,10 @@ def _power_param(orders, emin):
 
 
 def _evaluate(clean, alphabet, singular_start, path, tol, levels_of):
-    """Kept words, their values and error estimates, and the excluded words,
-    of the family that `levels_of(letters, orders)` lays out: `_word_levels`
-    with its length bound, or `_chain_levels` with its word.
+    """The layout, the values and the error estimates of the kept words of
+    the family that `levels_of(letters, orders)` lays out: `_word_levels`
+    with its length bound (the layout is its kept masks), or `_chain_levels`
+    with its word (the kept suffixes).  The values follow the levels' rows.
 
     The state of the adaptive driver is the vector of all kept words' values,
     zero at the start; a panel step starts from the previous panel's end
@@ -343,15 +343,16 @@ def _evaluate(clean, alphabet, singular_start, path, tol, levels_of):
     """
     controls = [clean[x] for x in alphabet.letters]
     orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
-    words, levels, excluded, emin = levels_of(alphabet.letters, orders)
-    if not words:
-        return words, np.zeros(0), np.zeros(0), excluded
+    layout, levels, emin = levels_of(alphabet.letters, orders)
+    rows = sum(size for size, _ in levels)
+    if not rows:
+        return layout, np.zeros(0), np.zeros(0)
     p = _power_param(orders, emin) if singular_start else 1
     used = {i for _, segments in levels for i, _ in segments}
     pairs = [(x, f) if i in used else None for i, (x, f) in enumerate(zip(alphabet.letters, controls))]
     step = partial(_panel_values, path=path, controls=pairs, levels=levels, p=p)
-    vals, errs = _adaptive(step, np.zeros(len(words)), _initial_mesh(singular_start), tol, path, p)
-    return words, vals, errs, excluded
+    vals, errs = _adaptive(step, np.zeros(rows), _initial_mesh(singular_start), tol, path, p)
+    return layout, vals, errs
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +368,32 @@ def _float_matrix(rows, n):
     return m
 
 
-def _series_pairing(ev, rep):
-    """The truncated pairing of the evaluation with rep, and ||nu||_1 ||eta||_inf."""
-    mats = {x: _float_matrix(rows, rep.dim) for x, rows in rep.rows.items()}
+def _series_pairing(coeffs, letters, bound, rep):
+    """The truncated pairing sum_w c_w nu mu(w) eta, and ||nu||_1 ||eta||_inf,
+    for `coeffs` the c_w of every word up to `bound`, in grade-lex order.
+
+    The prefix rows P_k of the words of length k are formed length by length,
+    P_{k+1}[r m + j] = P_k[r] mu(x_j), over the letters that have a matrix; a
+    word with a letter that has none pairs to 0 and is skipped.  `rows` holds
+    each prefix row's word as its index among the words of its length, so the
+    terms c_w (P_k eta)_w are added in word order.
+    """
+    m, n = len(letters), rep.dim
+    used = np.flatnonzero([x in rep.rows for x in letters])
+    # the matrices side by side: row r of P_k @ wide holds the rows of r's word followed by each used letter
+    wide = np.hstack([np.zeros((n, 0))] + [_float_matrix(rep.rows[letters[j]], n) for j in used])
     nu = np.array([float(c) for c in rep.nu])
     eta = np.array([float(c) for c in rep.eta])
-    prefixes = {(): nu}
-
-    def prefix(w):
-        # None stands for a zero row: some letter of w has no matrix
-        if w not in prefixes:
-            head, m = prefix(w[:-1]), mats.get(w[-1])
-            prefixes[w] = None if head is None or m is None else head @ m
-        return prefixes[w]
-
-    value = 0.0
-    for w, c in ev.values.items():
-        v = prefix(w)
-        if v is not None:
-            value += c * float(v @ eta)
+    coeffs = np.array(coeffs, dtype=float)
+    prefixes, rows = nu[None, :], np.zeros(1, dtype=np.intp)
+    value, start = 0.0, 0
+    for k in range(bound + 1):
+        if k:
+            prefixes = (prefixes @ wide).reshape(-1, n)
+            rows = (rows[:, None] * m + used).ravel()
+        for term in (coeffs[start + rows] * (prefixes @ eta)).tolist():
+            value += term
+        start += m**k
     return value, float(np.sum(np.abs(nu))) * float(np.max(np.abs(eta)))
 
 

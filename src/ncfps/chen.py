@@ -25,6 +25,10 @@ the rows of one array, each the product of its first letter's control and its
 suffix's node values, integrated by two matrix products per block of rows;
 memory holds two consecutive lengths' node values on one panel.  A word's
 error estimate sums its step-doubling defects over the accepted panels.  The
+evaluation's values, errors and excluded words are read-only views over that
+layout of the words, in grade-lex order: a lookup costs O(|w|) and builds no
+table of words.  The pairing forms the prefix rows nu mu(w) length by length
+in the same order.  The
 flow evaluator sums a rational series without truncation: its state equation
 is stepped by 16-stage Gauss collocation under the same driver.  A flow whose
 values overflow doubles raises, naming where.
@@ -47,12 +51,13 @@ the diagnostics and the ODE derivation that use them.
 
 import math
 import re
+from collections.abc import ItemsView, Mapping, Set, ValuesView
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import count, islice
+from itertools import accumulate, chain, compress, count, islice
 
 from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, _Immutable, poly_lcm, poly_text
-from .words import _LETTER_RE, Alphabet, parse_word, word_text
+from .words import _LETTER_RE, Alphabet, _graded_words, parse_word, word_text
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +328,127 @@ def _prepare_inputs(inputs, path, tol):
     return clean, alphabet, singular_start
 
 
+class _Layout(_Immutable):
+    """The rows of the words of length 0 to a bound over X letters, in
+    grade-lex order: per length every graded word, or those a mask keeps.  A
+    word's row is read off its letter ranks and, at a masked length, the kept
+    count before it, so a lookup costs O(|w|) and no table of words is held."""
+
+    __slots__ = ("letters", "_rank", "_kept", "_starts", "dropped")
+
+    def __init__(self, letters, masks):
+        # per length, None or each graded word's row among the kept ones, -1 if dropped
+        kept = [None] + [None if mask is None else mask.cumsum() * mask - 1 for mask in masks]
+        graded = [len(letters) ** k for k in range(len(kept))]
+        rows = [n if index is None else int(index.max(initial=-1)) + 1 for n, index in zip(graded, kept)]
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_rank", {x: i for i, x in enumerate(letters)})
+        object.__setattr__(self, "_kept", kept)
+        object.__setattr__(self, "_starts", [0, *accumulate(rows)])
+        object.__setattr__(self, "dropped", sum(graded) - sum(rows))
+
+    def complete(self, bound):
+        """Whether the rows are every word of length 0 to `bound`."""
+        return len(self._kept) == bound + 1 and not self.dropped
+
+    def row(self, w):
+        """The row of a kept word, -1 for a dropped word, and None for
+        anything else."""
+        if not isinstance(w, tuple) or len(w) >= len(self._kept):
+            return None
+        r, m = 0, len(self.letters)
+        for x in w:
+            i = self._rank.get(x)
+            if i is None:
+                return None
+            r = r * m + i
+        kept = self._kept[len(w)]
+        if kept is not None and (r := int(kept[r])) < 0:
+            return -1
+        return self._starts[len(w)] + r
+
+    def words(self, kept=True):
+        """The kept words, or the dropped ones, in grade-lex order."""
+        return chain.from_iterable(
+            compress(_graded_words(self.letters, k), ((rows >= 0) == kept).tolist())
+            if rows is not None
+            else _graded_words(self.letters, k) if kept else ()
+            for k, rows in enumerate(self._kept)
+        )
+
+
+class _WordValues(_Immutable, Mapping):
+    """A read-only map of a layout's kept words to doubles, one per row.
+    Iteration, `items()` and `values()` read the rows in order without
+    lookups; `[]`, `in` and `get` cost O(|w|)."""
+
+    __slots__ = ("layout", "rows")
+
+    def __init__(self, layout, rows):
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "rows", rows)
+
+    def __getitem__(self, w):
+        i = self.layout.row(w)
+        if i is None or i < 0:
+            raise KeyError(w)
+        return self.rows[i]
+
+    def __iter__(self):
+        return self.layout.words()
+
+    def __len__(self):
+        return len(self.rows)
+
+    def items(self):
+        return _WordItems(self)
+
+    def values(self):
+        return _RowValues(self)
+
+
+class _WordItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping.layout.words(), self._mapping.rows)
+
+
+class _RowValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping.rows)
+
+
+class _Dropped(_Immutable, Set):
+    """The read-only, hashable set of the words a layout drops, in grade-lex order."""
+
+    __slots__ = ("layout",)
+    __hash__ = Set._hash
+
+    def __init__(self, layout):
+        object.__setattr__(self, "layout", layout)
+
+    def __contains__(self, w):
+        return self.layout.row(w) == -1
+
+    def __iter__(self):
+        return self.layout.words(kept=False)
+
+    def __len__(self):
+        return self.layout.dropped
+
+
 class ChenEvaluation(_Immutable):
     """All iterated-integral coefficients of one segment up to a length bound.
 
     `values` maps each included word to a double, `errors` to its a-posteriori
-    quadrature estimate; the empty word carries exactly 1.  `excluded` lists
+    quadrature estimate; the empty word carries exactly 1.  `excluded` holds
     the words dropped because their innermost integral diverges at a singular
-    start endpoint.
+    start endpoint.  From `chen_series` the three are read-only views over
+    one layout of the words, in grade-lex order, with O(|w|) lookups; other
+    mappings and sets are copied into a dict and a frozenset.
     """
 
     __slots__ = ("alphabet", "inputs", "path", "bound", "values", "errors", "excluded")
@@ -339,20 +458,24 @@ class ChenEvaluation(_Immutable):
         object.__setattr__(self, "inputs", dict(inputs))
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "values", dict(values))
-        object.__setattr__(self, "errors", dict(errors))
-        object.__setattr__(self, "excluded", frozenset(excluded))
+        object.__setattr__(self, "values", values if isinstance(values, _WordValues) else dict(values))
+        object.__setattr__(self, "errors", errors if isinstance(errors, _WordValues) else dict(errors))
+        object.__setattr__(self, "excluded", excluded if isinstance(excluded, _Dropped) else frozenset(excluded))
 
-    def coeff(self, w):
+    def _lookup(self, table, w):
         w = tuple(w)
-        if w in self.values:
-            return self.values[w]
+        v = table.get(w)
+        if v is not None:
+            return v
         if w in self.excluded:
             raise ValueError(f"{word_text(w)} diverges at the path endpoint")
         raise KeyError(word_text(w))
 
+    def coeff(self, w):
+        return self._lookup(self.values, w)
+
     def error(self, w):
-        return self.errors[tuple(w)]
+        return self._lookup(self.errors, w)
 
     def __repr__(self):
         return (
@@ -372,9 +495,11 @@ def chen_series(inputs, path, bound, tol=1e-10):
     panel.  A word's error estimate is the sum of its accepted panels'
     step-doubling defects.  At a singular start endpoint, words with
     divergent innermost integrals are excluded rather than regularized.
-    The words are the alphabet's cached graded words, shared with every
-    other evaluation on the same letters, and control texts are parsed once
-    per process.
+    `values`, `errors` and `excluded` are read-only views over the kernel's
+    layout of the words, in grade-lex order: a lookup costs O(|w|), and
+    iteration reads the alphabet's cached graded words, shared with every
+    other evaluation on the same letters.  Control texts are parsed once per
+    process.
     """
     path = SegmentPath.of(path)
     if bound < 0:
@@ -383,12 +508,11 @@ def chen_series(inputs, path, bound, tol=1e-10):
     from ._numeric import _evaluate, _word_levels
 
     levels_of = partial(_word_levels, bound=bound)
-    words, vals, errs, excluded = _evaluate(clean, alphabet, singular_start, path, tol, levels_of)
-    values = {(): 1.0}
-    values.update(zip(words, vals.tolist()))
-    errors = {(): 0.0}
-    errors.update(zip(words, errs.tolist()))
-    return ChenEvaluation(alphabet, clean, path, bound, values, errors, excluded)
+    masks, vals, errs = _evaluate(clean, alphabet, singular_start, path, tol, levels_of)
+    layout = _Layout(alphabet.letters, masks)
+    values = _WordValues(layout, [1.0] + vals.tolist())
+    errors = _WordValues(layout, [0.0] + errs.tolist())
+    return ChenEvaluation(alphabet, clean, path, bound, values, errors, _Dropped(layout))
 
 
 def iterated_integral(word, inputs, path, tol=1e-10):
@@ -404,7 +528,7 @@ def iterated_integral(word, inputs, path, tol=1e-10):
     from ._numeric import _chain_levels, _evaluate
 
     levels_of = partial(_chain_levels, word=word)
-    words, vals, _, _ = _evaluate(clean, alphabet, singular_start, path, tol, levels_of)
+    words, vals, _ = _evaluate(clean, alphabet, singular_start, path, tol, levels_of)
     if len(words) < len(word):
         raise ValueError(f"{word_text(word)} is not integrable at the path endpoint")
     return float(vals[-1])
@@ -423,7 +547,7 @@ def friedrichs_check(ev):
     """
     from .series import shuffle_words
 
-    vals = ev.values
+    vals = dict(ev.values.items())  # many lookups: at dict speed
     words = sorted(vals, key=len)
     worst = 0.0
     for i, u in enumerate(words):
@@ -432,15 +556,12 @@ def friedrichs_check(ev):
             if lu + len(v) > ev.bound:
                 continue
             acc = 0.0
-            ok = True
             for w, c in shuffle_words(u, v):
                 cw = vals.get(w)
-                if cw is None:
-                    # possible only for pairs mixing excluded structure
-                    ok = False
+                if cw is None:  # possible only for pairs mixing excluded structure
                     break
                 acc += c * cw
-            if ok:
+            else:
                 worst = max(worst, abs(acc - vals[u] * vals[v]))
     return worst
 
@@ -459,7 +580,7 @@ def primitive_log_check(ev):
         raise ValueError("the primitivity check needs a complete evaluation; choose a path avoiding the singular endpoint")
     from .series import NCPolynomial, TensorPoly, TruncatedSeries, unshuffle
 
-    series = NCPolynomial(ev.alphabet, RR, dict(ev.values))
+    series = NCPolynomial(ev.alphabet, RR, dict(ev.values.items()))
     logarithm = TruncatedSeries(series, ev.bound).log()
     one = NCPolynomial.one(ev.alphabet, RR)
     worst = 0.0
@@ -487,18 +608,16 @@ def flow_compose(second, first):
     if first.path.z1_exact != second.path.z0_exact:
         raise ValueError("the second leg must start where the first ends")
     bound = min(first.bound, second.bound)
+    head, tail = dict(second.values.items()), dict(first.values.items())  # many lookups: at dict speed
     out = {}
     for w in first.alphabet.words_up_to(bound):
         acc = 0.0
-        ok = True
         for i in range(len(w) + 1):
-            cu = second.values.get(w[:i])
-            cv = first.values.get(w[i:])
+            cu, cv = head.get(w[:i]), tail.get(w[i:])
             if cu is None or cv is None:
-                ok = False
                 break
             acc += cu * cv
-        if ok:
+        else:
             out[w] = acc
     return out
 
@@ -548,7 +667,12 @@ def pair_series(ev, rep):
         return PairingResult(0.0, 0.0, True)
     from ._numeric import _series_pairing
 
-    value, k = _series_pairing(ev, rep)
+    values = ev.values
+    if isinstance(values, _WordValues) and values.layout.complete(ev.bound):
+        coeffs = values.rows
+    else:  # a word the mapping lacks counts 0
+        coeffs = [values.get(w, 0.0) for w in ev.alphabet.words_up_to(ev.bound)]
+    value, k = _series_pairing(coeffs, ev.alphabet.letters, ev.bound, rep)
     mu_norm = max((_inf_norm(rep.rows[x]) for x in ev.inputs if x in rep.rows), default=0.0)
     tail = 0.0
     if k > 0.0 and mu_norm > 0.0:

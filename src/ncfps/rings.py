@@ -235,8 +235,10 @@ class Poly(_Immutable):
 
     def content(self):
         """Positive rational c with self/c having integer, setwise-coprime coefficients."""
-        d, nums = _integral(self.coeffs)
-        return Fraction(math.gcd(*nums), d)
+        # gcd of the numerators over lcm of the denominators, each coefficient
+        # in lowest terms: the same p-adic valuations as lifting to integers
+        cs = self.coeffs
+        return Fraction(math.gcd(*[c.numerator for c in cs]), math.lcm(*[c.denominator for c in cs]))
 
     def root_multiplicity(self, r):
         r = _frac(r)

@@ -4,11 +4,12 @@ exact scalar differential equations."""
 
 import json
 import math
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from ncfps._numeric import (
     _ROUNDING,
     _WEIGHTS,
     _chain_levels,
+    _float_matrix,
     _initial_mesh,
     _integrands,
     _panel_values,
@@ -38,6 +40,9 @@ from ncfps.chen import (
     ChenEvaluation,
     InputFunction,
     SegmentPath,
+    _Dropped,
+    _Layout,
+    _WordValues,
     _control_of_text,
     _derivative_rows,
     _prepare_inputs,
@@ -298,6 +303,21 @@ def test_divergent_words_raise_or_are_excluded():
         ev.coeff(("x0",))
     with pytest.raises(KeyError):
         ev.coeff(("x0",) * 9)
+
+
+def test_error_of_a_word_raises_as_its_coefficient_does():
+    ev = chen_series(POLYLOG, SegmentPath(0, "1/2"), 3)
+    vals, errs, excluded = dict(ev.values), dict(ev.errors), set(ev.excluded)
+    copied = ChenEvaluation(ev.alphabet, ev.inputs, ev.path, ev.bound, vals, errs, excluded)
+    for e in (ev, copied):
+        for get in (e.coeff, e.error):
+            with pytest.raises(ValueError, match="x1.x0 diverges at the path endpoint"):
+                get(("x1", "x0"))
+            for w in (("x1",) * 4, ("x2",), "x9"):
+                with pytest.raises(KeyError):
+                    get(w)
+        assert e.error(["x0", "x1"]) == ev.errors[("x0", "x1")] > 0.0
+        assert e.error(()) == 0.0 and e.coeff(()) == 1.0
 
 
 def test_series_matches_single_word_integrals():
@@ -589,6 +609,20 @@ def _per_row_word_levels(letters, orders, prepend):
     return words, levels, excluded, emin
 
 
+def _masked_words(letters, masks):
+    """The kept and the excluded words of `_word_levels`'s masks, grade-lex."""
+    kept, excluded = [], []
+    for k, mask in enumerate(masks, 1):
+        graded = list(product(letters, repeat=k))
+        if mask is None:
+            kept += graded
+        else:
+            assert mask.dtype == bool and mask.shape == (len(graded),) and not mask.all()
+            kept += compress(graded, mask.tolist())
+            excluded += compress(graded, (~mask).tolist())
+    return kept, excluded
+
+
 def _assert_same_levels(got, want):
     assert got[0] == want[0]  # the same words in the same order
     assert len(got[1]) == len(want[1])
@@ -614,21 +648,80 @@ def test_word_levels_match_the_per_row_oracle(orders, bound, data):
     # letters put in front of it, a zero control's inf included
     letters = tuple(f"x{i}" for i in range(len(orders)))
     want = _per_row_word_levels(letters, orders, [range(len(letters))] * bound)
-    _assert_same_levels(_word_levels(letters, orders, bound), want)
-    # one word's suffix chain, up to its first divergent suffix
+    masks, levels, emin = _word_levels(letters, orders, bound)
+    assert len(masks) == bound
+    words, excluded = _masked_words(letters, masks)
+    _assert_same_levels((words, levels, excluded, emin), want)
+    # one word's suffix chain, up to its first divergent suffix, which
+    # excludes itself and every longer suffix
     word = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=6)))
-    chain = _chain_levels(letters, orders, word)
+    words, levels, emin = _chain_levels(letters, orders, word)
     want = _per_row_word_levels(letters, orders, [[letters.index(x)] for x in reversed(word)])
-    kept = len(chain[0])
+    kept = len(words)
     assert want[1][kept:] == [(0, [])] * (len(word) - kept)
-    _assert_same_levels(chain, (want[0], want[1][:kept], want[2], want[3]))
+    excluded = [word[j:] for j in range(len(word) - kept - 1, -1, -1)]
+    _assert_same_levels((words, levels, excluded, emin), (want[0], want[1][:kept], want[2], want[3]))
+
+
+_NON_WORDS = ("x0", ["x0"], 0, None, ("x0", 1), ("x9",), ("x0", "x9"), (("x0",),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_ORDERS), min_size=1, max_size=3), st.integers(0, 8), st.data())
+def test_word_views_match_the_dict_oracle(orders, bound, data):
+    # the views over the layout against the dicts and the frozenset that
+    # the former per-row level builder gave
+    letters = tuple(f"x{i}" for i in range(len(orders)))
+    words, _, excluded, _ = _per_row_word_levels(letters, orders, [range(len(letters))] * bound)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    vals = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-60, 60) for _ in words]
+    errs = [abs(v) / 3 for v in vals]
+    want_vals = {(): 1.0}
+    want_vals.update(zip(words, vals))
+    want_errs = {(): 0.0}
+    want_errs.update(zip(words, errs))
+    layout = _Layout(letters, _word_levels(letters, orders, bound)[0])
+    got_vals, got_errs = _WordValues(layout, [1.0, *vals]), _WordValues(layout, [0.0, *errs])
+    got_excluded, want_excluded = _Dropped(layout), frozenset(excluded)
+
+    def bits(pairs):
+        return [(w, v.hex()) for w, v in pairs]
+
+    for got, want in ((got_vals, want_vals), (got_errs, want_errs)):
+        # grade-lex order, bit for bit
+        assert bits(got.items()) == bits(want.items())
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+        assert list(got) == list(want) == sorted(want, key=lambda w: (len(w), w))
+        assert len(got) == len(want) and got == want and want == got
+        assert got != {**want, (): 2.0} and got != dict(list(want.items())[:-1])
+        for w in want:
+            assert w in got and got[w] is got.get(w) and got[w] == want[w]
+        for w in [*want_excluded, ("x0",) * (bound + 1), *_NON_WORDS]:
+            assert w not in got and got.get(w) is None and got.get(w, 5) == 5
+            with pytest.raises(KeyError):
+                got[w]
+        for name in ("__setitem__", "__delitem__", "pop", "popitem", "clear", "update", "setdefault"):
+            assert not hasattr(got, name)
+        with pytest.raises(AttributeError):
+            got.rows = []
+    assert got_excluded == want_excluded and want_excluded == got_excluded
+    assert len(got_excluded) == len(want_excluded) and bool(got_excluded) == bool(want_excluded)
+    assert hash(got_excluded) == hash(want_excluded)
+    assert list(got_excluded) == sorted(want_excluded, key=lambda w: (len(w), w))
+    for w in want_excluded:
+        assert w in got_excluded
+    for w in [*want_vals, ("x0",) * (bound + 1), *_NON_WORDS]:
+        assert w not in got_excluded
+    for name in ("add", "discard", "remove", "pop", "clear", "update"):
+        assert not hasattr(got_excluded, name)
 
 
 def _assert_kernel_matches_per_word_loop(inputs, path, bound):
     clean, alphabet, singular_start = _prepare_inputs(inputs, path, 1e-10)
     controls = [clean[x] for x in alphabet.letters]
     orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
-    words, levels, excluded, emin = _word_levels(alphabet.letters, orders, bound)
+    masks, levels, emin = _word_levels(alphabet.letters, orders, bound)
+    words, excluded = _masked_words(alphabet.letters, masks)
     by_letter = dict(zip(alphabet.letters, orders))
     chain = [w for w in alphabet.words_up_to(bound, include_empty=False) if _integrable(w, by_letter)]
     assert words == chain
@@ -1070,6 +1163,69 @@ def test_pair_ode_agrees_with_the_series_within_its_tail(case):
     rep, inputs, path = case
     res = pair_series(chen_series(inputs, path, 10), rep)
     assert abs(pair_ode(rep, inputs, path) - res.value) <= res.tail + 1e-9
+
+
+def _per_word_pairing(ev, rep, absolute=False):
+    """The former pairing: one prefix row nu mu(w) per word, memoized by
+    word, summed in the evaluation's order; with `absolute`, the sum of
+    |c_w| (|nu| |mu|(w) |eta|) over entrywise absolute matrices."""
+    size = np.abs if absolute else (lambda a: a)
+    mats = {x: size(_float_matrix(rows, rep.dim)) for x, rows in rep.rows.items()}
+    nu = size(np.array([float(c) for c in rep.nu]))
+    eta = size(np.array([float(c) for c in rep.eta]))
+    prefixes = {(): nu}
+
+    def prefix(w):
+        # None stands for a zero row: some letter of w has no matrix
+        if w not in prefixes:
+            head, m = prefix(w[:-1]), mats.get(w[-1])
+            prefixes[w] = None if head is None or m is None else head @ m
+        return prefixes[w]
+
+    value = 0.0
+    for w, c in ev.values.items():
+        v = prefix(w)
+        if v is not None:
+            value += size(c) * float(v @ eta)
+    return value
+
+
+_PAIR_ENTRY = st.sampled_from(tuple(map(Fraction, ("-2", "-1", "-1/2", "0", "1/3", "1", "3/2"))))
+
+
+@st.composite
+def _level_pairing_cases(draw):
+    letters = draw(st.integers(1, 3))
+    alphabet = Alphabet.x(letters)
+    inputs = {x: draw(st.sampled_from(_CATALOG + ("1/z", "1/(z+2)"))) for x in alphabet.letters}
+    z0 = Fraction(draw(st.integers(1, 5)), 10)
+    path = SegmentPath(z0, z0 + Fraction(draw(st.integers(1, 4)), 10))
+    ev = chen_series(inputs, path, draw(st.integers(0, {1: 10, 2: 8, 3: 5}[letters])))
+    n = draw(st.integers(1, 8))
+
+    def vector():
+        return draw(st.lists(_PAIR_ENTRY, min_size=n, max_size=n))
+
+    # some letters get no matrix: their words pair to 0
+    with_matrix = draw(st.lists(st.booleans(), min_size=letters, max_size=letters))
+    mu = {x: [vector() for _ in range(n)] for x, has in zip(alphabet.letters, with_matrix) if has}
+    return ev, LinearRepresentation(alphabet, QQ, vector(), mu, vector())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_level_pairing_cases())
+def test_level_pairing_matches_the_per_word_pairing(case):
+    # prefix rows formed by levels and the former per-word recursion round
+    # differently, by a few ulps of each term's absolute size
+    ev, rep = case
+    value = pair_series(ev, rep).value
+    scale = _per_word_pairing(ev, rep, absolute=True)
+    assert abs(value - _per_word_pairing(ev, rep)) <= 8 * (ev.bound + 1) * rep.dim * EPS * scale
+    # the constructor keeps views and copies other mappings; an evaluation
+    # built from a dict pairs through its words, bit for bit
+    copied = ChenEvaluation(ev.alphabet, ev.inputs, ev.path, ev.bound, dict(ev.values), ev.errors, ev.excluded)
+    assert type(copied.values) is dict and copied.errors is ev.errors and copied.excluded is ev.excluded
+    assert pair_series(copied, rep).value.hex() == value.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncfps.rings import (
@@ -17,6 +17,7 @@ from ncfps.rings import (
     Poly,
     PolynomialRing,
     RatFun,
+    _integral,
     poly_gcd,
     poly_text,
     _SUP_SLACK,
@@ -86,6 +87,18 @@ class TestPoly:
         assert zpoly(Fraction(2, 3), Fraction(4, 3)).content() == Fraction(2, 3)
         assert zpoly(6, -9).content() == 3
         assert zpoly().content() == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**12)), max_size=12))
+    @example([])
+    @example([Fraction(0), Fraction(0)])
+    @example([Fraction(-6, 35), Fraction(0), Fraction(9, -14), Fraction(-3)])
+    def test_content_matches_the_integer_lift(self, coeffs):
+        # gcd(numerators) / lcm(denominators) against the content of the
+        # coefficients lifted to integers over their common denominator
+        p = zpoly(*coeffs)
+        d, nums = _integral(p.coeffs)
+        assert p.content() == Fraction(math.gcd(*nums), d)
 
     def test_root_multiplicity(self):
         p = zpoly(-1, 1) ** 3 * zpoly(2, 1)
