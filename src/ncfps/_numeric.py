@@ -275,9 +275,6 @@ def _word_levels(letters, orders, bound):
     previous length, a slice when that is the whole previous length and an
     intp array otherwise.
     """
-    if bound and min(orders) >= 0:  # no stage can diverge: every word is kept
-        every = [(i, slice(None)) for i in range(len(orders))]
-        return [None] * bound, [(len(orders) ** k, every) for k in range(1, bound + 1)], float(min(orders))
     masks, levels = [], []
     orders = np.array(orders, dtype=float)[:, None]
     stages, alive = np.array([-1.0]), np.array([True])

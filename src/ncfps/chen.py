@@ -334,31 +334,26 @@ class _Layout(_Immutable):
     word's row is read off its letter ranks and, at a masked length, the kept
     count before it, so a lookup costs O(|w|) and no table of words is held."""
 
-    __slots__ = ("letters", "_rank", "_kept", "_starts", "dropped")
+    __slots__ = ("alphabet", "_kept", "_starts", "dropped")
 
-    def __init__(self, letters, masks):
+    def __init__(self, alphabet, masks):
         # per length, None or each graded word's row among the kept ones, -1 if dropped
         kept = [None] + [None if mask is None else mask.cumsum() * mask - 1 for mask in masks]
-        graded = [len(letters) ** k for k in range(len(kept))]
+        graded = [len(alphabet.letters) ** k for k in range(len(kept))]
         rows = [n if index is None else int(index.max(initial=-1)) + 1 for n, index in zip(graded, kept)]
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_rank", {x: i for i, x in enumerate(letters)})
+        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_kept", kept)
         object.__setattr__(self, "_starts", [0, *accumulate(rows)])
         object.__setattr__(self, "dropped", sum(graded) - sum(rows))
-
-    def complete(self, bound):
-        """Whether the rows are every word of length 0 to `bound`."""
-        return len(self._kept) == bound + 1 and not self.dropped
 
     def row(self, w):
         """The row of a kept word, -1 for a dropped word, and None for
         anything else."""
         if not isinstance(w, tuple) or len(w) >= len(self._kept):
             return None
-        r, m = 0, len(self.letters)
+        r, m, rank = 0, len(self.alphabet.letters), self.alphabet._rank
         for x in w:
-            i = self._rank.get(x)
+            i = rank.get(x)
             if i is None:
                 return None
             r = r * m + i
@@ -370,9 +365,9 @@ class _Layout(_Immutable):
     def words(self, kept=True):
         """The kept words, or the dropped ones, in grade-lex order."""
         return chain.from_iterable(
-            compress(_graded_words(self.letters, k), ((rows >= 0) == kept).tolist())
+            compress(_graded_words(self.alphabet.letters, k), ((rows >= 0) == kept).tolist())
             if rows is not None
-            else _graded_words(self.letters, k) if kept else ()
+            else _graded_words(self.alphabet.letters, k) if kept else ()
             for k, rows in enumerate(self._kept)
         )
 
@@ -509,7 +504,7 @@ def chen_series(inputs, path, bound, tol=1e-10):
 
     levels_of = partial(_word_levels, bound=bound)
     masks, vals, errs = _evaluate(clean, alphabet, singular_start, path, tol, levels_of)
-    layout = _Layout(alphabet.letters, masks)
+    layout = _Layout(alphabet, masks)
     values = _WordValues(layout, [1.0] + vals.tolist())
     errors = _WordValues(layout, [0.0] + errs.tolist())
     return ChenEvaluation(alphabet, clean, path, bound, values, errors, _Dropped(layout))
@@ -668,8 +663,8 @@ def pair_series(ev, rep):
     from ._numeric import _series_pairing
 
     values = ev.values
-    if isinstance(values, _WordValues) and values.layout.complete(ev.bound):
-        coeffs = values.rows
+    if isinstance(values, _WordValues) and len(values.layout._kept) == ev.bound + 1:
+        coeffs = values.rows  # every word up to the bound: the excluded ones were refused above
     else:  # a word the mapping lacks counts 0
         coeffs = [values.get(w, 0.0) for w in ev.alphabet.words_up_to(ev.bound)]
     value, k = _series_pairing(coeffs, ev.alphabet.letters, ev.bound, rep)

@@ -680,7 +680,7 @@ def test_word_views_match_the_dict_oracle(orders, bound, data):
     want_vals.update(zip(words, vals))
     want_errs = {(): 0.0}
     want_errs.update(zip(words, errs))
-    layout = _Layout(letters, _word_levels(letters, orders, bound)[0])
+    layout = _Layout(Alphabet.from_letters(letters), _word_levels(letters, orders, bound)[0])
     got_vals, got_errs = _WordValues(layout, [1.0, *vals]), _WordValues(layout, [0.0, *errs])
     got_excluded, want_excluded = _Dropped(layout), frozenset(excluded)
 
