@@ -10,7 +10,7 @@ without numpy.
 """
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -34,8 +34,8 @@ def _integrands(controls, path, t, p):
     """f(z(t)) z'(t) for each control f, at the parameters t, for
     z(t) = z0 + (z1 - z0) t^p.
 
-    With p > 1 the start z0 is singular, and f = g (z - z0)^o there, o the
-    order of f at z0 and g = f / (z - z0)^o, exact (1 for z^a from 0).  The
+    With p > 1 the start z0 is singular, and `controls` holds each control's
+    split (o, g) at z0, as `_split_at` gives it: f = g (z - z0)^o.  The
     product is then evaluated as g(z(t)) p (z1 - z0)^(o+1) t^(p(o+1) - 1):
     as f(z(t)) z'(t) it is inf * 0 once z(t) - z0 underflows, though the
     integral converges.
@@ -45,21 +45,14 @@ def _integrands(controls, path, t, p):
         zs = path.z0 + dz * t
         return [_control_values(f, zs) * dz for f in controls]
     zs = path.z0 + dz * t**p
-    out = []
-    for f in controls:
-        o, g = _split_at(f, path.z0_exact)
-        out.append(_control_values(g, zs) * (p * dz ** (o + 1)) * t ** (p * (o + 1) - 1))
-    return out
+    return [_control_values(g, zs) * (p * dz ** (o + 1)) * t ** (p * (o + 1) - 1) for o, g in controls]
 
 
-@lru_cache(maxsize=64)
-def _split_at(f, z0):
-    """(o, g) with f = g (z - z0)^o: o the order of the control f at z0, and
-    g the control f itself for o = 0, 1 for z^a from 0, and the exact Q(z)
-    quotient for a rational f.  Cached: every panel step of an evaluation
-    asks for it, and the quotient is exact Q(z) arithmetic."""
-    o = f.vanishing_order_at(z0)
-    if not o or o == math.inf:  # regular at z0, or the zero control
+def _split_at(f, o, z0):
+    """(o, g) with f = g (z - z0)^o, for o the order of the control f at z0:
+    g is f itself for o = 0, 1 for z^a from 0, and the exact Q(z) quotient for
+    a rational f.  The zero control, of order inf, splits as (0, f)."""
+    if not o or o == math.inf:
         return 0, f
     if f.kind == "pow":
         return o, type(f).rational(1)
@@ -144,7 +137,8 @@ def _panel_values(q, lo, hi, path, controls, levels, p=1):
     and the start values are added once per length.  The suffixes are a view
     for a slice, and a gather of at most one length's node values otherwise.
     `controls[i]` is a (letter, control) pair, or None for a letter no row
-    starts with.
+    starts with; with p > 1 the control is its split (o, g) at the start, as
+    `_integrands` reads it.
 
     `p` reparametrizes the segment as z(s) = z0 + (z1 - z0) s^p; with p large
     enough every integrable integrand vanishes at a singular start, restoring
@@ -336,7 +330,8 @@ def _evaluate(clean, alphabet, singular_start, path, tol, levels_of):
 
     The state of the adaptive driver is the vector of all kept words' values,
     zero at the start; a panel step starts from the previous panel's end
-    values, which is Chen's identity applied in place.
+    values, which is Chen's identity applied in place.  Under the power
+    substitution each control is split at the start once, here.
     """
     controls = [clean[x] for x in alphabet.letters]
     orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
@@ -346,6 +341,8 @@ def _evaluate(clean, alphabet, singular_start, path, tol, levels_of):
         return layout, np.zeros(0), np.zeros(0)
     p = _power_param(orders, emin) if singular_start else 1
     used = {i for _, segments in levels for i, _ in segments}
+    if p > 1:
+        controls = [_split_at(f, o, path.z0_exact) for f, o in zip(controls, orders)]
     pairs = [(x, f) if i in used else None for i, (x, f) in enumerate(zip(alphabet.letters, controls))]
     step = partial(_panel_values, path=path, controls=pairs, levels=levels, p=p)
     vals, errs = _adaptive(step, np.zeros(rows), _initial_mesh(singular_start), tol, path, p)

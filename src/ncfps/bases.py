@@ -218,21 +218,12 @@ class BasisTable:
             self.Sigma[v] = NCPolynomial(self.alphabet, QQ, {words[j]: c for j, c in sorted(row.items())})
 
 
-# at most this many tables are kept; the oldest goes first
-TABLES_SIZE = 32
-_TABLES = {}
-
-
+@lru_cache(maxsize=32)
 def basis_table(alphabet, bound):
+    """The table of `alphabet` up to grade `bound`; the last 32 used are kept."""
     if bound < 0:
         raise ValueError("the grade bound must be nonnegative")
-    key = (alphabet, bound)
-    table = _TABLES.get(key)
-    if table is None:
-        if len(_TABLES) >= TABLES_SIZE:
-            del _TABLES[next(iter(_TABLES))]
-        table = _TABLES[key] = BasisTable(alphabet, bound)
-    return table
+    return BasisTable(alphabet, bound)
 
 
 def basis_P(alphabet, w):

@@ -479,6 +479,11 @@ class ChenEvaluation(_Immutable):
         )
 
 
+# the largest family `chen_series` evaluates: its words, the empty one included, and their length
+_MAX_WORDS = 2**22
+_MAX_LENGTH = 4096
+
+
 def chen_series(inputs, path, bound, tol=1e-10):
     """Evaluate all words of length <= bound over the given controls.
 
@@ -494,12 +499,18 @@ def chen_series(inputs, path, bound, tol=1e-10):
     layout of the words, in grade-lex order: a lookup costs O(|w|), and
     iteration reads the alphabet's cached graded words, shared with every
     other evaluation on the same letters.  Control texts are parsed once per
-    process.
+    process.  A family of more than `_MAX_WORDS` words, or a bound above
+    `_MAX_LENGTH`, is refused before any array is built.
     """
     path = SegmentPath.of(path)
     if bound < 0:
         raise ValueError("the length bound must be nonnegative")
+    if bound > _MAX_LENGTH:
+        raise ValueError(f"the length bound {bound} is above {_MAX_LENGTH}")
     clean, alphabet, singular_start = _prepare_inputs(inputs, path, tol)
+    m = len(alphabet.letters)  # the family has sum_k m^k words, k <= bound
+    if ((m ** (bound + 1) - 1) // (m - 1) if m > 1 else m * bound + 1) > _MAX_WORDS:
+        raise ValueError(f"{m} letters up to length {bound} give more than {_MAX_WORDS} words")
     from ._numeric import _evaluate, _word_levels
 
     levels_of = partial(_word_levels, bound=bound)

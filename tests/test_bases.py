@@ -242,13 +242,14 @@ class TestGoldenTables:
         assert golden.read_text().splitlines() == lines
 
 
-def test_basis_tables_keep_at_most_the_bound(monkeypatch):
+def test_basis_tables_keep_at_most_the_bound():
     from ncfps import bases
 
-    monkeypatch.setattr(bases, "TABLES_SIZE", 2)
-    monkeypatch.setattr(bases, "_TABLES", {})
+    bases.basis_table.cache_clear()
     x1 = Alphabet.x(1)
-    tables = [bases.basis_table(x1, b) for b in (1, 2, 3)]
-    assert list(bases._TABLES) == [(x1, 2), (x1, 3)]
-    assert bases.basis_table(x1, 3) is tables[2]
-    assert bases.basis_table(x1, 1) is not tables[0]
+    tables = [bases.basis_table(x1, b) for b in range(33)]
+    assert bases.basis_table.cache_info().currsize == 32
+    assert bases.basis_table(x1, 32) is tables[32]
+    # the least recently used table, of bound 0, was dropped and is rebuilt
+    assert bases.basis_table(x1, 0) is not tables[0]
+    assert bases.basis_table.cache_info().currsize == 32

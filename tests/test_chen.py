@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from ncfps.automata import LinearRepresentation, minimize, rep_star, rep_word, rep_zero
 import ncfps._numeric
+import ncfps.chen
 from ncfps._numeric import (
     _BLOCK,
     _CUM,
@@ -67,6 +68,8 @@ X1 = Alphabet.x(1)
 X2 = Alphabet.x(2)
 
 POLYLOG = {"x0": "1/z", "x1": "1/(1-z)"}
+# a fractional power at the start 0 switches on the power substitution
+POWER = {"x0": "pow(z, -1/2)", "x1": "1/(1-z)"}
 
 
 def star_rep(alphabet, word):
@@ -112,20 +115,6 @@ def test_control_texts_are_parsed_once_per_process():
     pair_ode(rep, inputs, SegmentPath("1/10", "2/5"))
     derive_scalar_ode(rep, inputs)
     assert _control_of_text.cache_info().misses == 2
-
-
-def test_text_controls_share_their_split_across_calls():
-    # under the power substitution every panel step splits each control at
-    # the start; a text parsed once gives the same control, which hits the
-    # first call's entry
-    _split_at.cache_clear()
-    before = None
-    for _ in range(2):
-        chen_series({"x0": "pow(z, -1/2)", "x1": "1/(1-z)"}, SegmentPath(0, "1/2"), 3)
-        info = _split_at.cache_info()
-        if before is not None:
-            assert info.hits > before.hits and info.misses == before.misses
-        before = info
 
 
 def test_constants_and_integer_powers_are_rational():
@@ -555,12 +544,13 @@ def _mesh(breaks):
     return SimpleNamespace(half=half, t=((a + b) / 2.0)[:, None] + half[:, None] * _NODES[None, :])
 
 
-def _per_word_values(mesh, path, inputs, chain, p):
+def _per_word_values(mesh, path, controls, chain, p):
     """The former whole-mesh sweep: one quadrature sweep per word, each word
     reusing the node values of its suffix (`chain` is length-sorted and
-    suffix-closed)."""
+    suffix-closed).  `controls` maps each letter to its control, or to its
+    split (o, g) at the start when p > 1."""
     firsts = sorted({w[0] for w in chain})
-    u = dict(zip(firsts, _integrands([inputs[x] for x in firsts], path, mesh.t, p)))
+    u = dict(zip(firsts, _integrands([controls[x] for x in firsts], path, mesh.t, p)))
     vals = {(): np.ones_like(mesh.t)}
     out = {}
     for w in chain:
@@ -727,6 +717,8 @@ def _assert_kernel_matches_per_word_loop(inputs, path, bound):
     assert words == chain
     assert set(excluded) == set(alphabet.words_up_to(bound, include_empty=False)) - set(chain)
     p = _power_param(orders, emin) if singular_start else 1
+    if p > 1:
+        controls = [_split_at(f, o, path.z0_exact) for f, o in zip(controls, orders)]
     pairs = list(zip(alphabet.letters, controls))
     zero = np.zeros(len(chain))
 
@@ -745,9 +737,9 @@ def _assert_kernel_matches_per_word_loop(inputs, path, bound):
     mid = (lo + hi) / 2.0
     whole = kernel(zero, lo, hi)
     halves = kernel(kernel(zero, lo, mid), mid, hi)
-    chained = _per_word_values(_mesh(breaks), path, clean, chain, p)
-    one = _per_word_values(_mesh([lo, hi]), path, clean, chain, p)
-    two = _per_word_values(_mesh([lo, mid, hi]), path, clean, chain, p)
+    chained = _per_word_values(_mesh(breaks), path, dict(pairs), chain, p)
+    one = _per_word_values(_mesh([lo, hi]), path, dict(pairs), chain, p)
+    two = _per_word_values(_mesh([lo, mid, hi]), path, dict(pairs), chain, p)
     # a start value enters the node values as q + antiderivative instead of
     # the loop's running sum minus the panel integral, so a word is compared
     # at the scale of its largest suffix
@@ -806,19 +798,22 @@ def test_level_kernel_matches_across_a_block_boundary():
 def _clear_shared_caches():
     _GRADED_WORDS_CACHE.clear()
     _control_of_text.cache_clear()
-    _split_at.cache_clear()
 
 
 def test_evaluations_do_not_depend_on_the_cache_state():
-    # graded words, parsed texts and split controls are shared across calls;
-    # an evaluation reads bit for bit the same in every state of them
+    # graded words and parsed texts are shared across calls; an evaluation
+    # reads bit for bit the same in every state of them
     def bits(pairs):
         return [(w, v.hex()) for w, v in pairs]
 
     def evaluations():
         out = []
-        for path, bound in ((SegmentPath("1/10", "2/5"), 8), (SegmentPath(0, "1/2"), 6)):
-            ev = chen_series(POLYLOG, path, bound)
+        for inputs, path, bound in (
+            (POLYLOG, SegmentPath("1/10", "2/5"), 8),
+            (POLYLOG, SegmentPath(0, "1/2"), 6),
+            (POWER, SegmentPath(0, "1/2"), 6),
+        ):
+            ev = chen_series(inputs, path, bound)
             out.append((bits(ev.values.items()), bits(ev.errors.items()), ev.excluded))
         out.append(iterated_integral("x0.x0.x1", POLYLOG, SegmentPath(0, "1/2")).hex())
         out.append(iterated_integral("x1.x0.x1", POLYLOG, SegmentPath("1/10", "2/5")).hex())
@@ -832,6 +827,50 @@ def test_evaluations_do_not_depend_on_the_cache_state():
     assert evaluations() == cold
     _clear_shared_caches()
     assert evaluations() == cold
+
+
+def test_each_control_is_split_once_per_evaluation(monkeypatch):
+    # under the power substitution each control is split at the start once
+    # per evaluation, whatever its panel count; without it, never
+    splits, steps = [], []
+    split, step = ncfps._numeric._split_at, ncfps._numeric._panel_values
+    monkeypatch.setattr(ncfps._numeric, "_split_at", lambda *args: splits.append(args) or split(*args))
+    monkeypatch.setattr(ncfps._numeric, "_panel_values", lambda *args, **kw: steps.append(args) or step(*args, **kw))
+    chen_series(POWER, SegmentPath(0, "1/2"), 6)
+    assert len(splits) == 2 and len(steps) > 2
+    splits.clear()
+    chen_series(POLYLOG, SegmentPath(0, "1/2"), 6)
+    assert not splits
+
+
+@pytest.mark.parametrize("z1", ["1/2", "2", "3"])
+def test_a_zero_control_beside_a_fractional_power(z1):
+    # the zero control has order inf at the start and splits as (0, f): a
+    # word with x0 integrates to 0, and x1 = pow(z, -1/2) gives 2 sqrt(z1)
+    # and x1.x1 = (2 sqrt(z1))^2 / 2
+    ev = chen_series({"x0": "0", "x1": "pow(z,-1/2)"}, SegmentPath(0, z1), 2)
+    z = float(Fraction(z1))
+    assert not ev.excluded
+    for w, v in ev.values.items():
+        if "x0" in w:
+            assert v == 0.0
+    for w, want in ((("x1",), 2 * math.sqrt(z)), (("x1", "x1"), 2 * z)):
+        assert abs(ev.coeff(w) - want) <= ev.error(w)
+
+
+def test_oversized_families_are_refused_before_any_array(monkeypatch):
+    # at most 4096 letters per word, and at most 2^22 words with the empty
+    # one: sum_k m^k over k <= bound
+    with pytest.raises(ValueError, match="the length bound 4097 is above 4096"):
+        chen_series({"x0": "1"}, SegmentPath(0, 1), 4097)
+    assert len(chen_series({"x0": "1"}, SegmentPath(0, 1), 4096).values) == 4097
+    with pytest.raises(ValueError, match="2 letters up to length 22 give more than 4194304 words"):
+        chen_series({"x0": "1", "x1": "1"}, SegmentPath(0, 1), 22)
+    # the word count is checked exactly at the bound
+    monkeypatch.setattr(ncfps.chen, "_MAX_WORDS", 7)
+    assert len(chen_series({"x0": "1", "x1": "1"}, SegmentPath(0, 1), 2).values) == 7
+    with pytest.raises(ValueError, match="2 letters up to length 3 give more than 7 words"):
+        chen_series({"x0": "1", "x1": "1"}, SegmentPath(0, 1), 3)
 
 
 def test_gauss_tables_are_the_numpy_rule():

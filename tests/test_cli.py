@@ -372,6 +372,23 @@ class TestCliAnalytic:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chen", "--inputs", "x0=1", "--max-length", "100000000"], "the length bound 100000000 is above 4096"),
+            (["chen", "--inputs", "x0=1,x1=1", "--max-length", "30"], "2 letters up to length 30 give more than"),
+            (["pair", "(x0+x1)*", "--inputs", "x0=1,x1=1", "--max-length", "30"], "2 letters up to length 30"),
+        ],
+    )
+    def test_oversized_families_fail_at_once(self, argv, message):
+        # refused before any array is built: no hang, no memory error
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv, "--z0", "0", "--z", "1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
     def test_derive_ode_power_control_is_fast(self):
         start = time.perf_counter()
         code, out, _ = run_cli("derive-ode", "x0*", "--inputs", "x0=(z+1)^1000")

@@ -978,13 +978,14 @@ def test_every_module_cache_is_bounded(monkeypatch):
     import pkgutil
 
     import ncfps
-    from ncfps import series
+    from ncfps import bases, series
 
     caches = []
     for info in pkgutil.iter_modules(ncfps.__path__):
         module = importlib.import_module(f"ncfps.{info.name}")
         caches += [obj for obj in vars(module).values() if hasattr(obj, "cache_parameters")]
     assert series.shuffle_words in caches and series.stuffle_words in caches
+    assert bases.basis_table in caches
     for cache in caches:
         assert cache.cache_parameters()["maxsize"] is not None, cache
     # the table of shared words starts over when it would outgrow the bound
