@@ -322,28 +322,30 @@ def _power_param(orders, emin):
     return min(64, max(2, math.ceil(3.0 / (emin + 1.0))))
 
 
-def _evaluate(clean, alphabet, singular_start, path, tol, levels_of):
+def _evaluate(controls, tol, levels_of):
     """The layout, the values and the error estimates of the kept words of
-    the family that `levels_of(letters, orders)` lays out: `_word_levels`
-    with its length bound (the layout is its kept masks), or `_chain_levels`
-    with its word (the kept suffixes).  The values follow the levels' rows.
+    the family that `levels_of(letters, orders)` lays out over the checked
+    controls: `_word_levels` with its length bound (the layout is its kept
+    masks), or `_chain_levels` with its word (the kept suffixes).  The values
+    follow the levels' rows.
 
     The state of the adaptive driver is the vector of all kept words' values,
     zero at the start; a panel step starts from the previous panel's end
     values, which is Chen's identity applied in place.  Under the power
     substitution each control is split at the start once, here.
     """
-    controls = [clean[x] for x in alphabet.letters]
-    orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
-    layout, levels, emin = levels_of(alphabet.letters, orders)
+    letters, path, singular_start = controls.alphabet.letters, controls.path, controls.singular_start
+    funcs = [controls.inputs[x] for x in letters]
+    orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in funcs]
+    layout, levels, emin = levels_of(letters, orders)
     rows = sum(size for size, _ in levels)
     if not rows:
         return layout, np.zeros(0), np.zeros(0)
     p = _power_param(orders, emin) if singular_start else 1
     used = {i for _, segments in levels for i, _ in segments}
     if p > 1:
-        controls = [_split_at(f, o, path.z0_exact) for f, o in zip(controls, orders)]
-    pairs = [(x, f) if i in used else None for i, (x, f) in enumerate(zip(alphabet.letters, controls))]
+        funcs = [_split_at(f, o, path.z0_exact) for f, o in zip(funcs, orders)]
+    pairs = [(x, f) if i in used else None for i, (x, f) in enumerate(zip(letters, funcs))]
     step = partial(_panel_values, path=path, controls=pairs, levels=levels, p=p)
     vals, errs = _adaptive(step, np.zeros(rows), _initial_mesh(singular_start), tol, path, p)
     return layout, vals, errs
@@ -410,11 +412,12 @@ def _collocation_step(q, lo, hi, path, funcs):
     return q + step, h * np.max(np.sum(np.abs(b), axis=2))
 
 
-def _ode_state(rep, clean, path, tol):
-    """Flow state at z1 from eta at z0, for controls regular on the closed
-    segment, by collocation steps under the adaptive driver."""
-    funcs = [(f, _float_matrix(rep.rows[x], rep.dim)) for x, f in clean.items() if x in rep.rows]
+def _ode_state(rep, controls, tol):
+    """Flow state at z1 from eta at z0, for checked controls regular on the
+    closed segment, by collocation steps under the adaptive driver."""
+    funcs = [(f, _float_matrix(rep.rows[x], rep.dim)) for x, f in controls.inputs.items() if x in rep.rows]
     q = np.array([float(c) for c in rep.eta])
-    if not funcs:
+    if not funcs or not rep.dim:
         return q
-    return _adaptive(partial(_collocation_step, path=path, funcs=funcs), q, _initial_mesh(False), tol, path)[0]
+    step = partial(_collocation_step, path=controls.path, funcs=funcs)
+    return _adaptive(step, q, _initial_mesh(False), tol, controls.path)[0]

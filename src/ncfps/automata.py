@@ -22,7 +22,7 @@ from fractions import Fraction
 from .linalg import EchelonBasis, _add_multiple, dot, invert_matrix, mat_rows, nonzeros, vec_rows
 from .rings import QQ, PolynomialRing, RationalFunctionRing, _Immutable, _integral, poly_lcm, ring_named
 from .series import NCPolynomial, TruncatedSeries
-from .words import Alphabet
+from .words import Alphabet, _as_word
 
 __all__ = [
     "LinearRepresentation",
@@ -99,7 +99,7 @@ class LinearRepresentation(_Immutable):
         if self.dim == 0:
             return ring.zero
         v = nonzeros(self.nu)
-        for x in w:
+        for x in _as_word(w):
             rows = self.rows.get(x)
             if rows is None:
                 return ring.zero

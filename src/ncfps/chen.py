@@ -19,19 +19,18 @@ truncated Chen series solves the universal equation dS = (sum_x u_x x) S, a
 nilpotent flow on the words up to the length bound; one step is forward
 substitution by word length from the previous panel's end values (Chen's
 identity applied in place).  Each running integrand is projected on the
-Legendre basis of its values at the panel's Gauss nodes, which gives the
-panel antiderivative at the nodes themselves.  The words of one length are
-the rows of one array, each the product of its first letter's control and its
-suffix's node values, integrated by two matrix products per block of rows;
-memory holds two consecutive lengths' node values on one panel.  A word's
-error estimate sums its step-doubling defects over the accepted panels.  The
-evaluation's values, errors and excluded words are read-only views over that
-layout of the words, in grade-lex order: a lookup costs O(|w|) and builds no
-table of words.  The pairing forms the prefix rows nu mu(w) length by length
-in the same order.  The
-flow evaluator sums a rational series without truncation: its state equation
-is stepped by 16-stage Gauss collocation under the same driver.  A flow whose
-values overflow doubles raises, naming where.
+Legendre basis of its values at the panel's Gauss nodes, which gives the panel
+antiderivative at the nodes themselves.  The words of one length are the rows
+of one array, each the product of its first letter's control and its suffix's
+node values, integrated by two matrix products per block of rows; memory holds
+two consecutive lengths' node values on one panel.  A word's error estimate
+sums its step-doubling defects over the accepted panels.  The evaluation's
+values, errors and excluded words are read-only views over that layout of the
+words, in grade-lex order: a lookup costs O(|w|) and builds no table of words.
+The pairing forms the prefix rows nu mu(w) length by length in the same order.
+The flow evaluator sums a rational series without truncation: its state
+equation is stepped by 16-stage Gauss collocation under the same driver.  A
+flow whose values overflow doubles raises, naming where.
 
 A segment may start at an endpoint where some control blows up, as long as the
 integrands stay integrable; the mesh is then graded geometrically toward that
@@ -40,24 +39,28 @@ evaluation and raise when requested individually.  Interior singularities and a
 singular far endpoint are rejected outright: no regularization is attempted.
 
 This module holds the controls, the segments, their exact validation and the
-exact ODE derivation.  Everything that computes a double (the quadrature
-tables, the level kernel, the adaptive driver, the collocation step, the
-float matrices of a pairing and control values at doubles) is the private
-`ncfps._numeric`, which imports numpy and is imported at the first float
-computed here; parsing, validation, every refusal and `derive_scalar_ode`
-run without numpy.  `ncfps.series` and `ncfps.linalg` are imported only by
-the diagnostics and the ODE derivation that use them.
+exact ODE derivation.  A family of controls is checked on one path once, into
+the private `_Controls` that an evaluation keeps as `ev.controls`: the
+pairing's tail reads its sup, and `pair_ode` given it on the same path checks
+nothing again.  Everything that computes a double (the quadrature tables, the
+level kernel, the adaptive driver, the collocation step, the float matrices of
+a pairing and control values at doubles) is the private `ncfps._numeric`,
+which imports numpy and is imported at the first float computed here; parsing,
+validation, every refusal and `derive_scalar_ode` run without numpy.
+`ncfps.series` and `ncfps.linalg` are imported only by the diagnostics and the
+ODE derivation that use them.
 """
 
 import math
 import re
 from collections.abc import ItemsView, Mapping, Set, ValuesView
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import accumulate, chain, compress, count, islice
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, chain, compress, count, islice, repeat
+from types import MappingProxyType
 
 from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, _Immutable, poly_lcm, poly_text
-from .words import _LETTER_RE, Alphabet, _graded_words, parse_word, word_text
+from .words import _LETTER_RE, Alphabet, _as_word, _graded_words, word_text
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +315,34 @@ class SegmentPath(_Immutable):
 # evaluations
 
 
-def _prepare_inputs(inputs, path, tol):
-    if not tol >= 0:
-        raise ValueError(f"the tolerance must be a number >= 0, not {tol!r}")
-    clean = {}
-    for x, f in inputs.items():
-        clean[x] = InputFunction.of(f)
-    # by letter index, x2 before x10; a key that is no letter sorts first, and the alphabet refuses it
-    order = {x: (int(m[2]), x) if (m := _LETTER_RE.match(x)) else (-1, x) for x in clean}
-    alphabet = Alphabet.from_letters(sorted(clean, key=order.get))
-    singular_start = False
-    for f in clean.values():
-        if f.validate_on(path) == "singular_start":
-            singular_start = True
-    return clean, alphabet, singular_start
+class _Controls(_Immutable):
+    """One family of controls checked on one path, each parsed and validated
+    once: the controls by letter, in the order given, their alphabet, the path,
+    whether it starts at a singularity, and `sup`, their largest `sup_on` bound."""
+
+    def __init__(self, inputs, path):
+        clean = {x: InputFunction.of(f) for x, f in inputs.items()}
+        # by letter index, x2 before x10; a key that is no letter sorts first, and the alphabet refuses it
+        order = {x: (int(m[2]), x) if (m := _LETTER_RE.match(x)) else (-1, x) for x in clean}
+        alphabet = Alphabet.from_letters(sorted(clean, key=order.get))
+        singular_start = "singular_start" in [f.validate_on(path) for f in clean.values()]
+        vars(self).update(inputs=MappingProxyType(clean), alphabet=alphabet, path=path, singular_start=singular_start)
+
+    @classmethod
+    def of(cls, inputs, path, tol=0.0):
+        """`inputs` checked on `path` after `tol`, or `inputs` itself if it holds them on the same exact path."""
+        if not tol >= 0:
+            raise ValueError(f"the tolerance must be a number >= 0, not {tol!r}")
+        if isinstance(inputs, cls):
+            if (inputs.path.z0_exact, inputs.path.z1_exact) == (path.z0_exact, path.z1_exact):
+                return inputs
+            inputs = inputs.inputs
+        return cls(inputs, path)
+
+    @cached_property
+    def sup(self):
+        lo, hi = self.path.lo_exact, self.path.hi_exact
+        return max(f.sup_on(lo, hi) for f in self.inputs.values())
 
 
 class _Layout(_Immutable):
@@ -368,6 +385,13 @@ class _Layout(_Immutable):
             compress(_graded_words(self.alphabet.letters, k), ((rows >= 0) == kept).tolist())
             if rows is not None
             else _graded_words(self.alphabet.letters, k) if kept else ()
+            for k, rows in enumerate(self._kept)
+        )
+
+    def marked(self):
+        """Every graded word in grade-lex order, each with True if it is kept."""
+        return chain.from_iterable(
+            zip(_graded_words(self.alphabet.letters, k), repeat(True) if rows is None else (rows >= 0).tolist())
             for k, rows in enumerate(self._kept)
         )
 
@@ -443,22 +467,24 @@ class ChenEvaluation(_Immutable):
     the words dropped because their innermost integral diverges at a singular
     start endpoint.  From `chen_series` the three are read-only views over
     one layout of the words, in grade-lex order, with O(|w|) lookups; other
-    mappings and sets are copied into a dict and a frozenset.
+    mappings and sets are copied into a dict and a frozenset.  `controls`
+    holds the checked controls; `inputs` and `path` are theirs.
     """
 
-    __slots__ = ("alphabet", "inputs", "path", "bound", "values", "errors", "excluded")
+    __slots__ = ("alphabet", "controls", "bound", "values", "errors", "excluded")
+    inputs = property(lambda self: self.controls.inputs)
+    path = property(lambda self: self.controls.path)
 
     def __init__(self, alphabet, inputs, path, bound, values, errors, excluded):
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "inputs", dict(inputs))
-        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "controls", _Controls.of(inputs, SegmentPath.of(path)))
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "values", values if isinstance(values, _WordValues) else dict(values))
         object.__setattr__(self, "errors", errors if isinstance(errors, _WordValues) else dict(errors))
         object.__setattr__(self, "excluded", excluded if isinstance(excluded, _Dropped) else frozenset(excluded))
 
     def _lookup(self, table, w):
-        w = tuple(w)
+        w = _as_word(w)
         v = table.get(w)
         if v is not None:
             return v
@@ -500,41 +526,39 @@ def chen_series(inputs, path, bound, tol=1e-10):
     iteration reads the alphabet's cached graded words, shared with every
     other evaluation on the same letters.  Control texts are parsed once per
     process.  A family of more than `_MAX_WORDS` words, or a bound above
-    `_MAX_LENGTH`, is refused before any array is built.
+    `_MAX_LENGTH`, is refused before any array is built.  The controls are
+    checked once, into `ev.controls`, which `inputs` may also be.
     """
     path = SegmentPath.of(path)
     if bound < 0:
         raise ValueError("the length bound must be nonnegative")
     if bound > _MAX_LENGTH:
         raise ValueError(f"the length bound {bound} is above {_MAX_LENGTH}")
-    clean, alphabet, singular_start = _prepare_inputs(inputs, path, tol)
-    m = len(alphabet.letters)  # the family has sum_k m^k words, k <= bound
+    controls = _Controls.of(inputs, path, tol)
+    m = len(controls.alphabet.letters)  # the family has sum_k m^k words, k <= bound
     if ((m ** (bound + 1) - 1) // (m - 1) if m > 1 else m * bound + 1) > _MAX_WORDS:
         raise ValueError(f"{m} letters up to length {bound} give more than {_MAX_WORDS} words")
     from ._numeric import _evaluate, _word_levels
 
     levels_of = partial(_word_levels, bound=bound)
-    masks, vals, errs = _evaluate(clean, alphabet, singular_start, path, tol, levels_of)
-    layout = _Layout(alphabet, masks)
+    masks, vals, errs = _evaluate(controls, tol, levels_of)
+    layout = _Layout(controls.alphabet, masks)
     values = _WordValues(layout, [1.0] + vals.tolist())
     errors = _WordValues(layout, [0.0] + errs.tolist())
-    return ChenEvaluation(alphabet, clean, path, bound, values, errors, _Dropped(layout))
+    return ChenEvaluation(controls.alphabet, controls, path, bound, values, errors, _Dropped(layout))
 
 
 def iterated_integral(word, inputs, path, tol=1e-10):
     """One iterated integral, as the family of its suffixes: one row per length."""
-    if isinstance(word, str):
-        word = parse_word(word)
-    word = tuple(word)
-    path = SegmentPath.of(path)
-    clean, alphabet, singular_start = _prepare_inputs(inputs, path, tol)
-    alphabet.validate_word(word)
+    word = _as_word(word)
+    controls = _Controls.of(inputs, SegmentPath.of(path), tol)
+    controls.alphabet.validate_word(word)
     if not word:
         return 1.0
     from ._numeric import _chain_levels, _evaluate
 
     levels_of = partial(_chain_levels, word=word)
-    words, vals, _ = _evaluate(clean, alphabet, singular_start, path, tol, levels_of)
+    words, vals, _ = _evaluate(controls, tol, levels_of)
     if len(words) < len(word):
         raise ValueError(f"{word_text(word)} is not integrable at the path endpoint")
     return float(vals[-1])
@@ -682,8 +706,7 @@ def pair_series(ev, rep):
     mu_norm = max((_inf_norm(rep.rows[x]) for x in ev.inputs if x in rep.rows), default=0.0)
     tail = 0.0
     if k > 0.0 and mu_norm > 0.0:
-        sup = max(f.sup_on(ev.path.lo_exact, ev.path.hi_exact) for f in ev.inputs.values())
-        c = len(ev.inputs) * mu_norm * sup * ev.path.length
+        c = len(ev.inputs) * mu_norm * ev.controls.sup * ev.path.length
         try:
             tail = k * (c ** (ev.bound + 1) / math.factorial(ev.bound + 1)) * math.exp(c)
         except OverflowError:
@@ -691,15 +714,15 @@ def pair_series(ev, rep):
     return PairingResult(value, tail, math.isfinite(tail))
 
 
-def _flow_state(rep, inputs, path, tol):
-    """Flow state at z1: the controls are checked here, and the float engine
-    integrates the flow."""
-    clean, _, singular_start = _prepare_inputs(inputs, path, tol)
-    if singular_start:
+def _flow_controls(rep, inputs, path, tol):
+    """The checked controls of a state flow, which needs a representation
+    with rational coefficients and controls regular on the closed segment."""
+    if rep.ring != QQ:
+        raise ValueError("the pairing needs a representation with rational coefficients")
+    controls = _Controls.of(inputs, SegmentPath.of(path), tol)
+    if controls.singular_start:
         raise ValueError("the flow evaluator needs controls regular on the closed segment")
-    from ._numeric import _ode_state
-
-    return _ode_state(rep, clean, path, tol)
+    return controls
 
 
 def pair_ode(rep, inputs, path, tol=1e-10):
@@ -712,16 +735,14 @@ def pair_ode(rep, inputs, path, tol=1e-10):
     mesh, a panel is accepted when one step and two half steps agree to the
     panel's share of `tol`, relative to the size of the state, or to
     rounding, and is bisected otherwise.  A panel that cannot be accepted
-    raises RuntimeError.
+    raises RuntimeError.  Given an evaluation's
+    `ev.controls` on the same path, it checks no control again.
     """
-    if rep.ring != QQ:
-        raise ValueError("the pairing needs a representation with rational coefficients")
-    path = SegmentPath.of(path)
-    if rep.dim == 0:
-        return 0.0
-    q = _flow_state(rep, inputs, path, tol)
+    controls = _flow_controls(rep, inputs, path, tol)
+    from ._numeric import _ode_state
+
     # a list of doubles @ an array is NumPy's matmul, as nu @ q with nu an array
-    return float([float(c) for c in rep.nu] @ q)
+    return float([float(c) for c in rep.nu] @ _ode_state(rep, controls, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -748,14 +769,14 @@ def _derivative_rows(rep, inputs):
     is polynomial.  The recursion r_0 = nu, r_l = r_{l-1}' + r_{l-1} A (the
     cyclic-vector step of Barkatou, AAECC 4, 1993) stays in Q[z] as
     P_l = D P_{l-1}' - (l-1) D' P_{l-1} + P_{l-1} B, with B and each P_l
-    held as sparse rows.  The generator yields the pairs (P_l, D^l), one per
-    order, without end.  r_l is nu . mu(Q_l) for the paper's word
-    multipliers Q_0 = 1, Q_l = Q_{l-1} M + Q_{l-1}' with M = sum_x u_x x;
-    `tests/test_chen.py` checks the two against each other.
+    held as sparse rows, for rational controls.  The generator yields the
+    pairs (P_l, D^l), one per order, without end.  r_l is nu . mu(Q_l) for
+    the paper's word multipliers Q_0 = 1, Q_l = Q_{l-1} M + Q_{l-1}' with
+    M = sum_x u_x x; `tests/test_chen.py` checks the two against each other.
     """
     from .linalg import _add_multiple, vec_rows
 
-    terms = [(f.ratfun, rep.rows[x]) for x, f in _exact_controls(inputs).items() if x in rep.rows and f.ratfun]
+    terms = [(f.ratfun, rep.rows[x]) for x, f in inputs.items() if x in rep.rows and f.ratfun]
     d = poly_lcm(_QZ_POLY.one, *(u.den for u, _ in terms))
     b = [{} for _ in range(rep.dim)]  # the sparse rows of B
     for u, m in terms:
@@ -780,17 +801,12 @@ def pair_ode_derivatives(rep, inputs, path, orders, tol=1e-10):
     r_l = r_{l-1}' + r_{l-1} A(z) for A = sum_x u_x mu(x), so one
     integration of the state yields all orders.
     """
-    if rep.ring != QQ:
-        raise ValueError("the pairing needs a representation with rational coefficients")
-    path = SegmentPath.of(path)
-    if rep.dim == 0:
-        return [0.0] * (orders + 1)
-    q = _flow_state(rep, inputs, path, tol)
-    z = Fraction(path.z1)
-    out = []
-    for row, scale in islice(_derivative_rows(rep, inputs), orders + 1):
-        out.append(float(sum(float(row[j](z) / scale(z)) * q[j] for j in sorted(row))))
-    return out
+    controls = _flow_controls(rep, inputs, path, tol)
+    rows = islice(_derivative_rows(rep, _exact_controls(controls.inputs)), orders + 1)
+    from ._numeric import _ode_state
+
+    q, z = _ode_state(rep, controls, tol), Fraction(controls.path.z1)
+    return [float(sum(float(row[j](z) / scale(z)) * q[j] for j in sorted(row))) for row, scale in rows]
 
 
 def _normalize_ode(coeffs, order):
@@ -822,7 +838,7 @@ def derive_scalar_ode(rep, inputs):
 
     n = rep.dim
     basis = EchelonBasis(_QZ_POLY, n)
-    for l, (row, scale) in enumerate(_derivative_rows(rep, inputs)):
+    for l, (row, scale) in enumerate(_derivative_rows(rep, _exact_controls(inputs))):
         v = basis.reduce({**row, n + l: scale})
         if all(j >= n for j in v):
             return _normalize_ode({j - n: p for j, p in v.items()}, l)

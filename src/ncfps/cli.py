@@ -155,9 +155,8 @@ def _cmd_chen(args):
     inputs = _parse_inputs(args.inputs)
     path = (args.z0, args.z)
     ev = chen_series(inputs, path, args.max_length, args.tol)
-    for w in ev.alphabet.words_up_to(args.max_length):
-        text = "divergent" if w in ev.excluded else repr(ev.values[w])
-        print(f"{word_text(w)}\t{text}")
+    values, marked = iter(ev.values.values()), ev.values.layout.marked()  # the kept rows and all words, in order
+    sys.stdout.writelines(f"{word_text(w)}\t{repr(next(values)) if kept else 'divergent'}\n" for w, kept in marked)
     return 0
 
 
@@ -173,7 +172,7 @@ def _cmd_pair(args):
     print(f"tail {tail!r}")
     print(f"certified {'yes' if certified else 'no'}")
     try:
-        print(f"ode {pair_ode(rep, inputs, path, args.tol)!r}")
+        print(f"ode {pair_ode(rep, ev.controls, path, args.tol)!r}")
     except (ValueError, RuntimeError) as exc:
         print(f"ode unavailable: {exc}")
     return 0

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rings import _Immutable
-from .words import parse_word, split_outside_parens, word_text
+from .words import _as_word, parse_word, split_outside_parens, word_text
 
 __all__ = [
     "NCPolynomial",
@@ -345,7 +345,7 @@ class NCPolynomial(_TermMap):
         return cls(alphabet, ring, {tuple(w): ring.one if coeff is None else coeff})
 
     def coeff(self, w):
-        return self.terms.get(tuple(w), self.ring.zero)
+        return self.terms.get(_as_word(w), self.ring.zero)
 
     def is_zero(self):
         return not self.terms
@@ -442,7 +442,7 @@ class TensorPoly(_TermMap):
         return _built(cls, p.alphabet, p.ring, _nonzero(terms))
 
     def coeff(self, u, v):
-        return self.terms.get((tuple(u), tuple(v)), self.ring.zero)
+        return self.terms.get((_as_word(u), _as_word(v)), self.ring.zero)
 
     def mul(self, other, left_kernel=conc_words, right_kernel=conc_words, bound=None):
         """Componentwise product; each side may use its own word product.
@@ -575,7 +575,7 @@ class TruncatedSeries(_Immutable):
         return self.poly.ring
 
     def coeff(self, w):
-        w = tuple(w)
+        w = _as_word(w)
         if self.alphabet.word_grade(w) > self.bound:
             raise ValueError(f"word {word_text(w)!r} lies beyond the truncation bound {self.bound}")
         return self.poly.coeff(w)

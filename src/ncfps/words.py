@@ -201,6 +201,11 @@ def parse_word(text):
     return parts
 
 
+def _as_word(w):
+    """A word given as text, read by `parse_word`, or as a sequence of letters, as a tuple."""
+    return parse_word(w) if isinstance(w, str) else tuple(w)
+
+
 def word_text(word):
     return ".".join(word) if word else "1"
 

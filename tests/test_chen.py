@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import compress, product
 from types import SimpleNamespace
 
@@ -41,12 +42,13 @@ from ncfps.chen import (
     ChenEvaluation,
     InputFunction,
     SegmentPath,
+    _Controls,
     _Dropped,
     _Layout,
     _WordValues,
     _control_of_text,
     _derivative_rows,
-    _prepare_inputs,
+    _exact_controls,
     chen_series,
     derive_scalar_ode,
     flow_compose,
@@ -61,8 +63,8 @@ from ncfps.chen import (
 from ncfps.exprs import representation_of
 from ncfps.linalg import EchelonBasis, nonzeros, vec_rows
 from ncfps.rings import QQ, QT, QZ, Poly, RatFun, poly_gcd, poly_lcm
-from ncfps.series import NCPolynomial
-from ncfps.words import _GRADED_WORDS_CACHE, Alphabet
+from ncfps.series import NCPolynomial, TensorPoly, TruncatedSeries
+from ncfps.words import _GRADED_WORDS_CACHE, Alphabet, word_text
 
 X1 = Alphabet.x(1)
 X2 = Alphabet.x(2)
@@ -294,10 +296,39 @@ def test_divergent_words_raise_or_are_excluded():
         ev.coeff(("x0",) * 9)
 
 
+def _word_lookups():
+    """Each coefficient lookup that takes a word, as a function of the word."""
+    poly = NCPolynomial(X2, QQ, {w: Fraction(i + 1) for i, w in enumerate(X2.words_up_to(3))})
+    tensor = TensorPoly.of(poly, poly)
+    ev = chen_series(POLYLOG, SegmentPath("1/4", "1/2"), 3)
+    return {
+        "representation": representation_of("(x0 + 2*x1)* shuffle (x0.x1)*").coeff,
+        "polynomial": poly.coeff,
+        "truncated": TruncatedSeries(poly, 3).coeff,
+        "tensor": lambda w: tensor.coeff(w, w),
+        "chen_coeff": ev.coeff,
+        "chen_error": ev.error,
+        "iterated_integral": lambda w: iterated_integral(w, POLYLOG, ev.path),
+    }
+
+
+@pytest.mark.parametrize(
+    "lookup", ["chen_coeff", "chen_error", "iterated_integral", "polynomial", "representation", "tensor", "truncated"]
+)
+def test_a_word_given_as_text_reads_as_its_letters(lookup):
+    get = _word_lookups()[lookup]
+    for w in [(), ("x0",), ("x1", "x0"), ("x0", "x1", "x1")]:
+        want = get(w)
+        assert get(word_text(w)) == want and get(list(w)) == want
+        assert want or lookup == "chen_error"  # a zero would not tell text from characters
+
+
 def test_error_of_a_word_raises_as_its_coefficient_does():
     ev = chen_series(POLYLOG, SegmentPath(0, "1/2"), 3)
     vals, errs, excluded = dict(ev.values), dict(ev.errors), set(ev.excluded)
     copied = ChenEvaluation(ev.alphabet, ev.inputs, ev.path, ev.bound, vals, errs, excluded)
+    # controls given as a mapping are checked again, into their own object
+    assert copied.controls is not ev.controls and copied.inputs == ev.inputs
     for e in (ev, copied):
         for get in (e.coeff, e.error):
             with pytest.raises(ValueError, match="x1.x0 diverges at the path endpoint"):
@@ -707,8 +738,9 @@ def test_word_views_match_the_dict_oracle(orders, bound, data):
 
 
 def _assert_kernel_matches_per_word_loop(inputs, path, bound):
-    clean, alphabet, singular_start = _prepare_inputs(inputs, path, 1e-10)
-    controls = [clean[x] for x in alphabet.letters]
+    checked = _Controls.of(inputs, path, 1e-10)
+    alphabet, singular_start = checked.alphabet, checked.singular_start
+    controls = [checked.inputs[x] for x in alphabet.letters]
     orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
     masks, levels, emin = _word_levels(alphabet.letters, orders, bound)
     words, excluded = _masked_words(alphabet.letters, masks)
@@ -1018,6 +1050,50 @@ def test_pair_zero_and_null_representations():
     assert res.value == 0.0 and res.tail == 0.0 and res.certified
 
 
+def test_zero_dimensional_flows_check_their_inputs():
+    for zero in (LinearRepresentation(X1, QQ, (), {}, ()), LinearRepresentation(X1, QQ, (), {"x0": ()}, ())):
+        for flow in (partial(pair_ode, zero), partial(pair_ode_derivatives, zero, orders=2)):
+            with pytest.raises(ValueError, match="input singular between 0 and 1, inside the path"):
+                flow(inputs={"x0": "1/(z-1/2)"}, path=(0, 1))
+            with pytest.raises(ValueError, match="the tolerance must be a number >= 0"):
+                flow(inputs={"x0": "1"}, path=(0, 1), tol=-1)
+        assert pair_ode(zero, {"x0": "1"}, (0, 1)) == 0.0
+        assert pair_ode_derivatives(zero, {"x0": "1"}, (0, 1), 3) == [0.0] * 4
+
+
+def test_pair_ode_derivatives_refuses_a_non_rational_control_before_the_flow(monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("the state flow ran")
+
+    monkeypatch.setattr(ncfps._numeric, "_ode_state", no_flow)
+    for control in ("exp", "pow(z, 1/2)"):
+        with pytest.raises(ValueError, match="the control for x0 must be a rational function of z"):
+            pair_ode_derivatives(star_rep(X1, ("x0",)), {"x0": control}, ("1/4", 1), 2)
+
+
+def test_checked_controls_are_reused_on_the_same_path():
+    rep = star_rep(X2, ("x0", "x1"))
+    path = SegmentPath("2/5", "3/5")
+    ev = chen_series(POLYLOG, path, 4)
+    assert ev.alphabet is ev.controls.alphabet and ev.path is path
+    with pytest.raises(TypeError):
+        ev.inputs["x0"] = "1"
+    # the same exact path, given anew: the same object, and the same doubles
+    assert _Controls.of(ev.controls, SegmentPath(Fraction(2, 5), "3/5")) is ev.controls
+    again = chen_series(ev.controls, ("2/5", "3/5"), 4)
+    assert again.controls is ev.controls and list(again.values.rows) == list(ev.values.rows)
+    assert pair_ode(rep, ev.controls, ("2/5", "3/5")).hex() == pair_ode(rep, POLYLOG, path).hex()
+    # another path checks the same controls afresh; the tolerance is checked first
+    other = chen_series(ev.controls, ("1/4", "1/2"), 4)
+    assert other.controls is not ev.controls and dict(other.inputs) == dict(ev.inputs)
+    assert other.values.rows == chen_series(POLYLOG, ("1/4", "1/2"), 4).values.rows
+    with pytest.raises(ValueError, match="input singular at the far endpoint 1"):
+        chen_series(ev.controls, ("1/2", 1), 4)
+    with pytest.raises(ValueError, match="the tolerance must be a number >= 0"):
+        pair_ode(rep, ev.controls, path, tol=-1)
+    assert ev.controls.sup == max(f.sup_on(path.lo_exact, path.hi_exact) for f in ev.inputs.values())
+
+
 def test_pair_preconditions():
     ev = chen_series({"x0": 1}, SegmentPath(0, 1), 3)
     over_t = LinearRepresentation(X1, QT, ((1,)), {}, ((1,)))
@@ -1262,8 +1338,9 @@ def test_level_pairing_matches_the_per_word_pairing(case):
     assert abs(value - _per_word_pairing(ev, rep)) <= 8 * (ev.bound + 1) * rep.dim * EPS * scale
     # the constructor keeps views and copies other mappings; an evaluation
     # built from a dict pairs through its words, bit for bit
-    copied = ChenEvaluation(ev.alphabet, ev.inputs, ev.path, ev.bound, dict(ev.values), ev.errors, ev.excluded)
+    copied = ChenEvaluation(ev.alphabet, ev.controls, ev.path, ev.bound, dict(ev.values), ev.errors, ev.excluded)
     assert type(copied.values) is dict and copied.errors is ev.errors and copied.excluded is ev.excluded
+    assert copied.controls is ev.controls
     assert pair_series(copied, rep).value.hex() == value.hex()
 
 
@@ -1398,7 +1475,7 @@ def _row_cases(draw):
 @given(_row_cases())
 def test_derivative_rows_match_the_word_sum(case):
     rep, inputs = case
-    rows = _derivative_rows(rep, inputs)
+    rows = _derivative_rows(rep, _exact_controls(inputs))
     for l in range(5):
         row, scale = next(rows)
         assert all(row.values())

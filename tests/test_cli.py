@@ -24,7 +24,7 @@ from ncfps.exprs import (
 )
 from ncfps.rings import QQ, QT
 from ncfps.series import parse_series_text, series_text
-from ncfps.words import Alphabet
+from ncfps.words import Alphabet, word_text
 
 
 def run_cli(*argv):
@@ -433,6 +433,39 @@ class TestCliAnalytic:
         assert lines[2] == "certified yes"
         assert abs(value - 2.0) <= tail + 1e-6
         assert abs(float(lines[3].split()[1]) - 2.0) < 1e-6
+
+    def test_pair_checks_and_bounds_each_control_once(self, monkeypatch):
+        from collections import Counter
+
+        from ncfps.chen import InputFunction
+
+        calls = {"validate_on": Counter(), "sup_on": Counter()}
+        for name, seen in calls.items():
+
+            def counted(f, *args, _call=getattr(InputFunction, name), _seen=seen):
+                _seen[repr(f)] += 1
+                return _call(f, *args)
+
+            monkeypatch.setattr(InputFunction, name, counted)
+        code, out, _ = run_cli(
+            "pair", "(1/2*x0 + x1)* shuffle (x0.x1)*", "--inputs", "x0=1/z,x1=1/(1-z)", "--z0", "2/5", "--z", "3/5"
+        )
+        assert code == 0 and out.splitlines()[3].startswith("ode ")
+        controls = {repr(InputFunction.from_text(t)) for t in ("1/z", "1/(1-z)")}
+        assert calls["validate_on"] == Counter(dict.fromkeys(controls, 1))
+        assert set(calls["sup_on"]) <= controls and max(calls["sup_on"].values()) == 1
+
+    def test_chen_prints_each_word_in_order(self):
+        # the rows as the per-word lookups print them, divergent words included
+        from ncfps.chen import chen_series
+
+        ev = chen_series({"x0": "1/z", "x1": "1/(1-z)", "x2": "pow(z, -1/2)"}, (0, "1/2"), 4)
+        want = "".join(
+            f"{word_text(w)}\t{'divergent' if w in ev.excluded else repr(ev.values[w])}\n"
+            for w in ev.alphabet.words_up_to(4)
+        )
+        inputs = "x0=1/z,x1=1/(1-z),x2=pow(z,-1/2)"
+        assert run_cli("chen", "--inputs", inputs, "--z0", "0", "--z", "1/2", "--max-length", "4")[1] == want
 
     def test_pair_certifies_a_rational_control(self):
         # the sup of 1/(1+z^2) on [0, 1/2] is bounded exactly
