@@ -293,18 +293,18 @@ def _chain_levels(letters, orders, word):
     """The suffixes of one word, shortest first, laid out as `_word_levels`
     lays out a family: one row per length.  The first suffix whose stage
     diverges ends the chain, and it and every longer suffix are excluded.
-    Returns the kept suffixes, their levels and the smallest stage exponent."""
-    words, levels = [], []
+    Returns the number of kept suffixes, their levels and the smallest stage
+    exponent."""
+    levels = []
     stage, emin = -1.0, math.inf
-    for k in range(len(word) - 1, -1, -1):
-        i = letters.index(word[k])
+    for x in reversed(word):
+        i = letters.index(x)
         stage = orders[i] + (stage + 1.0)
         if not stage > _DIVERGES:
             break
-        words.append(word[k:])
         levels.append((1, [(i, slice(None))]))
         emin = min(emin, stage)
-    return words, levels, emin
+    return len(levels), levels, emin
 
 
 def _power_param(orders, emin):
@@ -326,8 +326,8 @@ def _evaluate(controls, tol, levels_of):
     """The layout, the values and the error estimates of the kept words of
     the family that `levels_of(letters, orders)` lays out over the checked
     controls: `_word_levels` with its length bound (the layout is its kept
-    masks), or `_chain_levels` with its word (the kept suffixes).  The values
-    follow the levels' rows.
+    masks), or `_chain_levels` with its word (the number of kept suffixes).
+    The values follow the levels' rows.
 
     The state of the adaptive driver is the vector of all kept words' values,
     zero at the start; a panel step starts from the previous panel's end

@@ -301,7 +301,7 @@ def rep_scalar(alphabet, ring, c):
 
 def rep_word(alphabet, ring, w, coeff=None):
     """Chain automaton of a single word with an optional coefficient."""
-    w = tuple(w)
+    w = _as_word(w)
     alphabet.validate_word(w)
     c = ring.one if coeff is None else ring.coerce(coeff)
     n = len(w) + 1

@@ -42,6 +42,7 @@ from .series import (
 )
 from .words import (
     Alphabet,
+    _as_word,
     is_lyndon,
     lyndon_factorization,
     lyndon_words,
@@ -104,7 +105,7 @@ def eulerian_pi1(arg):
             for v, d in _pi1_word(w):
                 out[v] = out.get(v, arg.ring.zero) + c * d
         return NCPolynomial(arg.alphabet, arg.ring, out)
-    w = tuple(arg)
+    w = _as_word(arg)
     _Y.validate_word(w)
     return NCPolynomial(_Y, QQ, dict(_pi1_word(w)))
 
@@ -112,7 +113,7 @@ def eulerian_pi1(arg):
 def phi_pi1(p):
     """The concatenation endomorphism sending each letter yk to its Eulerian
     projector image, extended multiplicatively and linearly."""
-    if isinstance(p, tuple):
+    if not isinstance(p, NCPolynomial):
         p = NCPolynomial.word(_Y, QQ, p)
     if p.alphabet.kind != "Y":
         raise ValueError("phi_pi1 acts on the graded Y alphabet")
@@ -227,22 +228,22 @@ def basis_table(alphabet, bound):
 
 
 def basis_P(alphabet, w):
-    w = tuple(w)
+    w = _as_word(w)
     return basis_table(alphabet, alphabet.word_grade(w)).P[w]
 
 
 def basis_S(alphabet, w):
-    w = tuple(w)
+    w = _as_word(w)
     return basis_table(alphabet, alphabet.word_grade(w)).S[w]
 
 
 def basis_Pi(w):
-    w = tuple(w)
+    w = _as_word(w)
     return basis_table(_Y, _Y.word_grade(w)).Pi[w]
 
 
 def basis_Sigma(w):
-    w = tuple(w)
+    w = _as_word(w)
     return basis_table(_Y, _Y.word_grade(w)).Sigma[w]
 
 

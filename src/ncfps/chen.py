@@ -24,9 +24,10 @@ antiderivative at the nodes themselves.  The words of one length are the rows
 of one array, each the product of its first letter's control and its suffix's
 node values, integrated by two matrix products per block of rows; memory holds
 two consecutive lengths' node values on one panel.  A word's error estimate
-sums its step-doubling defects over the accepted panels.  The evaluation's
-values, errors and excluded words are read-only views over that layout of the
-words, in grade-lex order: a lookup costs O(|w|) and builds no table of words.
+sums its step-doubling defects over the accepted panels.  `chen_series` alone
+builds an evaluation, from the checked controls, that layout of the words and
+its rows; the values, errors and excluded words are read-only views over the
+layout, in grade-lex order: a lookup costs O(|w|) and builds no table of words.
 The pairing forms the prefix rows nu mu(w) length by length in the same order.
 The flow evaluator sums a rational series without truncation: its state
 equation is stepped by 16-stage Gauss collocation under the same driver.  A
@@ -462,26 +463,27 @@ class _Dropped(_Immutable, Set):
 class ChenEvaluation(_Immutable):
     """All iterated-integral coefficients of one segment up to a length bound.
 
-    `values` maps each included word to a double, `errors` to its a-posteriori
-    quadrature estimate; the empty word carries exactly 1.  `excluded` holds
-    the words dropped because their innermost integral diverges at a singular
-    start endpoint.  From `chen_series` the three are read-only views over
-    one layout of the words, in grade-lex order, with O(|w|) lookups; other
-    mappings and sets are copied into a dict and a frozenset.  `controls`
-    holds the checked controls; `inputs` and `path` are theirs.
+    `chen_series` builds it from the checked controls, the bound, the
+    kernel's layout of the words and the layout's rows of values and error
+    estimates, the empty word's row first.  `values` maps each included word
+    to a double, `errors` to its a-posteriori quadrature estimate; the empty
+    word carries exactly 1.  `excluded` holds the words dropped because their
+    innermost integral diverges at a singular start endpoint.  The three are
+    read-only views over the layout, in grade-lex order, with O(|w|) lookups.
+    `alphabet`, `inputs` and `path` are the controls'.
     """
 
-    __slots__ = ("alphabet", "controls", "bound", "values", "errors", "excluded")
+    __slots__ = ("controls", "bound", "values", "errors", "excluded")
+    alphabet = property(lambda self: self.controls.alphabet)
     inputs = property(lambda self: self.controls.inputs)
     path = property(lambda self: self.controls.path)
 
-    def __init__(self, alphabet, inputs, path, bound, values, errors, excluded):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "controls", _Controls.of(inputs, SegmentPath.of(path)))
+    def __init__(self, controls, bound, layout, values, errors):
+        object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "values", values if isinstance(values, _WordValues) else dict(values))
-        object.__setattr__(self, "errors", errors if isinstance(errors, _WordValues) else dict(errors))
-        object.__setattr__(self, "excluded", excluded if isinstance(excluded, _Dropped) else frozenset(excluded))
+        object.__setattr__(self, "values", _WordValues(layout, values))
+        object.__setattr__(self, "errors", _WordValues(layout, errors))
+        object.__setattr__(self, "excluded", _Dropped(layout))
 
     def _lookup(self, table, w):
         w = _as_word(w)
@@ -543,9 +545,7 @@ def chen_series(inputs, path, bound, tol=1e-10):
     levels_of = partial(_word_levels, bound=bound)
     masks, vals, errs = _evaluate(controls, tol, levels_of)
     layout = _Layout(controls.alphabet, masks)
-    values = _WordValues(layout, [1.0] + vals.tolist())
-    errors = _WordValues(layout, [0.0] + errs.tolist())
-    return ChenEvaluation(controls.alphabet, controls, path, bound, values, errors, _Dropped(layout))
+    return ChenEvaluation(controls, bound, layout, [1.0] + vals.tolist(), [0.0] + errs.tolist())
 
 
 def iterated_integral(word, inputs, path, tol=1e-10):
@@ -558,8 +558,8 @@ def iterated_integral(word, inputs, path, tol=1e-10):
     from ._numeric import _chain_levels, _evaluate
 
     levels_of = partial(_chain_levels, word=word)
-    words, vals, _ = _evaluate(controls, tol, levels_of)
-    if len(words) < len(word):
+    kept, vals, _ = _evaluate(controls, tol, levels_of)
+    if kept < len(word):
         raise ValueError(f"{word_text(word)} is not integrable at the path endpoint")
     return float(vals[-1])
 
@@ -697,12 +697,8 @@ def pair_series(ev, rep):
         return PairingResult(0.0, 0.0, True)
     from ._numeric import _series_pairing
 
-    values = ev.values
-    if isinstance(values, _WordValues) and len(values.layout._kept) == ev.bound + 1:
-        coeffs = values.rows  # every word up to the bound: the excluded ones were refused above
-    else:  # a word the mapping lacks counts 0
-        coeffs = [values.get(w, 0.0) for w in ev.alphabet.words_up_to(ev.bound)]
-    value, k = _series_pairing(coeffs, ev.alphabet.letters, ev.bound, rep)
+    # every word up to the bound, in grade-lex order: the excluded ones were refused above
+    value, k = _series_pairing(ev.values.rows, ev.alphabet.letters, ev.bound, rep)
     mu_norm = max((_inf_norm(rep.rows[x]) for x in ev.inputs if x in rep.rows), default=0.0)
     tail = 0.0
     if k > 0.0 and mu_norm > 0.0:

@@ -342,7 +342,7 @@ class NCPolynomial(_TermMap):
 
     @classmethod
     def word(cls, alphabet, ring, w, coeff=None):
-        return cls(alphabet, ring, {tuple(w): ring.one if coeff is None else coeff})
+        return cls(alphabet, ring, {_as_word(w): ring.one if coeff is None else coeff})
 
     def coeff(self, w):
         return self.terms.get(_as_word(w), self.ring.zero)
@@ -399,13 +399,13 @@ class NCPolynomial(_TermMap):
 
     def left_quotient(self, u):
         """Series with coefficient of w equal to this one's coefficient of u.w."""
-        u = tuple(u)
+        u = _as_word(u)
         n = len(u)
         return self._built({w[n:]: c for w, c in self.terms.items() if w[:n] == u})
 
     def right_quotient(self, u):
         """Series with coefficient of w equal to this one's coefficient of w.u."""
-        u = tuple(u)
+        u = _as_word(u)
         n = len(u)
         if n == 0:
             return self
@@ -704,14 +704,14 @@ class TruncatedSeries(_Immutable):
         return _within(_horner(self.poly, plan), n)
 
     def left_quotient(self, u):
-        u = tuple(u)
+        u = _as_word(u)
         b = self.bound - self.alphabet.word_grade(u)
         if b < 0:
             raise ValueError("insufficient truncation bound for the quotient")
         return _within(self.poly.left_quotient(u), b)
 
     def right_quotient(self, u):
-        u = tuple(u)
+        u = _as_word(u)
         b = self.bound - self.alphabet.word_grade(u)
         if b < 0:
             raise ValueError("insufficient truncation bound for the quotient")

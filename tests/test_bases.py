@@ -8,9 +8,11 @@ agreement is a genuine cross-check.
 
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from ncfps.automata import rep_word
 from ncfps.bases import (
     BasisTable,
     basis_P,
@@ -24,8 +26,8 @@ from ncfps.bases import (
     phi_pi1,
 )
 from ncfps.rings import QQ
-from ncfps.series import NCPolynomial, TensorPoly, parse_series_text, unshuffle, unstuffle
-from ncfps.words import Alphabet, parse_word
+from ncfps.series import NCPolynomial, TensorPoly, TruncatedSeries, parse_series_text, unshuffle, unstuffle
+from ncfps.words import Alphabet, parse_word, word_text
 
 X2 = Alphabet.x(2)
 Y = Alphabet.y()
@@ -253,3 +255,37 @@ def test_basis_tables_keep_at_most_the_bound():
     # the least recently used table, of bound 0, was dropped and is rebuilt
     assert bases.basis_table(x1, 0) is not tables[0]
     assert bases.basis_table.cache_info().currsize == 32
+
+
+def _word_entry_points():
+    """Each entry point that builds from a word or divides by one, as a
+    function of the word, with the alphabet of the words it takes."""
+    poly = NCPolynomial(X2, QQ, {w: Fraction(i + 1) for i, w in enumerate(X2.words_up_to(3))})
+    truncated = TruncatedSeries(poly, 3)
+
+    def chain(w):
+        rep = rep_word(X2, QQ, w)
+        return rep.nu, rep.rows, rep.eta
+
+    return {
+        "NCPolynomial.word": (partial(NCPolynomial.word, X2, QQ), X2),
+        "rep_word": (chain, X2),
+        "NCPolynomial.left_quotient": (poly.left_quotient, X2),
+        "NCPolynomial.right_quotient": (poly.right_quotient, X2),
+        "TruncatedSeries.left_quotient": (truncated.left_quotient, X2),
+        "TruncatedSeries.right_quotient": (truncated.right_quotient, X2),
+        "basis_P": (partial(basis_P, X2), X2),
+        "basis_S": (partial(basis_S, X2), X2),
+        "basis_Pi": (basis_Pi, Y),
+        "basis_Sigma": (basis_Sigma, Y),
+        "eulerian_pi1": (eulerian_pi1, Y),
+        "phi_pi1": (phi_pi1, Y),
+    }
+
+
+@pytest.mark.parametrize("site", list(_word_entry_points()))
+def test_a_word_given_as_text_builds_as_its_letters(site):
+    get, alphabet = _word_entry_points()[site]
+    for w in alphabet.words_up_to(3, include_empty=False):
+        want = get(w)
+        assert get(word_text(w)) == want and get(list(w)) == want, w
