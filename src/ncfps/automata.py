@@ -729,15 +729,12 @@ def kronecker_form(rep):
 # exchangeability and classification
 
 
-def _letters_commute(m):
-    mats = [m.rows[x] for x in m.active_letters]
-    return not _bracket_span(m.ring, m.dim, mats, mats)
-
-
 def is_rationally_exchangeable(rep):
     """Membership in the closure class generated by one-letter rationals,
     decided by pairwise commutation of the minimal letter matrices."""
-    return _letters_commute(minimize(rep.embed_field()))
+    m = minimize(rep.embed_field())
+    mats = [m.rows[x] for x in m.active_letters]
+    return not _bracket_span(m.ring, m.dim, mats, mats)
 
 
 class MatrixLieAlgebra:
@@ -818,10 +815,9 @@ def _series_vanishes(lie, lower_central):
 def classify(rep):
     """Coarse class of the series by the Lie algebra of its minimal letter
     matrices: 'exchangeable', 'nilpotent', 'solvable', or 'general'."""
-    m = minimize(rep.embed_field())
-    if _letters_commute(m):
+    if is_rationally_exchangeable(rep):
         return "exchangeable"
-    lie = lie_closure(m)
+    lie = lie_closure(minimize(rep.embed_field()))
     if _series_vanishes(lie, lower_central=True):
         return "nilpotent"
     if _series_vanishes(lie, lower_central=False):
@@ -833,18 +829,15 @@ def classify(rep):
 # nilpotent decomposition
 
 
-def nilpotent_decompose(rep, char_coeffs=None):
+def nilpotent_decompose(rep):
     """Split S = S1 (shuffle) (sum_x c_x x)* when every mu(x) - c_x I is
-    strictly upper triangular.  Returns (S1 as a polynomial, c)."""
+    strictly upper triangular, c_x the (0, 0) entry of mu(x).  Returns
+    (S1 as a polynomial, c)."""
     ring, n, alphabet = rep.ring, rep.dim, rep.alphabet
-    if char_coeffs is None:
-        char_coeffs = {x: rep.rows[x][0].get(0, ring.zero) for x in rep.active_letters}
-    c = {x: ring.coerce(v) for x, v in char_coeffs.items()}
-    alphabet.validate_word(tuple(c))
+    c = {x: rep.rows[x][0].get(0, ring.zero) for x in rep.active_letters}
     rows1 = {}
-    for x in sorted(rep.rows.keys() | c.keys(), key=alphabet.rank):
-        cx = c.get(x, ring.zero)
-        rows1[x] = _plus_scalar(rep.rows.get(x, ({},) * n), -cx)
+    for x, cx in c.items():
+        rows1[x] = _plus_scalar(rep.rows[x], -cx)
         if any(j <= i for i, row in enumerate(rows1[x]) for j in row):
             raise ValueError(f"matrix for {x!r} minus {ring.format(cx)}*I is not strictly upper triangular")
     rep1 = _built(alphabet, ring, rep.nu, rows1, rep.eta)

@@ -59,6 +59,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, compress, count, islice, repeat
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .rings import QQ, QZ, RR, Poly, PolynomialRing, RatFun, _Immutable, poly_lcm, poly_text
 from .words import _LETTER_RE, Alphabet, _as_word, _graded_words, word_text
@@ -164,18 +165,21 @@ class InputFunction(_Immutable):
         return self.ratfun.vanishing_order_at(p)
 
     def sup_on(self, lo, hi):
-        """Upper bound on sup |u| over the rational segment [lo, hi]."""
-        if self.kind == "exp":
-            return math.exp(hi)
-        if self.kind == "pow":
-            a = float(self.value)
-            if lo == 0 and a < 0:
-                return math.inf
-            return max(abs(float(e)) ** a for e in (lo, hi))
-        s = self.value.sup_bound(lo, hi)  # exact: round it up to a double
-        if s == math.inf or Fraction(float(s)) >= s:
-            return float(s)
-        return math.nextafter(float(s), math.inf)
+        """Upper bound on sup |u| over the rational segment [lo, hi]; inf if it overflows a double."""
+        try:
+            if self.kind == "exp":
+                return math.exp(hi)
+            if self.kind == "pow":
+                a = float(self.value)
+                if lo == 0 and a < 0:
+                    return math.inf
+                return max(abs(float(e)) ** a for e in (lo, hi))
+            s = self.value.sup_bound(lo, hi)  # exact: round it up to a double
+            if s == math.inf or Fraction(float(s)) >= s:
+                return float(s)
+            return math.nextafter(float(s), math.inf)
+        except OverflowError:
+            return math.inf
 
     def validate_on(self, path):
         """Check the control against a segment.
@@ -557,7 +561,7 @@ def iterated_integral(word, inputs, path, tol=1e-10):
         return 1.0
     from ._numeric import _chain_levels, _evaluate
 
-    levels_of = partial(_chain_levels, word=word)
+    levels_of = partial(_chain_levels, indices=[controls.alphabet.rank(x) for x in word])
     kept, vals, _ = _evaluate(controls, tol, levels_of)
     if kept < len(word):
         raise ValueError(f"{word_text(word)} is not integrable at the path endpoint")
@@ -656,21 +660,12 @@ def flow_compose(second, first):
 # pairing with a linear representation
 
 
-class PairingResult(_Immutable):
+class PairingResult(NamedTuple):
     """Value of a series-evaluation pairing with a certified tail bound."""
 
-    __slots__ = ("value", "tail", "certified")
-
-    def __init__(self, value, tail, certified):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "certified", certified)
-
-    def __iter__(self):
-        return iter((self.value, self.tail, self.certified))
-
-    def __repr__(self):
-        return f"PairingResult({self.value!r}, tail={self.tail!r}, certified={self.certified})"
+    value: float
+    tail: float
+    certified: bool
 
 
 def _inf_norm(rows):

@@ -9,8 +9,9 @@ decision is one echelon span test over Q and needs no roots of D.
 
 from __future__ import annotations
 
+from .chen import _exact_controls
 from .linalg import EchelonBasis, nonzeros
-from .rings import QQ, QZ, Poly, RatFun, poly_gcd, poly_lcm, ring_named
+from .rings import QQ, Poly, RatFun, poly_gcd, poly_lcm, ring_named
 
 __all__ = ["independence_criterion"]
 
@@ -28,14 +29,15 @@ def independence_criterion(inputs, base):
     a polynomial (Horowitz 1971; Bronstein, Symbolic Integration I, 2.2).
     Both bases are one span test: the family is independent exactly when
     each input's numerator adds a new row to the echelon basis of these
-    generators (none over Q), so no root of D is ever located.
+    generators (none over Q), so no root of D is ever located.  The inputs
+    are read as `chen` reads controls, and each must be rational in z.
     """
     if isinstance(base, str):
         base = ring_named(base)
     if base.name not in ("Q", "Q(z)", "Q(t)"):
         raise ValueError(f"unsupported base field {base.name!r}")
-    funs = [inputs[x] for x in sorted(inputs)]
-    funs = [QZ.parse(f) if isinstance(f, str) else QZ.coerce(f) for f in funs]
+    controls = _exact_controls(inputs)
+    funs = [controls[x].ratfun for x in sorted(controls)]
     if not funs:
         return True
     den = poly_lcm(*(f.den for f in funs))

@@ -96,41 +96,36 @@ class _Parser:
             self._fail(f"unexpected {tok[1]!r}", tok)
         return node
 
-    def _at_sign(self):
+    def _take(self, kind, texts):
+        """The next token, consumed, if it has this kind and one of these texts; else None."""
         tok = self._peek()
-        return tok is not None and tok[0] == "OP" and tok[1] in "+-"
+        if tok is None or tok[0] != kind or tok[1] not in texts:
+            return None
+        self.i += 1
+        return tok
 
-    def _term(self):
+    def _term(self, sign):
         # a sign before a term, optional before the first; - is the scalar prefix -1
-        if not self._at_sign():
-            return self.mul()
-        _, sign, pos = self._next()
         node = self.mul()
-        return ("scale", "-1", pos, node) if sign == "-" else node
+        return ("scale", "-1", sign[2], node) if sign and sign[1] == "-" else node
 
     def expr(self):
-        node = self._term()
-        while self._at_sign():
-            node = ("add", node, self._term())
+        node = self._term(self._take("OP", "+-"))
+        while sign := self._take("OP", "+-"):
+            node = ("add", node, self._term(sign))
         return node
 
     def mul(self):
         node = self.cat()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "NAME" or tok[1] not in _KEYWORDS:
-                return node
-            self._next()
-            node = (tok[1], node, self.cat())
+        while op := self._take("NAME", _KEYWORDS):
+            node = (op[1], node, self.cat())
+        return node
 
     def cat(self):
         node = self.scaled()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[:2] != ("OP", "."):
-                return node
-            self._next()
+        while self._take("OP", "."):
             node = ("cat", node, self.scaled())
+        return node
 
     def _starts_atom(self, i):
         if i >= len(self.toks):
@@ -166,12 +161,9 @@ class _Parser:
 
     def post(self):
         node = self.atom()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[:2] != ("OP", "*"):
-                return node
-            self._next()
+        while self._take("OP", "*"):
             node = ("star", node)
+        return node
 
     def atom(self):
         tok = self._next()
@@ -181,9 +173,8 @@ class _Parser:
         if kind == "OP":
             if text == "(":
                 node = self.expr()
-                closing = self._next()
-                if closing is None or closing[:2] != ("OP", ")"):
-                    self._fail("expected ')'", closing)
+                if not self._take("OP", ")"):
+                    self._fail("expected ')'", self._peek())
                 return node
             self._fail(f"unexpected {text!r}", tok)
         if text in _KEYWORDS:

@@ -429,9 +429,6 @@ class RatFun(_Immutable):
             return NotImplemented
         return o / self
 
-    def inv(self):
-        return 1 / self
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a rational function")
@@ -498,17 +495,11 @@ class RatFun(_Immutable):
     def residue_at(self, p):
         """Exact residue at the rational point p, by shifted Laurent expansion."""
         p = _frac(p)
-        num = self.num.shifted(p)
-        den = self.den.shifted(p)
-        k = 0
-        cs = list(den.coeffs)
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            k += 1
+        k = self.den.root_multiplicity(p)
         if k == 0:
             return Fraction(0)
-        d0 = cs  # den / v^k, nonzero constant term
-        n = list(num.coeffs) + [Fraction(0)] * k
+        n = self.num.shifted(p).coeffs
+        d0 = self.den.shifted(p).coeffs[k:]  # den / v^k, nonzero constant term
         # power-series coefficients of num/d0 up to order k-1
         series = []
         for j in range(k):

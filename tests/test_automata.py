@@ -534,6 +534,22 @@ def test_kronecker_form_polynomial():
     assert q.is_zero()
 
 
+def test_kronecker_form_letter_choice():
+    # over a larger alphabet the one active letter is used, and with none the
+    # first letter of the alphabet
+    x1 = NCPolynomial.word(X2, QQ, ("x1",))
+    assert kronecker_form(rep_word(X2, QQ, ("x1", "x1"))) == (x1 * x1, NCPolynomial.zero(X2, QQ))
+    assert kronecker_form(rep_scalar(X2, QQ, 3)) == (3 * NCPolynomial.one(X2, QQ), NCPolynomial.zero(X2, QQ))
+    assert kronecker_form(make_character_star(X2, QQ, {"x1": 2})) == (
+        NCPolynomial.one(X2, QQ),
+        2 * NCPolynomial.one(X2, QQ),
+    )
+    with pytest.raises(ValueError, match="needs a one-letter alphabet"):
+        kronecker_form(rep_word(X2, QQ, ("x0", "x1")))
+    with pytest.raises(ValueError, match="field coefficients required"):
+        kronecker_form(make_character_star(X1, QT, {"x0": QT.gen()}))
+
+
 def test_kronecker_form_round_trip():
     rng = random.Random(303)
     for _ in range(4):

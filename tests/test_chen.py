@@ -175,6 +175,17 @@ def test_sup_bounds_and_exactness():
     assert Fraction(math.nextafter(s, 0.0)) < Fraction(1, 3) < Fraction(s)
 
 
+@pytest.mark.parametrize("text, hi", [("exp", 1000), ("10^300*z^2", 10**10), ("pow(z,81/2)", 10**10)])
+def test_sup_bound_beyond_the_double_range_is_inf(text, hi):
+    # the three routes out of the double range: exp, the exact bound, a fractional power
+    assert InputFunction.from_text(text).sup_on(0, hi) == math.inf
+
+
+def test_pair_series_with_an_unbounded_sup_is_uncertified():
+    res = pair_series(chen_series({"x0": "exp"}, SegmentPath(0, 1000), 0), star_rep(X1, ("x0",)))
+    assert res == (1.0, math.inf, False)
+
+
 def test_path_keeps_exact_endpoints():
     path = SegmentPath("1/3", 1)
     assert path.z0_exact == Fraction(1, 3)
@@ -664,14 +675,14 @@ def test_word_levels_match_the_per_row_oracle(orders, bound, data):
     # letters put in front of it, a zero control's inf included
     letters = tuple(f"x{i}" for i in range(len(orders)))
     want = _per_row_word_levels(letters, orders, [range(len(letters))] * bound)
-    masks, levels, emin = _word_levels(letters, orders, bound)
+    masks, levels, emin = _word_levels(orders, bound)
     assert len(masks) == bound
     words, excluded = _masked_words(letters, masks)
     _assert_same_levels((words, levels, excluded, emin), want)
     # one word's suffix chain, up to its first divergent suffix, which
     # excludes itself and every longer suffix
     word = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=6)))
-    kept, levels, emin = _chain_levels(letters, orders, word)
+    kept, levels, emin = _chain_levels(orders, [letters.index(x) for x in word])
     want = _per_row_word_levels(letters, orders, [[letters.index(x)] for x in reversed(word)])
     words = [word[len(word) - j :] for j in range(1, kept + 1)]
     assert want[1][kept:] == [(0, [])] * (len(word) - kept)
@@ -696,7 +707,7 @@ def test_word_views_match_the_dict_oracle(orders, bound, data):
     want_vals.update(zip(words, vals))
     want_errs = {(): 0.0}
     want_errs.update(zip(words, errs))
-    layout = _Layout(Alphabet.from_letters(letters), _word_levels(letters, orders, bound)[0])
+    layout = _Layout(Alphabet.from_letters(letters), _word_levels(orders, bound)[0])
     got_vals, got_errs = _WordValues(layout, [1.0, *vals]), _WordValues(layout, [0.0, *errs])
     got_excluded, want_excluded = _Dropped(layout), frozenset(excluded)
 
@@ -737,7 +748,7 @@ def _assert_kernel_matches_per_word_loop(inputs, path, bound):
     alphabet, singular_start = checked.alphabet, checked.singular_start
     controls = [checked.inputs[x] for x in alphabet.letters]
     orders = [f.vanishing_order_at(path.z0_exact) if singular_start else 0.0 for f in controls]
-    masks, levels, emin = _word_levels(alphabet.letters, orders, bound)
+    masks, levels, emin = _word_levels(orders, bound)
     words, excluded = _masked_words(alphabet.letters, masks)
     by_letter = dict(zip(alphabet.letters, orders))
     chain = [w for w in alphabet.words_up_to(bound, include_empty=False) if _integrable(w, by_letter)]
@@ -883,6 +894,24 @@ def test_a_zero_control_beside_a_fractional_power(z1):
             assert v == 0.0
     for w, want in ((("x1",), 2 * math.sqrt(z)), (("x1", "x1"), 2 * z)):
         assert abs(ev.coeff(w) - want) <= ev.error(w)
+
+
+def test_no_finite_kept_stage_leaves_the_power_at_1(monkeypatch):
+    # x1 = z^(-3/2) diverges as the innermost letter, and every kept word
+    # ends in the zero control x0, whose stage exponent is inf: there is no
+    # finite exponent to lift, so no power substitution
+    powers = []
+
+    def recorded(orders, emin):
+        powers.append(_power_param(orders, emin))
+        return powers[-1]
+
+    monkeypatch.setattr(ncfps._numeric, "_power_param", recorded)
+    ev = chen_series({"x0": "0", "x1": "pow(z,-3/2)"}, SegmentPath(0, "1/2"), 3)
+    assert powers == [1]
+    assert sorted(ev.excluded) == sorted(w for w in X2.words_up_to(3) if w and w[-1] == "x1")
+    assert len(ev.excluded) == 7 and len(ev.values) == 8
+    assert all(v == 0.0 for w, v in ev.values.items() if w)
 
 
 def test_oversized_families_are_refused_before_any_array(monkeypatch):

@@ -476,6 +476,17 @@ class TestCliAnalytic:
         assert abs(float(fields["value"]) - float(fields["ode"])) <= float(fields["tail"])
         assert abs(float(fields["ode"]) - math.exp(math.atan(0.5))) < 1e-12
 
+    @pytest.mark.parametrize(
+        "control, z",
+        [("x0=exp", "1000"), ("x0=10^300*z^2", "10000000000"), ("x0=pow(z,81/2)", "10000000000")],
+    )
+    def test_pair_with_a_sup_beyond_the_double_range(self, control, z):
+        # the tail is inf and uncertified, as for an unbounded control, and no traceback ends the call
+        code, out, err = run_cli("pair", "x0*", "--inputs", control, "--z0", "0", "--z", z, "--max-length", "0")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[1:3] == ["tail inf", "certified no"] and lines[3].startswith("ode unavailable: ")
+
     def test_pair_reports_uncovered_letters(self):
         code, _, err = run_cli(
             "pair", "(x0.x1)*", "--inputs", "x1=1", "--z0", "0", "--z", "1"

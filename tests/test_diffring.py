@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncfps.chen import InputFunction
 from ncfps.diffring import independence_criterion
 from ncfps.rings import QZ, Poly, RatFun
 
@@ -50,6 +51,16 @@ def test_independence_irrational_poles_decided():
     assert not independence_criterion({"x0": "1/(z^2-2)", "x1": "(z^2+2)/(z^2-2)^2"}, "Q(z)")
     assert independence_criterion({"x0": "1/(z^2+1)"}, "Q(z)")
     assert independence_criterion({"x0": "z/(z^2+1)"}, "Q(z)")
+
+
+def test_independence_reads_inputs_as_chen_controls():
+    # an InputFunction, an integer power and a text agree with their Q(z) forms
+    assert not independence_criterion({"x0": InputFunction.from_text("1/z^2")}, "Q(z)")
+    assert not independence_criterion({"x0": "pow(z,2)"}, "Q(z)")
+    assert independence_criterion({"x0": InputFunction.rational("1/(1-z)"), "x1": "pow(z,-1)"}, "Q(z)")
+    for control in ("exp", "pow(z,1/2)"):
+        with pytest.raises(ValueError, match="the control for x0 must be a rational function of z"):
+            independence_criterion({"x0": control}, "Q(z)")
 
 
 def test_independence_empty_family_checks_base():
