@@ -732,7 +732,11 @@ def kronecker_form(rep):
 def is_rationally_exchangeable(rep):
     """Membership in the closure class generated by one-letter rationals,
     decided by pairwise commutation of the minimal letter matrices."""
-    m = minimize(rep.embed_field())
+    return _commuting(minimize(rep.embed_field()))
+
+
+def _commuting(m):
+    """Whether the letter matrices of the minimal representation m commute."""
     mats = [m.rows[x] for x in m.active_letters]
     return not _bracket_span(m.ring, m.dim, mats, mats)
 
@@ -815,9 +819,14 @@ def _series_vanishes(lie, lower_central):
 def classify(rep):
     """Coarse class of the series by the Lie algebra of its minimal letter
     matrices: 'exchangeable', 'nilpotent', 'solvable', or 'general'."""
-    if is_rationally_exchangeable(rep):
+    m = minimize(rep.embed_field())
+    if _commuting(m):
         return "exchangeable"
-    lie = lie_closure(minimize(rep.embed_field()))
+    lie = lie_closure(m)
+    # two letter matrices that do not commute need n >= 2; a closure of n^2
+    # members is gl_n, which holds the simple sl_n, so neither series vanishes
+    if lie.dim == lie.n * lie.n:
+        return "general"
     if _series_vanishes(lie, lower_central=True):
         return "nilpotent"
     if _series_vanishes(lie, lower_central=False):

@@ -11,9 +11,19 @@ Each handler imports the modules it runs, so one call loads only what its
 subcommand needs: `bases` alone loads `ncfps.bases`, the expansions
 (`expand`, `op`, `star`) run without `ncfps.automata`, and numpy loads only
 when `chen` or `pair` integrates.
+
+`main` runs OpenBLAS on one thread: it sets ``OPENBLAS_NUM_THREADS=1``
+before any handler loads numpy, unless the caller has set the variable, whose
+value then wins.  The Chen kernel splits its products into blocks of at most
+``_numeric._BLOCK`` rows, which BLAS runs on the calling thread, so the
+thread pool OpenBLAS would start when numpy loads only costs time: about
+65 ms of each `chen` or `pair` call.  The pairing's larger products gave the
+same bytes, more slowly, on two threads.  Importing this module changes
+nothing; a call of `main` in a host process leaves the variable set there.
 """
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -283,6 +293,7 @@ def build_parser():
 
 
 def main(argv=None):
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any handler loads numpy
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -2,6 +2,8 @@
 minimization, equality, splitting, rational forms, and classification."""
 
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -691,6 +693,44 @@ def test_classify_examples():
     assert minimize(solvable).dim == 2
     assert classify(solvable) == "solvable"
     assert classify(quiplait_rep()) == "general"
+
+
+def _dense_rep(n, seed):
+    """A two-letter Q representation of dimension n with entries -2..2."""
+    rng = random.Random(seed)
+
+    def vec():
+        return [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+
+    mu = {x: [vec() for _ in range(n)] for x in X2.letters}
+    return LinearRepresentation(X2, QQ, vec(), mu, vec())
+
+
+def test_classify_answers_general_at_once_for_gl_n(tmp_path):
+    # the letter matrices of a dense representation generate all of gl_n;
+    # bracketing gl_n down its two series took 2-3 s at n = 5, 10 s at n = 6
+    for n in (5, 6):
+        rep = _dense_rep(n, 5)
+        assert minimize(rep).dim == n and lie_closure(rep).dim == n * n
+        t0 = time.perf_counter()
+        assert classify(rep) == "general"
+        assert time.perf_counter() - t0 < 1.0
+        f = tmp_path / f"dense{n}.json"
+        f.write_text(rep.to_json())
+        t0 = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "ncfps.cli", "classify", "--rep", str(f)], capture_output=True, text=True
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert (done.returncode, done.stdout) == (0, "general\n"), done.stderr
+
+
+def test_classify_minimizes_once(monkeypatch):
+    calls = []
+    real = ncfps.automata.minimize
+    monkeypatch.setattr(ncfps.automata, "minimize", lambda rep: calls.append(1) or real(rep))
+    assert classify(quiplait_rep()) == "general"
+    assert len(calls) == 1
 
 
 def test_classify_is_similarity_invariant():

@@ -4,6 +4,7 @@ exact scalar differential equations."""
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -1206,6 +1207,35 @@ def test_cli_import_leaves_numpy_and_chen_out():
         rc, loaded = json.loads(done.stdout)
         assert rc == want, argv
         assert not absent & set(loaded), (argv, sorted(absent & set(loaded)))
+
+
+def test_cli_runs_blas_on_one_thread_unless_the_caller_says_otherwise():
+    code = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import ncfps.cli\n"
+        "assert dict(os.environ) == before"
+    )
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "from ncfps.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "threads = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'), threads]))"
+    )
+    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    integrating = [argv for argv, want, absent in _FOOTPRINTS if "numpy" not in absent]
+    assert [argv[0] for argv in integrating] == ["chen", "pair"]
+    for argv in integrating:
+        for env, want in ((unset, "1"), (dict(unset, OPENBLAS_NUM_THREADS="2"), "2")):
+            done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+            assert done.returncode == 0, done.stderr
+            rc, numpy_loaded, threads_var, threads = json.loads(done.stdout)
+            assert (rc, numpy_loaded, threads_var) == (0, True, want), argv
+            if want == "1" and sys.platform == "linux":
+                assert threads == 1, argv
 
 
 def test_every_exported_name_resolves():
