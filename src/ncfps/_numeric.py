@@ -34,16 +34,15 @@ def _integrands(controls, path, t, p):
     """f(z(t)) z'(t) for each control f, at the parameters t, for
     z(t) = z0 + (z1 - z0) t^p.
 
-    With p > 1 the start z0 is singular, and `controls` holds each control's
-    split (o, g) at z0, as `_split_at` gives it: f = g (z - z0)^o.  The
-    product is then evaluated as g(z(t)) p (z1 - z0)^(o+1) t^(p(o+1) - 1):
-    as f(z(t)) z'(t) it is inf * 0 once z(t) - z0 underflows, though the
-    integral converges.
+    `controls` holds each control's split (o, g) at z0, as `_split_at` gives
+    it: f = g (z - z0)^o, with o = 0 and g = f on a regular segment.  The
+    product is evaluated as g(z(t)) p (z1 - z0)^(o+1) t^(p(o+1) - 1), so the
+    factor (z - z0)^o is read off the parameter exactly, not from z(t) - z0,
+    a difference of doubles next to z0 that is off by an ulp of z0; it also
+    stays finite where t^p underflows, though the integral converges.  On a
+    regular segment it is f(z0 + (z1 - z0) t) (z1 - z0), bit for bit.
     """
     dz = path.z1 - path.z0
-    if p == 1:
-        zs = path.z0 + dz * t
-        return [_control_values(f, zs) * dz for f in controls]
     zs = path.z0 + dz * t**p
     return [_control_values(g, zs) * (p * dz ** (o + 1)) * t ** (p * (o + 1) - 1) for o, g in controls]
 
@@ -109,12 +108,12 @@ def _initial_mesh(singular_start):
     not.  Two, not one, keep the first panel's nodes inside the first half,
     where a control that leaves the double range late on a long segment is
     still finite, so the overflow is reported as the flow's.  A singular start
-    keeps 13 panels graded by powers of 4: under the power substitution the
-    whole range packs into the top panels, and coarser meshes lose one to two
-    digits of Li_n from 0.
+    keeps 7 panels graded by powers of 8 from 8^-5 up, with 1/2: two panels
+    miss Li_13 from 0 by 2.5e-14 and 1/z^2 by 1e-11, beyond their estimates,
+    and five graded by 16 miss {z^(-2/3), 1/(1-z)} from 0 by 4.5e-15.
     """
     if singular_start:
-        return np.array(sorted({0.0, 1.0, 0.5, 0.625, 0.75, 0.875} | {4.0**-k for k in range(1, 9)}))
+        return np.array(sorted({0.0, 0.5, 1.0} | {8.0**-k for k in range(1, 6)}))
     return np.array([0.0, 0.5, 1.0])
 
 
@@ -139,7 +138,7 @@ def _panel_values(q, lo, hi, path, controls, levels, p=1):
     and the start values are added once per length.  The suffixes are a view
     for a slice, and a gather of at most one length's node values otherwise.
     `controls[i]` is a (letter, control) pair, or None for a letter no row
-    starts with; with p > 1 the control is its split (o, g) at the start, as
+    starts with; the control is its split (o, g) at the start, as
     `_integrands` reads it.
 
     `p` reparametrizes the segment as z(s) = z0 + (z1 - z0) s^p; with p large
@@ -332,8 +331,9 @@ def _evaluate(controls, tol, levels_of):
 
     The state of the adaptive driver is the vector of all kept words' values,
     zero at the start; a panel step starts from the previous panel's end
-    values, which is Chen's identity applied in place.  Under the power
-    substitution each control is split at the start once, here.
+    values, which is Chen's identity applied in place.  Each control is
+    split at the start once, here, so that its pole factor is read off the
+    parameter; on a regular segment the split is (0, f).
     """
     letters, path, singular_start = controls.alphabet.letters, controls.path, controls.singular_start
     funcs = [controls.inputs[x] for x in letters]
@@ -344,8 +344,7 @@ def _evaluate(controls, tol, levels_of):
         return layout, np.zeros(0), np.zeros(0)
     p = _power_param(orders, emin) if singular_start else 1
     used = {i for _, segments in levels for i, _ in segments}
-    if p > 1:
-        funcs = [_split_at(f, o, path.z0_exact) for f, o in zip(funcs, orders)]
+    funcs = [_split_at(f, o, path.z0_exact) for f, o in zip(funcs, orders)]
     pairs = [(x, f) if i in used else None for i, (x, f) in enumerate(zip(letters, funcs))]
     step = partial(_panel_values, path=path, controls=pairs, levels=levels, p=p)
     vals, errs = _adaptive(step, np.zeros(rows), _initial_mesh(singular_start), tol, path, p)
@@ -370,10 +369,10 @@ def _series_pairing(coeffs, letters, bound, rep):
     for `coeffs` the c_w of every word up to `bound`, in grade-lex order.
 
     The prefix rows P_k of the words of length k are formed length by length,
-    P_{k+1}[r m + j] = P_k[r] mu(x_j), over the letters that have a matrix; a
-    word with a letter that has none pairs to 0 and is skipped.  `rows` holds
-    each prefix row's word as its index among the words of its length, so the
-    terms c_w (P_k eta)_w are added in word order.
+    P_{k+1}[r m + j] = P_k[r] mu(x_j), over the letters that have a matrix, in
+    blocks of `_BLOCK` rows; a word with a letter that has none pairs to 0 and
+    is skipped.  `rows` holds each prefix row's word as its index among the
+    words of its length, so the terms c_w (P_k eta)_w are added in word order.
     """
     m, n = len(letters), rep.dim
     used = np.flatnonzero([x in rep.rows for x in letters])
@@ -386,7 +385,10 @@ def _series_pairing(coeffs, letters, bound, rep):
     value, start = 0.0, 0
     for k in range(bound + 1):
         if k:
-            prefixes = (prefixes @ wide).reshape(-1, n)
+            grown = np.empty((len(prefixes), wide.shape[1]))
+            for r in range(0, len(prefixes), _BLOCK):
+                np.matmul(prefixes[r : r + _BLOCK], wide, out=grown[r : r + _BLOCK])
+            prefixes = grown.reshape(-1, n)
             rows = (rows[:, None] * m + used).ravel()
         for term in (coeffs[start + rows] * (prefixes @ eta)).tolist():
             value += term

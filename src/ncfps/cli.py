@@ -14,12 +14,12 @@ when `chen` or `pair` integrates.
 
 `main` runs OpenBLAS on one thread: it sets ``OPENBLAS_NUM_THREADS=1``
 before any handler loads numpy, unless the caller has set the variable, whose
-value then wins.  The Chen kernel splits its products into blocks of at most
-``_numeric._BLOCK`` rows, which BLAS runs on the calling thread, so the
-thread pool OpenBLAS would start when numpy loads only costs time: about
-65 ms of each `chen` or `pair` call.  The pairing's larger products gave the
-same bytes, more slowly, on two threads.  Importing this module changes
-nothing; a call of `main` in a host process leaves the variable set there.
+value then wins.  The Chen kernel and the pairing split their products into
+blocks of at most ``_numeric._BLOCK`` rows, which BLAS runs on the calling
+thread, so the thread pool OpenBLAS would start when numpy loads only costs
+time: about 65 ms of each `chen` or `pair` call.  Importing this module
+changes nothing; a call of `main` in a host process leaves the variable set
+there.
 """
 
 import argparse

@@ -63,10 +63,10 @@ class Poly(_Immutable):
     Immutable once built; trailing zero coefficients are stripped so the
     tuple of coefficients is a canonical form (the zero polynomial has an
     empty tuple).  Their float images are made on the first float evaluation
-    and kept.
+    and kept, as is the Sturm chain on its first use.
     """
 
-    __slots__ = ("var", "coeffs", "_floats")
+    __slots__ = ("var", "coeffs", "_floats", "_sturm")
 
     def __init__(self, var, coeffs):
         cs = [_frac(c) for c in coeffs]
@@ -256,10 +256,14 @@ class Poly(_Immutable):
     def _sturm_chain(self):
         """Sturm chain of the squarefree part p // gcd(p, p'), each remainder
         divided by its content; the first entry is the squarefree part."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has every root")
+        try:
+            return self._sturm
+        except AttributeError:
+            if self.is_zero():
+                raise ValueError("zero polynomial has every root") from None
         p = self // poly_gcd(self, self.derivative())
-        return [p, *_remainders(p, p.derivative(), -1)]
+        object.__setattr__(self, "_sturm", (p, *_remainders(p, p.derivative(), -1)))
+        return self._sturm
 
     def count_real_roots(self, lo, hi):
         """Number of distinct real roots in the open interval (lo, hi).

@@ -497,7 +497,7 @@ def test_adaptive_reuses_the_left_half_step_of_a_bisected_panel(monkeypatch):
 
 def test_smooth_calls_take_three_steps_per_initial_panel(monkeypatch):
     # a regular segment starts as two panels and a singular start as the
-    # 13 graded ones; a smooth family accepts each at once, in one step and
+    # 7 graded ones; a smooth family accepts each at once, in one step and
     # two half steps
     steps = []
     for name in ("_panel_values", "_collocation_step"):
@@ -515,7 +515,7 @@ def test_smooth_calls_take_three_steps_per_initial_panel(monkeypatch):
     assert len(steps) == 6 and abs(y - 1 / 0.64) < 1e-14
     steps.clear()
     chen_series(POLYLOG, SegmentPath(0, "1/2"), 8)
-    assert len(steps) == 39
+    assert len(steps) == 21
 
 
 @pytest.mark.parametrize("a, b", [("1/10", "2/5"), ("1/5", "1/2"), ("3/10", "1/2"), ("1/4", "1/3")])
@@ -585,8 +585,8 @@ def _mesh(breaks):
 def _per_word_values(mesh, path, controls, chain, p):
     """The former whole-mesh sweep: one quadrature sweep per word, each word
     reusing the node values of its suffix (`chain` is length-sorted and
-    suffix-closed).  `controls` maps each letter to its control, or to its
-    split (o, g) at the start when p > 1."""
+    suffix-closed).  `controls` maps each letter to its control's split
+    (o, g) at the start."""
     firsts = sorted({w[0] for w in chain})
     u = dict(zip(firsts, _integrands([controls[x] for x in firsts], path, mesh.t, p)))
     vals = {(): np.ones_like(mesh.t)}
@@ -595,7 +595,8 @@ def _per_word_values(mesh, path, controls, chain, p):
         g = u[w[0]] * vals[w[1:]]
         per_panel = (g @ _WEIGHTS) * mesh.half
         running = np.cumsum(per_panel)
-        vals[w] = (running - per_panel)[:, None] + mesh.half[:, None] * (g @ _CUM.T)
+        before = np.concatenate([[0.0], running[:-1]])
+        vals[w] = before[:, None] + mesh.half[:, None] * (g @ _CUM.T)
         out[w] = float(running[-1])
     return out
 
@@ -756,8 +757,7 @@ def _assert_kernel_matches_per_word_loop(inputs, path, bound):
     assert words == chain
     assert set(excluded) == set(alphabet.words_up_to(bound, include_empty=False)) - set(chain)
     p = _power_param(orders, emin) if singular_start else 1
-    if p > 1:
-        controls = [_split_at(f, o, path.z0_exact) for f, o in zip(controls, orders)]
+    controls = [_split_at(f, o, path.z0_exact) for f, o in zip(controls, orders)]
     pairs = list(zip(alphabet.letters, controls))
     zero = np.zeros(len(chain))
 
@@ -779,9 +779,9 @@ def _assert_kernel_matches_per_word_loop(inputs, path, bound):
     chained = _per_word_values(_mesh(breaks), path, dict(pairs), chain, p)
     one = _per_word_values(_mesh([lo, hi]), path, dict(pairs), chain, p)
     two = _per_word_values(_mesh([lo, mid, hi]), path, dict(pairs), chain, p)
-    # a start value enters the node values as q + antiderivative instead of
-    # the loop's running sum minus the panel integral, so a word is compared
-    # at the scale of its largest suffix
+    # both start a panel's node values from the sum of the panels before it
+    # (the loop's running sum, the kernel's q), but they sum in different
+    # orders, so a word is compared at the scale of its largest suffix
     for i, w in enumerate(chain):
         scale = max(abs(v[w[k:]]) for v in (chained, one, two) for k in range(len(w)))
         assert abs(q[i] - chained[w]) <= 8 * np.spacing(scale)
@@ -869,17 +869,18 @@ def test_evaluations_do_not_depend_on_the_cache_state():
 
 
 def test_each_control_is_split_once_per_evaluation(monkeypatch):
-    # under the power substitution each control is split at the start once
-    # per evaluation, whatever its panel count; without it, never
+    # each control is split at the start once per evaluation, whatever its
+    # panel count: under the power substitution, at a pole of integer order
+    # and, as (0, f), on a regular segment
     splits, steps = [], []
     split, step = ncfps._numeric._split_at, ncfps._numeric._panel_values
     monkeypatch.setattr(ncfps._numeric, "_split_at", lambda *args: splits.append(args) or split(*args))
     monkeypatch.setattr(ncfps._numeric, "_panel_values", lambda *args, **kw: steps.append(args) or step(*args, **kw))
-    chen_series(POWER, SegmentPath(0, "1/2"), 6)
-    assert len(splits) == 2 and len(steps) > 2
-    splits.clear()
-    chen_series(POLYLOG, SegmentPath(0, "1/2"), 6)
-    assert not splits
+    for inputs, start in ((POWER, 0), (POLYLOG, 0), (POLYLOG, "1/10")):
+        splits.clear()
+        steps.clear()
+        chen_series(inputs, SegmentPath(start, "1/2"), 6)
+        assert len(splits) == 2 and len(steps) > 2
 
 
 @pytest.mark.parametrize("z1", ["1/2", "2", "3"])
@@ -943,6 +944,103 @@ def test_polylogarithms_at_one_half_within_a_few_ulps():
     for n in (2, 3, 4):
         want = float(sum(Fraction(1, 2**k * k**n) for k in range(1, 81)))
         assert abs(ev.coeff(("x0",) * (n - 1) + ("x1",)) - want) <= 4 * np.spacing(want)
+
+
+def _laurent_values(controls, z0, z1, bound, terms=48):
+    """Exact values and slopes d/dz1 at z1, rounded once, of every word up to
+    `bound` that is integrable from z0 (the empty word's 1 and 0 included),
+    and the set of those that are not, with every word built on one.
+
+    A control is (k, c, d, a, e), f = c (z - z0)^-k + d / (z - a) + e.  A
+    word's value is a power series in s = z - z0 with Fraction coefficients,
+    from its suffix's: times f (the pole part a shift, d / (s - b) with
+    b = a - z0 by the recurrence W_j = (W_(j-1) - d V_j) / b of its geometric
+    series), then integrated term by term; a suffix with a nonzero term below
+    s^k diverges under a pole of order k.  A stage keeps at most `terms`
+    coefficients, one fewer than its suffix under a double pole.
+    """
+    s1 = z1 - z0
+    series = {(): [Fraction(1)] + [Fraction(0)] * (terms - 1)}
+    values, divergent = {(): (1.0, 0.0)}, set()
+    for n in range(1, bound + 1):
+        for w in product(sorted(controls), repeat=n):
+            v = series.get(w[1:])
+            k, c, d, a, e = controls[w[0]]
+            if v is None or c and any(v[:k]):
+                divergent.add(w)
+                continue
+            b, geo, integrand = a - z0, Fraction(0), []
+            for j in range(len(v) - k):
+                geo = (geo - d * v[j]) / b
+                integrand.append(c * v[j + k] + geo + e * v[j])
+            series[w] = u = [Fraction(0)] + [x / (j + 1) for j, x in enumerate(integrand[: terms - 1])]
+            values[w] = tuple(float(sum(x * s1**j for j, x in enumerate(cs))) for cs in (u, integrand))
+    return values, divergent
+
+
+def _assert_matches_laurent_series(controls, z0, z1, bound, terms=48, strict=False):
+    """Every value within its estimate plus 64 eps, and within the estimate
+    plus 1e-15 per letter (1e-15 in all if `strict`), relative to
+    max(1, |value|), of the exact one.  The quadrature runs over z1 - z0 as
+    the difference of the endpoints rounded to doubles, which moves a value
+    by its slope times that rounding on top."""
+    z = QZ.parse("z")
+    inputs = {x: c / (z - z0) ** k + d / (z - a) + e for x, (k, c, d, a, e) in controls.items()}
+    path = SegmentPath(z0, z1)
+    ev = chen_series(inputs, path, bound)
+    want, divergent = _laurent_values(controls, z0, z1, bound, terms)
+    assert set(ev.values) == set(want) and set(ev.excluded) == divergent
+    rounding = float(abs(Fraction(path.z1 - path.z0) - (z1 - z0)))
+    for w, v in ev.values.items():
+        exact, slope = want[w]
+        off, moved, scale = abs(v - exact), abs(slope) * rounding, max(1.0, abs(v))
+        assert off <= ev.error(w) + 64 * EPS * scale + moved, w
+        assert off <= (1e-15 * scale + moved if strict else ev.error(w) + len(w) * 1e-15 * scale + moved), w
+
+
+_STARTS = tuple(map(Fraction, ("0", "1/3", "1", "-1/2")))
+_OTHER_POLES = tuple(map(Fraction, ("-1", "-1/2", "0", "1/3", "1", "2")))
+
+
+@st.composite
+def _pole_at_start_cases(draw):
+    # rational controls c (z - z0)^-k + d / (z - a) + e, one of them with a
+    # pole of order 1 or 2 at z0, on a path in either direction that goes a
+    # multiple of 1/64 and at most a quarter of the way to the nearest other
+    # pole, so that z1 is a double whenever z0 is
+    z0 = draw(st.sampled_from(_STARTS))
+    orders = [draw(st.integers(1, 2))] + [draw(st.integers(0, 2)) for _ in range(draw(st.integers(0, 1)))]
+    controls = {}
+    for i, k in enumerate(draw(st.permutations(orders))):
+        c = draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) if k else 0
+        a = draw(st.sampled_from([a for a in _OTHER_POLES if a != z0]))
+        controls[f"x{i}"] = (k, c, draw(st.integers(-2, 2)), a, draw(st.integers(-2, 2)))
+    reach = min((abs(a - z0) for _, _, d, a, _ in controls.values() if d), default=Fraction(1))
+    step = Fraction(draw(st.integers(1, math.floor(16 * reach))), 64)
+    return controls, z0, z0 + draw(st.sampled_from((-1, 1))) * step, draw(st.integers(1, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pole_at_start_cases())
+def test_a_pole_at_the_start_matches_its_laurent_series(case):
+    # the pole factor (z - z0)^-k is read off the parameter exactly, not from
+    # z - z0 as a difference of doubles next to z0
+    _assert_matches_laurent_series(*case)
+
+
+@pytest.mark.parametrize(
+    "controls, z0, z1",
+    [
+        # {1/z, 1/(1-z)} from the pole of 1/(1-z) at 1 to 1/2
+        ({"x0": (0, 0, 1, Fraction(0), 0), "x1": (1, -1, 0, Fraction(2), 0)}, Fraction(1), Fraction(1, 2)),
+        # {1/(z-1/3), 1/(z+1)} from 1/3 to 2/3
+        ({"x0": (1, 1, 0, Fraction(2), 0), "x1": (0, 0, 1, Fraction(-1), 0)}, Fraction(1, 3), Fraction(2, 3)),
+    ],
+)
+def test_a_pole_at_a_nonzero_start_is_read_off_the_parameter(controls, z0, z1):
+    # z - z0 formed as a difference of doubles next to z0 put these 1.8e-11
+    # and 7.3e-12 off at bound 9, beyond their estimates
+    _assert_matches_laurent_series(controls, z0, z1, 9, terms=64, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,6 +1218,37 @@ def test_checked_controls_are_reused_on_the_same_path():
     with pytest.raises(ValueError, match="the tolerance must be a number >= 0"):
         pair_ode(rep, ev.controls, path, tol=-1)
     assert ev.controls.sup == max(f.sup_on(path.lo_exact, path.hi_exact) for f in ev.inputs.values())
+
+
+def test_each_denominator_builds_its_sturm_chain_once(monkeypatch):
+    # a pairing job checks its controls in chen_series and again in pair_ode,
+    # and bounds their sup once: three Sturm counts on each denominator, which
+    # keeps its chain, and the control texts are cached, so a repeated job
+    # builds none; 1/z and 1/(1-z) have constant W = num' den - num den'
+    built = []
+    remainders = ncfps.rings._remainders
+
+    def counted(a, b, sign):
+        if sign < 0:  # a Sturm chain; a gcd runs with sign 1
+            built.append(a)
+        return remainders(a, b, sign)
+
+    monkeypatch.setattr(ncfps.rings, "_remainders", counted)
+    _clear_shared_caches()
+    rep = star_rep(X2, ("x0", "x1"))
+    path = SegmentPath("2/5", "3/5")
+
+    def job():
+        ev = chen_series(POLYLOG, path, 6)
+        return ev, pair_series(ev, rep), pair_ode(rep, POLYLOG, path)
+
+    ev, series, ode = job()
+    dens = [f.ratfun.den for f in ev.inputs.values()]
+    assert len(built) == 2 and set(built) == set(dens)
+    assert all(d._sturm_chain() is d._sturm_chain() for d in dens) and len(built) == 2
+    built.clear()
+    again, *out = job()
+    assert out == [series, ode] and again.values.rows == ev.values.rows and not built
 
 
 def test_pair_preconditions():
@@ -1393,6 +1522,18 @@ def test_level_pairing_matches_the_per_word_pairing(case):
     value = pair_series(ev, rep).value
     scale = _per_word_pairing(ev, rep, absolute=True)
     assert abs(value - _per_word_pairing(ev, rep)) <= 8 * (ev.bound + 1) * rep.dim * EPS * scale
+
+
+def test_pairing_prefix_products_are_blocked_bit_for_bit(monkeypatch):
+    # 2^11 prefix rows at the last length, as 4 blocks of 512 rows, as blocks
+    # of 7 and as one product: the same bits, so BLAS may split none of them
+    rep = minimize(representation_of("(x0.x1 + 2*x1.x0.x0 + x1.x1.x0.x1)*").embed_field())
+    ev = chen_series({"x0": "1/(z+2)", "x1": "1/(3-z)"}, SegmentPath("1/5", "2/5"), 11)
+    values = []
+    for block in (_BLOCK, 7, 2**30):
+        monkeypatch.setattr(ncfps._numeric, "_BLOCK", block)
+        values.append(pair_series(ev, rep).value.hex())
+    assert values[0] == values[1] == values[2]
 
 
 # ---------------------------------------------------------------------------
