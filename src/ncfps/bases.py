@@ -8,6 +8,10 @@ Two families are built over Q:
 * its dual family under the coefficient pairing: letter-peeling recursion on
   Lyndon words, divided shuffle powers in general.
 
+A word that is not Lyndon costs one product in each family: its first
+Lyndon factor's entry times the entry of the rest of the word, which the
+table already holds.
+
 On the graded Y alphabet the same pattern is repeated for the quasi-shuffle
 structure.  There the bracket family starts not from letters but from their
 images under the first Eulerian projector (the convolution logarithm of the
@@ -18,13 +22,17 @@ grade-homogeneous component, ordering words lexicographically.
 The factorization check multiplies exponentials of paired basis elements
 over the table's Lyndon words in decreasing order and compares against the
 diagonal sum; the tensor factors multiply with the mixed rule (shuffle or
-quasi-shuffle on the left slot, concatenation on the right).  The Lyndon
+quasi-shuffle on the left slot, concatenation on the right).  The diagonal
+sum of the paired elements runs on integer numerators over one common
+denominator, and each exponential stops at the power bound // g, g the least
+left grade of its argument.  The Lyndon
 words are listed by filtering the graded words, which the table enumerates
 anyway: over Y there are only 2^g - 1 nonempty words of weight <= g.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,7 +51,6 @@ from .series import (
 from .words import (
     Alphabet,
     _as_word,
-    is_lyndon,
     lyndon_factorization,
     lyndon_words,
     standard_factorization,
@@ -128,29 +135,41 @@ def phi_pi1(p):
 
 
 class BasisTable:
-    """All four basis families on words of grade <= bound, over Q."""
+    """All four basis families on words of grade <= bound, over Q.
+
+    A Lyndon word's bracket is its letter, or the commutator of the brackets
+    of its standard factorization; its dual is its first letter times the
+    dual of the rest.  Every other nonempty word w is l.w', l the first
+    factor of its Lyndon factorization, and takes one product on entries of
+    lower grade already in the table: P_w = P_l.P_w' (Pi_w likewise) and
+    S_w = (S_l shuffle S_w') / i, i the number of leading factors equal to
+    l.  Sigma inverts the duality system grade by grade.
+    """
 
     def __init__(self, alphabet, bound):
         self.alphabet = alphabet
         self.bound = bound
         self.words = alphabet.words_up_to(bound)
         self.lyndon = lyndon_words(alphabet, bound)
-        self.P = {}
-        self.S = {}
         one = NCPolynomial.one(alphabet, QQ)
-        letter_base = {(c,): NCPolynomial.word(alphabet, QQ, (c,)) for c in alphabet.letters_up_to(bound)}
-        bracket_lyndon = self._bracket_family(letter_base)
-        for w in self.words:
-            self.P[w] = self._pbw_product(w, bracket_lyndon, one)
-        for w in self.words:
-            self._dual_S(w)
+        letters = alphabet.letters_up_to(bound)
+        self.P, self.S = {(): one}, {(): one}
+        letter_base = {(c,): NCPolynomial.word(alphabet, QQ, (c,)) for c in letters}
+        families = [(self.P, self._bracket_family(letter_base))]
         if alphabet.kind == "Y":
-            pi_base = {
-                (c,): NCPolynomial(alphabet, QQ, dict(_pi1_word((c,))))
-                for c in alphabet.letters_up_to(bound)
-            }
-            pi_lyndon = self._bracket_family(pi_base)
-            self.Pi = {w: self._pbw_product(w, pi_lyndon, one) for w in self.words}
+            self.Pi = {(): one}
+            pi_base = {(c,): NCPolynomial(alphabet, QQ, dict(_pi1_word((c,)))) for c in letters}
+            families.append((self.Pi, self._bracket_family(pi_base)))
+        for w in self.words[1:]:
+            factors = lyndon_factorization(w, alphabet)
+            l, rest = factors[0], w[len(factors[0]) :]
+            for family, brackets in families:
+                family[w] = brackets[l] * family[rest] if rest else brackets[w]
+            if rest:
+                self.S[w] = self.S[l].shuffle(self.S[rest]).scale(Fraction(1, factors.count(l)))
+            else:
+                self.S[w] = NCPolynomial.word(alphabet, QQ, w[:1]) * self.S[w[1:]]
+        if alphabet.kind == "Y":
             self.Sigma = {}
             for g in range(bound + 1):
                 self._solve_sigma_block(g)
@@ -165,42 +184,6 @@ class BasisTable:
                 a, b = out[l1], out[l2]
                 out[l] = a * b - b * a
         return out
-
-    def _pbw_product(self, w, lyndon_vals, one):
-        acc = one
-        for factor in lyndon_factorization(w, self.alphabet):
-            acc = acc * lyndon_vals[factor]
-        return acc
-
-    def _dual_S(self, w):
-        if w in self.S:
-            return self.S[w]
-        if not w:
-            val = NCPolynomial.one(self.alphabet, QQ)
-        elif is_lyndon(w, self.alphabet):
-            if len(w) == 1:
-                val = NCPolynomial.word(self.alphabet, QQ, w)
-            else:
-                val = NCPolynomial.word(self.alphabet, QQ, (w[0],)) * self._dual_S(w[1:])
-        else:
-            factors = lyndon_factorization(w, self.alphabet)
-            runs = []
-            for f in factors:
-                if runs and runs[-1][0] == f:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([f, 1])
-            val = NCPolynomial.one(self.alphabet, QQ)
-            denom = 1
-            for f, mult in runs:
-                base = self._dual_S(f)
-                for _ in range(mult):
-                    val = val.shuffle(base)
-                for j in range(2, mult + 1):
-                    denom *= j
-            val = val.scale(Fraction(1, denom))
-        self.S[w] = val
-        return val
 
     def _solve_sigma_block(self, g):
         words = sorted(self.alphabet.words_of_grade(g), key=self.alphabet.ranks)
@@ -252,10 +235,13 @@ def basis_Sigma(w):
 
 
 def _tensor_exp(t, bound, left_kernel):
-    one = TensorPoly(t.alphabet, t.ring, {((), ()): QQ.one})
-    acc = one
-    term = one
-    for k in range(1, bound + 1):
+    """exp(t) through the powers t^k / k! for k <= bound // g, g >= 1 the
+    least left grade of t's terms: every later power is empty below the bound.
+    With g = 0 the powers run to the bound or to the first empty one."""
+    g = min((t.alphabet.word_grade(u) for u, _ in t.terms), default=0)
+    acc = TensorPoly(t.alphabet, t.ring, {((), ()): QQ.one}) + t
+    term = t
+    for k in range(2, (bound // g if g else bound) + 1):
         term = term.mul(t, left_kernel, conc_words, bound).scale(Fraction(1, k))
         if not term.terms:
             break
@@ -266,8 +252,12 @@ def _tensor_exp(t, bound, left_kernel):
 def msr_check(alphabet, bound, table=None):
     """Verify the two diagonal-series identities up to the grade bound.
 
-    The product runs over the table's Lyndon words of grade <= bound, in
-    decreasing order.
+    The sum of duals[w] (x) brackets[w] is accumulated on integer
+    numerators over the least common multiple of the pairs' denominators and
+    lowered to Q once.  The product runs over the table's Lyndon words of
+    grade <= bound, in decreasing order; exp(t) for t = duals[l] (x)
+    brackets[l] stops at the power bound // g, g >= 1 the least left grade
+    of t's terms, past which every power is empty.
 
     Returns (ok, report); the report carries per-check flags and, on failure,
     the first offending tensor component and the largest coefficient gap.
@@ -294,12 +284,17 @@ def msr_check(alphabet, bound, table=None):
         return True
 
     report = {"max_discrepancy": Fraction(0), "at": None}
-    pair_sum = {}  # one dict for the sum of the duals[w] (x) brackets[w]
-    for w in alphabet.words_up_to(bound):
-        for u, cu in duals[w].terms.items():
-            for v, cv in brackets[w].terms.items():
-                pair_sum[(u, v)] = pair_sum.get((u, v), QQ.zero) + cu * cv
-    ok_sum = compare(TensorPoly(alphabet, QQ, pair_sum), "sum_ok", report)
+    # the sum of the duals[w] (x) brackets[w], on integer numerators over one denominator
+    lifted = [(QQ.lift(duals[w].terms), QQ.lift(brackets[w].terms)) for w in alphabet.words_up_to(bound)]
+    d = math.lcm(*(ds * db for (ds, _), (db, _) in lifted))
+    pair_sum = {}
+    for (ds, s), (db, b) in lifted:
+        scale = d // (ds * db)
+        for u, cu in s.items():
+            cu *= scale
+            for v, cv in b.items():
+                pair_sum[(u, v)] = pair_sum.get((u, v), 0) + cu * cv
+    ok_sum = compare(TensorPoly(alphabet, QQ, QQ.lower(pair_sum, d)), "sum_ok", report)
 
     product = TensorPoly(alphabet, QQ, {((), ()): QQ.one})
     lyndon = [l for l in table.lyndon if alphabet.word_grade(l) <= bound]

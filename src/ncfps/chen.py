@@ -516,6 +516,18 @@ _MAX_WORDS = 2**22
 _MAX_LENGTH = 4096
 
 
+def _check_family(m, bound, max_words):
+    """Refuse a length bound below 0 or above `_MAX_LENGTH`, or m letters
+    whose words up to length `bound`, sum_k m^k over k <= bound with the
+    empty one, number more than `max_words`."""
+    if bound < 0:
+        raise ValueError("the length bound must be nonnegative")
+    if bound > _MAX_LENGTH:
+        raise ValueError(f"the length bound {bound} is above {_MAX_LENGTH}")
+    if ((m ** (bound + 1) - 1) // (m - 1) if m > 1 else m * bound + 1) > max_words:
+        raise ValueError(f"{m} letters up to length {bound} give more than {max_words} words")
+
+
 def chen_series(inputs, path, bound, tol=1e-10):
     """Evaluate all words of length <= bound over the given controls.
 
@@ -536,14 +548,8 @@ def chen_series(inputs, path, bound, tol=1e-10):
     checked once, into `ev.controls`, which `inputs` may also be.
     """
     path = SegmentPath.of(path)
-    if bound < 0:
-        raise ValueError("the length bound must be nonnegative")
-    if bound > _MAX_LENGTH:
-        raise ValueError(f"the length bound {bound} is above {_MAX_LENGTH}")
     controls = _Controls.of(inputs, path, tol)
-    m = len(controls.alphabet.letters)  # the family has sum_k m^k words, k <= bound
-    if ((m ** (bound + 1) - 1) // (m - 1) if m > 1 else m * bound + 1) > _MAX_WORDS:
-        raise ValueError(f"{m} letters up to length {bound} give more than {_MAX_WORDS} words")
+    _check_family(len(controls.alphabet.letters), bound, _MAX_WORDS)
     from ._numeric import _evaluate, _word_levels
 
     levels_of = partial(_word_levels, bound=bound)

@@ -32,6 +32,8 @@ from .rings import ring_named
 from .words import _LETTER_RE, Alphabet, split_outside_parens, word_text
 
 _ALPHABET_RE = re.compile(r"x([0-9]+)\Z")
+# the most words `chen` prints, the empty one included: 2 letters up to length 19
+_PRINT_WORDS = 2**20
 
 
 def _parse_inputs(spec):
@@ -160,9 +162,10 @@ def _cmd_check_identity(args):
 
 
 def _cmd_chen(args):
-    from .chen import chen_series
+    from .chen import _check_family, chen_series
 
     inputs = _parse_inputs(args.inputs)
+    _check_family(len(inputs), args.max_length, _PRINT_WORDS)
     path = (args.z0, args.z)
     ev = chen_series(inputs, path, args.max_length, args.tol)
     values, marked = iter(ev.values.values()), ev.values.layout.marked()  # the kept rows and all words, in order
@@ -274,7 +277,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_check_identity)
 
     p = cmds.add_parser("chen", help="evaluate iterated integrals of all short words")
-    _add_bound(p, 3, "longest word to integrate")
+    _add_bound(p, 3, "longest word to integrate; more than 2^20 words with the empty one are refused (19 on two letters)")
     _add_path(p)
     p.set_defaults(handler=_cmd_chen)
 

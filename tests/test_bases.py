@@ -27,9 +27,10 @@ from ncfps.bases import (
 )
 from ncfps.rings import QQ
 from ncfps.series import NCPolynomial, TensorPoly, TruncatedSeries, parse_series_text, unshuffle, unstuffle
-from ncfps.words import Alphabet, parse_word, word_text
+from ncfps.words import Alphabet, is_lyndon, lyndon_factorization, parse_word, word_text
 
 X2 = Alphabet.x(2)
+X3 = Alphabet.x(3)
 Y = Alphabet.y()
 
 
@@ -226,6 +227,102 @@ class TestDiagonalFactorization:
         assert not ok
         assert report["max_discrepancy"] > 0
         assert report["at"] is not None
+
+
+def pbw_product_oracle(w, alphabet, brackets):
+    """The concatenation product of the brackets of w's Lyndon factors, in order."""
+    acc = NCPolynomial.one(alphabet, QQ)
+    for factor in lyndon_factorization(w, alphabet):
+        acc = acc * brackets[factor]
+    return acc
+
+
+def divided_shuffle_oracle(w, alphabet, duals):
+    """The product over runs f^i of w's Lyndon factors of the shuffle power
+    duals[f]^i divided by i!."""
+    runs = []
+    for f in lyndon_factorization(w, alphabet):
+        if runs and runs[-1][0] == f:
+            runs[-1][1] += 1
+        else:
+            runs.append([f, 1])
+    val = NCPolynomial.one(alphabet, QQ)
+    denom = 1
+    for f, mult in runs:
+        for _ in range(mult):
+            val = val.shuffle(duals[f])
+        for j in range(2, mult + 1):
+            denom *= j
+    return val.scale(Fraction(1, denom))
+
+
+@pytest.mark.parametrize("alphabet, bound", [(X2, 6), (X3, 4), (Y, 6)])
+def test_each_entry_is_the_product_over_its_lyndon_factors(alphabet, bound):
+    # every word, not a sample: the table builds a word from its first factor
+    # and the rest, the oracles from all its factors at once
+    t = BasisTable(alphabet, bound)
+    for w in t.words:
+        assert t.P[w] == pbw_product_oracle(w, alphabet, t.P), w
+        assert t.S[w] == divided_shuffle_oracle(w, alphabet, t.S), w
+        if alphabet.kind == "Y":
+            assert t.Pi[w] == pbw_product_oracle(w, alphabet, t.Pi), w
+
+
+def test_each_entry_past_the_lyndon_words_costs_one_product(monkeypatch):
+    # a Lyndon word's bracket is two products and its dual one; every other
+    # nonempty word takes one product for P and one shuffle for S
+    kernels = []
+    word_product = NCPolynomial._word_product
+
+    def spy(self, other, kernel, bound=None):
+        kernels.append(kernel.__name__)
+        return word_product(self, other, kernel, bound)
+
+    monkeypatch.setattr(NCPolynomial, "_word_product", spy)
+    t = BasisTable(X2, 6)
+    lyndon = [w for w in t.words if w and is_lyndon(w, X2)]
+    others = len(t.words) - 1 - len(lyndon)
+    brackets = sum(len(l) > 1 for l in lyndon)
+    assert kernels.count("shuffle_words") <= others
+    assert len(kernels) <= 2 * brackets + len(lyndon) + 2 * others == 271
+
+
+def _corrupted_x2_dual():
+    t = BasisTable(X2, 3)
+    w = parse_word("x0.x1")
+    t.S[w] = t.S[w] + qp("x1.x1")
+    return msr_check(X2, 3, table=t)
+
+
+def _corrupted_x2_letter():
+    # P[x0] doubled: exp(x0 (x) 2 x0) reaches its fourth power
+    t = BasisTable(X2, 4)
+    t.P[("x0",)] = t.P[("x0",)].scale(2)
+    return msr_check(X2, 4, table=t)
+
+
+def _corrupted_y_sigma():
+    # y2.y1 is Lyndon, so the product meets the corrupted entry too
+    t = BasisTable(Y, 4)
+    w = parse_word("y2.y1")
+    t.Sigma[w] = t.Sigma[w] + yp("1/2*y3")
+    return msr_check(Y, 4, table=t)
+
+
+@pytest.mark.parametrize(
+    "corrupt, want",
+    [
+        (_corrupted_x2_dual, {"max_discrepancy": Fraction(3), "at": ("x1.x1", "x0.x1"), "sum_ok": False, "product_ok": False}),
+        (_corrupted_x2_letter, {"max_discrepancy": Fraction(15), "at": ("x0", "x0"), "sum_ok": False, "product_ok": False}),
+        (_corrupted_y_sigma, {"max_discrepancy": Fraction(1, 2), "at": ("y3", "y2.y1"), "sum_ok": False, "product_ok": False}),
+    ],
+)
+def test_corrupted_tables_give_the_same_reports(corrupt, want):
+    # the reports the check gave when it summed Fractions term by term and
+    # ran each exponential to its first empty power
+    ok, report = corrupt()
+    assert ok is False
+    assert report == want and list(report) == list(want)
 
 
 class TestGoldenTables:

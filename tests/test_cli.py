@@ -389,6 +389,29 @@ class TestCliAnalytic:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
+    def test_chen_refuses_more_words_than_it_prints_before_integrating(self, monkeypatch):
+        # 2^22 words are within the library's cap, but printing them took
+        # 16.5 s and 802 MB; the CLI prints at most 2^20
+        import ncfps.chen
+
+        def integrate(*args):
+            raise AssertionError("chen_series ran")
+
+        monkeypatch.setattr(ncfps.chen, "chen_series", integrate)
+        start = time.perf_counter()
+        code, out, err = run_cli("chen", "--inputs", "x0=1,x1=1", "--z0", "0", "--z", "1", "--max-length", "21")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", "error: 2 letters up to length 21 give more than 1048576 words\n")
+
+    def test_chen_print_cap_is_checked_exactly_at_the_bound(self, monkeypatch):
+        import ncfps.cli
+
+        monkeypatch.setattr(ncfps.cli, "_PRINT_WORDS", 7)
+        code, out, _ = run_cli("chen", "--inputs", "x0=1,x1=1", "--max-length", "2")
+        assert code == 0 and len(out.splitlines()) == 7
+        code, out, err = run_cli("chen", "--inputs", "x0=1,x1=1", "--max-length", "3")
+        assert (code, out, err) == (2, "", "error: 2 letters up to length 3 give more than 7 words\n")
+
     def test_derive_ode_power_control_is_fast(self):
         start = time.perf_counter()
         code, out, _ = run_cli("derive-ode", "x0*", "--inputs", "x0=(z+1)^1000")
