@@ -5,19 +5,20 @@ Two families are built over Q:
 * the bracket family: letters for Lyndon letters, iterated commutators over
   the standard factorization for longer Lyndon words, concatenation products
   over the nonincreasing Lyndon factorization for everything else;
-* its dual family under the coefficient pairing: letter-peeling recursion on
-  Lyndon words, divided shuffle powers in general.
-
-A word that is not Lyndon costs one product in each family: its first
-Lyndon factor's entry times the entry of the rest of the word, which the
-table already holds.
+* its dual family under the coefficient pairing: the dual-basis recursion
+  D_l = l - sum_{u < l} <B_u | l> D_u on Lyndon words, divided shuffle
+  powers in general.
 
 On the graded Y alphabet the same pattern is repeated for the quasi-shuffle
-structure.  There the bracket family starts not from letters but from their
-images under the first Eulerian projector (the convolution logarithm of the
-identity), which are primitive for the quasi-shuffle coproduct.  The dual
-family is obtained by solving the unitriangular duality system inside each
-grade-homogeneous component, ordering words lexicographically.
+structure, the quasi-shuffle taking the shuffle's place.  There the bracket
+family starts not from letters but from their images under the first
+Eulerian projector (the convolution logarithm of the identity), which are
+primitive for the quasi-shuffle coproduct.
+
+`BasisTable` builds every pair by the same rule in one pass: a word that is
+not Lyndon costs one product in each family, on entries the table already
+holds.  The recursion is exact because each bracket B_u is u plus lex-larger
+words of its grade, so the u < l of l's grade are all the brackets reaching l.
 
 The factorization check multiplies exponentials of paired basis elements
 over the table's Lyndon words in decreasing order and compares against the
@@ -34,9 +35,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .linalg import invert_matrix
 from .rings import QQ
 from .series import (
     CACHE_SIZE,
@@ -137,13 +137,14 @@ def phi_pi1(p):
 class BasisTable:
     """All four basis families on words of grade <= bound, over Q.
 
-    A Lyndon word's bracket is its letter, or the commutator of the brackets
-    of its standard factorization; its dual is its first letter times the
-    dual of the rest.  Every other nonempty word w is l.w', l the first
-    factor of its Lyndon factorization, and takes one product on entries of
-    lower grade already in the table: P_w = P_l.P_w' (Pi_w likewise) and
-    S_w = (S_l shuffle S_w') / i, i the number of leading factors equal to
-    l.  Sigma inverts the duality system grade by grade.
+    One pass over the words, in grade then lex order, builds each pair
+    (brackets B, duals D, dual product): (P, S, shuffle), and over Y also
+    (Pi, Sigma, quasi-shuffle).  A Lyndon word l takes its letter's image
+    (the letter, or its Eulerian projection for Pi) or the commutator of the
+    brackets of its standard factorization, and D_l = l - sum_{u < l}
+    <B_u | l> D_u over the earlier words of its grade.  Every other word w
+    is l.w', l its first Lyndon factor: B_w = B_l.B_w' and
+    D_w = (D_l * D_w') / i, i the number of leading factors equal to l.
     """
 
     def __init__(self, alphabet, bound):
@@ -152,54 +153,40 @@ class BasisTable:
         self.words = alphabet.words_up_to(bound)
         self.lyndon = lyndon_words(alphabet, bound)
         one = NCPolynomial.one(alphabet, QQ)
-        letters = alphabet.letters_up_to(bound)
         self.P, self.S = {(): one}, {(): one}
-        letter_base = {(c,): NCPolynomial.word(alphabet, QQ, (c,)) for c in letters}
-        families = [(self.P, self._bracket_family(letter_base))]
+        # brackets, duals, dual product, letter image, and the entries
+        # <B_u | l> that each Lyndon word l still ahead will read
+        families = [(self.P, self.S, NCPolynomial.shuffle, partial(NCPolynomial.word, alphabet, QQ), {})]
         if alphabet.kind == "Y":
-            self.Pi = {(): one}
-            pi_base = {(c,): NCPolynomial(alphabet, QQ, dict(_pi1_word((c,)))) for c in letters}
-            families.append((self.Pi, self._bracket_family(pi_base)))
+            self.Pi, self.Sigma = {(): one}, {(): one}
+            families.append((self.Pi, self.Sigma, NCPolynomial.stuffle, eulerian_pi1, {}))
+        lyndon = set(self.lyndon)
         for w in self.words[1:]:
             factors = lyndon_factorization(w, alphabet)
             l, rest = factors[0], w[len(factors[0]) :]
-            for family, brackets in families:
-                family[w] = brackets[l] * family[rest] if rest else brackets[w]
-            if rest:
-                self.S[w] = self.S[l].shuffle(self.S[rest]).scale(Fraction(1, factors.count(l)))
-            else:
-                self.S[w] = NCPolynomial.word(alphabet, QQ, w[:1]) * self.S[w[1:]]
-        if alphabet.kind == "Y":
-            self.Sigma = {}
-            for g in range(bound + 1):
-                self._solve_sigma_block(g)
-
-    def _bracket_family(self, letter_base):
-        out = {}
-        for l in sorted(self.lyndon, key=len):
-            if len(l) == 1:
-                out[l] = letter_base[l]
-            else:
-                l1, l2 = standard_factorization(l, self.alphabet)
-                a, b = out[l1], out[l2]
-                out[l] = a * b - b * a
-        return out
-
-    def _solve_sigma_block(self, g):
-        words = sorted(self.alphabet.words_of_grade(g), key=self.alphabet.ranks)
-        if g == 0:
-            self.Sigma[()] = NCPolynomial.one(self.alphabet, QQ)
-            return
-        # column i of the transpose holds the coefficients of Pi[words[i]] on
-        # the words; rows of its inverse give the dual family coefficients
-        column = {w: j for j, w in enumerate(words)}
-        t = [{} for _ in words]
-        for i, v in enumerate(words):
-            for w, c in self.Pi[v].terms.items():
-                t[column[w]][i] = c
-        s = invert_matrix(QQ, t)
-        for v, row in zip(words, s):
-            self.Sigma[v] = NCPolynomial(self.alphabet, QQ, {words[j]: c for j, c in sorted(row.items())})
+            for brackets, duals, product, image, reads in families:
+                if rest:
+                    brackets[w] = brackets[l] * brackets[rest]
+                    dual, i = product(duals[l], duals[rest]), factors.count(l)
+                    duals[w] = dual.scale(Fraction(1, i)) if i > 1 else dual
+                else:
+                    if len(w) == 1:
+                        brackets[w] = image(w)
+                    else:
+                        a, b = (brackets[f] for f in standard_factorization(w, alphabet))
+                        brackets[w] = a * b - b * a
+                    # D_l on integer numerators over one denominator
+                    lifted = [(c, QQ.lift(duals[u].terms)) for u, c in reads.pop(w, ())]
+                    den = math.lcm(*(c.denominator * d for c, (d, _) in lifted))
+                    dual = {w: den}
+                    for c, (d, nums) in lifted:
+                        scale = c.numerator * (den // (c.denominator * d))
+                        for v, n in nums.items():
+                            dual[v] = dual.get(v, 0) - scale * n
+                    duals[w] = NCPolynomial(alphabet, QQ, QQ.lower(dual, den))
+                for v, c in brackets[w].terms.items():
+                    if v != w and v in lyndon:
+                        reads.setdefault(v, []).append((w, c))
 
 
 @lru_cache(maxsize=32)

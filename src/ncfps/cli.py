@@ -34,6 +34,8 @@ from .words import _LETTER_RE, Alphabet, split_outside_parens, word_text
 _ALPHABET_RE = re.compile(r"x([0-9]+)\Z")
 # the most words `chen` prints, the empty one included: 2 letters up to length 19
 _PRINT_WORDS = 2**20
+# the most words `bases` tabulates, the empty one included: y up to grade 11, 2 letters up to length 10
+_TABLE_WORDS = 2**11
 
 
 def _parse_inputs(spec):
@@ -122,8 +124,6 @@ def _cmd_star(args):
 
 
 def _cmd_bases(args):
-    from .bases import basis_table, basis_table_lines
-
     if args.alphabet == "y":
         alphabet = Alphabet.y()
     else:
@@ -131,6 +131,15 @@ def _cmd_bases(args):
         if not m or int(m.group(1)) < 1:
             raise ValueError(f"alphabet must be y or xN with N >= 1, not {args.alphabet!r}")
         alphabet = Alphabet.x(int(m.group(1)))
+    # the words of grade g number m^g over m letters, and 1, then 2^(g-1), over y
+    count, grade_words = 0, 1
+    for g in range(args.max_length + 1):
+        count += grade_words
+        if count > _TABLE_WORDS:
+            raise ValueError(f"{args.alphabet} up to grade {args.max_length} gives more than {_TABLE_WORDS} words")
+        grade_words *= len(alphabet.letters) if alphabet.kind == "X" else 2 if g else 1
+    from .bases import basis_table, basis_table_lines
+
     for line in basis_table_lines(basis_table(alphabet, args.max_length)):
         print(line)
     return 0
@@ -257,7 +266,7 @@ def build_parser():
 
     p = cmds.add_parser("bases", help="print the dual pair of graded bases as a table")
     p.add_argument("--alphabet", default="x2", help="xN for N ordered letters, or y (default x2)")
-    _add_bound(p, 4, "largest grade in the table")
+    _add_bound(p, 4, "largest grade in the table; more than 2^11 words with the empty one are refused (11 over y, 10 over x2)")
     p.set_defaults(handler=_cmd_bases)
 
     p = cmds.add_parser("minimize", help="print the minimal representation as JSON")

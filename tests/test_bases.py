@@ -25,6 +25,7 @@ from ncfps.bases import (
     msr_check,
     phi_pi1,
 )
+from ncfps.linalg import invert_matrix
 from ncfps.rings import QQ
 from ncfps.series import NCPolynomial, TensorPoly, TruncatedSeries, parse_series_text, unshuffle, unstuffle
 from ncfps.words import Alphabet, is_lyndon, lyndon_factorization, parse_word, word_text
@@ -111,18 +112,21 @@ class TestDualBasis:
                 assert t.S[u].pair(t.P[v]) == expected, (u, v)
 
     def test_unitriangular_transition(self):
-        # rows S_w against the word basis, lex order: unit diagonal and
-        # nothing above it; bracket rows are the mirror image
-        t = basis_table(X2, 4)
-        for g in range(1, 5):
-            words = sorted(X2.words_of_grade(g), key=X2.ranks)
-            for i, u in enumerate(words):
-                assert t.S[u].coeff(u) == 1
-                assert t.P[u].coeff(u) == 1
-                for j in range(i + 1, len(words)):
-                    assert t.S[u].coeff(words[j]) == 0
-                for j in range(i):
-                    assert t.P[u].coeff(words[j]) == 0
+        # rows of the duals against the word basis, lex order: unit diagonal
+        # and nothing above it; bracket rows are the mirror image, which the
+        # table's dual-basis recursion relies on
+        for alphabet, bound in ((X2, 4), (X3, 4), (Y, 6)):
+            t = basis_table(alphabet, bound)
+            pairs = [(t.P, t.S), (t.Pi, t.Sigma)] if alphabet.kind == "Y" else [(t.P, t.S)]
+            for g in range(1, bound + 1):
+                words = sorted(alphabet.words_of_grade(g), key=alphabet.ranks)
+                for brackets, duals in pairs:
+                    for i, u in enumerate(words):
+                        assert duals[u].coeff(u) == 1 and brackets[u].coeff(u) == 1
+                        for j in range(i + 1, len(words)):
+                            assert duals[u].coeff(words[j]) == 0, (u, words[j])
+                        for j in range(i):
+                            assert brackets[u].coeff(words[j]) == 0, (u, words[j])
 
 
 class TestEulerianProjector:
@@ -237,9 +241,9 @@ def pbw_product_oracle(w, alphabet, brackets):
     return acc
 
 
-def divided_shuffle_oracle(w, alphabet, duals):
-    """The product over runs f^i of w's Lyndon factors of the shuffle power
-    duals[f]^i divided by i!."""
+def divided_power_oracle(w, alphabet, duals, product=NCPolynomial.shuffle):
+    """The product over runs f^i of w's Lyndon factors of the power
+    duals[f]^i divided by i!, for the shuffle or the quasi-shuffle."""
     runs = []
     for f in lyndon_factorization(w, alphabet):
         if runs and runs[-1][0] == f:
@@ -250,7 +254,7 @@ def divided_shuffle_oracle(w, alphabet, duals):
     denom = 1
     for f, mult in runs:
         for _ in range(mult):
-            val = val.shuffle(duals[f])
+            val = product(val, duals[f])
         for j in range(2, mult + 1):
             denom *= j
     return val.scale(Fraction(1, denom))
@@ -263,14 +267,50 @@ def test_each_entry_is_the_product_over_its_lyndon_factors(alphabet, bound):
     t = BasisTable(alphabet, bound)
     for w in t.words:
         assert t.P[w] == pbw_product_oracle(w, alphabet, t.P), w
-        assert t.S[w] == divided_shuffle_oracle(w, alphabet, t.S), w
+        assert t.S[w] == divided_power_oracle(w, alphabet, t.S), w
         if alphabet.kind == "Y":
             assert t.Pi[w] == pbw_product_oracle(w, alphabet, t.Pi), w
+            assert t.Sigma[w] == divided_power_oracle(w, alphabet, t.Sigma, NCPolynomial.stuffle), w
 
 
-def test_each_entry_past_the_lyndon_words_costs_one_product(monkeypatch):
-    # a Lyndon word's bracket is two products and its dual one; every other
-    # nonempty word takes one product for P and one shuffle for S
+def solve_sigma_block(table, g):
+    """Sigma on the words of grade g by inverting the transposed Pi block:
+    column i holds the coefficients of Pi[words[i]] on the words, and the
+    rows of the inverse give the dual coefficients."""
+    alphabet = table.alphabet
+    words = sorted(alphabet.words_of_grade(g), key=alphabet.ranks)
+    column = {w: j for j, w in enumerate(words)}
+    t = [{} for _ in words]
+    for i, v in enumerate(words):
+        for w, c in table.Pi[v].terms.items():
+            t[column[w]][i] = c
+    s = invert_matrix(QQ, t)
+    return {v: NCPolynomial(alphabet, QQ, {words[j]: c for j, c in row.items()}) for v, row in zip(words, s)}
+
+
+def test_sigma_is_the_inverse_of_the_transposed_pi_blocks():
+    # every entry up to weight 7, against the general matrix inverse
+    t = BasisTable(Y, 7)
+    for g in range(1, 8):
+        for v, want in solve_sigma_block(t, g).items():
+            assert t.Sigma[v] == want, v
+
+
+@pytest.mark.parametrize("alphabet, bound", [(X2, 6), (X3, 4)])
+def test_lyndon_duals_peel_their_first_letter(alphabet, bound):
+    # S_l = x.S_rest for a Lyndon word l = x.rest of length >= 2
+    t = BasisTable(alphabet, bound)
+    for l in t.lyndon:
+        if len(l) > 1:
+            assert t.S[l] == word_poly(alphabet, l[:1]) * t.S[l[1:]], l
+
+
+@pytest.mark.parametrize("alphabet, bound, count", [(X2, 6, 248), (Y, 6, 228)])
+def test_each_entry_past_the_lyndon_words_costs_one_product(monkeypatch, alphabet, bound, count):
+    # a Lyndon word's bracket is two concatenations and its dual none; every
+    # other nonempty word takes one concatenation and one dual product in
+    # each family: 2 brackets + 2 others at X2@6, where letter peeling made
+    # 271, and 146 concatenations + 41 shuffles + 41 stuffles at Y@6
     kernels = []
     word_product = NCPolynomial._word_product
 
@@ -279,12 +319,15 @@ def test_each_entry_past_the_lyndon_words_costs_one_product(monkeypatch):
         return word_product(self, other, kernel, bound)
 
     monkeypatch.setattr(NCPolynomial, "_word_product", spy)
-    t = BasisTable(X2, 6)
-    lyndon = [w for w in t.words if w and is_lyndon(w, X2)]
+    t = BasisTable(alphabet, bound)
+    lyndon = [w for w in t.words if w and is_lyndon(w, alphabet)]
     others = len(t.words) - 1 - len(lyndon)
     brackets = sum(len(l) > 1 for l in lyndon)
-    assert kernels.count("shuffle_words") <= others
-    assert len(kernels) <= 2 * brackets + len(lyndon) + 2 * others == 271
+    families = 2 if alphabet.kind == "Y" else 1
+    assert kernels.count("shuffle_words") == others
+    assert kernels.count("stuffle_words") == (others if alphabet.kind == "Y" else 0)
+    assert kernels.count("conc_words") == families * (2 * brackets + others)
+    assert len(kernels) == count
 
 
 def _corrupted_x2_dual():

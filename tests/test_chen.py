@@ -1303,7 +1303,7 @@ _FOOTPRINTS = [
     (["expand", "x0* shuffle x1"], 0, _NO_AUTOMATA),
     (["op", "shuffle", "x0.x1", "x1*"], 0, _NO_AUTOMATA),
     (["star", "x0.x1"], 0, _NO_AUTOMATA),
-    (["bases", "--max-length", "3"], 0, {"numpy", "ncfps.automata", "ncfps.diffring"}),
+    (["bases", "--max-length", "3"], 0, {"numpy", "ncfps.automata", "ncfps.diffring", "ncfps.linalg"}),
     (["minimize", "(x0.x1)*"], 0, _NO_FLOAT),
     (["classify", "(x0.x1)*"], 0, _NO_FLOAT),
     (["check-identity", "x0* shuffle x1*", "(x0 + x1)*"], 0, _NO_FLOAT),

@@ -550,6 +550,33 @@ class TestCliBases:
         assert code == 2
         assert "alphabet" in err
 
+    @pytest.mark.parametrize(
+        "alphabet, bound",
+        [("x2", "11"), ("x2", "12"), ("x3", "7"), ("y", "12"), ("x2", "1000000000"), ("x1", "1000000000")],
+    )
+    def test_bases_refuses_more_words_than_it_tabulates_before_building(self, monkeypatch, alphabet, bound):
+        # x2 up to length 12 took 19.7 s; the words are counted up to the cap only
+        import ncfps.bases
+
+        def build(*args):
+            raise AssertionError("BasisTable ran")
+
+        monkeypatch.setattr(ncfps.bases, "BasisTable", build)
+        start = time.perf_counter()
+        code, out, err = run_cli("bases", "--alphabet", alphabet, "--max-length", bound)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"error: {alphabet} up to grade {bound} gives more than 2048 words\n")
+
+    @pytest.mark.parametrize("alphabet, bound, words", [("x2", 2, 7), ("x3", 1, 4), ("y", 3, 8), ("x1", 6, 7)])
+    def test_bases_table_cap_is_checked_exactly_at_the_bound(self, monkeypatch, alphabet, bound, words):
+        import ncfps.cli
+
+        monkeypatch.setattr(ncfps.cli, "_TABLE_WORDS", words)
+        code, out, _ = run_cli("bases", "--alphabet", alphabet, "--max-length", str(bound))
+        assert code == 0 and len(out.splitlines()) == words
+        code, out, err = run_cli("bases", "--alphabet", alphabet, "--max-length", str(bound + 1))
+        assert (code, out, err) == (2, "", f"error: {alphabet} up to grade {bound + 1} gives more than {words} words\n")
+
 
 class TestCliErrors:
     def test_unknown_subcommand_exits_two(self):
