@@ -314,8 +314,42 @@ def _remainders(a, b, sign):
         a, b = b, r * (sign / r.content()) if r else r
 
 
+# the prime of the coprimality test in poly_gcd
+_GCD_PRIME = 2**61 - 1
+
+
+def _coprime_mod_p(a, b):
+    """True when the gcd of a and b modulo _GCD_PRIME is constant, the prime
+    dividing neither leading coefficient of their integer multiples: the
+    gcd over Q then divides both images, so it is constant too.  False
+    when the test cannot tell."""
+    p = _GCD_PRIME
+    f, g = sorted(([n % p for n in _integral(x.coeffs)[1]] for x in (a, b)), key=len, reverse=True)
+    if not (g and f[-1] and g[-1]):
+        return False
+    while len(g) > 1:
+        # f mod g, g made monic
+        inv = pow(g[-1], -1, p)
+        g = [c * inv % p for c in g]
+        n = len(g) - 1
+        for k in range(len(f) - 1, n - 1, -1):
+            q = f[k]
+            if q:
+                f[k - n : k] = [(x - q * y) % p for x, y in zip(f[k - n : k], g)]
+        del f[n:]
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    return len(g) == 1
+
+
 def poly_gcd(a, b):
-    """Monic gcd of two polynomials (1 if either is a nonzero constant)."""
+    """Monic gcd of two polynomials (1 if either is a nonzero constant).
+
+    A pair that `_coprime_mod_p` finds coprime gets 1 at once; every other
+    pair runs Euclid's loop."""
+    if _coprime_mod_p(a, b):
+        return Poly.const(a.var, Fraction(1))
     *_, g = a, *_remainders(a, b, 1)
     return g.monic()
 

@@ -16,7 +16,18 @@ the coefficient pairing: ``deconcat`` is adjoint to concatenation,
 :class:`NCPolynomial` (keyed by words) and :class:`TensorPoly` (keyed by
 word pairs) are two key types of one term map, ``_TermMap``, which holds
 their construction, linear arithmetic, truncation and the one product loop;
-``_word_product`` and ``TensorPoly.mul`` hand it a kernel on keys.
+``_word_product`` and ``TensorPoly.mul`` hand it what to add for two lists
+of terms.
+
+Products, star, exp and log key their sums by integer word codes: a letter
+is e zeros under a 1 (e its position over X, k - 1 for yk), each letter's
+bits lie above those of the letters before it, and the empty word is 0.  So
+u.v is u | v << u.bit_length(), and the grade is the popcount over X and
+the bit length over Y.  The shuffle and quasi-shuffle tables map a pair of
+codes to (code, multiplicity) pairs.  Each alphabet's codec maps words to
+codes and back by table lookup, so results share their words.  The public
+word kernels answer on words through the same tables; no product calls
+them.
 
 :class:`TruncatedSeries` tracks a grade bound alongside the coefficients and
 propagates it through arithmetic, which is what makes fixed-point
@@ -40,7 +51,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .rings import _Immutable
 from .words import _as_word, parse_word, split_outside_parens, word_text, x_word_to_y, y_word_to_x
@@ -63,42 +74,130 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# integer word-product kernels, alphabet-agnostic and cached
+# integer word codes (see the module docstring) and the kernels on them
 #
-# Cached values are tuples of (word, multiplicity) pairs; callers must not
-# assume any particular order.  The caches are bounded so that a long-running
-# process meeting ever new words does not grow without limit.
+# The quasi-shuffle merges leading letters of exponents e and f into one of
+# exponent e + f + 1.  The kernel tables map a pair of codes to (code,
+# multiplicity) pairs, in no order callers may rely on; they are bounded so
+# that a long-running process meeting ever new words does not grow without
+# limit.
 
 CACHE_SIZE = 2**16
 
-# one tuple per distinct word across the cached results: they repeat a few
-# thousand words tens of thousands of times; without the sharing, the peak RSS
-# of perfbench's `algebra` workload rose from 29 to 33 MB (Python 3.11, 2 CPUs)
-_WORD_CACHE = {}
+
+class _Table(dict):
+    """A dict that fills a missing key with make(key), and starts over
+    when it would hold more than CACHE_SIZE keys."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        if len(self) >= CACHE_SIZE:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
+def _new_codec(letters):
+    """(encode, decode, grade) of the codes of the words over ordered
+    letters, or over Y when letters is None (as `Alphabet.letters`).
+
+    encode and decode look each word and code up in a table, and fill it on
+    a miss, so the words of results are shared and a repeated word costs
+    one dict lookup."""
+    if letters is None:
+        bits = lambda a: "1" + "0" * (int(a[1:]) - 1)
+        name = lambda e: sys.intern(f"y{e + 1}")
+        grade = int.bit_length
+    else:
+        bits = {a: "1" + "0" * e for e, a in enumerate(letters)}.__getitem__
+        name, grade = letters.__getitem__, int.bit_count
+    codes = _Table(lambda w: int("0" + "".join(map(bits, reversed(w))), 2))
+    # the zero runs after each 1, last letter first, are the exponents
+    words = _Table(lambda c: tuple(map(name, map(len, bin(c)[3:].split("1")[::-1]))) if c else ())
+    return codes.__getitem__, words.__getitem__, grade
+
+
+# the codec of each alphabet's letters, with its tables
+_codec = lru_cache(maxsize=32)(_new_codec)
+
+
+@lru_cache(maxsize=64)
+def _coding(codes, letters):
+    """codes(codec) for the codec of the letters: how one term map class
+    reads its keys as codes (see `_TermMap._product`)."""
+    return codes(_codec(letters))
+
+
+def _split(u):
+    """(exponent of the first letter, code of the rest) of a nonempty code."""
+    e = (u & -u).bit_length() - 1
+    return e, u >> (e + 1)
+
+
+def _prepend_into(out, e, items):
+    """Add (code, multiplicity) items with a letter of exponent e put first."""
+    shift, letter = e + 1, 1 << e
+    for w, c in items:
+        key = w << shift | letter
+        out[key] = out.get(key, 0) + c
+
+
+# one int per distinct code across the cached kernel results: they repeat a
+# few thousand codes tens of thousands of times; without the sharing, the
+# memory held after three rounds of the algebra job shapes rose from 5.3 to
+# 6.4 MB (tracemalloc, Python 3.11)
+_CODE_CACHE = {}
 
 
 def _shared(out):
-    """The items of a kernel's word-to-multiplicity dict, words shared."""
-    if len(_WORD_CACHE) + len(out) > CACHE_SIZE:
-        _WORD_CACHE.clear()
-    return tuple((_WORD_CACHE.setdefault(w, w), c) for w, c in out.items())
+    """The items of a kernel's code-to-multiplicity dict, codes shared."""
+    if len(_CODE_CACHE) + len(out) > CACHE_SIZE:
+        _CODE_CACHE.clear()
+    return tuple((_CODE_CACHE.setdefault(w, w), c) for w, c in out.items())
+
+
+def _conc_codes(u, v):
+    return ((v << u.bit_length() | u, 1),)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _shuffle_codes(u, v):
+    if not u or not v:
+        return ((u | v, 1),)
+    (e, ru), (f, rv) = _split(u), _split(v)
+    out = {}
+    _prepend_into(out, e, _shuffle_codes(ru, v))
+    _prepend_into(out, f, _shuffle_codes(u, rv))
+    return _shared(out)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _stuffle_codes(u, v):
+    if not u or not v:
+        return ((u | v, 1),)
+    (e, ru), (f, rv) = _split(u), _split(v)
+    out = {}
+    _prepend_into(out, e, _stuffle_codes(ru, v))
+    _prepend_into(out, f, _stuffle_codes(u, rv))
+    _prepend_into(out, e + f + 1, _stuffle_codes(ru, rv))
+    return _shared(out)
+
+
+def _on_words(codec, table, u, v):
+    """A code kernel's result on two words, as (word, multiplicity) pairs."""
+    encode, decode, _ = codec
+    return tuple((decode(w), m) for w, m in table(encode(u), encode(v)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def shuffle_words(u, v):
     """All interleavings of u and v with multiplicities."""
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    out = {}
-    for w, c in shuffle_words(u[1:], v):
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in shuffle_words(u, v[1:]):
-        key = (v[0],) + w
-        out[key] = out.get(key, 0) + c
-    return _shared(out)
+    return _on_words(_new_codec(tuple(dict.fromkeys(u + v))), _shuffle_codes, u, v)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -110,26 +209,13 @@ def stuffle_words(u, v):
     for c in u + v:
         if c[0] != "y":
             raise ValueError(f"quasi-shuffle needs Y-type letters, got {c!r}")
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    out = {}
-    for w, c in stuffle_words(u[1:], v):
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in stuffle_words(u, v[1:]):
-        key = (v[0],) + w
-        out[key] = out.get(key, 0) + c
-    merged = sys.intern(f"y{int(u[0][1:]) + int(v[0][1:])}")
-    for w, c in stuffle_words(u[1:], v[1:]):
-        key = (merged,) + w
-        out[key] = out.get(key, 0) + c
-    return _shared(out)
+    return _on_words(_new_codec(None), _stuffle_codes, u, v)
 
 
 def conc_words(u, v):
     return ((u + v, 1),)
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +266,64 @@ def _packed(ring, lifted, bound):
 
 
 def _conc_into(out, left, right):
-    """Add the concatenation products of two lists of (word, value) items."""
+    """Add the concatenation products of two lists of (code, value) items."""
+    get = out.get
+    for u, cu in left:
+        n = u.bit_length()
+        for v, cv in right:
+            w = v << n | u
+            c = cu * cv
+            prev = get(w)
+            out[w] = c if prev is None else prev + c
+
+
+def _kernel_into(kernel, out, left, right):
+    """Add the kernel products of two lists of (code, value) items."""
+    get = out.get
     for u, cu in left:
         for v, cv in right:
-            w = u + v
             c = cu * cv
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
+            for w, m in kernel(u, v):
+                inc = c if m == 1 else c * m
+                prev = get(w)
+                out[w] = inc if prev is None else prev + inc
+
+
+def _tensor_into(left_kernel, right_kernel, out, left, right):
+    """Add the componentwise kernel products of two lists of ((code, code),
+    value) items."""
+    get = out.get
+    for (u1, v1), c1 in left:
+        for (u2, v2), c2 in right:
+            c = c1 * c2
+            vs = right_kernel(v1, v2)
+            for u, mu in left_kernel(u1, u2):
+                for v, mv in vs:
+                    k = (u, v)
+                    m = mu * mv
+                    inc = c if m == 1 else c * m
+                    prev = get(k)
+                    out[k] = inc if prev is None else prev + inc
+
+
+# each public word kernel's code kernel, and what a polynomial product with
+# it adds into its sums, by name, so that a wrapper that keeps the kernel's
+# name (as functools.wraps does) reaches them too
+_CODE_KERNELS = {
+    "conc_words": (_conc_codes, _conc_into),
+    "shuffle_words": (_shuffle_codes, partial(_kernel_into, _shuffle_codes)),
+    "stuffle_words": (_stuffle_codes, partial(_kernel_into, _stuffle_codes)),
+}
+
+
+def _code_kernel(kernel, alphabet):
+    """(code kernel, polynomial adder) of a public word kernel over an alphabet."""
+    coded = _CODE_KERNELS.get(getattr(kernel, "__name__", None))
+    if coded is None:
+        raise ValueError(f"{kernel!r} is not conc_words, shuffle_words or stuffle_words")
+    if coded[0] is _stuffle_codes and alphabet.kind != "Y":
+        raise ValueError("quasi-shuffle is defined on the graded Y alphabet")
+    return coded
 
 
 def _by_grade(terms, grade):
@@ -290,25 +427,20 @@ class _TermMap(_Immutable):
         grade = self._grade()
         return self._built({k: c for k, c in self.terms.items() if grade(k) <= bound})
 
-    def _product(self, other, kernel, bound, grade):
-        """Bilinear product: kernel(k1, k2) gives the (key, multiplicity)
-        pairs of the product of two keys.  With a bound, only pairs of terms
-        whose grade(key) values sum to at most it are formed: for a kernel
-        that adds those grades, the full product less its terms above the
-        bound."""
+    def _product(self, other, into, bound):
+        """Bilinear product on codes: into(out, left, right) adds the
+        products of two lists of (coded key, value) items to out.  With a
+        bound, only pairs of terms whose left grades (see ``_codes``) sum
+        to at most it are formed: for a kernel that adds those grades, the
+        full product less its terms above the bound."""
         o = self._check_compatible(other)
         ring = self.ring
-        ((da, a), (db, b)), width = _lifted(ring, (self.terms, o.terms), self._grade())
+        encode, decode, grade, left_grade = _coding(self._codes, self.alphabet.letters)
+        ((da, a), (db, b)), width = _lifted(ring, (encode(self.terms), encode(o.terms)), grade)
         out = {}
-        for left, right in _bucket_pairs(a, b, grade, bound):
-            for k1, c1 in left:
-                for k2, c2 in right:
-                    c = c1 * c2
-                    for k, m in kernel(k1, k2):
-                        inc = c if m == 1 else c * m
-                        prev = out.get(k)
-                        out[k] = inc if prev is None else prev + inc
-        return self._built(ring.lower(out, da * db, width))
+        for left, right in _bucket_pairs(a, b, left_grade, bound):
+            into(out, left, right)
+        return self._built(decode(ring.lower(out, da * db, width)))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -362,10 +494,20 @@ class NCPolynomial(_TermMap):
             return 0
         return max(self.alphabet.word_grade(w) for w in self.terms)
 
+    @staticmethod
+    def _codes(codec):
+        """The maps between term dicts on words and on codes, and the grade
+        and left grade of a coded key, as `_product` reads them."""
+        encode, decode, grade = codec
+        return (
+            lambda terms: {encode(w): c for w, c in terms.items()},
+            lambda terms: {decode(w): c for w, c in terms.items()},
+            grade,
+            grade,
+        )
+
     def _word_product(self, other, kernel, bound=None):
-        if kernel is stuffle_words and self.alphabet.kind != "Y":
-            raise ValueError("quasi-shuffle is defined on the graded Y alphabet")
-        return self._product(other, kernel, bound, self.alphabet.word_grade)
+        return self._product(other, _code_kernel(kernel, self.alphabet)[1], bound)
 
     def __mul__(self, other):
         """Concatenation product, or scalar scaling."""
@@ -432,6 +574,16 @@ class TensorPoly(_TermMap):
     def _words(key):
         return key
 
+    @staticmethod
+    def _codes(codec):
+        encode, decode, g = codec
+        return (
+            lambda terms: {(encode(u), encode(v)): c for (u, v), c in terms.items()},
+            lambda terms: {(decode(u), decode(v)): c for (u, v), c in terms.items()},
+            lambda k: g(k[0]) + g(k[1]),
+            lambda k: g(k[0]),
+        )
+
     @classmethod
     def of(cls, p, q):
         """Tensor of two polynomials, componentwise products of coefficients."""
@@ -446,28 +598,16 @@ class TensorPoly(_TermMap):
         return self.terms.get((_as_word(u), _as_word(v)), self.ring.zero)
 
     def mul(self, other, left_kernel=conc_words, right_kernel=conc_words, bound=None):
-        """Componentwise product; each side may use its own word product.
+        """Componentwise product; each side uses its own word product,
+        ``conc_words``, ``shuffle_words`` or ``stuffle_words``.
 
         With a bound, only pairs of terms whose left words' grades sum to at
-        most the bound are formed.  The result is then the full product less
-        every term whose left word lies above the bound, provided the left
-        kernel is grade-additive: each word it returns has the grade of its
-        two arguments together, as concatenation, the shuffle and the
-        quasi-shuffle do.
+        most the bound are formed.  Each word a kernel returns has the grade
+        of its two arguments together, so the result is the full product
+        less every term whose left word lies above the bound.
         """
-        g = self.alphabet.word_grade
-
-        # a plain loop, not a comprehension: CPython 3.11 gives each
-        # comprehension its own frame, a measurable cost per pair of terms
-        def kernel(k1, k2):
-            right = right_kernel(k1[1], k2[1])
-            out = []
-            for u, mu in left_kernel(k1[0], k2[0]):
-                for v, mv in right:
-                    out.append(((u, v), mu * mv))
-            return out
-
-        return self._product(other, kernel, bound, lambda k: g(k[0]))
+        kernels = (_code_kernel(k, self.alphabet)[0] for k in (left_kernel, right_kernel))
+        return self._product(other, partial(_tensor_into, *kernels), bound)
 
     def __repr__(self):
         bits = []
@@ -628,20 +768,23 @@ class TruncatedSeries(_Immutable):
         """
         ring, n = self.ring, self.bound
         inv = ring.invert(ring.one - self.poly.constant_term())  # raises when not a unit
-        lifted = [ring.lift({(): inv}), ring.lift({w: c for w, c in self.poly.terms.items() if w})]
+        encode, decode, grade, _ = _coding(NCPolynomial._codes, self.alphabet.letters)
+        terms = encode(self.poly.terms)
+        terms.pop(0, None)
+        lifted = [ring.lift({0: inv}), ring.lift(terms)]
         (di, ni), (ds, ns) = lifted
         q, width = di * ds, None
         if ring.packs:
             # |N_g| <= v M^g with M = max(q, v s), by induction on g
             v = ring.size(ni)
             ((di, ni), (ds, ns)), width = _packed(ring, lifted, v * max(q, v * ring.size(ns)) ** n)
-        n_inv = ni[()]
+        n_inv = ni[0]
         comps = [
             (i, [(u, c * q ** (i - 1)) for u, c in si] if i > 1 and q != 1 else si)
-            for i, si in _by_grade(ns, self.alphabet.word_grade)
+            for i, si in _by_grade(ns, grade)
         ]
-        t_by_grade = {0: [((), n_inv)]}
-        out = ring.lower({(): n_inv}, di, width)
+        t_by_grade = {0: [(0, n_inv)]}
+        out = ring.lower({0: n_inv}, di, width)
         for g in range(1, n + 1):
             acc = {}
             for i, si in comps:
@@ -652,7 +795,7 @@ class TruncatedSeries(_Immutable):
             if comp:
                 t_by_grade[g] = list(comp.items())
                 out.update(ring.lower(comp, di ** (g + 1) * ds**g, width))
-        return _within(self.poly._built(out), n)
+        return _within(self.poly._built(decode(out)), n)
 
     def exp(self):
         """Concatenation exponential; requires zero constant term.
@@ -759,8 +902,10 @@ def _horner(poly, plan):
     coefficients norm.  Each sum adds its products in ascending grade of the
     factor from S, the order in which floats were always rounded.
     """
-    ring, grade = poly.ring, poly.alphabet.word_grade
-    lifted = [ring.lift({w: c for w, c in poly.terms.items() if w})]
+    ring, (encode, decode, grade, _) = poly.ring, _coding(NCPolynomial._codes, poly.alphabet.letters)
+    terms = encode(poly.terms)
+    terms.pop(0, None)
+    lifted = [ring.lift(terms)]
     steps, denominator = plan(lifted[0][0])
     width = None
     if ring.packs:
@@ -770,7 +915,7 @@ def _horner(poly, plan):
             most = max(most, b)
         lifted, width = _packed(ring, lifted, most)
     sb = _by_grade(lifted[0][1], grade)
-    x = {}  # grade -> {word: value}
+    x = {}  # grade -> {code: value}
     for alpha, beta, top in steps:
         out = {}
         for i, si in sb:
@@ -782,8 +927,9 @@ def _horner(poly, plan):
                 _conc_into(out.setdefault(i + j, {}), si, xj.items())
         x = {g: {w: c for w, c in og.items() if c} for g, og in out.items()}
         if alpha:
-            x[0] = {(): alpha}
-    return poly._built(ring.lower({w: c for xg in x.values() for w, c in xg.items()}, denominator, width))
+            x[0] = {0: alpha}
+    out = ring.lower({w: c for xg in x.values() for w, c in xg.items()}, denominator, width)
+    return poly._built(decode(out))
 
 
 # ---------------------------------------------------------------------------

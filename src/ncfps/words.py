@@ -126,11 +126,15 @@ class Alphabet(_Immutable):
         return sum(int(c[1:]) for c in word)
 
     def ranks(self, word):
-        return tuple(self.rank(c) for c in word)
+        if self.kind == "X":
+            return tuple(map(self._rank.__getitem__, word))
+        return tuple(-int(c[1:]) for c in word)
 
     def word_key(self, word):
-        """Sort key: grade first, then lex by letter order."""
-        return (self.word_grade(word), self.ranks(word))
+        """Sort key: grade first, then lex by letter order.  Each letter is
+        read once: over Y the grade is minus the sum of the ranks."""
+        ranks = self.ranks(word)
+        return (len(word) if self.kind == "X" else -sum(ranks), ranks)
 
     def letters_up_to(self, g):
         """All letters of grade <= g, in ascending order."""

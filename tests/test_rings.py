@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncfps import rings
 from ncfps.rings import (
     QQ,
     QT,
@@ -296,6 +297,39 @@ class TestGcd:
         zero, const = Poly("z", ()), Poly("z", (Fraction(-3, 2),))
         for x, y in [(g * a, g * b), (a, b), (a, zero), (zero, g * b), (const, g * b)]:
             assert poly_gcd(x, y) == _euclid_gcd(x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_POLY, _POLY, _POLY, st.integers(0, 3))
+    @example(
+        # mod p the common factor 1 + p z becomes 1: only the leading
+        # coefficients, which p divides, show that the test cannot tell
+        Poly("z", (1, rings._GCD_PRIME)),
+        Poly("z", (2, 1)),
+        Poly("z", (3, 1)),
+        0,
+    )
+    def test_gcd_matches_euclid_when_the_prime_divides_a_coefficient(self, g, a, b, where):
+        # a planted common factor, and the test's prime put into the
+        # leading coefficient (forcing Euclid), the constant term, both or
+        # neither of the factor
+        p = rings._GCD_PRIME
+        if g.degree > 0:
+            cs = list(g.coeffs)
+            if where & 1:
+                cs[-1] *= p
+            if where & 2:
+                cs[0] += p
+            g = Poly("z", cs)
+        assert poly_gcd(g * a, g * b) == _euclid_gcd(g * a, g * b)
+
+    def test_coprime_quotient_of_high_powers_is_fast(self):
+        # Euclid over Q took 4.3-5.7 s on this quotient, whose terms are
+        # coprime; the modular test settles it in 0.7-0.8 s (2 CPUs,
+        # Python 3.11)
+        t0 = time.perf_counter()
+        f = QZ.parse("(z+1)^1000/(z+3)^600")
+        assert time.perf_counter() - t0 < 2.0
+        assert f.num.degree == 1000 and f.den.degree == 600
 
 
 class TestRatFun:

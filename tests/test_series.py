@@ -7,12 +7,16 @@ Oracles:
   implementation peels first letters);
 * every coproduct checked as the adjoint of its product under the pairing;
 * products over Q and Q[t] against sums of one ring product at a time, and
-  star against a star on ring elements (``oracle_star``).
+  star against a star on ring elements (``oracle_star``);
+* every product, which runs on integer word codes, against the same sums on
+  words over Q, Q[t], Q(t) and the floats, floats bit for bit.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -592,14 +596,34 @@ _ORACLES = {conc_words: _conc_oracle, shuffle_words: oracle_shuffle, stuffle_wor
 
 def brute_product(left, right, oracle, grade, ring, bound=None):
     """Coefficient dict of a word product: c_u * c_v * m summed one term at a
-    time over the oracle's expansion of every pair of words."""
+    time over the oracle's expansion of every pair of words.  With a bound,
+    only the pairs within it are formed, in ascending grade of the left word,
+    then of the right one: the order in which float sums are rounded."""
+    pairs = [(u, v) for u in left for v in right]
+    if bound is not None:
+        pairs = [uv for uv in pairs if grade(uv[0]) + grade(uv[1]) <= bound]
+        pairs.sort(key=lambda uv: (grade(uv[0]), grade(uv[1])))
     out = {}
-    for u, cu in left.items():
-        for v, cv in right.items():
-            for w, m in oracle(u, v).items():
-                if bound is None or grade(w) <= bound:
-                    out[w] = out.get(w, ring.zero) + cu * cv * m
+    for u, v in pairs:
+        for w, m in oracle(u, v).items():
+            out[w] = out.get(w, ring.zero) + left[u] * right[v] * m
     return {w: c for w, c in out.items() if c}
+
+
+def brute_tensor_product(a, b, left, right, grade, ring, bound=None):
+    """Coefficient dict of a componentwise tensor product, as brute_product
+    forms it, by the left words' grades."""
+    pairs = [(k1, k2) for k1 in a for k2 in b]
+    if bound is not None:
+        pairs = [kk for kk in pairs if grade(kk[0][0]) + grade(kk[1][0]) <= bound]
+        pairs.sort(key=lambda kk: (grade(kk[0][0]), grade(kk[1][0])))
+    out = {}
+    for (u1, v1), (u2, v2) in pairs:
+        c = a[(u1, v1)] * b[(u2, v2)]
+        for wu, mu in left(u1, u2).items():
+            for wv, mv in right(v1, v2).items():
+                out[(wu, wv)] = out.get((wu, wv), ring.zero) + c * (mu * mv)
+    return {k: c for k, c in out.items() if c}
 
 
 def power_sum_exp(p, bound):
@@ -834,13 +858,14 @@ def test_dense_round_trip_at_bound_10_is_fast():
 
 def oracle_star(s):
     """Star of a TruncatedSeries on ring elements: T_0 = inv and
-    T_g = inv.sum_i S_i.T_(g-i), one ring product and sum at a time."""
+    T_g = inv.sum_i S_i.T_(g-i), one ring product and sum at a time, in
+    ascending i as float sums are rounded."""
     ring, grade = s.ring, s.alphabet.word_grade
     inv = ring.invert(ring.one - s.poly.constant_term())
     t = {0: {(): inv}}
     for g in range(1, s.bound + 1):
         acc = {}
-        for u, cu in s.poly.terms.items():
+        for u, cu in sorted(s.poly.terms.items(), key=lambda term: grade(term[0])):
             i = grade(u)
             if u and i <= g:
                 for v, cv in t.get(g - i, {}).items():
@@ -985,13 +1010,141 @@ def test_every_module_cache_is_bounded(monkeypatch):
         module = importlib.import_module(f"ncfps.{info.name}")
         caches += [obj for obj in vars(module).values() if hasattr(obj, "cache_parameters")]
     assert series.shuffle_words in caches and series.stuffle_words in caches
+    assert series._shuffle_codes in caches and series._stuffle_codes in caches
     assert bases.basis_table in caches
     for cache in caches:
         assert cache.cache_parameters()["maxsize"] is not None, cache
-    # the table of shared words starts over when it would outgrow the bound
+    # the table of shared codes, and a codec's tables of words and codes,
+    # start over when they would outgrow the bound
     monkeypatch.setattr(series, "CACHE_SIZE", 8)
-    shuffle_words.cache_clear()
+    series._shuffle_codes.cache_clear()
+    series._codec.cache_clear()
+    series._coding.cache_clear()
     for u, v in [(("x0", "x1"), ("x1", "x0")), (("x0",), ("x1", "x1", "x0"))]:
-        assert dict(shuffle_words(u, v)) == oracle_shuffle(u, v)
-        assert len(series._WORD_CACHE) <= 8
-    shuffle_words.cache_clear()
+        p, q = NCPolynomial.word(X2, QQ, u), NCPolynomial.word(X2, QQ, v)
+        assert p.shuffle(q).terms == oracle_shuffle(u, v)
+        encode, decode, _ = series._codec(X2.letters)
+        assert max(len(series._CODE_CACHE), len(encode.__self__), len(decode.__self__)) <= 8
+    series._shuffle_codes.cache_clear()
+    series._codec.cache_clear()
+    series._coding.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# every product on word codes against the word-level oracles, over Q, Q[t],
+# Q(t) and R, floats bit for bit
+
+QTF = ring_named("Q(t)")
+
+
+def _ring_coeffs(ring):
+    if ring == QQ:
+        return _FRACTIONS
+    if ring == QT:
+        return _QT
+    if ring == QTF:
+        return st.tuples(_QT, _QT.filter(bool)).map(lambda nd: RatFun(*nd))
+    # uniform floats, not hypothesis's simple ones, make the order of
+    # additions show
+    return st.integers(0, 2**32).map(lambda seed: random.Random(seed).uniform(-2, 2))
+
+
+def _bits(terms):
+    """A term dict with each float as its hex digits."""
+    return {k: c.hex() if isinstance(c, float) else c for k, c in terms.items()}
+
+
+def horner_exp(p, bound):
+    """exp(S) on ring elements through brute_product: G_n = 1 and
+    G_(k-1) = 1 + (S/k).G_k truncated at grade n - k + 1."""
+    ring, grade = p.ring, p.alphabet.word_grade
+    s = {w: c for w, c in p.terms.items() if w}
+    g = {(): ring.one}
+    for k in range(bound, 0, -1):
+        beta = ring.coerce(Fraction(1, k))
+        g = brute_product({u: beta * c for u, c in s.items()}, g, _conc_oracle, grade, ring, bound - k + 1)
+        g[()] = ring.one
+    return g
+
+
+def horner_log(p, bound):
+    """log(1 + D) on ring elements through brute_product: H_n = c_n,
+    H_k = c_k + D.H_(k+1) truncated at grade n - k, and log = D.H_1."""
+    ring, grade = p.ring, p.alphabet.word_grade
+    d = {w: c for w, c in p.terms.items() if w}
+    h = {}
+    for k in range(bound, 0, -1):
+        h = brute_product(d, h, _conc_oracle, grade, ring, bound - k)
+        h[()] = ring.coerce(Fraction((-1) ** (k - 1), k))
+    return brute_product(d, h, _conc_oracle, grade, ring, bound)
+
+
+@st.composite
+def _ring_pairs(draw):
+    """(p, q) of grade <= 3 over one of X2, X3, Y and one of Q, Q[t], Q(t), R."""
+    alphabet = draw(st.sampled_from([X2, X3, Y]))
+    ring = draw(st.sampled_from([QQ, QT, QTF, RR]))
+    words = st.sampled_from(alphabet.words_up_to(3))
+    coeffs = _ring_coeffs(ring)
+    return tuple(NCPolynomial(alphabet, ring, draw(st.dictionaries(words, coeffs, max_size=4))) for _ in range(2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ring_pairs(), st.integers(0, 6))
+def test_every_product_matches_the_word_level_oracles(pair, bound):
+    p, q = pair
+    alphabet, ring, g = p.alphabet, p.ring, p.alphabet.word_grade
+    a, b = TensorPoly.of(p, q), TensorPoly.of(q, p)
+    for kernel in _kernels(alphabet):
+        oracle = _ORACLES[kernel]
+        for bd in (None, bound):
+            want = brute_product(p.terms, q.terms, oracle, g, ring, bd)
+            assert _bits(p._word_product(q, kernel, bd).terms) == _bits(want)
+            want = brute_tensor_product(a.terms, b.terms, oracle, _conc_oracle, g, ring, bd)
+            assert _bits(a.mul(b, kernel, conc_words, bd).terms) == _bits(want)
+    d = p - p.constant_term()
+    s = TruncatedSeries(d + ring.coerce(Fraction(1, 3)), bound)
+    assert _bits(s.star().poly.terms) == _bits(oracle_star(s).terms)
+    assert _bits(TruncatedSeries(d, bound).exp().poly.terms) == _bits(horner_exp(d.truncate(bound), bound))
+    one_d = (d + 1).truncate(bound)
+    assert _bits(TruncatedSeries(d + 1, bound).log().poly.terms) == _bits(horner_log(one_d, bound))
+
+
+def _shuffle_by_last_letters(u, v):
+    """The shuffle of u and v by a recursion on their last letters, memoised
+    on the prefix lengths, so long words with few interleavings are cheap."""
+
+    @lru_cache(maxsize=None)
+    def prefixes(i, j):
+        if not i or not j:
+            return {u[:i] + v[:j]: 1}
+        out = {}
+        for (k, l), a in (((i - 1, j), u[i - 1]), ((i, j - 1), v[j - 1])):
+            for w, c in prefixes(k, l).items():
+                out[w + (a,)] = out.get(w + (a,), 0) + c
+        return out
+
+    return prefixes(len(u), len(v))
+
+
+@pytest.mark.parametrize("ring", [QQ, QT, QTF, RR], ids=str)
+def test_products_of_words_of_length_40_and_more(ring):
+    # x0^40 . x2^41 has more words of its grade than any table could hold:
+    # nothing in a product may be sized by that space
+    t = ring.coerce(Poly("t", (1, 2))) if ring in (QT, QTF) else ring.coerce(Fraction(1, 3))
+    c = [ring.coerce(Fraction(k, 7)) for k in (2, -3, 5, -1)]
+    x0, x1, x2 = ("x0",), ("x1",), ("x2",)
+    p = NCPolynomial(X3, ring, {x0 * 40: c[0] * t, x0 * 41 + x2: c[1]})
+    q = NCPolynomial(X3, ring, {x1: c[2], x0 * 42: c[3] * t})
+    g = X3.word_grade
+    for kernel, oracle in ((conc_words, _conc_oracle), (shuffle_words, _shuffle_by_last_letters)):
+        got = p._word_product(q, kernel)
+        assert _bits(got.terms) == _bits(brute_product(p.terms, q.terms, oracle, g, ring))
+        a, b = TensorPoly.of(p, q), TensorPoly.of(q, p)
+        want = brute_tensor_product(a.terms, b.terms, oracle, _conc_oracle, g, ring)
+        assert _bits(a.mul(b, kernel, conc_words).terms) == _bits(want)
+    assert p.shuffle(q).coeff(x0 * 82) == c[0] * t * c[3] * t * math.comb(82, 40)
+    y = NCPolynomial(Y, ring, {("y1",) * 40: c[0], ("y2",) * 20 + ("y3",): c[1] * t})
+    z = NCPolynomial(Y, ring, {("y3",): c[2], ("y1",): c[3]})
+    got = y.stuffle(z)
+    assert _bits(got.terms) == _bits(brute_product(y.terms, z.terms, oracle_stuffle, Y.word_grade, ring))
