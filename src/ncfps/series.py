@@ -123,10 +123,10 @@ def _new_codec(letters):
 
 
 # the codec of each alphabet's letters, with its tables
-_codec = lru_cache(maxsize=32)(_new_codec)
+_codec = lru_cache(maxsize=8)(_new_codec)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _coding(codes, letters):
     """codes(codec) for the codec of the letters: how one term map class
     reads its keys as codes (see `_TermMap._product`)."""
